@@ -60,6 +60,21 @@ def max_input_degree() -> int:
         raise SchemaError(f"STARQUANT_MAX_DEGREE must be an integer, got {raw!r}") from exc
 
 
+def _required(data: dict, key: str, where: str):
+    if key not in data:
+        raise SchemaError(f"{where} is missing {key!r}")
+    return data[key]
+
+
+def _int_field(value, label: str, minimum: int | None = None) -> int:
+    # bool is a subclass of int, but true/false is never a count or a seed
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{label} must be an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{label} must be an integer >= {minimum}")
+    return value
+
+
 def _guard_degree(p: MultiPoly, label: str) -> MultiPoly:
     cap = max_input_degree()
     if p.degree() > cap:
@@ -121,34 +136,37 @@ def _matrix_input(value, label: str) -> SqMatrix:
         raise SchemaError(f"{label}: {exc}") from exc
 
 
+def _lambda_input(data, n: int | None = None) -> tuple:
+    """An n x n matrix of polynomials; n defaults to the number of rows."""
+    if not isinstance(data, list) or not data:
+        raise SchemaError("lambda must be a non-empty n x n matrix")
+    if n is None:
+        n = len(data)
+    if len(data) != n or any(
+        not isinstance(row, list) or len(row) != n for row in data
+    ):
+        raise SchemaError(f"lambda must be an n x n matrix with n = {n}")
+    return tuple(
+        tuple(_poly_input(v, n, "lambda entry") for v in row) for row in data
+    )
+
+
 def _context_input(data) -> StarContext:
     if not isinstance(data, dict):
         raise SchemaError("context must be an object")
     unknown = set(data) - _CONTEXT_KEYS
     if unknown:
         raise SchemaError(f"unknown context fields: {sorted(unknown)}")
-    for key in ("n", "lambda", "coupling"):
-        if key not in data:
-            raise SchemaError(f"context is missing {key!r}")
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("context n must be a positive integer")
-    lam_data = data["lambda"]
-    if not isinstance(lam_data, list) or len(lam_data) != n:
-        raise SchemaError("context lambda must be an n x n matrix")
-    rows = []
-    for row in lam_data:
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError("context lambda must be an n x n matrix")
-        rows.append(tuple(_poly_input(v, n, "lambda entry") for v in row))
-    coupling = _scalar_input(data["coupling"], "coupling")
+    n = _int_field(_required(data, "n", "context"), "context n", 1)
+    rows = _lambda_input(_required(data, "lambda", "context"), n)
+    coupling = _scalar_input(_required(data, "coupling", "context"), "coupling")
     params = data.get("params")
     if params is not None:
         from .scalars import PARAM_NAMES
 
         if not set(params) <= set(PARAM_NAMES):
             raise SchemaError(f"unknown parameters {sorted(set(params) - set(PARAM_NAMES))}")
-    return StarContext(n, tuple(rows), coupling)
+    return StarContext(n, rows, coupling)
 
 
 def _poly_payload(p: MultiPoly) -> dict:
@@ -173,8 +191,8 @@ def _graded_payload(f: MultiPoly) -> dict:
 def _run_star(job: dict) -> tuple:
     ctx = _context_input(job.get("context"))
     inputs = job["inputs"]
-    f = _poly_input(inputs["f"], ctx.n, "f")
-    g = _poly_input(inputs["g"], ctx.n, "g")
+    f = _poly_input(_required(inputs, "f", "inputs"), ctx.n, "f")
+    g = _poly_input(_required(inputs, "g", "inputs"), ctx.n, "g")
     result = star(ctx, f, g)
     payload = {
         "star": _poly_payload(result),
@@ -189,8 +207,8 @@ def _run_star(job: dict) -> tuple:
 def _run_star_exp(job: dict) -> tuple:
     inputs = job["inputs"]
     n_order = job["truncation"]
-    lam = _matrix_input(inputs["lambda"], "lambda")
-    a_mat = _matrix_input(inputs["A"], "A")
+    lam = _matrix_input(_required(inputs, "lambda", "inputs"), "lambda")
+    a_mat = _matrix_input(_required(inputs, "A", "inputs"), "A")
     amplitude, phase = closed_star_exponential(lam, a_mat, n_order)
     expansion = expand_closed_form(lam, a_mat, n_order)
     report = closed_form_vs_oracle(lam, a_mat, n_order)
@@ -229,12 +247,12 @@ def _run_riccati(job: dict) -> tuple:
 
 def _run_ordering(job: dict) -> tuple:
     inputs = job["inputs"]
-    kmat_sq = _matrix_input(inputs["K"], "K")
+    kmat_sq = _matrix_input(_required(inputs, "K", "inputs"), "K")
     kmat = OrderingK(kmat_sq.rows)
     n = kmat.n
     if n % 2:
         raise SchemaError("ordering matrices act on an even number of variables")
-    f = _poly_input(inputs["f"], n, "f")
+    f = _poly_input(_required(inputs, "f", "inputs"), n, "f")
     payload = {"intertwined_f": _poly_payload(intertwine(kmat, f))}
     if "g" in inputs:
         g = _poly_input(inputs["g"], n, "g")
@@ -254,7 +272,7 @@ def _run_grade(job: dict) -> tuple:
     if job.get("context") is None:
         raise SchemaError("grade requires a context carrying n")
     n = _context_input(job["context"]).n
-    f = _poly_input(inputs["f"], n, "f")
+    f = _poly_input(_required(inputs, "f", "inputs"), n, "f")
     if "mu" in inputs:
         f = specialize_mu(f, _gauss_input(inputs["mu"], "mu"))
     graded = decompose(f)
@@ -273,32 +291,24 @@ def _run_verify(job: dict) -> tuple:
     suite = inputs.get("suite")
     if suite not in SUITES:
         raise SchemaError(f"suite must be one of {sorted(SUITES)}")
-    seed = inputs.get("seed", 42)
+    seed = _int_field(inputs.get("seed", 42), "seed")
     cases = inputs.get("cases")
-    if not isinstance(seed, int):
-        raise SchemaError("seed must be an integer")
-    if cases is not None and (not isinstance(cases, int) or cases < 1):
-        raise SchemaError("cases must be a positive integer")
+    if cases is not None:
+        _int_field(cases, "cases", 1)
     if "lambda" in inputs:
         if suite not in ("jacobi", "lambda-relation"):
             raise SchemaError("an explicit lambda is only used by the validator suites")
-        n = inputs.get("n")
-        lam_data = inputs["lambda"]
-        if n is None:
-            n = len(lam_data)
-        rows = tuple(
-            tuple(_poly_input(v, n, "lambda entry") for v in row)
-            for row in lam_data
-        )
+        n = _int_field(inputs["n"], "n", 1) if "n" in inputs else None
+        rows = _lambda_input(inputs["lambda"], n)
+        d_max = _int_field(inputs.get("d_max", 4), "d_max", 0)
         from .scalars import HALF_MU
 
-        ctx = StarContext(n, rows, HALF_MU)
+        ctx = StarContext(len(rows), rows, HALF_MU)
         if suite == "jacobi":
-            report = check_jacobi(ctx, inputs.get("d_max", 4))
+            report = check_jacobi(ctx, d_max)
         else:
-            report = check_lambda_relation(
-                ctx, inputs.get("k_max", 4), inputs.get("d_max", 4)
-            )
+            k_max = _int_field(inputs.get("k_max", 4), "k_max", 2)
+            report = check_lambda_relation(ctx, k_max, d_max)
         return {"report": report.to_json()}, 0 if report.passed else 1
     results = run_suite(suite, seed=seed, cases=cases)
     failed = [r for r in results if not r["pass"]]
@@ -331,9 +341,7 @@ def validate_job(job: dict) -> dict:
     command = job.get("command")
     if command not in COMMANDS:
         raise SchemaError(f"command must be one of {COMMANDS}")
-    truncation = job.get("truncation", 8)
-    if not isinstance(truncation, int) or truncation < 1:
-        raise SchemaError("truncation must be an integer >= 1")
+    truncation = _int_field(job.get("truncation", 8), "truncation", 1)
     inputs = job.get("inputs", {})
     if not isinstance(inputs, dict):
         raise SchemaError("inputs must be an object")

@@ -22,9 +22,10 @@ from .scalars import (
     PS_ONE,
     GaussianRational,
     ParamScalar,
+    accumulate,
     rat,
 )
-from .star import StarContext, star
+from .star import StarContext, iterated_terms, star, star_terms
 
 _MU = PARAM_INDEX["mu"]
 
@@ -93,9 +94,7 @@ class GradedElement:
         comps = {}
         for entry in data["components"]:
             key = (int(entry["degree"]), int(entry["mu"]))
-            poly = MultiPoly.from_json(n, entry["poly"])
-            prev = comps.get(key)
-            comps[key] = poly if prev is None else prev + poly
+            accumulate(comps, key, MultiPoly.from_json(n, entry["poly"]))
         return cls(n, comps)
 
     def __repr__(self) -> str:
@@ -114,12 +113,10 @@ def decompose(f: MultiPoly) -> GradedElement:
         for pexp, value in coef.terms.items():
             weight = pexp[_MU]
             stripped = (0,) + pexp[1:]
-            key = (deg, weight)
             piece = MultiPoly.monomial(
                 f.n, exps, ParamScalar({stripped: value})
             )
-            prev = buckets.get(key)
-            buckets[key] = piece if prev is None else prev + piece
+            accumulate(buckets, (deg, weight), piece)
     return GradedElement(f.n, buckets)
 
 
@@ -225,40 +222,6 @@ def check_jacobi(ctx: StarContext, d_max: int = 4) -> CheckReport:
     return CheckReport(passed=True)
 
 
-def _iterated_step(n: int, lam_right: list, state: dict) -> dict:
-    """One application of the composed one-step operator on doubled
-    variables: differentiate the left and right slots, then multiply by the
-    matrix entry, which lives in the right-slot variables and is therefore
-    hit by later right-slot derivatives."""
-    new: dict = {}
-    for exps, coef in state.items():
-        for a, b, entry_terms in lam_right:
-            ea = exps[a]
-            if not ea:
-                continue
-            eb = exps[n + b]
-            if not eb:
-                continue
-            base = list(exps)
-            base[a] = ea - 1
-            base[n + b] = eb - 1
-            dcoef = coef.scale_rat(ea * eb)
-            for wexp, wc in entry_terms:
-                key = tuple(x + y for x, y in zip(base, wexp))
-                contrib = dcoef * wc
-                prev = new.get(key)
-                if prev is None:
-                    if contrib:
-                        new[key] = contrib
-                else:
-                    tot = prev + contrib
-                    if tot:
-                        new[key] = tot
-                    else:
-                        del new[key]
-    return new
-
-
 def check_lambda_relation(
     ctx: StarContext, k_max: int = 4, d_max: int = 4
 ) -> CheckReport:
@@ -274,63 +237,26 @@ def check_lambda_relation(
     if k_max < 2:
         raise ValueError("k_max must be >= 2 (order 1 can never diverge)")
     n = ctx.n
-    # iterated form: matrix entries live in the right-slot variables
-    zn = (0,) * n
-    lam_right = []
-    for a in range(n):
-        for b in range(n):
-            p = ctx.lam[a][b]
-            if p.is_zero():
-                continue
-            lam_right.append((a, b, [(zn + e, c) for e, c in p.terms.items()]))
     monos = monomials_upto(n, d_max)
     # contracted form via the star engine with coupling 1: term k of the
     # expansion equals (contracted operator at order k) / k!
-    from .star import star_terms
-
     one_ctx = StarContext(n, ctx.lam, PS_ONE)
     contracted = {}
     iterated = {}
     for fi, f in enumerate(monos):
         for gi, g in enumerate(monos):
             contracted[(fi, gi)] = star_terms(one_ctx, f, g)
-            states = []
-            state = {}
-            for ef, cf in f.terms.items():
-                for eg, cg in g.terms.items():
-                    state[ef + eg] = cf * cg
-            for _ in range(k_max):
-                state = _iterated_step(n, lam_right, state)
-                if not state:
-                    break
-                states.append(dict(state))
-            iterated[(fi, gi)] = states
+            iterated[(fi, gi)] = iterated_terms(ctx, f, g, k_max)
     fact = 1
+    zero = MultiPoly.zero(n)
     for k in range(1, k_max + 1):
         fact *= k
         for fi, f in enumerate(monos):
             for gi, g in enumerate(monos):
-                states = iterated[(fi, gi)]
-                lhs_acc: dict = {}
-                if k <= len(states):
-                    for exps, coef in states[k - 1].items():
-                        key = tuple(exps[i] + exps[n + i] for i in range(n))
-                        prev = lhs_acc.get(key)
-                        if prev is None:
-                            lhs_acc[key] = coef
-                        else:
-                            tot = prev + coef
-                            if tot:
-                                lhs_acc[key] = tot
-                            else:
-                                del lhs_acc[key]
-                lhs = MultiPoly(n, lhs_acc)
+                lhs_terms = iterated[(fi, gi)]
+                lhs = lhs_terms[k] if k < len(lhs_terms) else zero
                 terms = contracted[(fi, gi)]
-                rhs = (
-                    terms[k].scale_rat(rat(fact))
-                    if k < len(terms)
-                    else MultiPoly.zero(n)
-                )
+                rhs = terms[k].scale_rat(rat(fact)) if k < len(terms) else zero
                 if lhs != rhs:
                     return CheckReport(
                         passed=False,

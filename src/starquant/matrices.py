@@ -382,10 +382,8 @@ def cayley(x):
     return (one - x) * inv
 
 
-def inverse_cayley(g):
-    """The inverse Cayley transform; the same involution (1 - g)(1 + g)^(-1)."""
-    one, inv = _cayley_inverse_factor(g)
-    return (one - g) * inv
+# the Cayley transform is an involution, so it is its own inverse
+inverse_cayley = cayley
 
 
 def check_sp_pair(lam: SqMatrix, x: SqMatrix) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Sequence
 
-from .scalars import PS_ONE, PS_ZERO, GaussianRational, ParamScalar
+from .scalars import PS_ONE, PS_ZERO, GaussianRational, ParamScalar, accumulate
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -28,15 +28,7 @@ class MultiPoly:
         clean = {}
         if terms:
             for exps, coef in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n:
-                    raise ValueError(f"exponent vector {exps} has length != {n}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if coef:
-                    prev = clean.get(exps)
-                    clean[exps] = coef if prev is None else prev + coef
-            clean = {e: c for e, c in clean.items() if c}
+                accumulate(clean, _checked_exps(n, exps), coef)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
@@ -124,15 +116,7 @@ class MultiPoly:
             return self
         out = dict(self.terms)
         for exps, coef in other.terms.items():
-            prev = out.get(exps)
-            if prev is None:
-                out[exps] = coef
-            else:
-                tot = prev + coef
-                if tot:
-                    out[exps] = tot
-                else:
-                    del out[exps]
+            accumulate(out, exps, coef)
         return MultiPoly._raw(self.n, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -149,17 +133,7 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                prev = out.get(key)
-                if prev is None:
-                    if prod:
-                        out[key] = prod
-                else:
-                    tot = prev + prod
-                    if tot:
-                        out[key] = tot
-                    else:
-                        del out[key]
+                accumulate(out, key, ca * cb)
         return MultiPoly._raw(self.n, out)
 
     def scale(self, coef: ParamScalar) -> "MultiPoly":
@@ -295,11 +269,18 @@ class MultiPoly:
     def from_json(cls, n: int, data: Iterable[dict]) -> "MultiPoly":
         acc: dict = {}
         for item in data:
-            exps = tuple(int(e) for e in item["exps"])
-            coef = ParamScalar.from_json([item["coef"]])
-            prev = acc.get(exps)
-            acc[exps] = coef if prev is None else prev + coef
-        return cls(n, acc)
+            exps = _checked_exps(n, (int(e) for e in item["exps"]))
+            accumulate(acc, exps, ParamScalar.from_json([item["coef"]]))
+        return cls._raw(n, acc)
+
+
+def _checked_exps(n: int, exps: Iterable[int]) -> tuple:
+    exps = tuple(exps)
+    if len(exps) != n:
+        raise ValueError(f"exponent vector {exps} has length != {n}")
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    return exps
 
 
 def _unit(n: int, j: int, e: int) -> tuple:
@@ -323,10 +304,5 @@ def quadratic_form(entries: Sequence[Sequence[GaussianRational]], n: int) -> Mul
             key = tuple(
                 (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
             )
-            prev = acc.get(key)
-            acc[key] = (
-                ParamScalar.from_gaussian(v)
-                if prev is None
-                else prev + ParamScalar.from_gaussian(v)
-            )
-    return MultiPoly(n, acc)
+            accumulate(acc, key, ParamScalar.from_gaussian(v))
+    return MultiPoly._raw(n, acc)

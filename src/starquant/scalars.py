@@ -38,6 +38,24 @@ RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
 
 
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value for a sparse map that stores no zero values.
+
+    A missing key counts as zero; a zero ``value`` is never inserted and a
+    key whose sum cancels to zero is deleted.
+    """
+    prev = acc.get(key)
+    if prev is None:
+        if value:
+            acc[key] = value
+    else:
+        tot = prev + value
+        if tot:
+            acc[key] = tot
+        else:
+            del acc[key]
+
+
 class GaussianRational:
     """An exact complex number a + b*i with rational a, b.
 
@@ -301,15 +319,7 @@ class ParamScalar:
             return self
         out = dict(self.terms)
         for exps, coef in other.terms.items():
-            prev = out.get(exps)
-            if prev is None:
-                out[exps] = coef
-            else:
-                tot = prev + coef
-                if tot:
-                    out[exps] = tot
-                else:
-                    del out[exps]
+            accumulate(out, exps, coef)
         return ParamScalar._raw(out)
 
     def __neg__(self) -> "ParamScalar":
@@ -335,17 +345,7 @@ class ParamScalar:
         for ea, ca in ta.items():
             for eb, cb in tb.items():
                 key = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                prod = ca * cb
-                prev = out.get(key)
-                if prev is None:
-                    if prod:
-                        out[key] = prod
-                else:
-                    tot = prev + prod
-                    if tot:
-                        out[key] = tot
-                    else:
-                        del out[key]
+                accumulate(out, key, ca * cb)
         return ParamScalar._raw(out)
 
     def scale_gauss(self, g: GaussianRational) -> "ParamScalar":

@@ -12,11 +12,28 @@ for symmetric ordering matrices, the ordering intertwiner, products with
 linear exponentials, and the term-by-term ODE recursion for star
 exponentials which acts as the independent oracle for every closed form in
 :mod:`starquant.matrices`.
+
+The contraction works on exponent keys over doubled variables: x (the left
+factor) then y (the right factor), each of n variables.  One step
+(:func:`contract_step`) lowers x_a and y_b, scales by their exponents and
+multiplies by the entry L^{ab}.  Where that entry goes in the key is the
+only difference between the three contractions built on the step:
+
+* constant L: nowhere; the key is (x | y), width 2n;
+* polynomial L, fully contracted: in w-variables after y, which no step
+  differentiates; the key is (x | y | w), width 3n;
+* polynomial L, iterated: in the y-variables, where later steps
+  differentiate it; the key is (x | y), width 2n.
+
+Summing the n-variable groups of a key (x + y, or x + y + w) turns it back
+into a monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
+from operator import add
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -26,6 +43,7 @@ from .scalars import (
     I_HBAR_HALF,
     GaussianRational,
     ParamScalar,
+    accumulate,
     gr,
     rat,
 )
@@ -202,172 +220,98 @@ class StarContext:
 # --- contraction engine ------------------------------------------------
 
 
-def _diag2(n: int, state: dict) -> MultiPoly:
+def _entries(n: int, lam, width: int, offset: int | None) -> list:
+    """The contraction steps of a matrix of polynomials, one per nonzero entry.
+
+    A step is (a, n + b, shifts): it applies where x_a and y_b are present,
+    and ``shifts`` lists (shift, coef) for the monomials of lam[a][b].  A
+    shift is the exponent delta of a key of length ``width``: -1 at x_a and
+    at y_b, plus the monomial's exponents starting at ``offset`` (None when
+    every entry is constant).
+    """
+    steps = []
+    for a in range(n):
+        for b in range(n):
+            shifts = []
+            for exps, coef in lam[a][b].terms.items():
+                shift = [0] * width
+                if offset is not None:
+                    shift[offset : offset + n] = exps
+                shift[a] -= 1
+                shift[n + b] -= 1
+                shifts.append((tuple(shift), coef))
+            if shifts:
+                steps.append((a, n + b, shifts))
+    return steps
+
+
+def contract_step(entries: list, state: dict) -> dict:
+    """One derivative-pair contraction step on a map from keys to coefficients.
+
+    For every (a, b, shifts) of ``entries`` (see :func:`_entries`) and every
+    key with positive exponents at positions a and b, differentiate both and
+    multiply by the matrix entry: the derivative factor is the product of
+    the two exponents, and the new key is the old one plus the entry's
+    shift.
+    """
+    new: dict = {}
+    for exps, coef in state.items():
+        for a, b, shifts in entries:
+            ea = exps[a]
+            if not ea:
+                continue
+            eb = exps[b]
+            if not eb:
+                continue
+            dcoef = coef.scale_rat(ea * eb)
+            for shift, c in shifts:
+                accumulate(new, tuple(map(add, exps, shift)), dcoef * c)
+    return new
+
+
+def _collapse(n: int, state: dict) -> MultiPoly:
+    """Identify the n-variable groups of every key (x, y and w all become z)."""
     acc: dict = {}
     for exps, coef in state.items():
-        key = tuple(exps[i] + exps[n + i] for i in range(n))
-        prev = acc.get(key)
-        if prev is None:
-            acc[key] = coef
-        else:
-            tot = prev + coef
-            if tot:
-                acc[key] = tot
-            else:
-                del acc[key]
+        key = exps[:n]
+        for start in range(n, len(exps), n):
+            key = tuple(map(add, key, exps[start : start + n]))
+        accumulate(acc, key, coef)
     return MultiPoly._raw(n, acc)
 
 
-def _terms_constant(n, pairs, coupling, f, g, cap) -> list:
-    """Per-order contraction terms for a constant structure matrix.
+def _contraction(lam, f: MultiPoly, g: MultiPoly, offset, coupling):
+    """Yield the contraction terms of f and g, order 0 first.
 
-    Works on the doubled variable set (x = left slot, y = right slot): one
-    contraction step differentiates x_a and y_b and multiplies by the
-    matrix entry; the factor coupling^k/k! is folded in as the iteration
-    proceeds.  Entries of ``pairs`` are (a, b, scalar) with scalar nonzero.
+    ``offset`` places the matrix entries in the key (see the module
+    docstring).  With a ``coupling``, term k carries coupling^k/k!, folded
+    in one step at a time; with None, term k is the bare k-fold contraction.
     """
+    n = f.n
+    width = 3 * n if offset == 2 * n else 2 * n
+    entries = _entries(n, lam, width, offset)
+    pad = (0,) * (width - 2 * n)
     state: dict = {}
     for ef, cf in f.terms.items():
         for eg, cg in g.terms.items():
             prod = cf * cg
             if prod:
-                state[ef + eg] = prod
-    terms = [_diag2(n, state)]
-    k = 0
-    while state:
-        k += 1
-        if k > cap:
-            raise PreconditionError(
-                f"contraction did not terminate within {cap} steps"
-            )
-        new: dict = {}
-        for exps, coef in state.items():
-            for a, b, c in pairs:
-                ea = exps[a]
-                if not ea:
-                    continue
-                eb = exps[n + b]
-                if not eb:
-                    continue
-                key = (
-                    exps[:a]
-                    + (ea - 1,)
-                    + exps[a + 1 : n + b]
-                    + (eb - 1,)
-                    + exps[n + b + 1 :]
-                )
-                contrib = (coef * c).scale_rat(ea * eb)
-                prev = new.get(key)
-                if prev is None:
-                    new[key] = contrib
-                else:
-                    tot = prev + contrib
-                    if tot:
-                        new[key] = tot
-                    else:
-                        del new[key]
-        if not new:
-            break
-        # fold in coupling/k so that state always carries coupling^k/k!
-        scale = coupling.scale_rat(rat(1, k))
-        state = {e: c * scale for e, c in new.items()}
-        terms.append(_diag2(n, state))
-    return terms
-
-
-def _terms_polynomial(n, lam, coupling, f, g, cap) -> list:
-    """Per-order contraction terms for a polynomial structure matrix.
-
-    Uses three variable groups (x for the left slot, y for the right slot,
-    w for the matrix entries) so that the accumulated matrix factors are
-    never differentiated: this is exactly the fully contracted expansion.
-    """
-    zeros2n = (0,) * (2 * n)
-    entry_terms = []
-    for a in range(n):
-        for b in range(n):
-            p = lam[a][b]
-            if p.is_zero():
-                continue
-            entry_terms.append(
-                (a, b, [(zeros2n + e, c) for e, c in p.terms.items()])
-            )
-    zn = (0,) * n
-    state: dict = {}
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            prod = cf * cg
-            if prod:
-                state[ef + eg + zn] = prod
-
-    def diag3(st: dict) -> MultiPoly:
-        acc: dict = {}
-        for exps, coef in st.items():
-            key = tuple(
-                exps[i] + exps[n + i] + exps[2 * n + i] for i in range(n)
-            )
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = coef
-            else:
-                tot = prev + coef
-                if tot:
-                    acc[key] = tot
-                else:
-                    del acc[key]
-        return MultiPoly._raw(n, acc)
-
-    terms = [diag3(state)]
-    k = 0
-    while state:
-        k += 1
-        if k > cap:
-            raise PreconditionError(
-                f"contraction did not terminate within {cap} steps"
-            )
-        new: dict = {}
-        for exps, coef in state.items():
-            for a, b, wterms in entry_terms:
-                ea = exps[a]
-                if not ea:
-                    continue
-                eb = exps[n + b]
-                if not eb:
-                    continue
-                base = list(exps)
-                base[a] = ea - 1
-                base[n + b] = eb - 1
-                dcoef = coef.scale_rat(ea * eb)
-                for wexp, wc in wterms:
-                    key = tuple(x + y for x, y in zip(base, wexp))
-                    contrib = dcoef * wc
-                    prev = new.get(key)
-                    if prev is None:
-                        if contrib:
-                            new[key] = contrib
-                    else:
-                        tot = prev + contrib
-                        if tot:
-                            new[key] = tot
-                        else:
-                            del new[key]
-        if not new:
-            break
-        scale = coupling.scale_rat(rat(1, k))
-        state = {e: c * scale for e, c in new.items()}
-        terms.append(diag3(state))
-    return terms
-
-
-def _contracted_terms(n, scalar_matrix, coupling, f, g) -> list:
-    pairs = []
-    for a in range(n):
-        for b in range(n):
-            c = scalar_matrix[a][b]
-            if c:
-                pairs.append((a, b, c))
+                state[ef + eg + pad] = prod
+    yield _collapse(n, state)
+    # every step lowers the left-slot degree, so this bound is never reached
     cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
-    return _terms_constant(n, pairs, coupling, f, g, cap)
+    for k in count(1):
+        if k > cap:
+            raise PreconditionError(
+                f"contraction did not terminate within {cap} steps"
+            )
+        state = contract_step(entries, state)
+        if not state:
+            return
+        if coupling is not None:
+            scale = coupling.scale_rat(rat(1, k))
+            state = {e: c * scale for e, c in state.items()}
+        yield _collapse(n, state)
 
 
 def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
@@ -375,25 +319,27 @@ def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
     the factor coupling^k/k!); their sum is the star product."""
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("variable count mismatch with context")
-    cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
-    if ctx.constant_lambda:
-        pairs = []
-        scal = ctx.scalar_entries()
-        for a in range(ctx.n):
-            for b in range(ctx.n):
-                if scal[a][b]:
-                    pairs.append((a, b, scal[a][b]))
-        return _terms_constant(ctx.n, pairs, ctx.coupling, f, g, cap)
-    return _terms_polynomial(ctx.n, ctx.lam, ctx.coupling, f, g, cap)
+    offset = None if ctx.constant_lambda else 2 * ctx.n
+    return list(_contraction(ctx.lam, f, g, offset, ctx.coupling))
+
+
+def iterated_terms(
+    ctx: StarContext, f: MultiPoly, g: MultiPoly, k_max: int
+) -> list:
+    """Orders 0..k_max of the iterated one-step biderivation of f and g.
+
+    Unlike :func:`star_terms`, the matrix entry multiplied in at each step
+    sits in the right-slot variables, where later steps differentiate it;
+    term k carries no coupling and no 1/k!.  The list ends early once an
+    order vanishes.
+    """
+    return list(islice(_contraction(ctx.lam, f, g, ctx.n, None), k_max + 1))
 
 
 def star(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The star product of two polynomials."""
     terms = star_terms(ctx, f, g)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+    return sum(terms[1:], terms[0])
 
 
 def star_commutator(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -413,19 +359,17 @@ def star_k_ordered(
         raise ValueError("ordering matrix size mismatch")
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("variable count mismatch with context")
-    scal = ctx.scalar_entries()
+    n = ctx.n
     mixed = tuple(
         tuple(
-            scal[a][b] + ParamScalar.from_gaussian(K.entries[a][b])
-            for b in range(ctx.n)
+            ctx.lam[a][b]
+            + MultiPoly.const(n, ParamScalar.from_gaussian(K.entries[a][b]))
+            for b in range(n)
         )
-        for a in range(ctx.n)
+        for a in range(n)
     )
-    terms = _contracted_terms(ctx.n, mixed, ctx.coupling, f, g)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+    terms = list(_contraction(mixed, f, g, None, ctx.coupling))
+    return sum(terms[1:], terms[0])
 
 
 def intertwine(
@@ -463,17 +407,9 @@ def intertwine(
                 if not ej:
                     continue
                 lowered[j] = ej - 1
-                key = tuple(lowered)
-                contrib = coef.scale_gauss(kij.scale(rat(ei * ej)))
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = contrib
-                else:
-                    tot = prev + contrib
-                    if tot:
-                        acc[key] = tot
-                    else:
-                        del acc[key]
+                accumulate(
+                    acc, tuple(lowered), coef.scale_gauss(kij.scale(rat(ei * ej)))
+                )
         return MultiPoly._raw(n, acc)
 
     result = f

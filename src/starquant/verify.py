@@ -13,6 +13,7 @@ import random
 from math import factorial
 
 from .grading import (
+    _exps_of_degree,
     check_jacobi,
     check_lambda_relation,
     decompose,
@@ -44,6 +45,7 @@ from .scalars import (
     PS_ZERO,
     GaussianRational,
     ParamScalar,
+    accumulate,
     gr,
     rat,
 )
@@ -94,12 +96,7 @@ def rand_poly(
         exps = [0] * n
         for _ in range(deg):
             exps[rng.randrange(n)] += 1
-        coef = rand_gauss(rng)
-        if coef:
-            key = tuple(exps)
-            prev = terms.get(key)
-            cs = ParamScalar.from_gaussian(coef)
-            terms[key] = cs if prev is None else prev + cs
+        accumulate(terms, tuple(exps), ParamScalar.from_gaussian(rand_gauss(rng)))
     return MultiPoly(n, terms)
 
 
@@ -394,23 +391,12 @@ def suite_grading(seed: int = 42, cases: int = 50) -> list:
     ok = True
     for n in range(1, 5):
         for m in range(0, 7):
-            if h0_dim(n, m) != len(
-                [e for e in _all_exps(n + 1, m)]
-            ):
+            if h0_dim(n, m) != len(list(_exps_of_degree(m, n + 1))):
                 ok = False
         if h0_dim(n, -1) != 0:
             ok = False
     results.append(_case("h0_dim brute force n<=4 m<=6", ok))
     return results
-
-
-def _all_exps(nvars: int, degree: int):
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _all_exps(nvars - 1, degree - first):
-            yield (first,) + rest
 
 
 def _so3_context() -> StarContext:

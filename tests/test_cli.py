@@ -107,6 +107,43 @@ def test_job_schema_rejections():
     bad["context"]["lambda"] = [["0"], ["-1", "0"]]
     with pytest.raises(SchemaError):
         run_job(bad)
+    for bad in malformed_jobs():
+        with pytest.raises(SchemaError):
+            run_job(bad)
+
+
+def malformed_jobs():
+    """Jobs that each get one field wrong: missing, mistyped (a bool or a
+    string where an integer belongs), out of range, or of the wrong shape."""
+    lam = [["0", "z0"], ["-z0", "0"]]
+
+    def star_with(**fields):
+        job = star_job()
+        job.update(fields)
+        return job
+
+    def verify_with(suite, **inputs):
+        return {"command": "verify", "inputs": {"suite": suite, **inputs}}
+
+    no_g = star_job()
+    del no_g["inputs"]["g"]
+    bool_n = star_job()
+    bool_n["context"]["n"] = True
+    return [
+        no_g,
+        bool_n,
+        star_with(truncation=True),
+        star_with(truncation="8"),
+        {"command": "star-exp", "inputs": {"lambda": [["0", "1"], ["-1", "0"]]}},
+        {"command": "ordering", "inputs": {"f": "z0"}},
+        verify_with("jacobi", **{"lambda": lam, "n": 3}),
+        verify_with("jacobi", **{"lambda": lam, "d_max": "4"}),
+        verify_with("jacobi", **{"lambda": "oops"}),
+        verify_with("lambda-relation", **{"lambda": lam, "k_max": 1}),
+        verify_with("lambda-relation", **{"lambda": lam, "k_max": 4.0}),
+        verify_with("grading", seed=True),
+        verify_with("grading", cases=0),
+    ]
 
 
 def test_run_star_exp_job():
@@ -264,6 +301,14 @@ def test_main_exit_codes(capsys, tmp_path):
     # both or neither of --job/--command: exit 2
     assert main([]) == 2
     capsys.readouterr()
+    # malformed job files: exit 2 with a JSON error, never a traceback
+    for idx, job in enumerate(malformed_jobs()):
+        path = tmp_path / f"bad{idx}.json"
+        path.write_text(json.dumps(job))
+        assert main(["--job", str(path)]) == 2, job
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "schema"
     # --out writes the same payload
     out = tmp_path / "result.json"
     argv = [

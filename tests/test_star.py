@@ -3,10 +3,12 @@ import random
 import pytest
 
 from starquant.errors import PreconditionError
+from starquant.grading import poisson_bracket
 from starquant.poly import MultiPoly
 from starquant.scalars import (
     GR_I,
     HALF_MU,
+    I_HBAR_HALF,
     MU,
     MU_INV,
     PARAM_INDEX,
@@ -21,6 +23,7 @@ from starquant.star import (
     StarContext,
     exp_linear_product,
     intertwine,
+    iterated_terms,
     ode_star_exponential,
     standard_j,
     star,
@@ -28,7 +31,7 @@ from starquant.star import (
     star_k_ordered,
     star_terms,
 )
-from starquant.verify import rand_antisym, rand_poly
+from starquant.verify import pairing_product, rand_antisym, rand_poly
 
 
 def simple_ctx() -> StarContext:
@@ -229,6 +232,58 @@ def test_star_terms_grading_and_first_order():
                 assert {sum(e) for e in term.terms} == {p + q - 2 * k}
                 for coef in term.terms.values():
                     assert all(e[mu_slot] == k for e in coef.terms)
+
+
+def test_star_matches_pairing_product():
+    # pairing_product expands exp(coupling * L^{ab} d_a (x) d_b) directly and
+    # shares no code with the contraction engine.  The coupling's parameter
+    # power tags the order (mu^k or hbar^k), so equal sums are equal at
+    # every order.
+    rng = random.Random(31)
+    for n, max_deg in ((2, 5), (4, 4), (6, 3)):
+        for coupling in (HALF_MU, I_HBAR_HALF):
+            lam = rand_antisym(rng, n)
+            ctx = StarContext.constant(lam.rows, coupling)
+            pairs = [
+                (a, b, coupling.scale_gauss(lam.rows[a][b]))
+                for a in range(n)
+                for b in range(n)
+                if lam.rows[a][b]
+            ]
+            for _ in range(4):
+                f = rand_poly(rng, n, max_deg, 4)
+                g = rand_poly(rng, n, max_deg, 4)
+                assert star(ctx, f, g) == pairing_product(pairs, f, g)
+
+
+def test_polynomial_lambda_first_order_is_bracket():
+    # rotation-algebra, cyclic and log-canonical structure matrices on n=3
+    z = zvars(3)
+    zero = MultiPoly.zero(3)
+    q01, q02, q12 = (ParamScalar.from_rat(v) for v in (2, -1, 3))
+    lams = [
+        ((zero, z[2], -z[1]), (-z[2], zero, z[0]), (z[1], -z[0], zero)),
+        ((zero, z[2], z[0]), (-z[2], zero, z[1]), (-z[0], -z[1], zero)),
+        (
+            (zero, (z[0] * z[1]).scale(q01), (z[0] * z[2]).scale(q02)),
+            (-(z[0] * z[1]).scale(q01), zero, (z[1] * z[2]).scale(q12)),
+            (-(z[0] * z[2]).scale(q02), -(z[1] * z[2]).scale(q12), zero),
+        ),
+    ]
+    rng = random.Random(41)
+    for lam in lams:
+        ctx = StarContext(3, lam, HALF_MU)
+        for _ in range(4):
+            f = rand_poly(rng, 3, 3, 3)
+            g = rand_poly(rng, 3, 3, 3)
+            bracket = poisson_bracket(ctx, f, g)
+            terms = star_terms(ctx, f, g)
+            first = terms[1] if len(terms) > 1 else MultiPoly.zero(3)
+            assert first == bracket.scale(HALF_MU)
+            # the iterated form agrees with the bracket at order 1 as well
+            iterated = iterated_terms(ctx, f, g, 2)
+            first = iterated[1] if len(iterated) > 1 else MultiPoly.zero(3)
+            assert first == bracket
 
 
 def test_associativity_smoke():
