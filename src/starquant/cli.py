@@ -33,7 +33,7 @@ from .matrices import (
 )
 from .parsing import parse_poly, parse_scalar
 from .poly import MultiPoly
-from .scalars import GaussianRational, ParamScalar
+from .scalars import HALF_MU, PARAM_NAMES, GaussianRational, ParamScalar
 from .star import OrderingK, StarContext, intertwine, star, star_k_ordered
 from .verify import SUITES, run_suite
 
@@ -162,8 +162,10 @@ def _context_input(data) -> StarContext:
     coupling = _scalar_input(_required(data, "coupling", "context"), "coupling")
     params = data.get("params")
     if params is not None:
-        from .scalars import PARAM_NAMES
-
+        if not isinstance(params, list) or not all(
+            isinstance(p, str) for p in params
+        ):
+            raise SchemaError("context params must be a list of parameter names")
         if not set(params) <= set(PARAM_NAMES):
             raise SchemaError(f"unknown parameters {sorted(set(params) - set(PARAM_NAMES))}")
     return StarContext(n, rows, coupling)
@@ -209,6 +211,8 @@ def _run_star_exp(job: dict) -> tuple:
     n_order = job["truncation"]
     lam = _matrix_input(_required(inputs, "lambda", "inputs"), "lambda")
     a_mat = _matrix_input(_required(inputs, "A", "inputs"), "A")
+    if a_mat.dim != lam.dim:
+        raise SchemaError("A must have the size of lambda")
     amplitude, phase = closed_star_exponential(lam, a_mat, n_order)
     expansion = expand_closed_form(lam, a_mat, n_order)
     report = closed_form_vs_oracle(lam, a_mat, n_order)
@@ -261,6 +265,8 @@ def _run_ordering(job: dict) -> tuple:
             if job.get("context") is not None
             else StarContext.weyl(n // 2)
         )
+        if ctx.n != n:
+            raise SchemaError("the context n must equal the size of K")
         payload["k_ordered_product"] = _poly_payload(
             star_k_ordered(ctx, kmat, f, g)
         )
@@ -301,8 +307,6 @@ def _run_verify(job: dict) -> tuple:
         n = _int_field(inputs["n"], "n", 1) if "n" in inputs else None
         rows = _lambda_input(inputs["lambda"], n)
         d_max = _int_field(inputs.get("d_max", 4), "d_max", 0)
-        from .scalars import HALF_MU
-
         ctx = StarContext(len(rows), rows, HALF_MU)
         if suite == "jacobi":
             report = check_jacobi(ctx, d_max)

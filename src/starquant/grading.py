@@ -11,7 +11,7 @@ Jacobi rule for the induced bracket.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import comb
 
 from .errors import PreconditionError
@@ -25,7 +25,7 @@ from .scalars import (
     accumulate,
     rat,
 )
-from .star import StarContext, iterated_terms, star, star_terms
+from .star import StarContext, _contraction, _full_entries, _iterated_entries, star
 
 _MU = PARAM_INDEX["mu"]
 
@@ -239,14 +239,17 @@ def check_lambda_relation(
     n = ctx.n
     monos = monomials_upto(n, d_max)
     # contracted form via the star engine with coupling 1: term k of the
-    # expansion equals (contracted operator at order k) / k!
-    one_ctx = StarContext(n, ctx.lam, PS_ONE)
+    # expansion equals (contracted operator at order k) / k!.  The matrix is
+    # fixed, so the entries of both forms are built once for all pairs.
+    full_kernel = _full_entries(ctx)
+    iterated_kernel = _iterated_entries(ctx)
     contracted = {}
     iterated = {}
     for fi, f in enumerate(monos):
         for gi, g in enumerate(monos):
-            contracted[(fi, gi)] = star_terms(one_ctx, f, g)
-            iterated[(fi, gi)] = iterated_terms(ctx, f, g, k_max)
+            contracted[(fi, gi)] = list(_contraction(full_kernel, f, g, PS_ONE))
+            terms = _contraction(iterated_kernel, f, g, None)
+            iterated[(fi, gi)] = list(islice(terms, k_max + 1))
     fact = 1
     zero = MultiPoly.zero(n)
     for k in range(1, k_max + 1):

@@ -17,6 +17,7 @@ from .reports import CheckReport
 from .scalars import (
     GR_ONE,
     GR_ZERO,
+    HALF_MU,
     MU_INV,
     PS_ONE,
     PS_ZERO,
@@ -25,7 +26,7 @@ from .scalars import (
     gr,
     rat,
 )
-from .series import TruncSeries
+from .series import TruncSeries, _cauchy
 from .star import StarContext, ode_star_exponential
 
 
@@ -265,17 +266,9 @@ class MatSeries:
 
     def __mul__(self, other: "MatSeries") -> "MatSeries":
         self._check_compat(other)
-        out = []
-        for k in range(self.order + 1):
-            acc = SqMatrix.zero(self.dim)
-            for i in range(k + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[k - i]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            out.append(acc)
-        return MatSeries(self.dim, self.order, tuple(out))
+        a, b, zero = self.coeffs, other.coeffs, SqMatrix.zero(self.dim)
+        coeffs = tuple(_cauchy(a, b, k, zero) for k in range(self.order + 1))
+        return MatSeries(self.dim, self.order, coeffs)
 
     def scale(self, c: GaussianRational) -> "MatSeries":
         return MatSeries(self.dim, self.order, tuple(m.scale(c) for m in self.coeffs))
@@ -317,47 +310,31 @@ class MatSeries:
             ],
         )
 
-    def _unit_split(self) -> tuple:
-        """Write self = M0 (I + R) with R of zero constant term."""
-        m0 = self.coeffs[0]
-        inv0 = m0.inverse()  # raises PreconditionError when singular
-        r = self.matmul_left(inv0) - MatSeries.identity(self.dim, self.order)
-        return m0, inv0, r
-
     def inverse(self) -> "MatSeries":
-        """Multiplicative inverse; requires an invertible constant term.
-
-        Writes self = M0 (I + R) with R nilpotent modulo t^(N+1), so
-        (I + R)^(-1) is the finite alternating sum of powers of R.
-        """
-        _, inv0, r = self._unit_split()
-        acc = MatSeries.identity(self.dim, self.order)
-        power = MatSeries.identity(self.dim, self.order)
-        neg_r = -r
-        for _ in range(self.order):
-            power = power * neg_r
-            if power.is_zero():
-                break
-            acc = acc + power
-        return MatSeries(
-            self.dim, self.order, tuple(c * inv0 for c in acc.coeffs)
-        )
+        """Multiplicative inverse, from M X = I: X_0 = M_0^(-1) and
+        X_k = -M_0^(-1) sum_{j=1..k} M_j X_{k-j}.  M_0 must be invertible."""
+        inv0 = self.coeffs[0].inverse()  # raises PreconditionError when singular
+        zero = SqMatrix.zero(self.dim)
+        out = [inv0]
+        for k in range(1, self.order + 1):
+            out.append(-(inv0 * _cauchy(self.coeffs, out, k, zero, 1)))
+        return MatSeries(self.dim, self.order, tuple(out))
 
     def det(self) -> TruncSeries:
-        """Determinant as a scalar series: det(M0) * exp(tr log(I + R))."""
-        m0, _, r = self._unit_split()
-        # tr log(I+R) = sum_{j>=1} (-1)^{j+1} tr(R^j)/j, finite mod t^{N+1}
-        trlog = TruncSeries.zero(0, self.order)
-        power = MatSeries.identity(self.dim, self.order)
-        sign = 1
-        for j in range(1, self.order + 1):
-            power = power * r
-            if power.is_zero():
-                break
-            trlog = trlog + power.trace().scale_rat(rat(sign, j))
-            sign = -sign
-        det_series = trlog.exp()
-        return det_series.scale(ParamScalar.from_gaussian(m0.det()))
+        """Determinant as a scalar series, from Jacobi's formula
+        (log det M)' = tr(M^(-1) M').
+
+        Times t, its t^k coefficient reads k L_k = tr((M^(-1) t M')_k) for
+        L = log(det M / det M_0); then det M = det(M_0) exp(L).
+        """
+        t_dm = [m.scale(gr(k)) for k, m in enumerate(self.coeffs)]
+        k_log = (self.inverse() * MatSeries(self.dim, self.order, t_dm)).trace()
+        # the t^0 coefficient of k_log is 0, as that of t M' is
+        log = [
+            c.scale_rat(rat(1, k)) if k else c for k, c in enumerate(k_log.coeffs)
+        ]
+        det0 = ParamScalar.from_gaussian(self.coeffs[0].det())
+        return TruncSeries(0, self.order, log).exp().scale(det0)
 
     def __repr__(self) -> str:
         return f"MatSeries(order={self.order}, coeffs={[m.to_json() for m in self.coeffs]})"
@@ -422,14 +399,10 @@ def mat_exp_series(a: SqMatrix, scale: GaussianRational, N: int) -> MatSeries:
 def tanh_series(a: SqMatrix, N: int) -> MatSeries:
     """The series of tanh(a t), generated by its defining flow T' = a(1 - T^2)."""
     dim = a.dim
-    coeffs = [SqMatrix.zero(dim)]
+    zero = SqMatrix.zero(dim)
+    coeffs = [zero]
     for k in range(N):
-        # (T^2)_k from the coefficients known so far
-        sq = SqMatrix.zero(dim)
-        for i in range(k + 1):
-            if coeffs[i].is_zero() or coeffs[k - i].is_zero():
-                continue
-            sq = sq + coeffs[i] * coeffs[k - i]
+        sq = _cauchy(coeffs, coeffs, k, zero)  # (T^2)_k
         rhs = (SqMatrix.identity(dim) - sq) if k == 0 else -sq
         coeffs.append((a * rhs).scale(gr(1, k + 1)))
     return MatSeries(dim, N, coeffs)
@@ -541,18 +514,19 @@ def first_divergence(s1: TruncSeries, s2: TruncSeries) -> int | None:
     return None
 
 
-def closed_form_vs_oracle(lam: SqMatrix, a_mat: SqMatrix, N: int) -> CheckReport:
-    """Compare the closed-form expansion with the ODE oracle through t^N."""
-    from .scalars import HALF_MU
-
-    ctx = StarContext.constant(lam.rows, HALF_MU)
-    h = quadratic_form(a_mat.rows, lam.dim).scale(MU_INV)
-    oracle = ode_star_exponential(ctx, h, N)
-    closed = expand_closed_form(lam, a_mat, N)
+def _oracle_report(closed: TruncSeries, oracle: TruncSeries) -> CheckReport:
     k = first_divergence(closed, oracle)
     if k is None:
         return CheckReport(passed=True)
     return CheckReport(passed=False, first_divergence_order=k)
+
+
+def closed_form_vs_oracle(lam: SqMatrix, a_mat: SqMatrix, N: int) -> CheckReport:
+    """Compare the closed-form expansion with the ODE oracle through t^N."""
+    ctx = StarContext.constant(lam.rows, HALF_MU)
+    h = quadratic_form(a_mat.rows, lam.dim).scale(MU_INV)
+    oracle = ode_star_exponential(ctx, h, N)
+    return _oracle_report(expand_closed_form(lam, a_mat, N), oracle)
 
 
 # --- one-variable Riccati reduction ----------------------------------------
@@ -578,11 +552,8 @@ def riccati_1d(
     hc = [PS_ZERO] * (N + 1)
     gc = [PS_ONE] + [PS_ZERO] * N
     for k in range(N):
-        h_sq = PS_ZERO
-        g_h = PS_ZERO
-        for i in range(k + 1):
-            h_sq = h_sq + hc[i] * hc[k - i]
-            g_h = g_h + gc[i] * hc[k - i]
+        h_sq = _cauchy(hc, hc, k, PS_ZERO)
+        g_h = _cauchy(gc, hc, k, PS_ZERO)
         rhs = (PS_ONE if k == 0 else PS_ZERO) + eps * h_sq
         hc[k + 1] = rhs.scale_rat(rat(1, k + 1))
         gc[k + 1] = (eps * g_h).scale_rat(rat(1, k + 1))
@@ -604,7 +575,4 @@ def riccati_vs_moyal(
     oracle = ode_star_exponential(ctx, h_poly, N)
     g, h = riccati_1d(a, b, c, N)
     closed = (h.lift(n) * TruncSeries.from_poly(h_poly, N)).exp() * g.lift(n)
-    k = first_divergence(closed, oracle)
-    if k is None:
-        return CheckReport(passed=True)
-    return CheckReport(passed=False, first_divergence_order=k)
+    return _oracle_report(closed, oracle)

@@ -4,6 +4,12 @@ A ``TruncSeries`` of order N holds coefficients c_0..c_N (each a MultiPoly in
 a fixed number of variables); arithmetic is exact modulo t^(N+1).  Binary
 operations require both operands to carry the same order and variable count;
 re-truncation is always explicit via :meth:`truncate`.
+
+The solvers compute coefficient k from the coefficients below k, by the
+O(N^2) recurrence of a defining equation (Brent & Kung, J. ACM 25(4), 1978;
+Knuth, TAOCP vol. 2, 4.7): ``inverse`` from S X = 1, ``inv_sqrt`` from the
+flow 2 S r' = -S' r and ``exp`` from the flow F' = S' F.  Each step is one
+Cauchy sum, :func:`_cauchy`, which also gives the product.
 """
 
 from __future__ import annotations
@@ -11,6 +17,16 @@ from __future__ import annotations
 from .errors import PreconditionError
 from .poly import MultiPoly
 from .scalars import PS_ONE, ParamScalar, rat
+
+
+def _cauchy(a, b, k: int, zero, start: int = 0):
+    """sum_{j=start..k} a[j] * b[k-j], skipping zero factors; ``zero`` is the
+    empty sum.  Works for any ring elements with ``is_zero``."""
+    acc = zero
+    for j in range(start, k + 1):
+        if not (a[j].is_zero() or b[k - j].is_zero()):
+            acc = acc + a[j] * b[k - j]
+    return acc
 
 
 class TruncSeries:
@@ -136,18 +152,9 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compat(other)
-        N = self.order
-        za = self.coeffs
-        zb = other.coeffs
-        out = []
-        for k in range(N + 1):
-            acc = MultiPoly.zero(self.n)
-            for i in range(k + 1):
-                if za[i].is_zero() or zb[k - i].is_zero():
-                    continue
-                acc = acc + za[i] * zb[k - i]
-            out.append(acc)
-        return TruncSeries._raw(self.n, N, tuple(out))
+        a, b, zero = self.coeffs, other.coeffs, MultiPoly.zero(self.n)
+        coeffs = tuple(_cauchy(a, b, k, zero) for k in range(self.order + 1))
+        return TruncSeries._raw(self.n, self.order, coeffs)
 
     def scale(self, coef: ParamScalar) -> "TruncSeries":
         return TruncSeries._raw(
@@ -179,64 +186,50 @@ class TruncSeries:
         return c0.constant_coefficient()
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse modulo t^(N+1).
+        """Multiplicative inverse modulo t^(N+1), from S X = 1:
+        X_k = -(1/S_0) sum_{j=1..k} S_j X_{k-j}.
 
         Requires the t^0 coefficient to be an invertible scalar (nonzero,
         no non-invertible formal parameters).
         """
         lead = self._leading_unit()
         inv0 = lead.inverse()  # raises for zero / non-invertible scalars
-        n, N = self.n, self.order
-        out = [MultiPoly.const(n, inv0)]
-        for k in range(1, N + 1):
-            acc = MultiPoly.zero(n)
-            for j in range(1, k + 1):
-                if self.coeffs[j].is_zero():
-                    continue
-                acc = acc + self.coeffs[j] * out[k - j]
-            out.append((-acc).scale(inv0))
-        return TruncSeries._raw(n, N, tuple(out))
+        zero = MultiPoly.zero(self.n)
+        out = [MultiPoly.const(self.n, inv0)]
+        for k in range(1, self.order + 1):
+            out.append((-_cauchy(self.coeffs, out, k, zero, 1)).scale(inv0))
+        return TruncSeries._raw(self.n, self.order, tuple(out))
 
     def inv_sqrt(self) -> "TruncSeries":
-        """The series r with r^2 * self = 1 and r(0) = 1.
+        """The series r with r^2 * self = 1 and r(0) = 1, from the flow
+        2 s r' = -s' r: 2k r_k = -sum_{j=1..k} (2k - j) s_j r_{k-j}.
 
         The t^0 coefficient of the input must equal the scalar 1; normalize
         externally if it does not.
         """
         if self._leading_unit() != PS_ONE:
             raise PreconditionError("inv_sqrt requires leading coefficient 1")
-        n, N = self.n, self.order
-        out = [MultiPoly.one(n)]
-        half = rat(1, 2)
-        for k in range(1, N + 1):
-            # coefficient of t^k in r*r*s must vanish; solve for out[k]
-            acc = MultiPoly.zero(n)
-            for i in range(k + 1):
-                for j in range(k - i + 1):
-                    if i == k or j == k:
-                        continue  # skips the 2*out[k]*s0 unknown
-                    l = k - i - j
-                    if self.coeffs[l].is_zero():
-                        continue
-                    acc = acc + out[i] * out[j] * self.coeffs[l]
-            out.append((-acc).scale_rat(half))
-        return TruncSeries._raw(n, N, tuple(out))
+        zero = MultiPoly.zero(self.n)
+        ds = [c.scale_rat(j) for j, c in enumerate(self.coeffs)]
+        out = [MultiPoly.one(self.n)]
+        for k in range(1, self.order + 1):
+            # 2k r_k = -2k sum_j s_j r_{k-j} + sum_j j s_j r_{k-j}
+            plain = _cauchy(self.coeffs, out, k, zero, 1)
+            weighted = _cauchy(ds, out, k, zero, 1).scale_rat(rat(1, 2 * k))
+            out.append(weighted - plain)
+        return TruncSeries._raw(self.n, self.order, tuple(out))
 
     def exp(self) -> "TruncSeries":
-        """Series exponential sum_k self^k / k!; requires zero constant term."""
+        """Series exponential of a series S with S_0 = 0, from the flow
+        F' = S' F: k F_k = sum_{j=1..k} j S_j F_{k-j}."""
         if not self.coeffs[0].is_zero():
             raise PreconditionError("exp requires a zero t^0 coefficient")
-        n, N = self.n, self.order
-        result = TruncSeries.one(n, N)
-        power = TruncSeries.one(n, N)
-        fact = rat(1)
-        for k in range(1, N + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            fact = fact * k
-            result = result + power.scale_rat(1 / fact)
-        return result
+        zero = MultiPoly.zero(self.n)
+        ds = [c.scale_rat(j) for j, c in enumerate(self.coeffs)]
+        out = [MultiPoly.one(self.n)]
+        for k in range(1, self.order + 1):
+            out.append(_cauchy(ds, out, k, zero, 1).scale_rat(rat(1, k)))
+        return TruncSeries._raw(self.n, self.order, tuple(out))
 
     def __repr__(self) -> str:
         body = " + ".join(

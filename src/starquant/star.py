@@ -41,6 +41,7 @@ from .poly import MultiPoly
 from .scalars import (
     GR_ONE,
     I_HBAR_HALF,
+    PARAM_NAMES,
     GaussianRational,
     ParamScalar,
     accumulate,
@@ -197,8 +198,6 @@ class StarContext:
         )
 
     def to_json(self) -> dict:
-        from .scalars import PARAM_NAMES
-
         return {
             "n": self.n,
             "lambda": [[p.to_json() for p in row] for row in self.lam],
@@ -220,15 +219,16 @@ class StarContext:
 # --- contraction engine ------------------------------------------------
 
 
-def _entries(n: int, lam, width: int, offset: int | None) -> list:
-    """The contraction steps of a matrix of polynomials, one per nonzero entry.
+def _entries(n: int, lam, offset: int | None) -> tuple:
+    """The key width and the contraction steps of a matrix of polynomials.
 
-    A step is (a, n + b, shifts): it applies where x_a and y_b are present,
-    and ``shifts`` lists (shift, coef) for the monomials of lam[a][b].  A
-    shift is the exponent delta of a key of length ``width``: -1 at x_a and
-    at y_b, plus the monomial's exponents starting at ``offset`` (None when
-    every entry is constant).
+    There is one step per nonzero entry.  A step is (a, n + b, shifts): it
+    applies where x_a and y_b are present, and ``shifts`` lists (shift, coef)
+    for the monomials of lam[a][b].  A shift is the exponent delta of a key
+    of length ``width``: -1 at x_a and at y_b, plus the monomial's exponents
+    starting at ``offset`` (None when every entry is constant).
     """
+    width = 3 * n if offset == 2 * n else 2 * n
     steps = []
     for a in range(n):
         for b in range(n):
@@ -242,7 +242,17 @@ def _entries(n: int, lam, width: int, offset: int | None) -> list:
                 shifts.append((tuple(shift), coef))
             if shifts:
                 steps.append((a, n + b, shifts))
-    return steps
+    return width, steps
+
+
+def _full_entries(ctx: StarContext) -> tuple:
+    """:func:`_entries` of the fully contracted form of ``ctx``."""
+    return _entries(ctx.n, ctx.lam, None if ctx.constant_lambda else 2 * ctx.n)
+
+
+def _iterated_entries(ctx: StarContext) -> tuple:
+    """:func:`_entries` of the iterated form of ``ctx``."""
+    return _entries(ctx.n, ctx.lam, ctx.n)
 
 
 def contract_step(entries: list, state: dict) -> dict:
@@ -280,16 +290,15 @@ def _collapse(n: int, state: dict) -> MultiPoly:
     return MultiPoly._raw(n, acc)
 
 
-def _contraction(lam, f: MultiPoly, g: MultiPoly, offset, coupling):
+def _contraction(kernel: tuple, f: MultiPoly, g: MultiPoly, coupling):
     """Yield the contraction terms of f and g, order 0 first.
 
-    ``offset`` places the matrix entries in the key (see the module
-    docstring).  With a ``coupling``, term k carries coupling^k/k!, folded
-    in one step at a time; with None, term k is the bare k-fold contraction.
+    ``kernel`` is the (width, steps) pair of :func:`_entries`.  With a
+    ``coupling``, term k carries coupling^k/k!, folded in one step at a
+    time; with None, term k is the bare k-fold contraction.
     """
     n = f.n
-    width = 3 * n if offset == 2 * n else 2 * n
-    entries = _entries(n, lam, width, offset)
+    width, entries = kernel
     pad = (0,) * (width - 2 * n)
     state: dict = {}
     for ef, cf in f.terms.items():
@@ -319,8 +328,7 @@ def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
     the factor coupling^k/k!); their sum is the star product."""
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("variable count mismatch with context")
-    offset = None if ctx.constant_lambda else 2 * ctx.n
-    return list(_contraction(ctx.lam, f, g, offset, ctx.coupling))
+    return list(_contraction(_full_entries(ctx), f, g, ctx.coupling))
 
 
 def iterated_terms(
@@ -333,7 +341,7 @@ def iterated_terms(
     term k carries no coupling and no 1/k!.  The list ends early once an
     order vanishes.
     """
-    return list(islice(_contraction(ctx.lam, f, g, ctx.n, None), k_max + 1))
+    return list(islice(_contraction(_iterated_entries(ctx), f, g, None), k_max + 1))
 
 
 def star(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -368,7 +376,7 @@ def star_k_ordered(
         )
         for a in range(n)
     )
-    terms = list(_contraction(mixed, f, g, None, ctx.coupling))
+    terms = list(_contraction(_entries(n, mixed, None), f, g, ctx.coupling))
     return sum(terms[1:], terms[0])
 
 

@@ -129,9 +129,25 @@ def malformed_jobs():
     del no_g["inputs"]["g"]
     bool_n = star_job()
     bool_n["context"]["n"] = True
+    int_params = star_job()
+    int_params["context"]["params"] = 5
+    zero4 = [["0"] * 4 for _ in range(4)]
     return [
         no_g,
         bool_n,
+        int_params,
+        {
+            "command": "ordering",
+            "context": {"n": 4, "lambda": zero4, "coupling": "mu/2"},
+            "inputs": {"K": [["0", "1"], ["1", "0"]], "f": "z0", "g": "z1"},
+        },
+        {
+            "command": "star-exp",
+            "inputs": {
+                "lambda": [["0", "1"], ["-1", "0"]],
+                "A": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            },
+        },
         star_with(truncation=True),
         star_with(truncation="8"),
         {"command": "star-exp", "inputs": {"lambda": [["0", "1"], ["-1", "0"]]}},

@@ -101,6 +101,17 @@ def test_mat_exp_series_basics():
     assert e.dt() == (MatSeries.from_matrix(a, N) * e).truncate(N - 1)
 
 
+def entry_series(m: MatSeries, i: int, j: int) -> TruncSeries:
+    return TruncSeries(
+        0,
+        m.order,
+        [
+            MultiPoly.const(0, ParamScalar.from_gaussian(c.rows[i][j]))
+            for c in m.coeffs
+        ],
+    )
+
+
 def test_mat_series_inverse_and_det():
     rng = random.Random(9)
     for _ in range(5):
@@ -113,6 +124,24 @@ def test_mat_series_inverse_and_det():
         # det is multiplicative
         m2 = MatSeries(3, N, [SqMatrix.identity(3)] + [rand_square(rng, 3) for _ in range(N)])
         assert (m * m2).det() == m.det() * m2.det()
+    for order in (0, N, 16):
+        for dim in (2, 3):
+            m0 = rand_square(rng, dim)
+            while not m0.det():
+                m0 = rand_square(rng, dim)
+            rest = [rand_square(rng, dim) for _ in range(order)]
+            m = MatSeries(dim, order, [m0] + rest)
+            one = MatSeries.identity(dim, order)
+            assert m * m.inverse() == one
+            assert m.inverse() * m == one
+            det0 = MultiPoly.const(0, ParamScalar.from_gaussian(m0.det()))
+            assert m.det().coeffs[0] == det0
+            if dim == 2:
+                # multiplicativity alone would also pass det^2: compare with
+                # the cofactor expansion a d - b c of the entry series
+                a, b = entry_series(m, 0, 0), entry_series(m, 0, 1)
+                c, d = entry_series(m, 1, 0), entry_series(m, 1, 1)
+                assert m.det() == a * d - b * c
 
 
 def test_solve_q_examples_and_residuals():

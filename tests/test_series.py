@@ -1,11 +1,11 @@
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from starquant.errors import PreconditionError
 from starquant.poly import MultiPoly
-from starquant.scalars import HBAR, ParamScalar, rat
+from starquant.scalars import HBAR, ParamScalar, gr, rat
 from starquant.series import TruncSeries
 
 N = 8
@@ -15,8 +15,20 @@ def const_series(value: ParamScalar, order: int = N) -> TruncSeries:
     return TruncSeries.from_poly(MultiPoly.const(0, value), order)
 
 
-def t() -> TruncSeries:
-    return TruncSeries.t_term(MultiPoly.one(0), 1, N)
+def t(order: int = N) -> TruncSeries:
+    return TruncSeries.t_term(MultiPoly.one(0), 1, order)
+
+
+def rand_scalar_series(rng, order: int, lead: ParamScalar | None) -> TruncSeries:
+    """A 0-variable series with random rational coefficients after ``lead``
+    (a random nonzero t^0 coefficient when None)."""
+    if lead is None:
+        lead = ParamScalar.from_rat(rng.randint(1, 5), rng.randint(1, 3))
+    rest = [
+        ParamScalar.from_rat(rng.randint(-3, 3), rng.randint(1, 3))
+        for _ in range(order)
+    ]
+    return TruncSeries(0, order, [MultiPoly.const(0, c) for c in [lead] + rest])
 
 
 def scalar_coeffs(s: TruncSeries) -> list:
@@ -24,12 +36,13 @@ def scalar_coeffs(s: TruncSeries) -> list:
 
 
 def test_inverse_geometric():
-    s = TruncSeries.one(0, N) + t()
-    inv = s.inverse()
-    assert scalar_coeffs(inv) == [
-        ParamScalar.from_rat((-1) ** k) for k in range(N + 1)
-    ]
-    assert s * inv == TruncSeries.one(0, N)
+    for order in (0, N, 16):
+        s = TruncSeries.one(0, order) + t(order)
+        inv = s.inverse()
+        assert scalar_coeffs(inv) == [
+            ParamScalar.from_rat((-1) ** k) for k in range(order + 1)
+        ]
+        assert s * inv == TruncSeries.one(0, order)
 
 
 def test_inverse_constants():
@@ -54,6 +67,10 @@ def test_inverse_defining_property_random():
             )
         s = TruncSeries(0, N, coeffs)
         assert s * s.inverse() == TruncSeries.one(0, N)
+    for order in (0, 16):
+        s = rand_scalar_series(rng, order, None)
+        assert s * s.inverse() == TruncSeries.one(0, order)
+        assert s.inverse().inverse() == s
 
 
 def test_inverse_requires_unit_leading_coefficient():
@@ -86,6 +103,12 @@ def test_inv_sqrt_binomial_series():
     ]
     assert scalar_coeffs(r) == expected
     assert r.coeffs[2].constant_coefficient() == ParamScalar.from_rat(3, 2)
+    for order in (0, 16):
+        s = TruncSeries.one(0, order) + t(order).scale_rat(rat(-3))
+        assert scalar_coeffs(s.inv_sqrt()) == [
+            ParamScalar.from_rat(binomial_inv_sqrt_coeff(k, -3))
+            for k in range(order + 1)
+        ]
 
 
 def test_inv_sqrt_defining_property_random():
@@ -102,6 +125,10 @@ def test_inv_sqrt_defining_property_random():
         r = s.inv_sqrt()
         assert r * r * s == TruncSeries.one(0, N)
         assert r.coeffs[0] == MultiPoly.one(0)
+    for order in (0, 16):
+        s = rand_scalar_series(rng, order, ParamScalar.from_rat(1))
+        r = s.inv_sqrt()
+        assert r * r * s == TruncSeries.one(0, order)
 
 
 def test_inv_sqrt_rejects_nonunit_lead():
@@ -115,6 +142,19 @@ def test_exp_basics():
     e = TruncSeries.t_term(z0, 1, N).exp()
     for k in range(N + 1):
         assert e.coeffs[k] == (z0 ** k).scale_rat(rat(1, [1, 1, 2, 6, 24, 120, 720, 5040, 40320][k]))
+    for order in (0, 16):
+        assert TruncSeries.zero(1, order).exp() == TruncSeries.one(1, order)
+        e = TruncSeries.t_term(z0, 1, order).exp()
+        assert e.coeffs == tuple(
+            (z0 ** k).scale_rat(rat(1, factorial(k))) for k in range(order + 1)
+        )
+        # exp(z0 t^2) = sum_m z0^m t^(2m) / m!
+        e = TruncSeries.t_term(z0, 2, order).exp()
+        assert e.coeffs == tuple(
+            (z0 ** (k // 2)).scale_rat(rat(1, factorial(k // 2))) if k % 2 == 0
+            else MultiPoly.zero(1)
+            for k in range(order + 1)
+        )
 
 
 def test_exp_group_law():
@@ -129,6 +169,34 @@ def test_exp_group_law():
             )
         a = TruncSeries(0, N, coeffs)
         assert a.exp() * (-a).exp() == TruncSeries.one(0, N)
+    for order in (0, 16):
+        a = rand_scalar_series(rng, order, ParamScalar.from_rat(0))
+        b = rand_scalar_series(rng, order, ParamScalar.from_rat(0))
+        assert a.exp() * (-a).exp() == TruncSeries.one(0, order)
+        assert (a + b).exp() == a.exp() * b.exp()
+    # 2-variable polynomial coefficients carrying mu and 1/mu, as in the
+    # exponent (1/mu) Q(t)[Z] of the closed form
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    monos = [z0, z1, z0 * z1, z0 * z0, MultiPoly.one(2)]
+    order = N
+
+    def rand_poly_series():
+        coeffs = [MultiPoly.zero(2)]
+        for _ in range(order):
+            c = MultiPoly.zero(2)
+            for m in rng.sample(monos, 2):
+                mu_pow = ParamScalar.param("mu", rng.choice((-1, 0, 1)))
+                scalar = mu_pow.scale_gauss(gr(rng.randint(-2, 2), rng.randint(1, 2)))
+                c = c + m.scale(scalar)
+            coeffs.append(c)
+        return TruncSeries(2, order, coeffs)
+
+    for _ in range(3):
+        a, b = rand_poly_series(), rand_poly_series()
+        assert a.exp() * (-a).exp() == TruncSeries.one(2, order)
+        assert (a + b).exp() == a.exp() * b.exp()
+        # the defining flow d/dt exp(a) = a' exp(a)
+        assert a.exp().dt() == (a.dt() * a.exp().truncate(order - 1))
 
 
 def test_exp_requires_zero_constant_term():

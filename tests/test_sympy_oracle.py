@@ -1,0 +1,126 @@
+"""Differential tests against sympy, which shares no arithmetic with starquant.
+
+Each test builds the same object twice: once with the package's exact series
+recurrences and once in sympy, then compares the coefficients through t^12.
+sympy expands with ``series()``, except for exp of a polynomial, where
+``series()`` takes minutes and its power-series ring (``rs_exp``) is used,
+and the determinant, which is sympy's own of a polynomial matrix.
+"""
+
+import random
+
+import pytest
+
+from starquant.matrices import MatSeries, SqMatrix, tanh_series
+from starquant.poly import MultiPoly
+from starquant.scalars import EXP_ZERO, GaussianRational, ParamScalar, gr
+from starquant.series import TruncSeries
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.ring_series import rs_exp  # noqa: E402
+
+ORDER = 12
+t = sympy.Symbol("t")
+
+
+def sym_rational(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def sym_gauss(g: GaussianRational):
+    return sym_rational(g.re) + sympy.I * sym_rational(g.im)
+
+
+def sym_coeffs(s: TruncSeries) -> list:
+    """The coefficients of a 0-variable, parameter-free series."""
+    out = []
+    for c in s.coeffs:
+        scalar = c.constant_coefficient()
+        assert set(scalar.terms) <= {EXP_ZERO}
+        out.append(sum((sym_gauss(g) for g in scalar.terms.values()), sympy.Integer(0)))
+    return out
+
+
+def sympy_coeffs(expr) -> list:
+    """The coefficients of t^0..t^ORDER in sympy's expansion of expr."""
+    poly = sympy.expand(sympy.series(expr, t, 0, ORDER + 1).removeO())
+    return [poly.coeff(t, k) for k in range(ORDER + 1)]
+
+
+def rand_scalar_series(rng, lead: int):
+    """A random rational series with t^0 coefficient ``lead``, as a
+    TruncSeries and as a sympy polynomial in t."""
+    coeffs = [gr(lead)] + [
+        gr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ORDER)
+    ]
+    series = TruncSeries(
+        0, ORDER, [MultiPoly.const(0, ParamScalar.from_gaussian(c)) for c in coeffs]
+    )
+    poly = sum(sym_gauss(c) * t**k for k, c in enumerate(coeffs))
+    return series, poly
+
+
+def rand_matrix(rng, dim: int) -> SqMatrix:
+    return SqMatrix(
+        tuple(
+            tuple(gr(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
+            for _ in range(dim)
+        )
+    )
+
+
+def test_exp_matches_sympy():
+    ring, tr = sympy.ring("t", sympy.QQ)
+    rng = random.Random(101)
+    for _ in range(3):
+        s, poly = rand_scalar_series(rng, 0)
+        expected = rs_exp(ring.from_expr(poly), tr, ORDER + 1)
+        assert sym_coeffs(s.exp()) == [
+            sympy.Rational(expected.coeff(tr**k)) for k in range(ORDER + 1)
+        ]
+
+
+def test_inv_sqrt_matches_sympy():
+    rng = random.Random(102)
+    for _ in range(3):
+        s, poly = rand_scalar_series(rng, 1)
+        assert sym_coeffs(s.inv_sqrt()) == sympy_coeffs(1 / sympy.sqrt(poly))
+
+
+def test_det_matches_sympy():
+    rng = random.Random(103)
+    for dim in (2, 3):
+        for _ in range(2):
+            # a polynomial of degree 3 in t with an invertible t^0 coefficient
+            coeffs = [rand_matrix(rng, dim)]
+            while not coeffs[0].det():
+                coeffs[0] = rand_matrix(rng, dim)
+            coeffs += [rand_matrix(rng, dim) for _ in range(3)]
+            coeffs += [SqMatrix.zero(dim)] * (ORDER - 3)
+            m = MatSeries(dim, ORDER, coeffs)
+            sym = sympy.Matrix(
+                dim,
+                dim,
+                lambda i, j: sum(
+                    sym_gauss(c.rows[i][j]) * t**k for k, c in enumerate(coeffs)
+                ),
+            )
+            expected = sympy.expand(sym.det())
+            assert sym_coeffs(m.det()) == [
+                expected.coeff(t, k) for k in range(ORDER + 1)
+            ]
+
+
+def test_tanh_series_matches_sympy():
+    # tanh(a t) = sum_k c_k a^k t^k for the scalar series tanh(x) = sum c_k x^k
+    x = sympy.Symbol("x")
+    scalar = sympy.expand(sympy.series(sympy.tanh(x), x, 0, ORDER + 1).removeO())
+    rng = random.Random(104)
+    for _ in range(3):
+        a = rand_matrix(rng, 2)
+        sym_a = sympy.Matrix(2, 2, lambda i, j: sym_gauss(a.rows[i][j]))
+        ours = tanh_series(a, ORDER)
+        for k in range(ORDER + 1):
+            expected = sym_a**k * scalar.coeff(x, k)
+            got = sympy.Matrix(2, 2, lambda i, j: sym_gauss(ours.coeffs[k].rows[i][j]))
+            assert got == expected, k
