@@ -35,7 +35,7 @@ from .matrices import (
 )
 from .poly import MultiPoly, quadratic_form
 from .reports import CheckReport
-from .scalars import GaussianRational, ParamScalar, gr, rat
+from .scalars import GaussianRational, gr, rat
 from .series import TruncSeries
 from .star import (
     OrderingK,
@@ -59,7 +59,6 @@ __all__ = [
     "MatSeries",
     "MultiPoly",
     "OrderingK",
-    "ParamScalar",
     "PreconditionError",
     "SchemaError",
     "SqMatrix",

@@ -32,8 +32,8 @@ from .matrices import (
     riccati_vs_moyal,
 )
 from .parsing import parse_poly, parse_scalar
-from .poly import MultiPoly
-from .scalars import HALF_MU, PARAM_NAMES, GaussianRational, ParamScalar
+from .poly import HALF_MU, MultiPoly
+from .scalars import PARAM_NAMES, GaussianRational
 from .star import OrderingK, StarContext, intertwine, star, star_k_ordered
 from .verify import SUITES, run_suite
 
@@ -52,6 +52,11 @@ _INPUT_KEYS = {
 }
 
 
+# caps on the size fields, next to the degree cap of max_input_degree
+MAX_TRUNCATION = 32
+MAX_CASES = 1000
+
+
 def max_input_degree() -> int:
     raw = os.environ.get("STARQUANT_MAX_DEGREE", "16")
     try:
@@ -66,12 +71,16 @@ def _required(data: dict, key: str, where: str):
     return data[key]
 
 
-def _int_field(value, label: str, minimum: int | None = None) -> int:
+def _int_field(
+    value, label: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     # bool is a subclass of int, but true/false is never a count or a seed
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{label} must be an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{label} must be an integer >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(f"{label} must be an integer <= {maximum}")
     return value
 
 
@@ -96,16 +105,16 @@ def _poly_input(value, n: int, label: str) -> MultiPoly:
     raise SchemaError(f"{label} must be an expression string or a JSON term list")
 
 
-def _scalar_input(value, label: str) -> ParamScalar:
+def _scalar_input(value, label: str) -> MultiPoly:
     if isinstance(value, str):
         return parse_scalar(value)
     if isinstance(value, (int, float)):
         if isinstance(value, float) and not value.is_integer():
             raise SchemaError(f"{label} must be exact; write it as a string fraction")
-        return ParamScalar.from_rat(int(value))
+        return MultiPoly.from_rat(int(value))
     if isinstance(value, list):
         try:
-            return ParamScalar.from_json(value)
+            return MultiPoly.from_json(0, value)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed scalar JSON for {label}: {exc}") from exc
     raise SchemaError(f"{label} must be a string or a JSON scalar list")
@@ -172,15 +181,12 @@ def _context_input(data) -> StarContext:
 
 
 def _poly_payload(p: MultiPoly) -> dict:
+    """Text and JSON of a polynomial, or of a scalar when p.n == 0."""
     return {"text": p.text(), "terms": p.to_json()}
 
 
-def _scalar_payload(s: ParamScalar) -> dict:
-    return {"text": s.text(), "terms": s.to_json()}
-
-
 def _series_payload(series) -> list:
-    return [_scalar_payload(c.constant_coefficient()) for c in series.coeffs]
+    return [_poly_payload(c) for c in series.coeffs]
 
 
 def _graded_payload(f: MultiPoly) -> dict:
@@ -300,18 +306,18 @@ def _run_verify(job: dict) -> tuple:
     seed = _int_field(inputs.get("seed", 42), "seed")
     cases = inputs.get("cases")
     if cases is not None:
-        _int_field(cases, "cases", 1)
+        _int_field(cases, "cases", 1, MAX_CASES)
     if "lambda" in inputs:
         if suite not in ("jacobi", "lambda-relation"):
             raise SchemaError("an explicit lambda is only used by the validator suites")
         n = _int_field(inputs["n"], "n", 1) if "n" in inputs else None
         rows = _lambda_input(inputs["lambda"], n)
-        d_max = _int_field(inputs.get("d_max", 4), "d_max", 0)
+        d_max = _int_field(inputs.get("d_max", 4), "d_max", 0, max_input_degree())
         ctx = StarContext(len(rows), rows, HALF_MU)
         if suite == "jacobi":
             report = check_jacobi(ctx, d_max)
         else:
-            k_max = _int_field(inputs.get("k_max", 4), "k_max", 2)
+            k_max = _int_field(inputs.get("k_max", 4), "k_max", 2, max_input_degree())
             report = check_lambda_relation(ctx, k_max, d_max)
         return {"report": report.to_json()}, 0 if report.passed else 1
     results = run_suite(suite, seed=seed, cases=cases)
@@ -345,7 +351,7 @@ def validate_job(job: dict) -> dict:
     command = job.get("command")
     if command not in COMMANDS:
         raise SchemaError(f"command must be one of {COMMANDS}")
-    truncation = _int_field(job.get("truncation", 8), "truncation", 1)
+    truncation = _int_field(job.get("truncation", 8), "truncation", 1, MAX_TRUNCATION)
     inputs = job.get("inputs", {})
     if not isinstance(inputs, dict):
         raise SchemaError("inputs must be an object")

@@ -17,17 +17,15 @@ from math import comb
 from .errors import PreconditionError
 from .poly import MultiPoly, grlex_key
 from .reports import CheckReport
-from .scalars import (
-    PARAM_INDEX,
-    PS_ONE,
-    GaussianRational,
-    ParamScalar,
-    accumulate,
-    rat,
-)
+from .scalars import PARAM_INDEX, GaussianRational, accumulate
 from .star import StarContext, _contraction, _full_entries, _iterated_entries, star
 
 _MU = PARAM_INDEX["mu"]
+
+
+def _without_mu(key: tuple, n: int) -> tuple:
+    """A flat key with its mu exponent set to 0."""
+    return key[: n + _MU] + (0,) + key[n + _MU + 1 :]
 
 
 class GradedElement:
@@ -47,12 +45,11 @@ class GradedElement:
                 continue
             if poly.n != n:
                 raise ValueError("component variable count mismatch")
-            degs = {sum(e) for e in poly.terms}
+            degs = {sum(key[:n]) for key in poly.terms}
             if degs != {deg}:
                 raise ValueError(f"component at degree {deg} is not homogeneous")
-            for coef in poly.terms.values():
-                if any(e[_MU] != 0 for e in coef.terms):
-                    raise ValueError("component coefficients must be mu-free")
+            if any(key[n + _MU] for key in poly.terms):
+                raise ValueError("component coefficients must be mu-free")
             clean[(deg, weight)] = poly
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", clean)
@@ -74,7 +71,7 @@ class GradedElement:
     def reassemble(self) -> MultiPoly:
         total = MultiPoly.zero(self.n)
         for (deg, weight), poly in self.components.items():
-            total = total + poly.scale(ParamScalar.param("mu", weight))
+            total = total + poly.scale(MultiPoly.param("mu", weight))
         return total
 
     def to_json(self) -> dict:
@@ -107,17 +104,16 @@ class GradedElement:
 
 def decompose(f: MultiPoly) -> GradedElement:
     """Split by total degree and mu exponent; reassembly returns f exactly."""
+    n = f.n
     buckets: dict = {}
-    for exps, coef in f.terms.items():
-        deg = sum(exps)
-        for pexp, value in coef.terms.items():
-            weight = pexp[_MU]
-            stripped = (0,) + pexp[1:]
-            piece = MultiPoly.monomial(
-                f.n, exps, ParamScalar({stripped: value})
-            )
-            accumulate(buckets, (deg, weight), piece)
-    return GradedElement(f.n, buckets)
+    for key, coef in f.terms.items():
+        # keys of one bucket share the mu exponent, so stripping it keeps
+        # them distinct
+        bucket = buckets.setdefault((sum(key[:n]), key[n + _MU]), {})
+        bucket[_without_mu(key, n)] = coef
+    return GradedElement(
+        n, {dw: MultiPoly._raw(n, terms) for dw, terms in buckets.items()}
+    )
 
 
 def h0_dim(n: int, m: int) -> int:
@@ -134,10 +130,11 @@ def specialize_mu(f: MultiPoly, value: GaussianRational) -> MultiPoly:
     """Substitute mu -> value (a nonzero scalar), collapsing mu exponents."""
     if not value:
         raise PreconditionError("mu is invertible; cannot specialize to zero")
-    out = MultiPoly.zero(f.n)
-    for exps, coef in f.terms.items():
-        out = out + MultiPoly.monomial(f.n, exps, coef.substitute_mu(value))
-    return out
+    n = f.n
+    out: dict = {}
+    for key, coef in f.terms.items():
+        accumulate(out, _without_mu(key, n), coef * value ** key[n + _MU])
+    return MultiPoly._raw(n, out)
 
 
 def star_graded(ctx: StarContext, f: GradedElement, g: GradedElement) -> GradedElement:
@@ -153,9 +150,9 @@ def star_graded(ctx: StarContext, f: GradedElement, g: GradedElement) -> GradedE
         raise ValueError("variable count mismatch with context")
     total = MultiPoly.zero(ctx.n)
     for (d1, w1), p1 in f.components.items():
-        lhs = p1.scale(ParamScalar.param("mu", w1))
+        lhs = p1.scale(MultiPoly.param("mu", w1))
         for (d2, w2), p2 in g.components.items():
-            rhs = p2.scale(ParamScalar.param("mu", w2))
+            rhs = p2.scale(MultiPoly.param("mu", w2))
             total = total + star(ctx, lhs, rhs)
     return decompose(total)
 
@@ -238,28 +235,26 @@ def check_lambda_relation(
         raise ValueError("k_max must be >= 2 (order 1 can never diverge)")
     n = ctx.n
     monos = monomials_upto(n, d_max)
-    # contracted form via the star engine with coupling 1: term k of the
-    # expansion equals (contracted operator at order k) / k!.  The matrix is
-    # fixed, so the entries of both forms are built once for all pairs.
+    # both forms as bare k-fold contractions, without coupling or 1/k!.  The
+    # matrix is fixed, so the entries of both forms are built once for all
+    # pairs.
     full_kernel = _full_entries(ctx)
     iterated_kernel = _iterated_entries(ctx)
     contracted = {}
     iterated = {}
     for fi, f in enumerate(monos):
         for gi, g in enumerate(monos):
-            contracted[(fi, gi)] = list(_contraction(full_kernel, f, g, PS_ONE))
+            contracted[(fi, gi)] = list(_contraction(full_kernel, f, g, None))
             terms = _contraction(iterated_kernel, f, g, None)
             iterated[(fi, gi)] = list(islice(terms, k_max + 1))
-    fact = 1
     zero = MultiPoly.zero(n)
     for k in range(1, k_max + 1):
-        fact *= k
         for fi, f in enumerate(monos):
             for gi, g in enumerate(monos):
                 lhs_terms = iterated[(fi, gi)]
                 lhs = lhs_terms[k] if k < len(lhs_terms) else zero
                 terms = contracted[(fi, gi)]
-                rhs = terms[k].scale_rat(rat(fact)) if k < len(terms) else zero
+                rhs = terms[k] if k < len(terms) else zero
                 if lhs != rhs:
                     return CheckReport(
                         passed=False,

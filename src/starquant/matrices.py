@@ -12,20 +12,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .poly import MultiPoly, quadratic_form
+from .grading import decompose
+from .poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
 from .reports import CheckReport
-from .scalars import (
-    GR_ONE,
-    GR_ZERO,
-    HALF_MU,
-    MU_INV,
-    PS_ONE,
-    PS_ZERO,
-    GaussianRational,
-    ParamScalar,
-    gr,
-    rat,
-)
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat
 from .series import TruncSeries, _cauchy
 from .star import StarContext, ode_star_exponential
 
@@ -129,54 +119,43 @@ class SqMatrix:
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
 
-    def det(self) -> GaussianRational:
-        """Exact determinant by Gaussian elimination with exact division."""
+    def _gauss_jordan(self, extra: list) -> tuple:
+        """Reduce the rows [self | extra] to [I | self^(-1) extra] by
+        Gauss-Jordan elimination with exact division.
+
+        Returns (det, reduced rows), or (0, None) when self is singular.
+        """
         d = self.dim
-        m = [list(r) for r in self.rows]
+        m = [list(r) + e for r, e in zip(self.rows, extra)]
         det = GR_ONE
         for col in range(d):
-            pivot_row = None
-            for r in range(col, d):
-                if m[r][col]:
-                    pivot_row = r
-                    break
+            pivot_row = next((r for r in range(col, d) if m[r][col]), None)
             if pivot_row is None:
-                return GR_ZERO
+                return GR_ZERO, None
             if pivot_row != col:
                 m[col], m[pivot_row] = m[pivot_row], m[col]
                 det = -det
             pivot = m[col][col]
             det = det * pivot
             inv = pivot.inverse()
-            for r in range(col + 1, d):
-                if not m[r][col]:
-                    continue
-                factor = m[r][col] * inv
-                for c in range(col, d):
-                    m[r][c] = m[r][c] - factor * m[col][c]
-        return det
+            m[col] = [v * inv for v in m[col]]
+            for r in range(d):
+                factor = m[r][col]
+                if r != col and factor:
+                    m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
+        return det, m
+
+    def det(self) -> GaussianRational:
+        """Exact determinant by Gaussian elimination with exact division."""
+        return self._gauss_jordan([[]] * self.dim)[0]
 
     def inverse(self) -> "SqMatrix":
         d = self.dim
-        m = [list(r) + [GR_ONE if i == j else GR_ZERO for j in range(d)]
-             for i, r in enumerate(self.rows)]
-        for col in range(d):
-            pivot_row = None
-            for r in range(col, d):
-                if m[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise PreconditionError("matrix is singular")
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-            inv = m[col][col].inverse()
-            m[col] = [v * inv for v in m[col]]
-            for r in range(d):
-                if r == col or not m[r][col]:
-                    continue
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
+        _, m = self._gauss_jordan(
+            [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
+        )
+        if m is None:
+            raise PreconditionError("matrix is singular")
         return SqMatrix(tuple(tuple(row[d:]) for row in m))
 
     def to_json(self) -> list:
@@ -302,12 +281,7 @@ class MatSeries:
     def trace(self) -> TruncSeries:
         """Trace as a scalar (0-variable) series."""
         return TruncSeries(
-            0,
-            self.order,
-            [
-                MultiPoly.const(0, ParamScalar.from_gaussian(m.trace()))
-                for m in self.coeffs
-            ],
+            0, self.order, [MultiPoly.from_gaussian(m.trace()) for m in self.coeffs]
         )
 
     def inverse(self) -> "MatSeries":
@@ -333,7 +307,7 @@ class MatSeries:
         log = [
             c.scale_rat(rat(1, k)) if k else c for k, c in enumerate(k_log.coeffs)
         ]
-        det0 = ParamScalar.from_gaussian(self.coeffs[0].det())
+        det0 = MultiPoly.from_gaussian(self.coeffs[0].det())
         return TruncSeries(0, self.order, log).exp().scale(det0)
 
     def __repr__(self) -> str:
@@ -515,10 +489,16 @@ def first_divergence(s1: TruncSeries, s2: TruncSeries) -> int | None:
 
 
 def _oracle_report(closed: TruncSeries, oracle: TruncSeries) -> CheckReport:
+    """Pass, or fail at the first diverging order with the sorted (degree,
+    mu) components of the difference there as the witness."""
     k = first_divergence(closed, oracle)
     if k is None:
         return CheckReport(passed=True)
-    return CheckReport(passed=False, first_divergence_order=k)
+    diff = decompose(closed.coeffs[k] - oracle.coeffs[k])
+    components = [{"degree": d, "mu": w} for d, w in sorted(diff.components)]
+    return CheckReport(
+        passed=False, first_divergence_order=k, witness={"components": components}
+    )
 
 
 def closed_form_vs_oracle(lam: SqMatrix, a_mat: SqMatrix, N: int) -> CheckReport:
@@ -548,19 +528,17 @@ def riccati_1d(
     adjoined.  D = 0 degenerates to h = t, g = 1.
     """
     d = c * c - a * b
-    eps = ParamScalar.param("hbar", 2, d)  # the combination hbar^2 D
-    hc = [PS_ZERO] * (N + 1)
-    gc = [PS_ONE] + [PS_ZERO] * N
+    eps = MultiPoly.param("hbar", 2, d)  # the combination hbar^2 D
+    zero, one = MultiPoly.zero(0), MultiPoly.one(0)
+    hc = [zero] * (N + 1)
+    gc = [one] + [zero] * N
     for k in range(N):
-        h_sq = _cauchy(hc, hc, k, PS_ZERO)
-        g_h = _cauchy(gc, hc, k, PS_ZERO)
-        rhs = (PS_ONE if k == 0 else PS_ZERO) + eps * h_sq
+        h_sq = _cauchy(hc, hc, k, zero)
+        g_h = _cauchy(gc, hc, k, zero)
+        rhs = (one if k == 0 else zero) + eps * h_sq
         hc[k + 1] = rhs.scale_rat(rat(1, k + 1))
         gc[k + 1] = (eps * g_h).scale_rat(rat(1, k + 1))
-    to_series = lambda cs: TruncSeries(
-        0, N, [MultiPoly.const(0, v) for v in cs]
-    )
-    return to_series(gc), to_series(hc)
+    return TruncSeries(0, N, gc), TruncSeries(0, N, hc)
 
 
 def riccati_vs_moyal(

@@ -20,7 +20,7 @@ import re
 
 from .errors import SchemaError
 from .poly import MultiPoly
-from .scalars import GR_I, PARAM_INDEX, ParamScalar
+from .scalars import GR_I, PARAM_INDEX, gr
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
 
@@ -90,7 +90,7 @@ class _Parser:
             if op == "*":
                 value = value * rhs
             else:
-                value = value.scale(_invertible_scalar(rhs).inverse())
+                value = value * _scalar_inverse(rhs)
         return value
 
     def factor(self) -> MultiPoly:
@@ -111,16 +111,12 @@ class _Parser:
             self.next()
             sign = -1
         exp = sign * self.expect("int")[1]
-        if exp >= 0:
-            return base ** exp
-        return MultiPoly.const(
-            self.n, _invertible_scalar(base).inverse() ** (-exp)
-        )
+        return base ** exp if exp >= 0 else _scalar_inverse(base) ** (-exp)
 
     def atom(self) -> MultiPoly:
         tok = self.next()
         if tok[0] == "int":
-            return MultiPoly.const(self.n, ParamScalar.from_rat(tok[1]))
+            return MultiPoly.from_gaussian(gr(tok[1]), self.n)
         if tok[0] == "(":
             value = self.expr()
             self.expect(")")
@@ -131,9 +127,9 @@ class _Parser:
 
     def name_value(self, name: str) -> MultiPoly:
         if name == "i":
-            return MultiPoly.const(self.n, ParamScalar.from_gaussian(GR_I))
+            return MultiPoly.from_gaussian(GR_I, self.n)
         if name in PARAM_INDEX:
-            return MultiPoly.const(self.n, ParamScalar.param(name))
+            return MultiPoly.const(self.n, MultiPoly.param(name))
         if name.startswith("z") and name[1:].isdigit():
             j = int(name[1:])
             if j >= self.n:
@@ -144,10 +140,10 @@ class _Parser:
         raise SchemaError(f"unknown name {name!r}")
 
 
-def _invertible_scalar(p: MultiPoly) -> ParamScalar:
+def _scalar_inverse(p: MultiPoly) -> MultiPoly:
     if not p.is_constant():
         raise SchemaError("division requires an invertible scalar divisor")
-    return p.constant_coefficient()
+    return p.inverse()
 
 
 def parse_poly(text: str, n: int) -> MultiPoly:
@@ -164,6 +160,6 @@ def parse_poly(text: str, n: int) -> MultiPoly:
         raise SchemaError(f"cannot evaluate expression {text!r}: {exc}") from exc
 
 
-def parse_scalar(text: str) -> ParamScalar:
-    """Parse a scalar expression (no z variables)."""
-    return parse_poly(text, 0).constant_coefficient()
+def parse_scalar(text: str) -> MultiPoly:
+    """Parse a scalar expression (no z variables): a 0-variable MultiPoly."""
+    return parse_poly(text, 0)

@@ -1,18 +1,47 @@
-"""Sparse multivariate polynomials with ParamScalar coefficients.
+"""Sparse multivariate polynomials over the Gaussian rationals and the formal
+parameters mu, hbar, tau.
 
-A ``MultiPoly`` in n variables z0..z{n-1} stores a map from exponent vectors
-(length-n tuples of non-negative ints) to nonzero ``ParamScalar``
-coefficients.  The canonical ordering of monomials is graded-lexicographic
-(total degree first, then lexicographic on the exponent vector), which fixes
-serialization and text output.
+A ``MultiPoly`` in n variables z0..z{n-1} is one sparse map from flat
+exponent keys to nonzero ``GaussianRational`` coefficients.  A key has
+length n + 3: the exponents of z0..z{n-1}, then those of mu, hbar and tau
+(the order of ``PARAM_NAMES``).  The z, hbar and tau exponents are
+non-negative; mu lives in a Laurent ring, so its exponent may be negative.
+A product of two terms is one exponent-vector sum and one Gaussian product.
+This is the sparse distributed layout of dedicated computer-algebra systems
+(Monagan & Pearce, "Sparse polynomial division using a heap", JSC 2011;
+FLINT's ``fmpq_mpoly``).
+
+A scalar -- a Laurent combination of the parameters, such as the coupling
+mu/2 -- is a ``MultiPoly`` with n = 0, whose keys are the parameter tails
+alone; ``const`` embeds it in n variables and ``scale`` multiplies by it.
+
+The canonical order of terms is graded-lexicographic on the z exponents
+(total degree first, then lexicographic), then lexicographic on the
+parameter tail; it fixes serialization and text output.  In text, the terms
+that share a z monomial form one coefficient, in parentheses when it has
+more than one summand; a scalar prints bare.
 """
 
 from __future__ import annotations
 
-from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
-from .scalars import PS_ONE, PS_ZERO, GaussianRational, ParamScalar, accumulate
+from .errors import PreconditionError
+from .scalars import (
+    EXP_ZERO,
+    GR_I,
+    GR_ONE,
+    INVERTIBLE_PARAMS,
+    PARAM_INDEX,
+    PARAM_NAMES,
+    GaussianRational,
+    accumulate,
+    gr,
+    rat,
+)
+
+NPARAM = len(PARAM_NAMES)
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -20,15 +49,15 @@ def grlex_key(exps: tuple) -> tuple:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in n variables over ParamScalar."""
+    """Immutable sparse polynomial in n variables and the formal parameters."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict | None = None):
         clean = {}
         if terms:
-            for exps, coef in terms.items():
-                accumulate(clean, _checked_exps(n, exps), coef)
+            for key, coef in terms.items():
+                accumulate(clean, _checked_key(n, key), coef)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
@@ -50,25 +79,44 @@ class MultiPoly:
 
     @classmethod
     def one(cls, n: int) -> "MultiPoly":
-        return cls.const(n, PS_ONE)
+        return cls._raw(n, {(0,) * (n + NPARAM): GR_ONE})
 
     @classmethod
-    def const(cls, n: int, coef: ParamScalar) -> "MultiPoly":
-        if not coef:
-            return cls._raw(n, {})
-        return cls._raw(n, {(0,) * n: coef})
+    def const(cls, n: int, coef: "MultiPoly") -> "MultiPoly":
+        """The scalar ``coef`` (a 0-variable MultiPoly) in n variables."""
+        if n == coef.n:
+            return coef
+        pad = (0,) * n
+        return cls._raw(n, {pad + tail: c for tail, c in coef.terms.items()})
 
     @classmethod
     def variable(cls, n: int, j: int) -> "MultiPoly":
         if not 0 <= j < n:
             raise IndexError(f"variable index {j} out of range for n={n}")
-        exps = [0] * n
-        exps[j] = 1
-        return cls._raw(n, {tuple(exps): PS_ONE})
+        key = [0] * (n + NPARAM)
+        key[j] = 1
+        return cls._raw(n, {tuple(key): GR_ONE})
 
     @classmethod
-    def monomial(cls, n: int, exps: Sequence[int], coef: ParamScalar = PS_ONE) -> "MultiPoly":
-        return cls(n, {tuple(exps): coef})
+    def monomial(cls, n: int, exps: Sequence[int]) -> "MultiPoly":
+        """The monomial z^exps with coefficient 1."""
+        return cls(n, {tuple(exps) + EXP_ZERO: GR_ONE})
+
+    @classmethod
+    def from_gaussian(cls, g: GaussianRational, n: int = 0) -> "MultiPoly":
+        """The constant g in n variables (a scalar by default)."""
+        return cls._raw(n, {(0,) * (n + NPARAM): g} if g else {})
+
+    @classmethod
+    def from_rat(cls, num, den=1) -> "MultiPoly":
+        return cls.from_gaussian(gr(num, den))
+
+    @classmethod
+    def param(cls, name: str, k: int = 1, coef: GaussianRational = GR_ONE) -> "MultiPoly":
+        """The scalar coef * name**k."""
+        tail = [0] * NPARAM
+        tail[PARAM_INDEX[name]] = k
+        return cls._raw(0, {_checked_key(0, tail): coef} if coef else {})
 
     # -- queries --------------------------------------------------------
 
@@ -79,20 +127,29 @@ class MultiPoly:
         return bool(self.terms)
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree in z; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        n = self.n
+        return max(sum(key[:n]) for key in self.terms)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        """True iff no z variable appears (parameters may)."""
+        n = self.n
+        return not any(any(key[:n]) for key in self.terms)
 
-    def constant_coefficient(self) -> ParamScalar:
-        return self.terms.get((0,) * self.n, PS_ZERO)
+    def constant_coefficient(self) -> "MultiPoly":
+        """The z-free part, as a scalar."""
+        n = self.n
+        if n == 0:
+            return self
+        return MultiPoly._raw(
+            0, {key[n:]: c for key, c in self.terms.items() if not any(key[:n])}
+        )
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        n = self.n
+        return len({sum(key[:n]) for key in self.terms}) <= 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -115,8 +172,8 @@ class MultiPoly:
         if not other.terms:
             return self
         out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            accumulate(out, exps, coef)
+        for key, coef in other.terms.items():
+            accumulate(out, key, coef)
         return MultiPoly._raw(self.n, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -127,35 +184,40 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compat(other)
-        if not self.terms or not other.terms:
-            return MultiPoly._raw(self.n, {})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                accumulate(out, key, ca * cb)
+                accumulate(out, tuple(map(add, ea, eb)), ca * cb)
         return MultiPoly._raw(self.n, out)
 
-    def scale(self, coef: ParamScalar) -> "MultiPoly":
-        if not coef:
+    def scale(self, coef: "MultiPoly") -> "MultiPoly":
+        """Multiply by a scalar (a 0-variable MultiPoly)."""
+        return self * MultiPoly.const(self.n, coef)
+
+    def scale_gauss(self, g: GaussianRational) -> "MultiPoly":
+        if not g:
             return MultiPoly._raw(self.n, {})
-        out = {}
-        for exps, c in self.terms.items():
-            prod = c * coef
-            if prod:
-                out[exps] = prod
-        return MultiPoly._raw(self.n, out)
+        return MultiPoly._raw(self.n, {e: c * g for e, c in self.terms.items()})
 
     def scale_rat(self, r) -> "MultiPoly":
         if not r:
             return MultiPoly._raw(self.n, {})
-        return MultiPoly._raw(
-            self.n, {e: c.scale_rat(r) for e, c in self.terms.items()}
-        )
+        return MultiPoly._raw(self.n, {e: c.scale(r) for e, c in self.terms.items()})
+
+    def inverse(self) -> "MultiPoly":
+        """Invert a single term whose exponents are all invertible (a
+        Gaussian rational times a power of mu)."""
+        if not self.terms:
+            raise ZeroDivisionError("inverse of zero scalar")
+        if len(self.terms) != 1:
+            raise PreconditionError("only monomial scalars are invertible")
+        (key, coef), = self.terms.items()
+        inv_key = _checked_key(self.n, tuple(-e for e in key))
+        return MultiPoly._raw(self.n, {inv_key: coef.inverse()})
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
-            raise ValueError("negative polynomial power")
+            return self.inverse() ** (-k)
         out = MultiPoly.one(self.n)
         base = self
         while k:
@@ -172,66 +234,65 @@ class MultiPoly:
         if not 0 <= j < self.n:
             raise IndexError(f"variable index {j} out of range for n={self.n}")
         out = {}
-        for exps, coef in self.terms.items():
-            e = exps[j]
-            if e == 0:
-                continue
-            key = exps[:j] + (e - 1,) + exps[j + 1:]
-            out[key] = coef.scale_rat(e)
+        for key, coef in self.terms.items():
+            e = key[j]
+            if e:
+                out[key[:j] + (e - 1,) + key[j + 1:]] = coef.scale(e)
         return MultiPoly._raw(self.n, out)
 
-    def shift(self, offsets: Sequence[ParamScalar]) -> "MultiPoly":
+    def shift(self, offsets: Sequence["MultiPoly"]) -> "MultiPoly":
         """Evaluate at Z + offsets, expanded and canonicalized.
 
-        Each offset is a ParamScalar; the result substitutes
-        z_j -> z_j + offsets[j] in every monomial via binomial expansion.
+        Each offset is a scalar; the result substitutes z_j -> z_j +
+        offsets[j] in every monomial.
         """
-        if len(offsets) != self.n:
-            raise ValueError(
-                f"offsets length {len(offsets)} != variable count {self.n}"
-            )
-        nontrivial = [j for j, c in enumerate(offsets) if c]
-        if not nontrivial:
+        n = self.n
+        if len(offsets) != n:
+            raise ValueError(f"offsets length {len(offsets)} != variable count {n}")
+        if not any(offsets):
             return self
-        result = MultiPoly.zero(self.n)
-        for exps, coef in self.terms.items():
-            # expand prod_j (z_j + c_j)^{e_j} one variable at a time
-            parts = MultiPoly.const(self.n, coef)
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                c = offsets[j]
-                if not c:
-                    parts = parts * MultiPoly._raw(
-                        self.n, {_unit(self.n, j, e): PS_ONE}
-                    )
-                    continue
-                powers = {}
-                cpow = PS_ONE
-                for r in range(e, -1, -1):
-                    # coefficient of z_j^r is C(e, r) * c^(e-r)
-                    powers[_unit(self.n, j, r)] = cpow.scale_rat(comb(e, r))
-                    cpow = cpow * c
-                parts = parts * MultiPoly._raw(self.n, powers)
-            result = result + parts
+        moved = [MultiPoly.variable(n, j) + MultiPoly.const(n, c) for j, c in enumerate(offsets)]
+        result = MultiPoly.zero(n)
+        for key, coef in self.terms.items():
+            part = MultiPoly._raw(n, {(0,) * n + key[n:]: coef})
+            for j, e in enumerate(key[:n]):
+                if e:
+                    part = part * moved[j] ** e
+            result = result + part
         return result
 
     # -- text and JSON ----------------------------------------------------
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        n = self.n
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][:n]), kv[0]))
+
+    def _monomials(self) -> list:
+        """(z exponents, [(parameter tail, coef), ...]) per z monomial, in
+        canonical order."""
+        n = self.n
+        groups: list = []
+        for key, coef in self.sorted_terms():
+            z = key[:n]
+            if not groups or groups[-1][0] != z:
+                groups.append((z, []))
+            groups[-1][1].append((key[n:], coef))
+        return groups
 
     def text(self) -> str:
         if not self.terms:
             return "0"
+        groups = self._monomials()
+        if self.n == 0:
+            return _scalar_text(groups[0][1])
         pieces = []
-        for exps, coef in reversed(self.sorted_terms()):
+        for exps, tail_terms in reversed(groups):
             mono = "*".join(
                 f"z{j}" if e == 1 else f"z{j}^{e}"
                 for j, e in enumerate(exps)
                 if e > 0
             )
-            ctext = coef.text()
+            ctext = _scalar_text(tail_terms)
             if not mono:
                 body = f"({ctext})" if _needs_parens(ctext) else ctext
             elif ctext == "1":
@@ -254,43 +315,81 @@ class MultiPoly:
         return f"MultiPoly({self.n}, {self.text()!r})"
 
     def to_json(self) -> list:
-        """Flat list of {"exps": [...], "coef": {"params", "value"}} entries.
-
-        A monomial whose coefficient mixes several parameter exponents
-        produces several entries sharing the same "exps".
-        """
+        """One {"exps": [...], "coef": {"params", "value"}} entry per term, so
+        a monomial whose coefficient mixes several parameter exponents
+        produces several entries sharing the same "exps".  A scalar (n = 0)
+        is the bare list of its {"params", "value"} entries."""
+        n = self.n
         out = []
-        for exps, coef in self.sorted_terms():
-            for entry in coef.to_json():
-                out.append({"exps": list(exps), "coef": entry})
+        for key, coef in self.sorted_terms():
+            params = {name: e for name, e in zip(PARAM_NAMES, key[n:]) if e}
+            entry = {"params": params, "value": coef.text()}
+            out.append({"exps": list(key[:n]), "coef": entry} if n else entry)
         return out
 
     @classmethod
     def from_json(cls, n: int, data: Iterable[dict]) -> "MultiPoly":
+        """Inverse of :meth:`to_json`.  Every exponent is checked, also on
+        entries that are zero or cancel."""
         acc: dict = {}
         for item in data:
-            exps = _checked_exps(n, (int(e) for e in item["exps"]))
-            accumulate(acc, exps, ParamScalar.from_json([item["coef"]]))
+            entry = item["coef"] if n else item
+            exps = [int(e) for e in item["exps"]] if n else []
+            tail = [0] * NPARAM
+            for name, e in entry.get("params", {}).items():
+                if name not in PARAM_INDEX:
+                    raise ValueError(f"unknown parameter {name!r}")
+                tail[PARAM_INDEX[name]] = int(e)
+            key = _checked_key(n, exps + tail)
+            accumulate(acc, key, GaussianRational.parse(entry["value"]))
         return cls._raw(n, acc)
 
 
-def _checked_exps(n: int, exps: Iterable[int]) -> tuple:
-    exps = tuple(exps)
-    if len(exps) != n:
-        raise ValueError(f"exponent vector {exps} has length != {n}")
-    if any(e < 0 for e in exps):
-        raise ValueError(f"negative exponent in {exps}")
-    return exps
-
-
-def _unit(n: int, j: int, e: int) -> tuple:
-    exps = [0] * n
-    exps[j] = e
-    return tuple(exps)
+def _checked_key(n: int, key: Iterable[int]) -> tuple:
+    key = tuple(key)
+    if len(key) != n + NPARAM:
+        raise ValueError(f"exponent key {key} has length != {n + NPARAM}")
+    if any(e < 0 for e in key[:n]):
+        raise ValueError(f"negative exponent in {key[:n]}")
+    for name, e in zip(PARAM_NAMES, key[n:]):
+        if e < 0 and name not in INVERTIBLE_PARAMS:
+            raise PreconditionError(
+                f"parameter {name!r} is not invertible; exponent {e} rejected"
+            )
+    return key
 
 
 def _needs_parens(ctext: str) -> bool:
     return ("+" in ctext[1:]) or ("-" in ctext[1:])
+
+
+# text of a unit coefficient in front of parameter factors
+_UNIT_PREFIX = {GR_ONE: "", -GR_ONE: "-", GR_I: "i*", -GR_I: "-i*"}
+
+
+def _scalar_text(tail_terms: list) -> str:
+    """Text of a parameter combination, from (tail, coef) pairs in order."""
+    pieces = []
+    for tail, coef in tail_terms:
+        factors = "*".join(
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(PARAM_NAMES, tail)
+            if e
+        )
+        prefix = _UNIT_PREFIX.get(coef)
+        if not factors:
+            body = coef.text()
+        elif prefix is not None:
+            body = prefix + factors
+        else:
+            ctext = coef.text()
+            if _needs_parens(ctext):
+                ctext = f"({ctext})"
+            body = ctext + "*" + factors
+        if pieces and not body.startswith("-"):
+            pieces.append("+")
+        pieces.append(body)
+    return "".join(pieces)
 
 
 def quadratic_form(entries: Sequence[Sequence[GaussianRational]], n: int) -> MultiPoly:
@@ -299,10 +398,19 @@ def quadratic_form(entries: Sequence[Sequence[GaussianRational]], n: int) -> Mul
     for i in range(n):
         for j in range(n):
             v = entries[i][j]
-            if not v:
-                continue
-            key = tuple(
-                (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-            )
-            accumulate(acc, key, ParamScalar.from_gaussian(v))
+            if v:
+                key = [0] * (n + NPARAM)
+                key[i] += 1
+                key[j] += 1
+                accumulate(acc, tuple(key), v)
     return MultiPoly._raw(n, acc)
+
+
+MU = MultiPoly.param("mu")
+MU_INV = MultiPoly.param("mu", -1)
+HBAR = MultiPoly.param("hbar")
+TAU = MultiPoly.param("tau")
+# coupling scalars used throughout: mu/2 for the graded product, i*hbar/2 for
+# the Weyl-algebra product
+HALF_MU = MultiPoly.param("mu", 1, gr(1, 2))
+I_HBAR_HALF = MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 2)))

@@ -1,9 +1,10 @@
 """Truncated power series in the evolution variable t.
 
 A ``TruncSeries`` of order N holds coefficients c_0..c_N (each a MultiPoly in
-a fixed number of variables); arithmetic is exact modulo t^(N+1).  Binary
-operations require both operands to carry the same order and variable count;
-re-truncation is always explicit via :meth:`truncate`.
+a fixed number of variables; a scalar series has 0 variables); arithmetic is
+exact modulo t^(N+1).  Binary operations require both operands to carry the
+same order and variable count; re-truncation is always explicit via
+:meth:`truncate`.
 
 The solvers compute coefficient k from the coefficients below k, by the
 O(N^2) recurrence of a defining equation (Brent & Kung, J. ACM 25(4), 1978;
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .poly import MultiPoly
-from .scalars import PS_ONE, ParamScalar, rat
+from .scalars import rat
 
 
 def _cauchy(a, b, k: int, zero, start: int = 0):
@@ -123,10 +124,7 @@ class TruncSeries:
             return self
         if self.n != 0:
             raise ValueError("lift is only defined from 0 variables")
-        zeros = (0,) * n
-        coeffs = tuple(
-            MultiPoly(n, {zeros: c.constant_coefficient()}) for c in self.coeffs
-        )
+        coeffs = tuple(MultiPoly.const(n, c) for c in self.coeffs)
         return TruncSeries._raw(n, self.order, coeffs)
 
     # -- arithmetic -----------------------------------------------------
@@ -156,7 +154,8 @@ class TruncSeries:
         coeffs = tuple(_cauchy(a, b, k, zero) for k in range(self.order + 1))
         return TruncSeries._raw(self.n, self.order, coeffs)
 
-    def scale(self, coef: ParamScalar) -> "TruncSeries":
+    def scale(self, coef: MultiPoly) -> "TruncSeries":
+        """Multiply by a scalar (a 0-variable MultiPoly)."""
         return TruncSeries._raw(
             self.n, self.order, tuple(c.scale(coef) for c in self.coeffs)
         )
@@ -177,7 +176,7 @@ class TruncSeries:
 
     # -- the three series solvers ----------------------------------------
 
-    def _leading_unit(self) -> ParamScalar:
+    def _leading_unit(self) -> MultiPoly:
         c0 = self.coeffs[0]
         if not c0.is_constant():
             raise PreconditionError(
@@ -207,7 +206,7 @@ class TruncSeries:
         The t^0 coefficient of the input must equal the scalar 1; normalize
         externally if it does not.
         """
-        if self._leading_unit() != PS_ONE:
+        if self._leading_unit() != MultiPoly.one(0):
             raise PreconditionError("inv_sqrt requires leading coefficient 1")
         zero = MultiPoly.zero(self.n)
         ds = [c.scale_rat(j) for j, c in enumerate(self.coeffs)]

@@ -13,20 +13,27 @@ linear exponentials, and the term-by-term ODE recursion for star
 exponentials which acts as the independent oracle for every closed form in
 :mod:`starquant.matrices`.
 
-The contraction works on exponent keys over doubled variables: x (the left
-factor) then y (the right factor), each of n variables.  One step
+The contraction works on flat exponent keys over doubled variables: x
+(the left factor) then y (the right factor), each of n variables, then the
+exponents of the formal parameters mu, hbar, tau, as in a ``MultiPoly`` key.
+The coefficient of a key is one GaussianRational.  One step
 (:func:`contract_step`) lowers x_a and y_b, scales by their exponents and
-multiplies by the entry L^{ab}.  Where that entry goes in the key is the
-only difference between the three contractions built on the step:
+multiplies by a term of the entry L^{ab}: its parameter exponents add to
+the tail and its coefficient multiplies.  Where the entry's z exponents go
+in the key is the only difference between the three contractions built on
+the step:
 
-* constant L: nowhere; the key is (x | y), width 2n;
+* constant L: nowhere; the key is (x | y | params), width 2n;
 * polynomial L, fully contracted: in w-variables after y, which no step
-  differentiates; the key is (x | y | w), width 3n;
+  differentiates; the key is (x | y | w | params), width 3n;
 * polynomial L, iterated: in the y-variables, where later steps
-  differentiate it; the key is (x | y), width 2n.
+  differentiate it; the key is (x | y | params), width 2n.
 
-Summing the n-variable groups of a key (x + y, or x + y + w) turns it back
-into a monomial.
+The width counts the z positions only.  The coupling multiplies every step
+once, so it is folded into the entries: each of its terms shifts the
+parameter tail and scales the coefficient.  Summing the n-variable groups
+of a key (x + y, or x + y + w) and keeping the tail turns it back into a
+``MultiPoly`` key.
 """
 
 from __future__ import annotations
@@ -37,21 +44,12 @@ from operator import add
 from typing import Sequence
 
 from .errors import PreconditionError
-from .poly import MultiPoly
-from .scalars import (
-    GR_ONE,
-    I_HBAR_HALF,
-    PARAM_NAMES,
-    GaussianRational,
-    ParamScalar,
-    accumulate,
-    gr,
-    rat,
-)
+from .poly import I_HBAR_HALF, NPARAM, MultiPoly
+from .scalars import GR_ONE, PARAM_NAMES, GaussianRational, accumulate, gr, rat
 from .series import TruncSeries
 
 # scalar i*hbar/4, the exponent coupling of the ordering intertwiner
-I_HBAR_QUARTER = ParamScalar.param("hbar", 1, GaussianRational(0, rat(1, 4)))
+I_HBAR_QUARTER = MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 4)))
 
 
 def standard_j(m: int) -> tuple:
@@ -138,14 +136,15 @@ class StarContext:
     """The quantization datum: variable count, structure matrix, coupling.
 
     ``lam`` is an n x n antisymmetric matrix of polynomials; ``coupling`` is
-    the nonzero scalar multiplying each contraction step.
+    the nonzero scalar (a 0-variable MultiPoly) multiplying each
+    contraction step.
     ``constant_lambda`` records whether every entry has degree <= 0, which
     enables the fast contraction path and the ordering operations.
     """
 
     __slots__ = ("n", "lam", "coupling", "constant_lambda")
 
-    def __init__(self, n: int, lam, coupling: ParamScalar):
+    def __init__(self, n: int, lam, coupling: MultiPoly):
         rows = tuple(tuple(row) for row in lam)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("lambda must be an n x n matrix")
@@ -161,6 +160,8 @@ class StarContext:
                     )
         if not coupling:
             raise PreconditionError("coupling must be nonzero")
+        if coupling.n != 0:
+            raise ValueError("coupling must be a scalar")
         constant = all(p.degree() <= 0 for row in rows for p in row)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lam", rows)
@@ -171,26 +172,27 @@ class StarContext:
         raise AttributeError("StarContext is immutable")
 
     @classmethod
-    def constant(cls, entries, coupling: ParamScalar) -> "StarContext":
-        """Context from a constant matrix (GaussianRational or ParamScalar entries)."""
+    def constant(cls, entries, coupling: MultiPoly) -> "StarContext":
+        """Context from a constant matrix (GaussianRational or scalar entries)."""
         n = len(entries)
-        rows = []
-        for row in entries:
-            prow = []
-            for v in row:
-                if isinstance(v, GaussianRational):
-                    v = ParamScalar.from_gaussian(v)
-                prow.append(MultiPoly.const(n, v))
-            rows.append(tuple(prow))
-        return cls(n, tuple(rows), coupling)
+        rows = tuple(
+            tuple(
+                MultiPoly.from_gaussian(v, n)
+                if isinstance(v, GaussianRational)
+                else MultiPoly.const(n, v)
+                for v in row
+            )
+            for row in entries
+        )
+        return cls(n, rows, coupling)
 
     @classmethod
-    def weyl(cls, m: int, coupling: ParamScalar = I_HBAR_HALF) -> "StarContext":
+    def weyl(cls, m: int, coupling: MultiPoly = I_HBAR_HALF) -> "StarContext":
         """The 2m-variable Weyl context: lambda = [[0,-I],[I,0]], coupling i*hbar/2."""
         return cls.constant(standard_j(m), coupling)
 
     def scalar_entries(self) -> tuple:
-        """Constant lambda as a matrix of ParamScalar (requires constant_lambda)."""
+        """Constant lambda as a matrix of scalars (requires constant_lambda)."""
         if not self.constant_lambda:
             raise PreconditionError("lambda is not constant")
         return tuple(
@@ -212,7 +214,7 @@ class StarContext:
             tuple(MultiPoly.from_json(n, p) for p in row)
             for row in data["lambda"]
         )
-        coupling = ParamScalar.from_json(data["coupling"])
+        coupling = MultiPoly.from_json(0, data["coupling"])
         return cls(n, lam, coupling)
 
 
@@ -224,19 +226,21 @@ def _entries(n: int, lam, offset: int | None) -> tuple:
 
     There is one step per nonzero entry.  A step is (a, n + b, shifts): it
     applies where x_a and y_b are present, and ``shifts`` lists (shift, coef)
-    for the monomials of lam[a][b].  A shift is the exponent delta of a key
-    of length ``width``: -1 at x_a and at y_b, plus the monomial's exponents
-    starting at ``offset`` (None when every entry is constant).
+    for the terms of lam[a][b].  A shift is the exponent delta of a key of
+    ``width`` z positions plus the parameter tail: -1 at x_a and at y_b, the
+    term's z exponents starting at ``offset`` (None when every entry is
+    constant), and its parameter exponents in the tail.
     """
     width = 3 * n if offset == 2 * n else 2 * n
     steps = []
     for a in range(n):
         for b in range(n):
             shifts = []
-            for exps, coef in lam[a][b].terms.items():
-                shift = [0] * width
+            for key, coef in lam[a][b].terms.items():
+                shift = [0] * (width + NPARAM)
                 if offset is not None:
-                    shift[offset : offset + n] = exps
+                    shift[offset : offset + n] = key[:n]
+                shift[width:] = key[n:]
                 shift[a] -= 1
                 shift[n + b] -= 1
                 shifts.append((tuple(shift), coef))
@@ -255,6 +259,24 @@ def _iterated_entries(ctx: StarContext) -> tuple:
     return _entries(ctx.n, ctx.lam, ctx.n)
 
 
+def _coupled(kernel: tuple, coupling: MultiPoly) -> tuple:
+    """The kernel with every step multiplied by the scalar ``coupling``: each
+    shift pairs with each coupling term, whose parameter exponents add to
+    the tail and whose coefficient multiplies."""
+    width, steps = kernel
+    pad = (0,) * width
+    factors = [(pad + tail, c) for tail, c in coupling.terms.items()]
+    steps = [
+        (a, b, [
+            (tuple(map(add, shift, fshift)), coef * c)
+            for shift, coef in shifts
+            for fshift, c in factors
+        ])
+        for a, b, shifts in steps
+    ]
+    return width, steps
+
+
 def contract_step(entries: list, state: dict) -> dict:
     """One derivative-pair contraction step on a map from keys to coefficients.
 
@@ -262,7 +284,7 @@ def contract_step(entries: list, state: dict) -> dict:
     key with positive exponents at positions a and b, differentiate both and
     multiply by the matrix entry: the derivative factor is the product of
     the two exponents, and the new key is the old one plus the entry's
-    shift.
+    shift.  Coefficients are GaussianRationals throughout.
     """
     new: dict = {}
     for exps, coef in state.items():
@@ -273,20 +295,21 @@ def contract_step(entries: list, state: dict) -> dict:
             eb = exps[b]
             if not eb:
                 continue
-            dcoef = coef.scale_rat(ea * eb)
+            dcoef = coef.scale(ea * eb)
             for shift, c in shifts:
                 accumulate(new, tuple(map(add, exps, shift)), dcoef * c)
     return new
 
 
-def _collapse(n: int, state: dict) -> MultiPoly:
-    """Identify the n-variable groups of every key (x, y and w all become z)."""
+def _collapse(n: int, width: int, state: dict) -> MultiPoly:
+    """Identify the n-variable groups of every key (x, y and w all become z)
+    and keep the parameter tail."""
     acc: dict = {}
     for exps, coef in state.items():
         key = exps[:n]
-        for start in range(n, len(exps), n):
+        for start in range(n, width, n):
             key = tuple(map(add, key, exps[start : start + n]))
-        accumulate(acc, key, coef)
+        accumulate(acc, key + exps[width:], coef)
     return MultiPoly._raw(n, acc)
 
 
@@ -294,19 +317,23 @@ def _contraction(kernel: tuple, f: MultiPoly, g: MultiPoly, coupling):
     """Yield the contraction terms of f and g, order 0 first.
 
     ``kernel`` is the (width, steps) pair of :func:`_entries`.  With a
-    ``coupling``, term k carries coupling^k/k!, folded in one step at a
-    time; with None, term k is the bare k-fold contraction.
+    ``coupling``, term k carries coupling^k/k!: the coupling is folded into
+    the steps and the 1/k applied after each; with None, term k is the bare
+    k-fold contraction.
     """
     n = f.n
+    if coupling is not None:
+        kernel = _coupled(kernel, coupling)
     width, entries = kernel
     pad = (0,) * (width - 2 * n)
+    right = [(eg[:n] + pad, eg[n:], cg) for eg, cg in g.terms.items()]
     state: dict = {}
     for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            prod = cf * cg
-            if prod:
-                state[ef + eg + pad] = prod
-    yield _collapse(n, state)
+        x, ftail = ef[:n], ef[n:]
+        for y, gtail, cg in right:
+            # distinct pairs meet on one key when their tails sum alike
+            accumulate(state, x + y + tuple(map(add, ftail, gtail)), cf * cg)
+    yield _collapse(n, width, state)
     # every step lowers the left-slot degree, so this bound is never reached
     cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
     for k in count(1):
@@ -317,10 +344,10 @@ def _contraction(kernel: tuple, f: MultiPoly, g: MultiPoly, coupling):
         state = contract_step(entries, state)
         if not state:
             return
-        if coupling is not None:
-            scale = coupling.scale_rat(rat(1, k))
-            state = {e: c * scale for e, c in state.items()}
-        yield _collapse(n, state)
+        if coupling is not None and k > 1:
+            inv_k = rat(1, k)
+            state = {e: c.scale(inv_k) for e, c in state.items()}
+        yield _collapse(n, width, state)
 
 
 def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
@@ -370,8 +397,7 @@ def star_k_ordered(
     n = ctx.n
     mixed = tuple(
         tuple(
-            ctx.lam[a][b]
-            + MultiPoly.const(n, ParamScalar.from_gaussian(K.entries[a][b]))
+            ctx.lam[a][b] + MultiPoly.from_gaussian(K.entries[a][b], n)
             for b in range(n)
         )
         for a in range(n)
@@ -381,7 +407,7 @@ def star_k_ordered(
 
 
 def intertwine(
-    K: OrderingK, f: MultiPoly, coupling: ParamScalar | None = None
+    K: OrderingK, f: MultiPoly, coupling: MultiPoly | None = None
 ) -> MultiPoly:
     """Apply the ordering intertwiner exp(coupling * sum_ij K_ij d_i d_j) to f.
 
@@ -415,9 +441,7 @@ def intertwine(
                 if not ej:
                     continue
                 lowered[j] = ej - 1
-                accumulate(
-                    acc, tuple(lowered), coef.scale_gauss(kij.scale(rat(ei * ej)))
-                )
+                accumulate(acc, tuple(lowered), coef * kij.scale(ei * ej))
         return MultiPoly._raw(n, acc)
 
     result = f
@@ -439,7 +463,7 @@ class LinearExpFactor:
     """
 
     covector: tuple
-    scale: ParamScalar
+    scale: MultiPoly
     sign: int
 
     def text(self) -> str:
@@ -452,7 +476,7 @@ def exp_linear_product(
     ctx: StarContext,
     K: OrderingK,
     a: Sequence[GaussianRational],
-    s: ParamScalar,
+    s: MultiPoly,
     f: MultiPoly,
     side: str,
 ) -> tuple:
@@ -473,13 +497,11 @@ def exp_linear_product(
     half_s = s.scale_rat(rat(1, 2))
     offsets = []
     for b in range(ctx.n):
-        acc = ParamScalar.from_gaussian(gr(0))
+        acc = MultiPoly.zero(0)
         for al in range(ctx.n):
             if not a[al]:
                 continue
-            m_ab = jmat[al][b] + ParamScalar.from_gaussian(
-                K.entries[al][b].scale(rat(sign))
-            )
+            m_ab = jmat[al][b] + MultiPoly.from_gaussian(K.entries[al][b].scale(sign))
             acc = acc + m_ab.scale_gauss(a[al])
         offsets.append(acc * half_s)
     shifted = f.shift(offsets)

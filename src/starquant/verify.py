@@ -37,18 +37,9 @@ from .matrices import (
     solve_q,
     tanh_series,
 )
-from .poly import MultiPoly
-from .scalars import (
-    GR_ZERO,
-    HALF_MU,
-    PS_ONE,
-    PS_ZERO,
-    GaussianRational,
-    ParamScalar,
-    accumulate,
-    gr,
-    rat,
-)
+from .poly import HALF_MU, MultiPoly
+from .scalars import EXP_ZERO, GR_ZERO, GaussianRational, accumulate, gr, rat
+from .series import TruncSeries
 from .star import (
     OrderingK,
     StarContext,
@@ -59,9 +50,7 @@ from .star import (
     star_k_ordered,
 )
 
-I_HBAR_QUARTER_NEG = ParamScalar.param(
-    "hbar", 1, GaussianRational(0, rat(-1, 4))
-)
+I_HBAR_QUARTER_NEG = MultiPoly.param("hbar", 1, GaussianRational(0, rat(-1, 4)))
 
 
 def _case(name: str, ok: bool, detail: str = "") -> dict:
@@ -96,7 +85,7 @@ def rand_poly(
         exps = [0] * n
         for _ in range(deg):
             exps[rng.randrange(n)] += 1
-        accumulate(terms, tuple(exps), ParamScalar.from_gaussian(rand_gauss(rng)))
+        accumulate(terms, tuple(exps) + EXP_ZERO, rand_gauss(rng))
     return MultiPoly(n, terms)
 
 
@@ -148,7 +137,7 @@ def pairing_product(pairs, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     :mod:`starquant.star`.
     """
     total = MultiPoly.zero(f.n)
-    frontier = [(f, g, PS_ONE)]
+    frontier = [(f, g, MultiPoly.one(0))]
     k = 0
     while frontier:
         scale = rat(1, factorial(k))
@@ -171,8 +160,8 @@ def pairing_product(pairs, f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 def ordering_line_pairs(line: str, m: int) -> list:
     """Derivative pairings of the Moyal / normal / anti-normal product lines."""
-    ih = ParamScalar.param("hbar", 1, GaussianRational(0, 1))
-    ih_half = ParamScalar.param("hbar", 1, GaussianRational(0, rat(1, 2)))
+    ih = MultiPoly.param("hbar", 1, GaussianRational(0, 1))
+    ih_half = MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 2)))
     pairs = []
     if line == "moyal":
         for i in range(m):
@@ -251,7 +240,7 @@ def suite_intertwiner(seed: int = 42, cases: int = 50, ordering_pairs: int = 12)
         n = 2 * m
         ctx = StarContext.weyl(m)
         jmat = standard_j(m)
-        ih = ParamScalar.param("hbar", 1, GaussianRational(0, 1))
+        ih = MultiPoly.param("hbar", 1, GaussianRational(0, 1))
         ok = True
         for i in range(n):
             for j in range(n):
@@ -327,16 +316,8 @@ def suite_riccati(order: int = 8) -> list:
                 d = c * c - a * b
                 if not d:
                     g, h = riccati_1d(a, b, c, order)
-                    h_ok = all(
-                        h.coeffs[k].constant_coefficient()
-                        == (PS_ONE if k == 1 else PS_ZERO)
-                        for k in range(order + 1)
-                    )
-                    g_ok = all(
-                        g.coeffs[k].constant_coefficient()
-                        == (PS_ONE if k == 0 else PS_ZERO)
-                        for k in range(order + 1)
-                    )
+                    h_ok = h == TruncSeries.t_term(MultiPoly.one(0), 1, order)
+                    g_ok = g == TruncSeries.one(0, order)
                     results.append(
                         _case(f"riccati D=0 degeneration ({name})", h_ok and g_ok)
                     )
@@ -351,7 +332,7 @@ def suite_grading(seed: int = 42, cases: int = 50) -> list:
         n = rng.choice((2, 3))
         f = rand_poly(rng, n)
         g = rand_poly(rng, n)
-        muf = f.scale(ParamScalar.param("mu", rng.randint(-1, 2)))
+        muf = f.scale(MultiPoly.param("mu", rng.randint(-1, 2)))
         ok_round = decompose(muf).reassemble() == muf
         value = rand_nonzero_gauss(rng)
         hom_mul = specialize_mu(muf * g, value) == specialize_mu(
@@ -360,7 +341,7 @@ def suite_grading(seed: int = 42, cases: int = 50) -> list:
         lam = rand_antisym(rng, n)
         ctx = StarContext.constant(lam.rows, HALF_MU)
         spec_ctx = StarContext.constant(
-            lam.rows, ParamScalar.from_gaussian(value.scale(rat(1, 2)))
+            lam.rows, MultiPoly.from_gaussian(value.scale(rat(1, 2)))
         )
         hom_star = specialize_mu(star(ctx, f, g), value) == star(
             spec_ctx, specialize_mu(f, value), specialize_mu(g, value)

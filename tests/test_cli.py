@@ -5,15 +5,8 @@ import pytest
 from starquant.cli import main, run_job
 from starquant.errors import SchemaError
 from starquant.parsing import parse_poly, parse_scalar
-from starquant.poly import MultiPoly
-from starquant.scalars import (
-    HALF_MU,
-    I_HBAR_HALF,
-    MU,
-    GaussianRational,
-    ParamScalar,
-    rat,
-)
+from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MultiPoly
+from starquant.scalars import GaussianRational, rat
 
 
 # --- expression parser -------------------------------------------------------
@@ -25,19 +18,19 @@ def test_parse_poly_basic():
         HALF_MU
     )
     assert parse_poly("z0 - z1", 2) == z0 - z1
-    assert parse_poly("-(z0 + 2)^2", 2) == -((z0 + MultiPoly.const(2, ParamScalar.from_rat(2))) ** 2)
+    assert parse_poly("-(z0 + 2)^2", 2) == -((z0 + MultiPoly.const(2, MultiPoly.from_rat(2))) ** 2)
     assert parse_poly("0", 2).is_zero()
 
 
 def test_parse_scalar_forms():
     assert parse_scalar("mu/2") == HALF_MU
     assert parse_scalar("i*hbar/2") == I_HBAR_HALF
-    assert parse_scalar("3/2-1/3*i") == ParamScalar.from_gaussian(
+    assert parse_scalar("3/2-1/3*i") == MultiPoly.from_gaussian(
         GaussianRational(rat(3, 2), rat(-1, 3))
     )
     assert parse_scalar("mu^-1") == MU.inverse()
     assert parse_scalar("1/mu") == MU.inverse()
-    assert parse_scalar("i^2") == ParamScalar.from_rat(-1)
+    assert parse_scalar("i^2") == MultiPoly.from_rat(-1)
 
 
 def test_parse_errors():
@@ -62,7 +55,7 @@ def test_text_parse_roundtrip():
 
     rng = random.Random(19)
     for _ in range(25):
-        f = rand_poly(rng, 3).scale(ParamScalar.param("mu", rng.randint(-1, 1)))
+        f = rand_poly(rng, 3).scale(MultiPoly.param("mu", rng.randint(-1, 1)))
         assert parse_poly(f.text(), 3) == f
 
 
@@ -114,7 +107,8 @@ def test_job_schema_rejections():
 
 def malformed_jobs():
     """Jobs that each get one field wrong: missing, mistyped (a bool or a
-    string where an integer belongs), out of range, or of the wrong shape."""
+    string where an integer belongs), out of range (including above the
+    caps on truncation, cases, d_max and k_max), or of the wrong shape."""
     lam = [["0", "z0"], ["-z0", "0"]]
 
     def star_with(**fields):
@@ -159,6 +153,10 @@ def malformed_jobs():
         verify_with("lambda-relation", **{"lambda": lam, "k_max": 4.0}),
         verify_with("grading", seed=True),
         verify_with("grading", cases=0),
+        {"command": "riccati", "inputs": {"c": "1"}, "truncation": 100000},
+        verify_with("associativity", cases=1001),
+        verify_with("jacobi", **{"lambda": lam, "d_max": 17}),
+        verify_with("lambda-relation", **{"lambda": lam, "k_max": 17}),
     ]
 
 
@@ -184,7 +182,7 @@ def test_run_star_exp_job():
     for entry in result["phase_matrix"]:
         SqMatrix.from_json(entry)
     for coeff in result["amplitude"]:
-        assert ParamScalar.from_json(coeff["terms"]).text() == coeff["text"]
+        assert MultiPoly.from_json(0, coeff["terms"]).text() == coeff["text"]
 
 
 def test_run_riccati_job():

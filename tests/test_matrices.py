@@ -6,6 +6,7 @@ from starquant.errors import PreconditionError
 from starquant.matrices import (
     MatSeries,
     SqMatrix,
+    _oracle_report,
     cayley,
     cayley_flow_residual,
     check_sp_pair,
@@ -23,8 +24,8 @@ from starquant.matrices import (
     solve_q,
     tanh_series,
 )
-from starquant.poly import MultiPoly
-from starquant.scalars import GR_ONE, PS_ZERO, ParamScalar, gr, rat
+from starquant.poly import HBAR, MU_INV, MultiPoly
+from starquant.scalars import GR_ONE, gr, rat
 from starquant.series import TruncSeries
 from starquant.verify import (
     rand_invertible_antisym,
@@ -106,10 +107,22 @@ def entry_series(m: MatSeries, i: int, j: int) -> TruncSeries:
         0,
         m.order,
         [
-            MultiPoly.const(0, ParamScalar.from_gaussian(c.rows[i][j]))
+            MultiPoly.const(0, MultiPoly.from_gaussian(c.rows[i][j]))
             for c in m.coeffs
         ],
     )
+
+
+def test_sq_matrix_singular():
+    singular = SqMatrix(((gr(1), gr(2)), (gr(2), gr(4))))
+    assert singular.det() == gr(0)
+    assert SqMatrix.zero(3).det() == gr(0)
+    with pytest.raises(PreconditionError, match="matrix is singular"):
+        singular.inverse()
+    # a zero pivot that needs a row swap: det flips sign
+    swap = SqMatrix(((gr(0), gr(1)), (gr(1), gr(0))))
+    assert swap.det() == gr(-1)
+    assert swap.inverse() == swap
 
 
 def test_mat_series_inverse_and_det():
@@ -134,7 +147,7 @@ def test_mat_series_inverse_and_det():
             one = MatSeries.identity(dim, order)
             assert m * m.inverse() == one
             assert m.inverse() * m == one
-            det0 = MultiPoly.const(0, ParamScalar.from_gaussian(m0.det()))
+            det0 = MultiPoly.const(0, MultiPoly.from_gaussian(m0.det()))
             assert m.det().coeffs[0] == det0
             if dim == 2:
                 # multiplicativity alone would also pass det^2: compare with
@@ -261,7 +274,7 @@ def test_expand_closed_form_identity_case():
     series = expand_closed_form(lam, SqMatrix.identity(2), 4)
     z0 = MultiPoly.variable(2, 0)
     z1 = MultiPoly.variable(2, 1)
-    x = (z0 ** 2 + z1 ** 2).scale(ParamScalar.param("mu", -1))
+    x = (z0 ** 2 + z1 ** 2).scale(MultiPoly.param("mu", -1))
     assert series.coeffs[0] == MultiPoly.one(2)
     assert series.coeffs[1] == x
     assert series.coeffs[2] == (x * x + MultiPoly.one(2)).scale_rat(rat(1, 2))
@@ -302,14 +315,14 @@ def test_riccati_1d_series_values():
     for k in range(N + 1):
         # h_k = tan_k * hbar^(k-1), g_k = sec_k * hbar^k (argument hbar*t)
         want_h = (
-            PS_ZERO
+            MultiPoly.zero(0)
             if not tan_c[k]
-            else ParamScalar.param("hbar", k - 1, gr(1).scale(tan_c[k]))
+            else MultiPoly.param("hbar", k - 1, gr(1).scale(tan_c[k]))
         )
         want_g = (
-            PS_ZERO
+            MultiPoly.zero(0)
             if not sec_c[k]
-            else ParamScalar.param("hbar", k, gr(1).scale(sec_c[k]))
+            else MultiPoly.param("hbar", k, gr(1).scale(sec_c[k]))
         )
         assert h.coeffs[k].constant_coefficient() == want_h
         assert g.coeffs[k].constant_coefficient() == want_g
@@ -328,7 +341,7 @@ def test_riccati_1d_degenerate():
 def test_riccati_1d_flow_residuals():
     for (a, b, c) in ((gr(0), gr(0), gr(1)), (gr(1), gr(1), gr(0)), (gr(2), gr(-1), gr(1, 2))):
         d = c * c - a * b
-        eps = ParamScalar.param("hbar", 2, d) if d else PS_ZERO
+        eps = MultiPoly.param("hbar", 2, d) if d else MultiPoly.zero(0)
         g, h = riccati_1d(a, b, c, N)
         one = TruncSeries.one(0, N)
         h_res = h.dt() - (one + (h * h).scale(eps)).truncate(N - 1)
@@ -342,7 +355,7 @@ def test_riccati_pde_with_symbolic_argument():
     # symbolic one-variable x
     for (a, b, c) in ((gr(0), gr(0), gr(1)), (gr(1), gr(2), gr(-1))):
         d = c * c - a * b
-        eps = ParamScalar.param("hbar", 2, d) if d else PS_ZERO
+        eps = MultiPoly.param("hbar", 2, d) if d else MultiPoly.zero(0)
         g, h = riccati_1d(a, b, c, N)
         x = MultiPoly.variable(1, 0)
         xs = TruncSeries.from_poly(x, N)
@@ -369,6 +382,21 @@ def test_first_divergence_reporting():
     s2 = TruncSeries.one(0, 4) + TruncSeries.t_term(MultiPoly.one(0), 3, 4)
     assert first_divergence(s1, s1) is None
     assert first_divergence(s1, s2) == 3
+
+
+def test_oracle_report_names_the_differing_component():
+    closed = expand_closed_form(std_lam2(), SqMatrix.identity(2), 4)
+    passed = _oracle_report(closed, closed)
+    assert passed.passed and passed.witness is None
+    # perturb one (degree, mu) component at t^3: z0^2/mu has degree 2, mu^-1
+    z0 = MultiPoly.variable(2, 0)
+    bump = TruncSeries.t_term((z0 * z0).scale(MU_INV + HBAR), 3, 4)
+    rep = _oracle_report(closed + bump, closed)
+    assert not rep.passed and rep.first_divergence_order == 3
+    assert rep.witness == {
+        "components": [{"degree": 2, "mu": -1}, {"degree": 2, "mu": 0}]
+    }
+    assert _oracle_report(closed, closed + bump).witness == rep.witness
 
 
 def test_matrix_json_roundtrip():

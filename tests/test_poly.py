@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from starquant.poly import MultiPoly, quadratic_form
-from starquant.scalars import (
-    MU,
-    PS_ONE,
-    GaussianRational,
-    ParamScalar,
-    gr,
-    rat,
-)
+from starquant.poly import MU, MultiPoly, quadratic_form
+from starquant.scalars import EXP_ZERO, GaussianRational, gr, rat
 
 Z2 = lambda j: MultiPoly.variable(2, j)
 
@@ -22,9 +15,8 @@ def rand_poly(rng, n, max_deg=4, max_terms=4):
         for _ in range(rng.randint(0, max_deg)):
             exps[rng.randrange(n)] += 1
         coef = GaussianRational(rat(rng.randint(-4, 4), rng.randint(1, 3)))
-        key = tuple(exps)
-        ps = ParamScalar.from_gaussian(coef)
-        terms[key] = terms[key] + ps if key in terms else ps
+        key = tuple(exps) + EXP_ZERO
+        terms[key] = terms[key] + coef if key in terms else coef
     return MultiPoly(n, terms)
 
 
@@ -46,21 +38,21 @@ def test_derivative_index_error():
 
 def test_shift_examples():
     z0, z1 = Z2(0), Z2(1)
-    c = ParamScalar.from_rat(5, 3)
-    zero = ParamScalar.from_rat(0)
+    c = MultiPoly.from_rat(5, 3)
+    zero = MultiPoly.from_rat(0)
     assert z0.shift([c, zero]) == z0 + MultiPoly.const(2, c)
     # (z0 + c)^2 = z0^2 + 2c z0 + c^2
     assert (z0 ** 2).shift([c, zero]) == (
         z0 ** 2 + z0.scale(c.scale_rat(2)) + MultiPoly.const(2, c * c)
     )
-    a, b = ParamScalar.from_rat(2), MU
+    a, b = MultiPoly.from_rat(2), MU
     expected = z0 * z1 + z0.scale(b) + z1.scale(a) + MultiPoly.const(2, a * b)
     assert (z0 * z1).shift([a, b]) == expected
 
 
 def test_shift_length_mismatch():
     with pytest.raises(ValueError):
-        Z2(0).shift([PS_ONE])
+        Z2(0).shift([MultiPoly.one(0)])
 
 
 def test_shift_composition():
@@ -68,8 +60,8 @@ def test_shift_composition():
     for _ in range(20):
         n = rng.choice((2, 3))
         f = rand_poly(rng, n)
-        a = [ParamScalar.from_rat(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
-        b = [ParamScalar.from_rat(rng.randint(-2, 2)) for _ in range(n)]
+        a = [MultiPoly.from_rat(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+        b = [MultiPoly.from_rat(rng.randint(-2, 2)) for _ in range(n)]
         ab = [x + y for x, y in zip(a, b)]
         assert f.shift(a).shift(b) == f.shift(ab)
 
@@ -105,7 +97,7 @@ def test_grlex_serialization_is_canonical():
 
 def test_mixed_param_monomial_splits_json_entries():
     z0 = Z2(0)
-    f = z0.scale(PS_ONE + MU)
+    f = z0.scale(MultiPoly.one(0) + MU)
     entries = [t for t in f.to_json()]
     assert len(entries) == 2
     assert MultiPoly.from_json(2, entries) == f

@@ -4,14 +4,14 @@ from math import comb, factorial
 import pytest
 
 from starquant.errors import PreconditionError
-from starquant.poly import MultiPoly
-from starquant.scalars import HBAR, ParamScalar, gr, rat
+from starquant.poly import HBAR, MultiPoly
+from starquant.scalars import gr, rat
 from starquant.series import TruncSeries
 
 N = 8
 
 
-def const_series(value: ParamScalar, order: int = N) -> TruncSeries:
+def const_series(value: MultiPoly, order: int = N) -> TruncSeries:
     return TruncSeries.from_poly(MultiPoly.const(0, value), order)
 
 
@@ -19,13 +19,13 @@ def t(order: int = N) -> TruncSeries:
     return TruncSeries.t_term(MultiPoly.one(0), 1, order)
 
 
-def rand_scalar_series(rng, order: int, lead: ParamScalar | None) -> TruncSeries:
+def rand_scalar_series(rng, order: int, lead: MultiPoly | None) -> TruncSeries:
     """A 0-variable series with random rational coefficients after ``lead``
     (a random nonzero t^0 coefficient when None)."""
     if lead is None:
-        lead = ParamScalar.from_rat(rng.randint(1, 5), rng.randint(1, 3))
+        lead = MultiPoly.from_rat(rng.randint(1, 5), rng.randint(1, 3))
     rest = [
-        ParamScalar.from_rat(rng.randint(-3, 3), rng.randint(1, 3))
+        MultiPoly.from_rat(rng.randint(-3, 3), rng.randint(1, 3))
         for _ in range(order)
     ]
     return TruncSeries(0, order, [MultiPoly.const(0, c) for c in [lead] + rest])
@@ -40,15 +40,15 @@ def test_inverse_geometric():
         s = TruncSeries.one(0, order) + t(order)
         inv = s.inverse()
         assert scalar_coeffs(inv) == [
-            ParamScalar.from_rat((-1) ** k) for k in range(order + 1)
+            MultiPoly.from_rat((-1) ** k) for k in range(order + 1)
         ]
         assert s * inv == TruncSeries.one(0, order)
 
 
 def test_inverse_constants():
     assert TruncSeries.one(0, N).inverse() == TruncSeries.one(0, N)
-    two = const_series(ParamScalar.from_rat(2))
-    assert two.inverse() == const_series(ParamScalar.from_rat(1, 2))
+    two = const_series(MultiPoly.from_rat(2))
+    assert two.inverse() == const_series(MultiPoly.from_rat(1, 2))
 
 
 def test_inverse_defining_property_random():
@@ -56,13 +56,13 @@ def test_inverse_defining_property_random():
     for _ in range(15):
         coeffs = [
             MultiPoly.const(
-                0, ParamScalar.from_rat(rng.randint(1, 5), rng.randint(1, 3))
+                0, MultiPoly.from_rat(rng.randint(1, 5), rng.randint(1, 3))
             )
         ]
         for _ in range(N):
             coeffs.append(
                 MultiPoly.const(
-                    0, ParamScalar.from_rat(rng.randint(-4, 4), rng.randint(1, 3))
+                    0, MultiPoly.from_rat(rng.randint(-4, 4), rng.randint(1, 3))
                 )
             )
         s = TruncSeries(0, N, coeffs)
@@ -99,14 +99,14 @@ def test_inv_sqrt_binomial_series():
     s = TruncSeries.one(0, N) + t().scale_rat(rat(2))
     r = s.inv_sqrt()
     expected = [
-        ParamScalar.from_rat(binomial_inv_sqrt_coeff(k, 2)) for k in range(N + 1)
+        MultiPoly.from_rat(binomial_inv_sqrt_coeff(k, 2)) for k in range(N + 1)
     ]
     assert scalar_coeffs(r) == expected
-    assert r.coeffs[2].constant_coefficient() == ParamScalar.from_rat(3, 2)
+    assert r.coeffs[2].constant_coefficient() == MultiPoly.from_rat(3, 2)
     for order in (0, 16):
         s = TruncSeries.one(0, order) + t(order).scale_rat(rat(-3))
         assert scalar_coeffs(s.inv_sqrt()) == [
-            ParamScalar.from_rat(binomial_inv_sqrt_coeff(k, -3))
+            MultiPoly.from_rat(binomial_inv_sqrt_coeff(k, -3))
             for k in range(order + 1)
         ]
 
@@ -118,7 +118,7 @@ def test_inv_sqrt_defining_property_random():
         for _ in range(N):
             coeffs.append(
                 MultiPoly.const(
-                    0, ParamScalar.from_rat(rng.randint(-3, 3), rng.randint(1, 3))
+                    0, MultiPoly.from_rat(rng.randint(-3, 3), rng.randint(1, 3))
                 )
             )
         s = TruncSeries(0, N, coeffs)
@@ -126,14 +126,14 @@ def test_inv_sqrt_defining_property_random():
         assert r * r * s == TruncSeries.one(0, N)
         assert r.coeffs[0] == MultiPoly.one(0)
     for order in (0, 16):
-        s = rand_scalar_series(rng, order, ParamScalar.from_rat(1))
+        s = rand_scalar_series(rng, order, MultiPoly.from_rat(1))
         r = s.inv_sqrt()
         assert r * r * s == TruncSeries.one(0, order)
 
 
 def test_inv_sqrt_rejects_nonunit_lead():
     with pytest.raises(PreconditionError):
-        const_series(ParamScalar.from_rat(4)).inv_sqrt()
+        const_series(MultiPoly.from_rat(4)).inv_sqrt()
 
 
 def test_exp_basics():
@@ -164,14 +164,14 @@ def test_exp_group_law():
         for _ in range(N):
             coeffs.append(
                 MultiPoly.const(
-                    0, ParamScalar.from_rat(rng.randint(-2, 2), rng.randint(1, 2))
+                    0, MultiPoly.from_rat(rng.randint(-2, 2), rng.randint(1, 2))
                 )
             )
         a = TruncSeries(0, N, coeffs)
         assert a.exp() * (-a).exp() == TruncSeries.one(0, N)
     for order in (0, 16):
-        a = rand_scalar_series(rng, order, ParamScalar.from_rat(0))
-        b = rand_scalar_series(rng, order, ParamScalar.from_rat(0))
+        a = rand_scalar_series(rng, order, MultiPoly.from_rat(0))
+        b = rand_scalar_series(rng, order, MultiPoly.from_rat(0))
         assert a.exp() * (-a).exp() == TruncSeries.one(0, order)
         assert (a + b).exp() == a.exp() * b.exp()
     # 2-variable polynomial coefficients carrying mu and 1/mu, as in the
@@ -185,7 +185,7 @@ def test_exp_group_law():
         for _ in range(order):
             c = MultiPoly.zero(2)
             for m in rng.sample(monos, 2):
-                mu_pow = ParamScalar.param("mu", rng.choice((-1, 0, 1)))
+                mu_pow = MultiPoly.param("mu", rng.choice((-1, 0, 1)))
                 scalar = mu_pow.scale_gauss(gr(rng.randint(-2, 2), rng.randint(1, 2)))
                 c = c + m.scale(scalar)
             coeffs.append(c)
@@ -216,7 +216,7 @@ def test_truncated_product_is_truncation_of_exact_product():
                 [
                     MultiPoly.const(
                         0,
-                        ParamScalar.from_rat(rng.randint(-3, 3), rng.randint(1, 2)),
+                        MultiPoly.from_rat(rng.randint(-3, 3), rng.randint(1, 2)),
                     )
                     for _ in range(order + 1)
                 ],
@@ -239,7 +239,7 @@ def test_dt_and_lift():
     s = TruncSeries.t_term(MultiPoly.one(0), 2, N)  # t^2
     d = s.dt()
     assert d.order == N - 1
-    assert d.coeffs[1] == MultiPoly.const(0, ParamScalar.from_rat(2))
+    assert d.coeffs[1] == MultiPoly.const(0, MultiPoly.from_rat(2))
     lifted = s.lift(3)
     assert lifted.n == 3
     assert lifted.coeffs[2] == MultiPoly.one(3)

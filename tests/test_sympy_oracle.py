@@ -4,20 +4,29 @@ Each test builds the same object twice: once with the package's exact series
 recurrences and once in sympy, then compares the coefficients through t^12.
 sympy expands with ``series()``, except for exp of a polynomial, where
 ``series()`` takes minutes and its power-series ring (``rs_exp``) is used,
-and the determinant, which is sympy's own of a polynomial matrix.
+and the determinant, which is sympy's own of a polynomial matrix.  The
+Riccati pair and the amplitude det^(-1/2) also go through the power-series
+ring (``rs_tan``, ``rs_cos``, ``rs_nth_root``).
 """
 
 import random
 
 import pytest
 
-from starquant.matrices import MatSeries, SqMatrix, tanh_series
+from starquant.matrices import MatSeries, SqMatrix, riccati_1d, solve_g, tanh_series
 from starquant.poly import MultiPoly
-from starquant.scalars import EXP_ZERO, GaussianRational, ParamScalar, gr
+from starquant.scalars import EXP_ZERO, PARAM_NAMES, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 
 sympy = pytest.importorskip("sympy")
-from sympy.polys.ring_series import rs_exp  # noqa: E402
+from sympy.polys.ring_series import (  # noqa: E402
+    rs_cos,
+    rs_exp,
+    rs_nth_root,
+    rs_series_inversion,
+    rs_tan,
+    rs_trunc,
+)
 
 ORDER = 12
 t = sympy.Symbol("t")
@@ -41,6 +50,21 @@ def sym_coeffs(s: TruncSeries) -> list:
     return out
 
 
+def sym_param_coeffs(s: TruncSeries) -> list:
+    """The coefficients of a 0-variable series, with the formal parameters
+    as sympy symbols."""
+    params = sympy.symbols(PARAM_NAMES)
+    return [
+        sympy.expand(
+            sum(
+                sym_gauss(g) * sympy.Mul(*(p**e for p, e in zip(params, tail)))
+                for tail, g in c.terms.items()
+            )
+        )
+        for c in s.coeffs
+    ]
+
+
 def sympy_coeffs(expr) -> list:
     """The coefficients of t^0..t^ORDER in sympy's expansion of expr."""
     poly = sympy.expand(sympy.series(expr, t, 0, ORDER + 1).removeO())
@@ -54,7 +78,7 @@ def rand_scalar_series(rng, lead: int):
         gr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ORDER)
     ]
     series = TruncSeries(
-        0, ORDER, [MultiPoly.const(0, ParamScalar.from_gaussian(c)) for c in coeffs]
+        0, ORDER, [MultiPoly.const(0, MultiPoly.from_gaussian(c)) for c in coeffs]
     )
     poly = sum(sym_gauss(c) * t**k for k, c in enumerate(coeffs))
     return series, poly
@@ -124,3 +148,73 @@ def test_tanh_series_matches_sympy():
             expected = sym_a**k * scalar.coeff(x, k)
             got = sympy.Matrix(2, 2, lambda i, j: sym_gauss(ours.coeffs[k].rows[i][j]))
             assert got == expected, k
+
+
+def test_riccati_1d_matches_tan_and_sec():
+    # h = tan(s t)/s and g = sec(s t) with s^2 = hbar^2 D: the t^k
+    # coefficient is the k-th coefficient of tan or sec times s^(k-1) or s^k
+    ring, x = sympy.ring("x", sympy.QQ)
+    tan = rs_tan(x, x, ORDER + 1)
+    sec = rs_series_inversion(rs_cos(x, x, ORDER + 1), x, ORDER + 1)
+    hbar = sympy.Symbol("hbar")
+    rng = random.Random(105)
+    cases = [(gr(1), gr(1), gr(1))]  # D = 0
+    for _ in range(3):
+        cases.append(
+            tuple(
+                GaussianRational(rat(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
+                for _ in range(3)
+            )
+        )
+    for a, b, c in cases:
+        sa, sb, sc = (sym_gauss(v) for v in (a, b, c))
+        s_sq = hbar**2 * (sc**2 - sa * sb)
+        g, h = riccati_1d(a, b, c, ORDER)
+        want_h = [
+            sympy.expand(sympy.Rational(tan.coeff(x**k)) * s_sq ** ((k - 1) // 2))
+            if k % 2 else 0
+            for k in range(ORDER + 1)
+        ]
+        want_g = [
+            0 if k % 2 else sympy.expand(sympy.Rational(sec.coeff(x**k)) * s_sq ** (k // 2))
+            for k in range(ORDER + 1)
+        ]
+        assert sym_param_coeffs(h) == want_h
+        assert sym_param_coeffs(g) == want_g
+
+
+def ring_det(rows: list):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * ring_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_solve_g_matches_det_inv_sqrt():
+    # g = det^(-1/2)((e^{at}(1+b) + e^{-at}(1-b))/2), with e^{+-at} summed
+    # as sympy matrix powers and the root taken in the power-series ring
+    ring, x = sympy.ring("x", sympy.QQ)
+    rng = random.Random(106)
+    for dim in (2, 3):
+        for _ in range(2):
+            a = rand_matrix(rng, dim)
+            one = SqMatrix.identity(dim)
+            b = rand_matrix(rng, dim)
+            while not (one + b).det():
+                b = rand_matrix(rng, dim)
+            sym = lambda m: sympy.Matrix(dim, dim, lambda i, j: sym_gauss(m.rows[i][j]))
+            sa, sb, eye = sym(a), sym(b), sympy.eye(dim)
+            entries = [[ring(0)] * dim for _ in range(dim)]
+            for k in range(ORDER + 1):
+                term = (sa**k * (eye + sb) + (-sa) ** k * (eye - sb)) / (2 * sympy.factorial(k))
+                for i in range(dim):
+                    for j in range(dim):
+                        entries[i][j] += ring(term[i, j]) * x**k
+            det = rs_trunc(ring_det(entries), x, ORDER + 1)
+            expected = rs_nth_root(det, -2, x, ORDER + 1)
+            assert sym_coeffs(solve_g(a, b, ORDER)) == [
+                sympy.Rational(expected.coeff(x**k)) for k in range(ORDER + 1)
+            ]
