@@ -153,10 +153,11 @@ def malformed_jobs():
         verify_with("lambda-relation", **{"lambda": lam, "k_max": 4.0}),
         verify_with("grading", seed=True),
         verify_with("grading", cases=0),
-        {"command": "riccati", "inputs": {"c": "1"}, "truncation": 100000},
-        verify_with("associativity", cases=1001),
-        verify_with("jacobi", **{"lambda": lam, "d_max": 17}),
-        verify_with("lambda-relation", **{"lambda": lam, "k_max": 17}),
+        # one above each cap, on jobs that finish at once if accepted
+        {"command": "riccati", "truncation": 33},
+        verify_with("riccati", cases=1001),
+        verify_with("jacobi", **{"lambda": [["0"]], "d_max": 17}),
+        verify_with("lambda-relation", **{"lambda": [["0"]], "k_max": 17}),
     ]
 
 

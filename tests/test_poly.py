@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from starquant.errors import PreconditionError
 from starquant.poly import MU, MultiPoly, quadratic_form
 from starquant.scalars import EXP_ZERO, GaussianRational, gr, rat
 
@@ -101,6 +102,21 @@ def test_mixed_param_monomial_splits_json_entries():
     entries = [t for t in f.to_json()]
     assert len(entries) == 2
     assert MultiPoly.from_json(2, entries) == f
+
+
+def test_from_json_checks_every_exponent():
+    # also on entries that are zero or cancel; only mu may be negative
+    def entry(exps, params, value):
+        return {"exps": exps, "coef": {"params": params, "value": value}}
+
+    with pytest.raises(PreconditionError):
+        MultiPoly.from_json(2, [entry([1, 0], {"hbar": -1}, "0")])
+    with pytest.raises(PreconditionError):
+        MultiPoly.from_json(0, [{"params": {"tau": -1}, "value": "0"}])
+    with pytest.raises(ValueError):
+        MultiPoly.from_json(2, [entry([-1, 0], {}, "0")])
+    mu_inv = [entry([1, 0], {"mu": -1}, "1"), entry([1, 0], {"mu": -1}, "-1")]
+    assert MultiPoly.from_json(2, mu_inv).is_zero()
 
 
 def test_quadratic_form():

@@ -4,7 +4,7 @@ import pytest
 
 from starquant.errors import PreconditionError
 from starquant.grading import poisson_bracket
-from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MU_INV, MultiPoly
+from starquant.poly import HALF_MU, HBAR, I_HBAR_HALF, MU, MU_INV, TAU, MultiPoly
 from starquant.scalars import GR_I, PARAM_INDEX, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 from starquant.star import (
@@ -242,6 +242,15 @@ def test_star_matches_pairing_product():
                 f = rand_poly(rng, n, max_deg, 4)
                 g = rand_poly(rng, n, max_deg, 4)
                 assert star(ctx, f, g) == pairing_product(pairs, f, g)
+    # parameters in lambda, f and g: the pairs (z0^2 mu, z1^2 hbar) and
+    # (z0^2 hbar, z1^2 mu) meet on one contraction key
+    z0, z1 = zvars(2)
+    w = MU + TAU.scale_rat(rat(3))
+    ctx = StarContext.constant(((gr(0), w), (-w, gr(0))), HALF_MU)
+    pairs = [(0, 1, HALF_MU * w), (1, 0, -(HALF_MU * w))]
+    f = (z0 * z0).scale(MU + HBAR) + (z0 * z1).scale(TAU)
+    g = (z1 * z1).scale(HBAR + MU) + z1
+    assert star(ctx, f, g) == pairing_product(pairs, f, g)
 
 
 def test_polynomial_lambda_first_order_is_bracket():
