@@ -119,9 +119,9 @@ class SqMatrix:
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
 
-    def _gauss_jordan(self, extra: list) -> tuple:
-        """Reduce the rows [self | extra] to [I | self^(-1) extra] by
-        Gauss-Jordan elimination with exact division.
+    def _eliminate(self, extra: list) -> tuple:
+        """Forward Gaussian elimination of the rows [self | extra] to upper
+        triangular form, with exact division.
 
         Returns (det, reduced rows), or (0, None) when self is singular.
         """
@@ -138,24 +138,31 @@ class SqMatrix:
             pivot = m[col][col]
             det = det * pivot
             inv = pivot.inverse()
-            m[col] = [v * inv for v in m[col]]
-            for r in range(d):
-                factor = m[r][col]
-                if r != col and factor:
+            for r in range(col + 1, d):
+                if m[r][col]:
+                    factor = m[r][col] * inv
                     m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
         return det, m
 
     def det(self) -> GaussianRational:
         """Exact determinant by Gaussian elimination with exact division."""
-        return self._gauss_jordan([[]] * self.dim)[0]
+        return self._eliminate([[]] * self.dim)[0]
 
     def inverse(self) -> "SqMatrix":
+        """Eliminate [self | I], then back-substitute to [I | self^(-1)]."""
         d = self.dim
-        _, m = self._gauss_jordan(
+        _, m = self._eliminate(
             [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
         )
         if m is None:
             raise PreconditionError("matrix is singular")
+        for col in reversed(range(d)):
+            inv = m[col][col].inverse()
+            m[col] = [v * inv for v in m[col]]
+            for r in range(col):
+                factor = m[r][col]
+                if factor:
+                    m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
         return SqMatrix(tuple(tuple(row[d:]) for row in m))
 
     def to_json(self) -> list:
