@@ -141,8 +141,6 @@ class MultiPoly:
     def constant_coefficient(self) -> "MultiPoly":
         """The z-free part, as a scalar."""
         n = self.n
-        if n == 0:
-            return self
         return MultiPoly._raw(
             0, {key[n:]: c for key, c in self.terms.items() if not any(key[:n])}
         )
