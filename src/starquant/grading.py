@@ -11,7 +11,7 @@ Jacobi rule for the induced bracket.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import PreconditionError
@@ -233,33 +233,29 @@ def check_lambda_relation(
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2 (order 1 can never diverge)")
-    n = ctx.n
-    monos = monomials_upto(n, d_max)
+    monos = monomials_upto(ctx.n, d_max)
     # both forms as bare k-fold contractions, without coupling or 1/k!.  The
-    # matrix is fixed, so the entries of both forms are built once for all
-    # pairs.
+    # matrix is fixed, so the kernels of both forms are built once for all
+    # pairs.  Every pair keeps its two generators, and all pairs advance one
+    # order at a time, so the check stops at the first failing order; a
+    # generator that ended counts as zero from then on.
     full_kernel = _full_entries(ctx)
     iterated_kernel = _iterated_entries(ctx)
-    contracted = {}
-    iterated = {}
-    for fi, f in enumerate(monos):
-        for gi, g in enumerate(monos):
-            contracted[(fi, gi)] = list(_contraction(full_kernel, f, g, None))
-            terms = _contraction(iterated_kernel, f, g, None)
-            iterated[(fi, gi)] = list(islice(terms, k_max + 1))
-    zero = MultiPoly.zero(n)
+    pairs = []
+    for f in monos:
+        for g in monos:
+            lhs = _contraction(iterated_kernel, f, g)
+            rhs = _contraction(full_kernel, f, g)
+            next(lhs), next(rhs)  # order 0 is f*g on both sides
+            pairs.append((f, g, lhs, rhs))
+    zero = MultiPoly.zero(ctx.n)
     for k in range(1, k_max + 1):
-        for fi, f in enumerate(monos):
-            for gi, g in enumerate(monos):
-                lhs_terms = iterated[(fi, gi)]
-                lhs = lhs_terms[k] if k < len(lhs_terms) else zero
-                terms = contracted[(fi, gi)]
-                rhs = terms[k] if k < len(terms) else zero
-                if lhs != rhs:
-                    return CheckReport(
-                        passed=False,
-                        first_divergence_order=k,
-                        witness={"k": k, "f": f.text(), "g": g.text()},
-                        detail="iterated and contracted forms differ",
-                    )
+        for f, g, lhs, rhs in pairs:
+            if next(lhs, zero) != next(rhs, zero):
+                return CheckReport(
+                    passed=False,
+                    first_divergence_order=k,
+                    witness={"k": k, "f": f.text(), "g": g.text()},
+                    detail="iterated and contracted forms differ",
+                )
     return CheckReport(passed=True)

@@ -89,9 +89,13 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if not self.im and not other.im:  # common case: both real
+            return GaussianRational._raw(self.re + other.re, RAT_ZERO)
         return GaussianRational._raw(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
+        if not self.im and not other.im:
+            return GaussianRational._raw(self.re - other.re, RAT_ZERO)
         return GaussianRational._raw(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
@@ -106,6 +110,8 @@ class GaussianRational:
 
     def scale(self, r) -> "GaussianRational":
         """Multiply by a plain rational (or int)."""
+        if not self.im:
+            return GaussianRational._raw(self.re * r, RAT_ZERO)
         return GaussianRational._raw(self.re * r, self.im * r)
 
     def inverse(self) -> "GaussianRational":

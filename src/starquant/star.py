@@ -16,12 +16,11 @@ exponentials which acts as the independent oracle for every closed form in
 The contraction works on flat exponent keys over doubled variables: x
 (the left factor) then y (the right factor), each of n variables, then the
 exponents of the formal parameters mu, hbar, tau, as in a ``MultiPoly`` key.
-The coefficient of a key is one GaussianRational.  One step
-(:func:`contract_step`) lowers x_a and y_b, scales by their exponents and
-multiplies by a term of the entry L^{ab}: its parameter exponents add to
-the tail and its coefficient multiplies.  Where the entry's z exponents go
-in the key is the only difference between the three contractions built on
-the step:
+One step (:func:`contract_step`) lowers x_a and y_b, scales by their
+exponents and multiplies by a term of the entry L^{ab}: its parameter
+exponents add to the tail and its coefficient multiplies.  Where the
+entry's z exponents go in the key is the only difference between the three
+contractions built on the step:
 
 * constant L: nowhere; the key is (x | y | params), width 2n;
 * polynomial L, fully contracted: in w-variables after y, which no step
@@ -31,21 +30,43 @@ the step:
 
 The width counts the z positions only.  The coupling multiplies every step
 once, so it is folded into the entries: each of its terms shifts the
-parameter tail and scales the coefficient.  Summing the n-variable groups
-of a key (x + y, or x + y + w) and keeping the tail turns it back into a
-``MultiPoly`` key.
+parameter tail and scales the coefficient.
+
+The state of an order holds no rationals: two maps, ``re`` and ``im``, from
+keys to the integer numerators of the real and imaginary parts, over one
+denominator ``den`` for the whole order.  The kernel (:func:`_entries`)
+stores its coefficients the same way, over the lcm ``D`` of their
+denominators, so a step multiplies Python ints only -- numerator times the
+two exponents times the kernel numerator -- in up to four passes (re*re,
+minus im*im, re*im, im*re; real inputs need one), and multiplies ``den`` by
+``D`` and, with a coupling, by k for the 1/k!.  Summing the n-variable
+groups of a key (x + y, or x + y + w) and keeping the tail turns it back
+into a ``MultiPoly`` key; the collapse sums numerators, and only then is one
+GaussianRational built per output term.  A product summed over all orders
+(:func:`star`) adds the orders as numerators over the last order's
+denominator, which every earlier one divides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
+from math import lcm
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .poly import I_HBAR_HALF, NPARAM, MultiPoly
-from .scalars import GR_ONE, PARAM_NAMES, GaussianRational, accumulate, gr, rat
+from .poly import I_HBAR_HALF, MultiPoly
+from .scalars import (
+    EXP_ZERO,
+    GR_ONE,
+    PARAM_NAMES,
+    RAT_ZERO,
+    GaussianRational,
+    accumulate,
+    gr,
+    rat,
+)
 from .series import TruncSeries
 
 # scalar i*hbar/4, the exponent coupling of the ordering intertwiner
@@ -221,119 +242,193 @@ class StarContext:
 # --- contraction engine ------------------------------------------------
 
 
-def _entries(n: int, lam, offset: int | None) -> tuple:
-    """The key width and the contraction steps of a matrix of polynomials.
+class _Kernel(NamedTuple):
+    """The contraction steps of a matrix of polynomials, on integers.
+
+    ``width`` is the number of z positions of a state key.  ``re`` and
+    ``im`` hold the real and imaginary parts of the steps as integer
+    numerators over the common denominator ``den``; each is a list of
+    (a, b, shifts) with (shift, numerator) pairs (see :func:`_entries`).
+    ``factorial`` is True when a coupling is folded in, so that order k
+    also carries 1/k!.
+    """
+
+    width: int
+    den: int
+    re: list
+    im: list
+    factorial: bool
+
+
+def _num(q, den: int) -> int:
+    """The numerator of the rational q over the denominator den."""
+    return q.numerator * (den // q.denominator)
+
+
+def _common_den(coefs) -> int:
+    """The lcm of the denominators of the parts of Gaussian rationals."""
+    return lcm(*(q.denominator for c in coefs for q in (c.re, c.im)))
+
+
+def _parts(items: list, den: int) -> tuple:
+    """(item, GaussianRational) pairs as (item, numerator) lists of the real
+    and of the imaginary parts over ``den``, without zero parts."""
+    return (
+        [(x, _num(c.re, den)) for x, c in items if c.re],
+        [(x, _num(c.im, den)) for x, c in items if c.im],
+    )
+
+
+def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
+    """The contraction kernel of a matrix of polynomials.
 
     There is one step per nonzero entry.  A step is (a, n + b, shifts): it
     applies where x_a and y_b are present, and ``shifts`` lists (shift, coef)
     for the terms of lam[a][b].  A shift is the exponent delta of a key of
     ``width`` z positions plus the parameter tail: -1 at x_a and at y_b, the
     term's z exponents starting at ``offset`` (None when every entry is
-    constant), and its parameter exponents in the tail.
+    constant), and its parameter exponents in the tail.  A scalar
+    ``coupling`` multiplies every step once, so each shift pairs with each
+    coupling term, whose parameter exponents add to the tail and whose
+    coefficient multiplies.  The coefficients are then split into real and
+    imaginary numerators over the lcm of their denominators.
     """
     width = 3 * n if offset == 2 * n else 2 * n
+    factors = [(EXP_ZERO, GR_ONE)] if coupling is None else coupling.terms.items()
     steps = []
     for a in range(n):
         for b in range(n):
             shifts = []
             for key, coef in lam[a][b].terms.items():
-                shift = [0] * (width + NPARAM)
+                shift = [0] * width
                 if offset is not None:
                     shift[offset : offset + n] = key[:n]
-                shift[width:] = key[n:]
                 shift[a] -= 1
                 shift[n + b] -= 1
-                shifts.append((tuple(shift), coef))
+                for ctail, c in factors:
+                    tail = tuple(map(add, key[n:], ctail))
+                    shifts.append((tuple(shift) + tail, coef * c))
             if shifts:
                 steps.append((a, n + b, shifts))
-    return width, steps
+    den = _common_den(c for _, _, shifts in steps for _, c in shifts)
+    re: list = []
+    im: list = []
+    for a, b, shifts in steps:
+        for out, part in zip((re, im), _parts(shifts, den)):
+            if part:
+                out.append((a, b, part))
+    return _Kernel(width, den, re, im, coupling is not None)
 
 
-def _full_entries(ctx: StarContext) -> tuple:
+def _full_entries(ctx: StarContext, coupling=None) -> _Kernel:
     """:func:`_entries` of the fully contracted form of ``ctx``."""
-    return _entries(ctx.n, ctx.lam, None if ctx.constant_lambda else 2 * ctx.n)
+    return _entries(
+        ctx.n, ctx.lam, None if ctx.constant_lambda else 2 * ctx.n, coupling
+    )
 
 
-def _iterated_entries(ctx: StarContext) -> tuple:
+def _iterated_entries(ctx: StarContext) -> _Kernel:
     """:func:`_entries` of the iterated form of ``ctx``."""
     return _entries(ctx.n, ctx.lam, ctx.n)
 
 
-def _coupled(kernel: tuple, coupling: MultiPoly) -> tuple:
-    """The kernel with every step multiplied by the scalar ``coupling``: each
-    shift pairs with each coupling term, whose parameter exponents add to
-    the tail and whose coefficient multiplies."""
-    width, steps = kernel
-    pad = (0,) * width
-    factors = [(pad + tail, c) for tail, c in coupling.terms.items()]
-    steps = [
-        (a, b, [
-            (tuple(map(add, shift, fshift)), coef * c)
-            for shift, coef in shifts
-            for fshift, c in factors
-        ])
-        for a, b, shifts in steps
-    ]
-    return width, steps
+def _complex(apply, lre, lim, rre, rim) -> tuple:
+    """The real and imaginary maps of (lre + i lim)(rre + i rim).
 
-
-def contract_step(entries: list, state: dict) -> dict:
-    """One derivative-pair contraction step on a map from keys to coefficients.
-
-    For every (a, b, shifts) of ``entries`` (see :func:`_entries`) and every
-    key with positive exponents at positions a and b, differentiate both and
-    multiply by the matrix entry: the derivative factor is the product of
-    the two exponents, and the new key is the old one plus the entry's
-    shift.  Coefficients are GaussianRationals throughout.
+    ``apply(out, left, right, sign)`` adds sign * left * right into the map
+    ``out``.  A pass whose side is empty is skipped, so real inputs pay for
+    one pass; zero values are stripped from the result.
     """
-    new: dict = {}
-    for exps, coef in state.items():
-        for a, b, shifts in entries:
+    re: dict = {}
+    im: dict = {}
+    if lre and rre:
+        apply(re, lre, rre, 1)
+    if lim and rim:
+        apply(re, lim, rim, -1)
+    if lre and rim:
+        apply(im, lre, rim, 1)
+    if lim and rre:
+        apply(im, lim, rre, 1)
+    return (
+        {e: v for e, v in re.items() if v},
+        {e: v for e, v in im.items() if v},
+    )
+
+
+def _step(out: dict, state: dict, steps: list, sign: int) -> None:
+    for exps, v in state.items():
+        for a, b, shifts in steps:
             ea = exps[a]
             if not ea:
                 continue
             eb = exps[b]
             if not eb:
                 continue
-            dcoef = coef.scale(ea * eb)
+            dv = sign * v * ea * eb
             for shift, c in shifts:
-                accumulate(new, tuple(map(add, exps, shift)), dcoef * c)
-    return new
+                key = tuple(map(add, exps, shift))
+                out[key] = out.get(key, 0) + dv * c
 
 
-def _collapse(n: int, width: int, state: dict) -> MultiPoly:
-    """Identify the n-variable groups of every key (x, y and w all become z)
-    and keep the parameter tail."""
+def contract_step(kernel: _Kernel, re: dict, im: dict) -> tuple:
+    """One derivative-pair contraction step on a state of integer numerators.
+
+    For every (a, b, shifts) of the kernel (see :func:`_entries`) and every
+    key with positive exponents at positions a and b, differentiate both and
+    multiply by the matrix entry: the derivative factor is the product of
+    the two exponents, and the new key is the old one plus the entry's
+    shift.  ``re`` and ``im`` map keys to the real and imaginary numerators;
+    the result's denominator is the state's times ``kernel.den``.
+    """
+    return _complex(_step, re, im, kernel.re, kernel.im)
+
+
+def _pairs(out: dict, left: list, right: list, sign: int) -> None:
+    for (x, ftail), p in left:
+        p *= sign
+        for (y, gtail), q in right:
+            # distinct pairs meet on one key when their tails sum alike
+            key = x + y + tuple(map(add, ftail, gtail))
+            out[key] = out.get(key, 0) + p * q
+
+
+def _split(p: MultiPoly, pad: tuple = ()) -> tuple:
+    """The real and imaginary numerator lists of p's terms, keyed by
+    (z exponents + pad, tail), and their common denominator."""
+    n = p.n
+    den = _common_den(p.terms.values())
+    items = [((e[:n] + pad, e[n:]), c) for e, c in p.terms.items()]
+    return (*_parts(items, den), den)
+
+
+def _collapse(n: int, width: int, state: dict) -> dict:
+    """Identify the n-variable groups of every key (x, y and w all become z),
+    keep the parameter tail and sum the numerators."""
     acc: dict = {}
-    for exps, coef in state.items():
+    for exps, v in state.items():
         key = exps[:n]
         for start in range(n, width, n):
             key = tuple(map(add, key, exps[start : start + n]))
-        accumulate(acc, key + exps[width:], coef)
-    return MultiPoly._raw(n, acc)
+        key += exps[width:]
+        acc[key] = acc.get(key, 0) + v
+    return acc
 
 
-def _contraction(kernel: tuple, f: MultiPoly, g: MultiPoly, coupling):
-    """Yield the contraction terms of f and g, order 0 first.
+def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
+    """Yield the contraction terms of f and g, order 0 first, each as the
+    collapsed (re, im, den) numerator maps over one denominator.
 
-    ``kernel`` is the (width, steps) pair of :func:`_entries`.  With a
-    ``coupling``, term k carries coupling^k/k!: the coupling is folded into
-    the steps and the 1/k applied after each; with None, term k is the bare
-    k-fold contraction.
+    Term k carries coupling^k/k! when the kernel has a coupling folded in
+    (the 1/k goes into the denominator), and is the bare k-fold contraction
+    otherwise.
     """
     n = f.n
-    if coupling is not None:
-        kernel = _coupled(kernel, coupling)
-    width, entries = kernel
-    pad = (0,) * (width - 2 * n)
-    right = [(eg[:n] + pad, eg[n:], cg) for eg, cg in g.terms.items()]
-    state: dict = {}
-    for ef, cf in f.terms.items():
-        x, ftail = ef[:n], ef[n:]
-        for y, gtail, cg in right:
-            # distinct pairs meet on one key when their tails sum alike
-            accumulate(state, x + y + tuple(map(add, ftail, gtail)), cf * cg)
-    yield _collapse(n, width, state)
+    width = kernel.width
+    fre, fim, fden = _split(f)
+    gre, gim, gden = _split(g, (0,) * (width - 2 * n))
+    re, im = _complex(_pairs, fre, fim, gre, gim)
+    den = fden * gden
+    yield _collapse(n, width, re), _collapse(n, width, im), den
     # every step lowers the left-slot degree, so this bound is never reached
     cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
     for k in count(1):
@@ -341,13 +436,53 @@ def _contraction(kernel: tuple, f: MultiPoly, g: MultiPoly, coupling):
             raise PreconditionError(
                 f"contraction did not terminate within {cap} steps"
             )
-        state = contract_step(entries, state)
-        if not state:
+        re, im = contract_step(kernel, re, im)
+        if not re and not im:
             return
-        if coupling is not None and k > 1:
-            inv_k = rat(1, k)
-            state = {e: c.scale(inv_k) for e, c in state.items()}
-        yield _collapse(n, width, state)
+        den *= kernel.den
+        if kernel.factorial:
+            den *= k
+        yield _collapse(n, width, re), _collapse(n, width, im), den
+
+
+def _poly(n: int, re: dict, im: dict, den: int) -> MultiPoly:
+    """The MultiPoly with numerator maps re and im over den: one
+    GaussianRational per nonzero term."""
+    terms = {}
+    for key, p in re.items():
+        q = im.get(key, 0)
+        if p or q:
+            terms[key] = GaussianRational._raw(
+                rat(p, den) if p else RAT_ZERO, rat(q, den) if q else RAT_ZERO
+            )
+    for key, q in im.items():
+        if q and key not in re:
+            terms[key] = GaussianRational._raw(RAT_ZERO, rat(q, den))
+    return MultiPoly._raw(n, terms)
+
+
+def _contraction(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
+    """Yield the contraction terms of f and g as polynomials, order 0 first."""
+    for re, im, den in _orders(kernel, f, g):
+        yield _poly(f.n, re, im, den)
+
+
+def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPoly:
+    """The sum of all contraction terms of f and g, divided by ``div``.
+
+    Each order's denominator divides the last one, so the orders add up as
+    numerators over the last denominator.
+    """
+    orders = list(_orders(kernel, f, g))
+    den = orders[-1][2]
+    re: dict = {}
+    im: dict = {}
+    for ore, oim, oden in orders:
+        m = den // oden
+        for out, part in ((re, ore), (im, oim)):
+            for key, v in part.items():
+                out[key] = out.get(key, 0) + v * m
+    return _poly(f.n, re, im, den * div)
 
 
 def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
@@ -355,7 +490,7 @@ def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
     the factor coupling^k/k!); their sum is the star product."""
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("variable count mismatch with context")
-    return list(_contraction(_full_entries(ctx), f, g, ctx.coupling))
+    return list(_contraction(_full_entries(ctx, ctx.coupling), f, g))
 
 
 def iterated_terms(
@@ -368,13 +503,14 @@ def iterated_terms(
     term k carries no coupling and no 1/k!.  The list ends early once an
     order vanishes.
     """
-    return list(islice(_contraction(_iterated_entries(ctx), f, g, None), k_max + 1))
+    return list(islice(_contraction(_iterated_entries(ctx), f, g), k_max + 1))
 
 
 def star(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The star product of two polynomials."""
-    terms = star_terms(ctx, f, g)
-    return sum(terms[1:], terms[0])
+    if f.n != ctx.n or g.n != ctx.n:
+        raise ValueError("variable count mismatch with context")
+    return _star(_full_entries(ctx, ctx.coupling), f, g)
 
 
 def star_commutator(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -402,8 +538,7 @@ def star_k_ordered(
         )
         for a in range(n)
     )
-    terms = list(_contraction(_entries(n, mixed, None), f, g, ctx.coupling))
-    return sum(terms[1:], terms[0])
+    return _star(_entries(n, mixed, None, ctx.coupling), f, g)
 
 
 def intertwine(
@@ -517,7 +652,8 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     """
     if H.n != ctx.n:
         raise ValueError("variable count mismatch with context")
+    kernel = _full_entries(ctx, ctx.coupling)
     coeffs = [MultiPoly.one(ctx.n)]
     for k in range(N):
-        coeffs.append(star(ctx, H, coeffs[-1]).scale_rat(rat(1, k + 1)))
+        coeffs.append(_star(kernel, H, coeffs[-1], k + 1))
     return TruncSeries(ctx.n, N, coeffs)

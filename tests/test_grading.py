@@ -1,6 +1,6 @@
 import random
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -17,7 +17,7 @@ from starquant.grading import (
 )
 from starquant.poly import HALF_MU, MU, MU_INV, MultiPoly
 from starquant.scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat
-from starquant.star import StarContext, star
+from starquant.star import StarContext, iterated_terms, star, star_terms
 from starquant.verify import (
     _cyclic_bad_context,
     _so3_context,
@@ -183,6 +183,84 @@ def test_check_lambda_relation():
     assert rep.witness is not None and rep.witness["k"] == 2
     with pytest.raises(ValueError):
         check_lambda_relation(ctx_lin, 1, 4)
+
+
+def eager_lambda_relation(ctx, k_max, d_max):
+    """The first failing (order, f, g) of the lambda relation, or None, with
+    every order of every pair built before any comparison.  The bare k-fold
+    contraction is k! times order k of the product with coupling 1."""
+    unit = StarContext(ctx.n, ctx.lam, MultiPoly.one(0))
+    monos = monomials_upto(ctx.n, d_max)
+    zero = MultiPoly.zero(ctx.n)
+    lhs, rhs = {}, {}
+    for fi, f in enumerate(monos):
+        for gi, g in enumerate(monos):
+            lhs[fi, gi] = iterated_terms(unit, f, g, k_max)
+            rhs[fi, gi] = [
+                t.scale_rat(rat(factorial(k))) for k, t in enumerate(star_terms(unit, f, g))
+            ]
+    for k in range(1, k_max + 1):
+        for fi, f in enumerate(monos):
+            for gi, g in enumerate(monos):
+                left = lhs[fi, gi][k] if k < len(lhs[fi, gi]) else zero
+                right = rhs[fi, gi][k] if k < len(rhs[fi, gi]) else zero
+                if left != right:
+                    return k, f.text(), g.text()
+    return None
+
+
+def _log_canonical_context() -> StarContext:
+    z = [MultiPoly.variable(3, j) for j in range(3)]
+    zero = MultiPoly.zero(3)
+    q01, q02, q12 = (MultiPoly.from_rat(v) for v in (rat(2), rat(-1, 3), rat(3, 5)))
+    lam = (
+        (zero, (z[0] * z[1]).scale(q01), (z[0] * z[2]).scale(q02)),
+        (-(z[0] * z[1]).scale(q01), zero, (z[1] * z[2]).scale(q12)),
+        (-(z[0] * z[2]).scale(q02), -(z[1] * z[2]).scale(q12), zero),
+    )
+    return StarContext(3, lam, HALF_MU)
+
+
+def test_lambda_relation_stops_where_the_eager_sweep_does():
+    # the check advances all pairs one order at a time and stops at the
+    # first failing one; order and witness must be those of a sweep that
+    # builds every order first
+    z0 = MultiPoly.variable(2, 0)
+    zero = MultiPoly.zero(2)
+    contexts = [
+        _so3_context(),
+        _cyclic_bad_context(),
+        _log_canonical_context(),
+        StarContext(2, ((zero, z0), (-z0, zero)), HALF_MU),
+        basic_ctx(2),
+    ]
+    for ctx in contexts:
+        for k_max, d_max in ((2, 2), (4, 3)):
+            rep = check_lambda_relation(ctx, k_max, d_max)
+            expected = eager_lambda_relation(ctx, k_max, d_max)
+            if expected is None:
+                assert rep.passed
+                continue
+            k, f, g = expected
+            assert not rep.passed
+            assert rep.first_divergence_order == k
+            assert rep.witness == {"k": k, "f": f, "g": g}
+    # pinned at the eager implementation
+    rep = check_lambda_relation(_log_canonical_context(), 4, 3)
+    assert rep.to_json() == {
+        "pass": False,
+        "first_divergence_order": 2,
+        "residual_norm": "nonzero",
+        "witness": {"k": 2, "f": "z2^2", "g": "z1"},
+        "detail": "iterated and contracted forms differ",
+    }
+
+
+def test_lambda_relation_so3_at_degree_5_stops_at_order_2():
+    rep = check_lambda_relation(_so3_context(), 4, 5)
+    assert not rep.passed
+    assert rep.first_divergence_order == 2
+    assert rep.witness == {"k": 2, "f": "z2^2", "g": "z1"}
 
 
 def test_monomials_upto_counts():

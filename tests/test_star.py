@@ -5,7 +5,7 @@ import pytest
 from starquant.errors import PreconditionError
 from starquant.grading import poisson_bracket
 from starquant.poly import HALF_MU, HBAR, I_HBAR_HALF, MU, MU_INV, TAU, MultiPoly
-from starquant.scalars import GR_I, PARAM_INDEX, GaussianRational, gr, rat
+from starquant.scalars import EXP_ZERO, GR_I, PARAM_INDEX, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 from starquant.star import (
     OrderingK,
@@ -251,6 +251,172 @@ def test_star_matches_pairing_product():
     f = (z0 * z0).scale(MU + HBAR) + (z0 * z1).scale(TAU)
     g = (z1 * z1).scale(HBAR + MU) + z1
     assert star(ctx, f, g) == pairing_product(pairs, f, g)
+
+
+def gpoly(n, terms) -> MultiPoly:
+    """A polynomial from {z exponents: (re, im)} with rational text parts."""
+    return MultiPoly(
+        n, {tuple(e) + EXP_ZERO: GaussianRational(re, im) for e, (re, im) in terms.items()}
+    )
+
+
+def antisym(n, upper) -> tuple:
+    """The antisymmetric matrix with entries {(a, b): value} above the diagonal."""
+    rows = [[gr(0)] * n for _ in range(n)]
+    for (a, b), v in upper.items():
+        rows[a][b] = v
+        rows[b][a] = -v
+    return tuple(tuple(r) for r in rows)
+
+
+def coupled_pairs(rows, coupling) -> list:
+    """The pairings coupling * rows[a][b] of a constant matrix."""
+    n = len(rows)
+    return [
+        (a, b, coupling.scale_gauss(rows[a][b]))
+        for a in range(n)
+        for b in range(n)
+        if rows[a][b]
+    ]
+
+
+# f and g of degree 3 with complex coefficients whose denominators are
+# pairwise coprime, so that every order up to 3 has a term
+F3 = gpoly(3, {(2, 1, 0): ("1/2", "1/5"), (0, 1, 2): ("-3/7", 0), (1, 0, 1): (0, "2/9")})
+G3 = gpoly(3, {(1, 2, 0): ("5/3", "-1/4"), (0, 0, 3): ("1/11", 0), (1, 1, 1): (0, "7/5")})
+
+
+def test_star_complex_lambda_with_coprime_denominators():
+    # the kernel's common denominator is the lcm of 3, 7, 11 and 13 (times
+    # the coupling's 2), and the complex entry feeds all four passes
+    lam = antisym(
+        3,
+        {
+            (0, 1): gr(1, 3),
+            (0, 2): gr(2, 7),
+            (1, 2): GaussianRational(rat(5, 11), rat(1, 13)),
+        },
+    )
+    for coupling in (HALF_MU, I_HBAR_HALF):
+        ctx = StarContext.constant(lam, coupling)
+        pairs = coupled_pairs(lam, coupling)
+        assert star(ctx, F3, G3) == pairing_product(pairs, F3, G3)
+        assert star(ctx, G3, F3) == pairing_product(pairs, G3, F3)
+
+
+def test_star_two_term_complex_coupling():
+    rng = random.Random(43)
+    coupling = MU.scale_gauss(GaussianRational(rat(1, 2), rat(1, 3))) + HBAR.scale_gauss(
+        GaussianRational(0, rat(-2, 5))
+    )
+    for n in (2, 4):
+        lam = rand_antisym(rng, n)
+        ctx = StarContext.constant(lam.rows, coupling)
+        pairs = coupled_pairs(lam.rows, coupling)
+        for _ in range(4):
+            f = rand_poly(rng, n, 4, 4)
+            g = rand_poly(rng, n, 4, 4)
+            assert star(ctx, f, g) == pairing_product(pairs, f, g)
+    lam = antisym(3, {(0, 1): gr(1), (1, 2): gr(-2, 3)})
+    ctx = StarContext.constant(lam, coupling)
+    assert star(ctx, F3, G3) == pairing_product(coupled_pairs(lam, coupling), F3, G3)
+
+
+def test_star_factors_with_coprime_denominators():
+    ctx = StarContext.weyl(2)
+    pairs = coupled_pairs(standard_j(2), I_HBAR_HALF)
+    f = gpoly(4, {(2, 1, 0, 0): ("1/2", 0), (0, 1, 2, 1): ("1/3", "1/5"), (1, 0, 0, 1): (0, "1/17")})
+    g = gpoly(4, {(0, 2, 1, 0): ("1/7", 0), (1, 0, 2, 1): ("1/11", "-1/13"), (0, 1, 0, 0): ("1/19", 0)})
+    assert star(ctx, f, g) == pairing_product(pairs, f, g)
+    assert star(ctx, g, f) == pairing_product(pairs, g, f)
+
+
+def test_star_real_and_imaginary_parts_cancel():
+    # lambda^{01} = 1: order 1 of (z0 + i z1) * (i z0 - z1) is 1*(-1) from
+    # the real parts and -(i*i) from the imaginary ones, which cancel on the
+    # one key; the emptied state ends the contraction after order 0
+    ctx = simple_ctx()
+    f = gpoly(2, {(1, 0): (1, 0), (0, 1): (0, 1)})
+    g = gpoly(2, {(1, 0): (0, 1), (0, 1): (-1, 0)})
+    assert star(ctx, f, g) == f * g
+    assert len(star_terms(ctx, f, g)) == 1
+    assert len(iterated_terms(ctx, f, g, 3)) == 1
+    # the same cancellation inside a product with terms at orders 1 and 2
+    pairs = coupled_pairs(antisym(2, {(0, 1): gr(1)}), HALF_MU)
+    f2 = f + gpoly(2, {(2, 1): ("1/3", "2/5")})
+    g2 = g + gpoly(2, {(1, 2): ("-3/7", "1/2")})
+    assert star(ctx, f2, g2) == pairing_product(pairs, f2, g2)
+
+
+def test_k_ordered_complex_k_matches_pairing_product():
+    ctx = StarContext.weyl(1)
+    k = OrderingK(
+        (
+            (GaussianRational(rat(1, 3), rat(1, 2)), gr(2, 5)),
+            (gr(2, 5), GaussianRational(0, rat(-1, 7))),
+        )
+    )
+    mixed = tuple(
+        tuple(standard_j(1)[a][b] + k.entries[a][b] for b in range(2)) for a in range(2)
+    )
+    pairs = coupled_pairs(mixed, I_HBAR_HALF)
+    f = gpoly(2, {(3, 0): ("1/2", "1/3"), (1, 2): ("-2/5", 0), (0, 1): (0, "3/7")})
+    g = gpoly(2, {(0, 3): ("5/11", 0), (2, 1): ("1/13", "-1/2"), (1, 0): ("1", 0)})
+    assert star_k_ordered(ctx, k, f, g) == pairing_product(pairs, f, g)
+    assert star_k_ordered(ctx, k, g, f) == pairing_product(pairs, g, f)
+
+
+def factor_orders(ctx, f, g, k_max, iterated) -> list:
+    """Orders 0..k_max of the iterated or the bare fully contracted
+    biderivation, on lists of polynomial factors (p, q, w).
+
+    A step differentiates p in z_a and q in z_b and multiplies by lam[a][b]:
+    into q for the iterated form, where later steps differentiate it, and
+    into w for the contracted form, where none does.
+    """
+    n = ctx.n
+    state = [(f, g, MultiPoly.one(n))]
+    orders = []
+    for _ in range(k_max + 1):
+        orders.append(sum((p * q * w for p, q, w in state), MultiPoly.zero(n)))
+        nxt = []
+        for p, q, w in state:
+            for a in range(n):
+                dp = p.derivative(a)
+                for b in range(n):
+                    entry = ctx.lam[a][b]
+                    dq = q.derivative(b)
+                    if dp.is_zero() or dq.is_zero() or entry.is_zero():
+                        continue
+                    nxt.append((dp, entry * dq, w) if iterated else (dp, dq, w * entry))
+        state = nxt
+    return orders
+
+
+def test_polynomial_lambda_with_fractional_coefficients():
+    z = zvars(3)
+    zero = MultiPoly.zero(3)
+    l01 = z[2].scale_rat(rat(2, 3)) + MultiPoly.const(3, MultiPoly.from_rat(1, 5))
+    l02 = (z[0] * z[1]).scale_gauss(GaussianRational(rat(-1, 7), rat(1, 2)))
+    l12 = z[0].scale_rat(rat(3, 4))
+    lam = ((zero, l01, l02), (-l01, zero, l12), (-l02, -l12, zero))
+    ctx = StarContext(3, lam, HALF_MU)
+    k_max = 4
+    iterated = factor_orders(ctx, F3, G3, k_max, True)
+    contracted = factor_orders(ctx, F3, G3, k_max, False)
+    got = iterated_terms(ctx, F3, G3, k_max)
+    got += [zero] * (k_max + 1 - len(got))
+    assert got == iterated
+    # the iterated form differentiates the entries: it differs from the
+    # contracted one from order 2 on
+    assert iterated[2] != contracted[2]
+    terms = star_terms(ctx, F3, G3)
+    assert len(terms) <= k_max
+    weight = MultiPoly.one(0)
+    for k, term in enumerate(terms):
+        assert term == contracted[k].scale(weight)
+        weight = weight * HALF_MU.scale_rat(rat(1, k + 1))
+    assert all(c.is_zero() for c in contracted[len(terms):])
 
 
 def test_polynomial_lambda_first_order_is_bracket():

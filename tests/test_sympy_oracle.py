@@ -6,10 +6,12 @@ sympy expands with ``series()``, except for exp of a polynomial, where
 ``series()`` takes minutes and its power-series ring (``rs_exp``) is used,
 and the determinant, which is sympy's own of a polynomial matrix.  The
 Riccati pair and the amplitude det^(-1/2) also go through the power-series
-ring (``rs_tan``, ``rs_cos``, ``rs_nth_root``).
+ring (``rs_tan``, ``rs_cos``, ``rs_nth_root``).  Small n=2 Moyal products
+are summed from their defining series with ``sympy.diff``.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +19,7 @@ from starquant.matrices import MatSeries, SqMatrix, riccati_1d, solve_g, tanh_se
 from starquant.poly import MultiPoly
 from starquant.scalars import EXP_ZERO, PARAM_NAMES, GaussianRational, gr, rat
 from starquant.series import TruncSeries
+from starquant.star import StarContext, standard_j, star
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.ring_series import (  # noqa: E402
@@ -218,3 +221,62 @@ def test_solve_g_matches_det_inv_sqrt():
             assert sym_coeffs(solve_g(a, b, ORDER)) == [
                 sympy.Rational(expected.coeff(x**k)) for k in range(ORDER + 1)
             ]
+
+
+def sym_poly(p: MultiPoly, zs, params):
+    """A polynomial with its formal parameters as sympy symbols."""
+    n = p.n
+    return sum(
+        (
+            sym_gauss(c)
+            * sympy.Mul(*(z**e for z, e in zip(zs, key[:n])))
+            * sympy.Mul(*(s**e for s, e in zip(params, key[n:])))
+            for key, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def rand_gauss_poly(rng, n: int, max_deg: int) -> MultiPoly:
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(n)] += 1
+        coef = GaussianRational(
+            rat(rng.randint(-5, 5), rng.randint(1, 7)),
+            rat(rng.randint(-5, 5), rng.randint(1, 7)),
+        )
+        terms[tuple(exps) + EXP_ZERO] = coef
+    return MultiPoly(n, terms)
+
+
+def test_moyal_product_matches_sympy():
+    # f * g = sum_k (i hbar/2)^k / k! * L^{a1 b1} ... L^{ak bk}
+    #         * d_{a1..ak} f * d_{b1..bk} g, with L = [[0, -1], [1, 0]]
+    zs = sympy.symbols("z0 z1")
+    params = sympy.symbols(PARAM_NAMES)
+    hbar = params[PARAM_NAMES.index("hbar")]
+    lam = standard_j(1)
+    pairs = [
+        (zs[a], zs[b], sym_gauss(lam[a][b]))
+        for a in range(2)
+        for b in range(2)
+        if lam[a][b]
+    ]
+    ctx = StarContext.weyl(1)
+    rng = random.Random(107)
+    for _ in range(6):
+        f = rand_gauss_poly(rng, 2, 4)
+        g = rand_gauss_poly(rng, 2, 4)
+        sf, sg = sym_poly(f, zs, params), sym_poly(g, zs, params)
+        expected = sf * sg
+        for k in range(1, 5):
+            weight = (sympy.I * hbar / 2) ** k / sympy.factorial(k)
+            for seq in product(pairs, repeat=k):
+                coef = sympy.Mul(*(c for _, _, c in seq))
+                df = sympy.diff(sf, *(a for a, _, _ in seq))
+                dg = sympy.diff(sg, *(b for _, b, _ in seq))
+                expected += weight * coef * df * dg
+        got = sym_poly(star(ctx, f, g), zs, params)
+        assert sympy.expand(got - expected) == 0
