@@ -15,12 +15,13 @@ only, so a checkout of an older commit can be timed by the same script
 * ``exp_n4_N8``: ``TruncSeries.exp`` of a series with quadratic
   coefficients.
 
-A case runs ``--repeat`` times and records the median and minimum of its
-``time.perf_counter`` wall times and the number of terms of its result.  The
-runs of one label go under ``runs[label]`` next to the backend name, the
-Python version and the machine; other labels already in the file are kept,
-and when both ``before`` and ``after`` exist, ``speedup`` holds the ratio of
-their medians per case.  ``--tiny`` shrinks every case to a smoke test.
+A case runs ``REPEAT`` times and records the median and minimum of its
+``time.perf_counter`` wall times and the number of terms of its result.  A
+run goes under ``runs["before"]`` or ``runs["after"]`` (``--label``) next to
+the backend name, the Python version and the machine; the other side, if
+already in the file, is kept, and once both exist ``speedup`` holds the
+ratio of their medians per case.  ``--tiny`` shrinks every case to a smoke
+test and runs it once.
 Standard library only.
 """
 
@@ -36,6 +37,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 7
 
 
 def _import(src: Path):
@@ -118,15 +120,15 @@ def measure(tiny: bool, repeat: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, type=Path, help="BENCH_*.json to update")
-    ap.add_argument("--label", default="after", help="name of this set of runs")
+    ap.add_argument(
+        "--label", default="after", choices=("before", "after"),
+        help="which side of the change this run times",
+    )
     ap.add_argument(
         "--src", type=Path, default=ROOT / "src", help="package source tree"
     )
-    ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--tiny", action="store_true", help="smoke-test sizes")
     args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
     _import(args.src.resolve())
     from starquant.scalars import rat
 
@@ -135,7 +137,7 @@ def main(argv=None) -> int:
         "backend": f"{backend.__module__}.{backend.__qualname__}",
         "python": platform.python_version(),
         "machine": f"{platform.machine()} {platform.processor() or platform.system()}",
-        "cases": measure(args.tiny, args.repeat),
+        "cases": measure(args.tiny, 1 if args.tiny else REPEAT),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = run

@@ -18,7 +18,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
     bench = load_bench()
     out = tmp_path / "BENCH_smoke.json"
     for label in ("before", "after"):
-        assert bench.main(["--out", str(out), "--label", label, "--tiny", "--repeat", "1"]) == 0
+        assert bench.main(["--out", str(out), "--label", label, "--tiny"]) == 0
     capsys.readouterr()
     data = json.loads(out.read_text())
     names = {
