@@ -124,6 +124,39 @@ JOBS = {
         },
         1,
     ),
+    "verify_jacobi_fails": (
+        {
+            "command": "verify",
+            "inputs": {
+                "suite": "jacobi",
+                "lambda": [
+                    ["0", "(1+i)*mu*z2^2", "0", "z3"],
+                    ["-(1+i)*mu*z2^2", "0", "0", "0"],
+                    ["0", "0", "0", "mu^-1*z1"],
+                    ["-z3", "0", "-mu^-1*z1", "0"],
+                ],
+                "n": 4,
+                "d_max": 2,
+            },
+        },
+        1,
+    ),
+    "verify_jacobi_so3_passes": (
+        {
+            "command": "verify",
+            "inputs": {
+                "suite": "jacobi",
+                "lambda": [
+                    ["0", "(1/2+i)*mu*z2", "-3*z1"],
+                    ["(-1/2-i)*mu*z2", "0", "mu^-1*z0"],
+                    ["3*z1", "-mu^-1*z0", "0"],
+                ],
+                "n": 3,
+                "d_max": 3,
+            },
+        },
+        0,
+    ),
 }
 
 
