@@ -13,14 +13,19 @@ only, so a checkout of an older commit can be timed by the same script
 * ``oracle_n4_N8``, ``oracle_n2_N12``: ``ode_star_exponential`` of a
   quadratic Hamiltonian, the term-by-term oracle of the closed forms;
 * ``exp_n4_N8``: ``TruncSeries.exp`` of a series with quadratic
-  coefficients.
+  coefficients;
+* ``jacobi_so3_d3``, ``jacobi_cyclic_n4_d3``: ``check_jacobi`` at
+  ``d_max`` 3 on the bracket {z_i, z_(i+1)} = z_(i+2), indices mod n: the
+  rotation algebra so(3) at n = 3, which passes, and a non-Poisson bracket
+  at n = 4, which fails.
 
 A case runs ``REPEAT`` times and records the median and minimum of its
 ``time.perf_counter`` wall times and the number of terms of its result.  A
 run goes under ``runs["before"]`` or ``runs["after"]`` (``--label``) next to
 the backend name, the Python version and the machine; the other side, if
 already in the file, is kept, and once both exist ``speedup`` holds the
-ratio of their medians per case.  ``--tiny`` shrinks every case to a smoke
+ratio of their medians per case.  A check's term count is the number of
+monomials it sweeps.  ``--tiny`` shrinks every case to a smoke
 test and runs it once.
 Standard library only.
 """
@@ -34,6 +39,7 @@ import random
 import statistics
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +58,7 @@ def _import(src: Path):
 
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
+    from starquant.grading import check_jacobi
     from starquant.poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
     from starquant.series import TruncSeries
     from starquant.star import StarContext, ode_star_exponential, star
@@ -96,6 +103,22 @@ def cases(tiny: bool) -> list:
         (f"exp_n{n}_N{order}", {"n": n, "N": order},
          lambda: len(series.exp().coeffs[-1].terms))
     )
+    d_max = 1 if tiny else 3
+    for name, n, passes in (("so3", 3, True), ("cyclic_n4", 4, False)):
+        # {z_i, z_(i+1)} = z_(i+2), indices mod n: so(3) at n = 3
+        z = [MultiPoly.variable(n, j) for j in range(n)]
+        lam = [[MultiPoly.zero(n)] * n for _ in range(n)]
+        for i in range(n):
+            j = (i + 1) % n
+            lam[i][j], lam[j][i] = z[(i + 2) % n], -z[(i + 2) % n]
+        ctx = StarContext(n, lam, HALF_MU)
+
+        def run_jacobi(ctx=ctx, n=n, passes=passes, name=name):
+            if check_jacobi(ctx, d_max).passed != passes:
+                raise SystemExit(f"bench: jacobi_{name} gave the wrong verdict")
+            return comb(n + d_max, n)
+
+        out.append((f"jacobi_{name}_d{d_max}", {"n": n, "d_max": d_max}, run_jacobi))
     return out
 
 

@@ -306,7 +306,9 @@ class MatSeries:
         (log det M)' = tr(M^(-1) M').
 
         Times t, its t^k coefficient reads k L_k = tr((M^(-1) t M')_k) for
-        L = log(det M / det M_0); then det M = det(M_0) exp(L).
+        L = log(det M / det M_0); then det M = det(M_0) exp(L).  M_0 must be
+        invertible, as for ``inverse``: det(t I) = t^dim raises
+        ``PreconditionError``.
         """
         t_dm = [m.scale(gr(k)) for k, m in enumerate(self.coeffs)]
         k_log = (self.inverse() * MatSeries(self.dim, self.order, t_dm)).trace()

@@ -138,13 +138,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def text(self) -> str:
         """Canonical text form: "a/b" and "a/b*i" summands, e.g. "3/2-1/3*i"."""
         if not self:

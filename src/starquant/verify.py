@@ -10,6 +10,7 @@ these functions.
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .grading import (
@@ -37,7 +38,8 @@ from .matrices import (
     solve_q,
     tanh_series,
 )
-from .poly import HALF_MU, MultiPoly
+from .poly import HALF_MU, MultiPoly, grlex_key
+from .reports import CheckReport
 from .scalars import EXP_ZERO, GR_ZERO, GaussianRational, accumulate, gr, rat
 from .series import TruncSeries
 from .star import (
@@ -176,6 +178,55 @@ def ordering_line_pairs(line: str, m: int) -> list:
     else:
         raise ValueError(f"unknown ordering line {line!r}")
     return pairs
+
+
+# --- independent Jacobi sweep by nested brackets -----------------------------
+
+
+def poisson_bracket(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """{f, g} = sum_ab lambda^ab d_a f d_b g."""
+    acc = MultiPoly.zero(ctx.n)
+    for a in range(ctx.n):
+        df = f.derivative(a)
+        if df.is_zero():
+            continue
+        for b in range(ctx.n):
+            entry = ctx.lam[a][b]
+            if entry.is_zero():
+                continue
+            dg = g.derivative(b)
+            if dg.is_zero():
+                continue
+            acc = acc + entry * df * dg
+    return acc
+
+
+def jacobi_by_brackets(ctx: StarContext, d_max: int) -> CheckReport:
+    """The report of ``grading.check_jacobi``, from nested brackets.
+
+    Sweeps the unordered triples of monomials of degree <= d_max in grlex
+    order and computes the cyclic sum {f, {g, h}} + {g, {h, f}} + {h, {f, g}}
+    directly, which is deliberately independent of the trivector that
+    ``check_jacobi`` evaluates.  The oracle of the tests.
+    """
+    exps = sorted(
+        (e for e in product(range(d_max + 1), repeat=ctx.n) if sum(e) <= d_max),
+        key=grlex_key,
+    )
+    monos = [MultiPoly.monomial(ctx.n, e) for e in exps]
+    for f, g, h in combinations_with_replacement(monos, 3):
+        jac = (
+            poisson_bracket(ctx, f, poisson_bracket(ctx, g, h))
+            + poisson_bracket(ctx, g, poisson_bracket(ctx, h, f))
+            + poisson_bracket(ctx, h, poisson_bracket(ctx, f, g))
+        )
+        if not jac.is_zero():
+            return CheckReport(
+                passed=False,
+                witness={"f": f.text(), "g": g.text(), "h": h.text()},
+                detail="cyclic Jacobi sum is nonzero",
+            )
+    return CheckReport(passed=True)
 
 
 # --- suites ------------------------------------------------------------------

@@ -23,6 +23,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
     data = json.loads(out.read_text())
     names = {
         "star_n2", "star_n4", "star_n6", "oracle_n4_N2", "oracle_n2_N2", "exp_n4_N2",
+        "jacobi_so3_d1", "jacobi_cyclic_n4_d1",
     }
     for label in ("before", "after"):
         run = data["runs"][label]

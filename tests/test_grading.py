@@ -21,7 +21,9 @@ from starquant.star import StarContext, iterated_terms, star, star_terms
 from starquant.verify import (
     _cyclic_bad_context,
     _so3_context,
+    jacobi_by_brackets,
     rand_antisym,
+    rand_nonzero_gauss,
     rand_poly,
 )
 
@@ -164,6 +166,81 @@ def test_check_jacobi():
     bad = check_jacobi(_cyclic_bad_context(), 3)
     assert not bad.passed
     assert bad.witness == {"f": "z2", "g": "z1", "h": "z0"}
+
+
+def _upper_context(n, upper) -> StarContext:
+    """Context whose antisymmetric matrix has the given entries (i, j), i < j."""
+    lam = [[MultiPoly.zero(n)] * n for _ in range(n)]
+    for (i, j), p in upper.items():
+        lam[i][j], lam[j][i] = p, -p
+    return StarContext(n, lam, HALF_MU)
+
+
+def _rand_form(rng, n, deg) -> MultiPoly:
+    """A random nonzero homogeneous polynomial of degree deg."""
+    total = MultiPoly.zero(n)
+    while total.is_zero():
+        for _ in range(3):
+            exps = [0] * n
+            for _ in range(deg):
+                exps[rng.randrange(n)] += 1
+            coef = MultiPoly.from_gaussian(rand_nonzero_gauss(rng), n)
+            total = total + coef * MultiPoly.monomial(n, exps)
+    return total
+
+
+def _jacobi_cases() -> dict:
+    """name -> (context, whether its bracket satisfies Jacobi)."""
+    rng = random.Random(23)
+    cases = {}
+    for n in (2, 3, 4):
+        lam = rand_antisym(rng, n).rows
+        cases[f"constant-n{n}"] = (StarContext.constant(lam, HALF_MU), True)
+    z = [MultiPoly.variable(3, j) for j in range(3)]
+    a, b, c = (MultiPoly.from_gaussian(rand_nonzero_gauss(rng), 3) for _ in range(3))
+    so3 = {(0, 1): c * z[2], (1, 2): a * z[0], (0, 2): -b * z[1]}
+    cases["so3"] = (_upper_context(3, so3), True)
+    for n in (3, 4):
+        z = [MultiPoly.variable(n, j) for j in range(n)]
+        for kind, q in (
+            ("fraction", lambda: gr(rat(rng.randint(-5, 5), rng.randint(1, 4)))),
+            ("complex", lambda: GaussianRational(rat(rng.randint(-3, 3), 2), 1)),
+        ):
+            logcan = {
+                (i, j): (z[i] * z[j]).scale_gauss(q())
+                for i in range(n)
+                for j in range(i + 1, n)
+            }
+            cases[f"logcan-{kind}-n{n}"] = (_upper_context(n, logcan), True)
+    cases["poly-n2"] = (_upper_context(2, {(0, 1): rand_poly(rng, 2).scale(MU)}), True)
+    cases["cyclic"] = (_cyclic_bad_context(), False)
+    for n in (3, 4):
+        for deg in (1, 2):
+            upper = {
+                (i, j): _rand_form(rng, n, deg)
+                for i in range(n)
+                for j in range(i + 1, n)
+            }
+            cases[f"random-deg{deg}-n{n}"] = (_upper_context(n, upper), False)
+    return cases
+
+
+JACOBI_CASES = _jacobi_cases()
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_CASES))
+def test_check_jacobi_agrees_with_nested_brackets(name):
+    ctx, poisson = JACOBI_CASES[name]
+    top = 4 if ctx.n <= 3 else 3
+    # a passing sweep at the top degree (7770 triples at n = 3 and 4) costs
+    # the oracle seconds, so only the constant cases go that deep
+    if poisson and ctx.n >= 3 and not name.startswith("constant"):
+        top -= 1
+    for d_max in range(top + 1):
+        want = jacobi_by_brackets(ctx, d_max)
+        assert check_jacobi(ctx, d_max) == want, d_max
+        # no triple of constants has a nonzero sum
+        assert want.passed == (poisson or d_max == 0), d_max
 
 
 def test_check_lambda_relation():

@@ -157,6 +157,14 @@ def test_mat_series_inverse_and_det():
                 assert m.det() == a * d - b * c
 
 
+def test_mat_series_det_needs_invertible_constant_term():
+    # det(t I) = t^2, but the Jacobi-formula route inverts M_0 = 0
+    zero, one = SqMatrix.zero(2), SqMatrix.identity(2)
+    t_identity = MatSeries(2, 4, [zero, one, zero, zero, zero])
+    with pytest.raises(PreconditionError, match="matrix is singular"):
+        t_identity.det()
+
+
 def test_solve_q_examples_and_residuals():
     a = SqMatrix(((gr(1), gr(1, 2)), (gr(-1), gr(0))))
     b = SqMatrix(((gr(1, 3), gr(0)), (gr(1), gr(-1, 2))))
@@ -374,7 +382,7 @@ def test_riccati_vs_moyal_examples():
     g, _ = riccati_1d(gr(1), gr(1), gr(0), N)
     for coef in (c.constant_coefficient() for c in g.coeffs):
         for value in coef.terms.values():
-            assert value.is_real
+            assert not value.im
 
 
 def test_first_divergence_reporting():

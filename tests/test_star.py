@@ -3,7 +3,6 @@ import random
 import pytest
 
 from starquant.errors import PreconditionError
-from starquant.grading import poisson_bracket
 from starquant.poly import HALF_MU, HBAR, I_HBAR_HALF, MU, MU_INV, TAU, MultiPoly
 from starquant.scalars import EXP_ZERO, GR_I, PARAM_INDEX, GaussianRational, gr, rat
 from starquant.series import TruncSeries
@@ -20,7 +19,7 @@ from starquant.star import (
     star_k_ordered,
     star_terms,
 )
-from starquant.verify import pairing_product, rand_antisym, rand_poly
+from starquant.verify import pairing_product, poisson_bracket, rand_antisym, rand_poly
 
 
 def simple_ctx() -> StarContext:
