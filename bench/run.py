@@ -25,8 +25,8 @@ run goes under ``runs["before"]`` or ``runs["after"]`` (``--label``) next to
 the backend name, the Python version and the machine; the other side, if
 already in the file, is kept, and once both exist ``speedup`` holds the
 ratio of their medians per case.  A check's term count is the number of
-monomials it sweeps.  ``--tiny`` shrinks every case to a smoke
-test and runs it once.
+monomials it sweeps.  ``--tiny`` shrinks every case to a smoke test and
+runs it once.
 Standard library only.
 """
 

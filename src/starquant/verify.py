@@ -202,12 +202,12 @@ def poisson_bracket(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def jacobi_by_brackets(ctx: StarContext, d_max: int) -> CheckReport:
-    """The report of ``grading.check_jacobi``, from nested brackets.
+    """The report ``grading.check_jacobi`` must give, from nested brackets.
 
     Sweeps the unordered triples of monomials of degree <= d_max in grlex
     order and computes the cyclic sum {f, {g, h}} + {g, {h, f}} + {h, {f, g}}
-    directly, which is deliberately independent of the trivector that
-    ``check_jacobi`` evaluates.  The oracle of the tests.
+    directly, sharing nothing with the trivector that ``check_jacobi``
+    evaluates.  Only the tests call it: it is their oracle.
     """
     exps = sorted(
         (e for e in product(range(d_max + 1), repeat=ctx.n) if sum(e) <= d_max),
