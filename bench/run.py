@@ -17,22 +17,33 @@ only, so a checkout of an older commit can be timed by the same script
 * ``jacobi_so3_d3``, ``jacobi_cyclic_n4_d3``: ``check_jacobi`` at
   ``d_max`` 3 on the bracket {z_i, z_(i+1)} = z_(i+2), indices mod n: the
   rotation algebra so(3) at n = 3, which passes, and a non-Poisson bracket
-  at n = 4, which fails.
+  at n = 4, which fails;
+* ``matmul_n4``: all 256 products of 16 random 4x4 ``SqMatrix``;
+* ``matseries_inverse_n4_N8``, ``matseries_det_n4_N8``: ``MatSeries.inverse``
+  and ``MatSeries.det`` of a random 4x4 matrix series with an invertible
+  t^0 coefficient;
+* ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix.
 
 A case runs ``REPEAT`` times and records the median and minimum of its
 ``time.perf_counter`` wall times and the number of terms of its result.  A
-run goes under ``runs["before"]`` or ``runs["after"]`` (``--label``) next to
+check's term count is the number of monomials it sweeps, and a matrix
+case's the number of nonzero matrices or series coefficients it returns.
+The reference loop of ``perfbench/hostspeed.py`` runs before each repeat
+and after the last one; ``scaled_median_s`` is the median scaled by the
+factor of those samples to the loop's reference host speed, because the
+speed of a shared host drifts between the before and after runs.  A run
+goes under ``runs["before"]`` or ``runs["after"]`` (``--label``) next to
 the backend name, the Python version and the machine; the other side, if
 already in the file, is kept, and once both exist ``speedup`` holds the
-ratio of their medians per case.  A check's term count is the number of
-monomials it sweeps.  ``--tiny`` shrinks every case to a smoke test and
-runs it once.
+ratio of their scaled medians per case.  ``--tiny`` shrinks every case to a
+smoke test and runs it once.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import random
@@ -44,6 +55,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 7
+
+
+def _hostspeed():
+    """The benchmark's reference loop, loaded without importing the rest of
+    ``perfbench``."""
+    spec = importlib.util.spec_from_file_location(
+        "hostspeed", ROOT / "perfbench" / "hostspeed.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _import(src: Path):
@@ -59,6 +81,7 @@ def _import(src: Path):
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
     from starquant.grading import check_jacobi
+    from starquant.matrices import MatSeries, tanh_series
     from starquant.poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
     from starquant.series import TruncSeries
     from starquant.star import StarContext, ode_star_exponential, star
@@ -66,6 +89,7 @@ def cases(tiny: bool) -> list:
         rand_antisym,
         rand_invertible_antisym,
         rand_poly,
+        rand_square,
         rand_symmetric,
     )
 
@@ -119,21 +143,50 @@ def cases(tiny: bool) -> list:
             return comb(n + d_max, n)
 
         out.append((f"jacobi_{name}_d{d_max}", {"n": n, "d_max": d_max}, run_jacobi))
+    n, order = 4, 2 if tiny else 8
+    rng = random.Random(4000)
+    mats = [rand_square(rng, n) for _ in range(4 if tiny else 16)]
+    out.append(
+        (f"matmul_n{n}", {"n": n, "products": len(mats) ** 2},
+         lambda: sum(not (x * y).is_zero() for x in mats for y in mats))
+    )
+    m0 = rand_square(rng, n)
+    while not m0.det():
+        m0 = rand_square(rng, n)
+    mseries = MatSeries(n, order, [m0] + [rand_square(rng, n) for _ in range(order)])
+    out.append(
+        (f"matseries_inverse_n{n}_N{order}", {"n": n, "N": order},
+         lambda: sum(not m.is_zero() for m in mseries.inverse().coeffs))
+    )
+    out.append(
+        (f"matseries_det_n{n}_N{order}", {"n": n, "N": order},
+         lambda: sum(not c.is_zero() for c in mseries.det().coeffs))
+    )
+    a = rand_square(rng, n)
+    out.append(
+        (f"tanh_n{n}_N{order}", {"n": n, "N": order},
+         lambda: sum(not m.is_zero() for m in tanh_series(a, order).coeffs))
+    )
     return out
 
 
 def measure(tiny: bool, repeat: int) -> dict:
+    hostspeed = _hostspeed()
     results = {}
     for name, sizes, thunk in cases(tiny):
-        times = []
+        times, samples = [], []
         for _ in range(repeat):
+            samples.append(hostspeed.sample())
             start = time.perf_counter()
             terms = thunk()
             times.append(time.perf_counter() - start)
+        samples.append(hostspeed.sample())
+        median = statistics.median(times)
         results[name] = {
             **sizes,
             "terms": terms,
-            "median_s": statistics.median(times),
+            "median_s": median,
+            "scaled_median_s": median * hostspeed.factor(samples),
             "min_s": min(times),
             "repeat": repeat,
         }
@@ -167,7 +220,9 @@ def main(argv=None) -> int:
     runs = data["runs"]
     if "before" in runs and "after" in runs:
         data["speedup"] = {
-            name: round(case["median_s"] / runs["after"]["cases"][name]["median_s"], 3)
+            name: round(
+                case["scaled_median_s"] / runs["after"]["cases"][name]["scaled_median_s"], 3
+            )
             for name, case in runs["before"]["cases"].items()
             if name in runs["after"]["cases"]
         }

@@ -11,6 +11,7 @@ schema error, 3 mathematical precondition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -131,7 +132,8 @@ def _gauss_input(value, label: str) -> GaussianRational:
         raise SchemaError(f"bad scalar for {label}: {exc}") from exc
 
 
-def _matrix_input(value, label: str) -> SqMatrix:
+def _matrix_input(value, label: str) -> tuple:
+    """A non-empty square matrix of scalars, as GaussianRational rows."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{label} must be a non-empty matrix (list of rows)")
     rows = []
@@ -139,10 +141,9 @@ def _matrix_input(value, label: str) -> SqMatrix:
         if not isinstance(row, list):
             raise SchemaError(f"{label} rows must be lists")
         rows.append(tuple(_gauss_input(v, label) for v in row))
-    try:
-        return SqMatrix(tuple(rows))
-    except ValueError as exc:
-        raise SchemaError(f"{label}: {exc}") from exc
+    if any(len(row) != len(rows) for row in rows):
+        raise SchemaError(f"{label}: matrix must be square")
+    return tuple(rows)
 
 
 def _lambda_input(data, n: int | None = None) -> tuple:
@@ -215,8 +216,8 @@ def _run_star(job: dict) -> tuple:
 def _run_star_exp(job: dict) -> tuple:
     inputs = job["inputs"]
     n_order = job["truncation"]
-    lam = _matrix_input(_required(inputs, "lambda", "inputs"), "lambda")
-    a_mat = _matrix_input(_required(inputs, "A", "inputs"), "A")
+    lam = SqMatrix(_matrix_input(_required(inputs, "lambda", "inputs"), "lambda"))
+    a_mat = SqMatrix(_matrix_input(_required(inputs, "A", "inputs"), "A"))
     if a_mat.dim != lam.dim:
         raise SchemaError("A must have the size of lambda")
     amplitude, phase = closed_star_exponential(lam, a_mat, n_order)
@@ -257,8 +258,7 @@ def _run_riccati(job: dict) -> tuple:
 
 def _run_ordering(job: dict) -> tuple:
     inputs = job["inputs"]
-    kmat_sq = _matrix_input(_required(inputs, "K", "inputs"), "K")
-    kmat = OrderingK(kmat_sq.rows)
+    kmat = OrderingK(_matrix_input(_required(inputs, "K", "inputs"), "K"))
     n = kmat.n
     if n % 2:
         raise SchemaError("ordering matrices act on an even number of variables")
@@ -377,7 +377,9 @@ def run_job(job: dict) -> tuple:
     return envelope, code, job["output_path"]
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="starquant",
         description="Exact star products, star exponentials and their verifications.",

@@ -5,10 +5,24 @@ power series truncated in t, the Cayley transform that linearizes the
 quadratic flow of the phase matrix, and the one-variable Riccati reduction.
 The closed forms are cross-checked against the term-by-term star-exponential
 recursion from :mod:`starquant.star`.
+
+A ``SqMatrix`` has the layout of FLINT's ``fmpq_mat`` (Hart, "FLINT: Fast
+Library for Number Theory", ICMS 2010): integer numerator rows ``re`` and
+``im`` over one positive denominator ``den``, in lowest terms (the gcd of
+``den`` and every numerator is 1), so equal matrices have equal fields.
+Sums, products and scalings are integer matrix arithmetic followed by one
+gcd normalisation, and a product skips the imaginary passes of a real side.
+``det`` and ``inverse`` run one fraction-free elimination of the numerators
+(Bareiss, Math. Comp. 22, 1968), over the Gaussian integers Z[i] when ``im``
+is nonzero.  ``rows`` builds the GaussianRational entries; it is the only
+way out of the integer layout.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -20,10 +34,146 @@ from .series import TruncSeries, _cauchy
 from .star import StarContext, ode_star_exponential
 
 
-class SqMatrix:
-    """A square matrix with exact GaussianRational entries."""
+def _zeros(dim: int) -> tuple:
+    return ((0,) * dim,) * dim
 
-    __slots__ = ("dim", "rows")
+
+def _is_zero(rows: tuple) -> bool:
+    return not any(map(any, rows))
+
+
+def _matmul(x: tuple, y: tuple) -> tuple:
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
+
+
+def _lin(x: tuple, a: int, y: tuple, b: int) -> tuple:
+    """The integer rows a x + b y."""
+    return tuple(
+        tuple(a * u + b * v for u, v in zip(rx, ry)) for rx, ry in zip(x, y)
+    )
+
+
+def _times(x: tuple, a: int) -> tuple:
+    return tuple(tuple(a * u for u in r) for r in x)
+
+
+class _GaussInt:
+    """An exact Gaussian integer re + im*i: an entry of the elimination over
+    Z[i].  ``//`` is exact division."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __mul__(self, o: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __sub__(self, o: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re - o.re, self.im - o.im)
+
+    def __floordiv__(self, o) -> "_GaussInt":
+        if isinstance(o, int):
+            return _GaussInt(self.re // o, self.im // o)
+        n = o.re * o.re + o.im * o.im
+        return _GaussInt(
+            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
+        )
+
+
+def _bareiss(m: list, jordan: bool):
+    """Fraction-free elimination (Bareiss) of the rows ``m`` in place, with
+    int or ``_GaussInt`` entries, pivoting on the first len(m) columns.
+
+    Step k replaces each entry right of column k, in the rows below the
+    pivot row (every other row when ``jordan``), by (p m_ij - m_ik m_kj) / p'
+    for the pivot p and the previous pivot p'; the division is exact.  The
+    last pivot is then the determinant up to the sign of the row swaps, and
+    with ``jordan`` the columns after the pivot block hold the last pivot
+    times the inverse of the pivot block applied to them.  Returns (last
+    pivot, sign), or None when the pivot block is singular.
+    """
+    d = len(m)
+    width = len(m[0])
+    prev, sign = 1, 1
+    for k in range(d):
+        r = next((r for r in range(k, d) if m[r][k]), None)
+        if r is None:
+            return None
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(d) if jordan else range(k + 1, d):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            m[i] = row[: k + 1] + [
+                (p * row[j] - f * top[j]) // prev for j in range(k + 1, width)
+            ]
+        prev = p
+    return prev, sign
+
+
+def _normal(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
+    """The matrix (re + i im) / den, for den > 0, in lowest terms."""
+    g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+    if g != 1:
+        den //= g
+        re = tuple(tuple(v // g for v in r) for r in re)
+        im = tuple(tuple(v // g for v in r) for r in im)
+    return SqMatrix._raw(dim, den, re, im)
+
+
+def _msum(mats: list) -> "SqMatrix":
+    """The sum of a nonempty list of matrices, over the lcm of their
+    denominators, with one normalisation."""
+    first = mats[0]
+    if any(m.dim != first.dim for m in mats):
+        raise ValueError("dimension mismatch")
+    if len(mats) == 1:
+        return first
+    den = lcm(*(m.den for m in mats))
+    fs = [den // m.den for m in mats]
+
+    def total(parts: list) -> tuple:
+        return tuple(
+            tuple(sum(map(mul, fs, vals)) for vals in zip(*rows)) for rows in zip(*parts)
+        )
+
+    real = all(_is_zero(m.im) for m in mats)
+    return _normal(
+        first.dim,
+        den,
+        total([m.re for m in mats]),
+        first.im if real else total([m.im for m in mats]),
+    )
+
+
+def _mcauchy(a, b, k: int, zero, start: int = 0):
+    """``_cauchy`` for matrix coefficients: the products are summed at once
+    by ``_msum``."""
+    prods = [
+        a[j] * b[k - j]
+        for j in range(start, k + 1)
+        if not (a[j].is_zero() or b[k - j].is_zero())
+    ]
+    return _msum(prods) if prods else zero
+
+
+class SqMatrix:
+    """A square matrix with exact GaussianRational entries, stored as the
+    integer rows ``re`` and ``im`` over the positive denominator ``den``, in
+    lowest terms."""
+
+    __slots__ = ("dim", "den", "re", "im")
 
     def __init__(self, rows: Sequence[Sequence[GaussianRational]]):
         rows = tuple(tuple(r) for r in rows)
@@ -31,24 +181,44 @@ class SqMatrix:
         for r in rows:
             if len(r) != dim:
                 raise ValueError("matrix must be square")
+        # numerators over the lcm of the denominators are in lowest terms
+        den = lcm(*(q.denominator for r in rows for v in r for q in (v.re, v.im)))
+        re = tuple(tuple(v.re.numerator * (den // v.re.denominator) for v in r) for r in rows)
+        im = tuple(tuple(v.im.numerator * (den // v.im.denominator) for v in r) for r in rows)
+        self._set(dim, den, re, im)
+
+    def _set(self, dim: int, den: int, re: tuple, im: tuple) -> None:
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    @staticmethod
+    def _raw(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
+        m = SqMatrix.__new__(SqMatrix)
+        m._set(dim, den, re, im)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("SqMatrix is immutable")
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as GaussianRational rows."""
+        den = self.den
+        return tuple(
+            tuple(GaussianRational._raw(rat(a, den), rat(b, den)) for a, b in zip(r, i))
+            for r, i in zip(self.re, self.im)
+        )
+
     @classmethod
     def zero(cls, dim: int) -> "SqMatrix":
-        return cls(tuple((GR_ZERO,) * dim for _ in range(dim)))
+        return cls._raw(dim, 1, _zeros(dim), _zeros(dim))
 
     @classmethod
     def identity(cls, dim: int) -> "SqMatrix":
-        return cls(
-            tuple(
-                tuple(GR_ONE if i == j else GR_ZERO for j in range(dim))
-                for i in range(dim)
-            )
-        )
+        eye = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        return cls._raw(dim, 1, eye, _zeros(dim))
 
     def one_like(self) -> "SqMatrix":
         return SqMatrix.identity(self.dim)
@@ -56,114 +226,117 @@ class SqMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SqMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        # in lowest terms, equal values have equal fields
+        return (self.den, self.re, self.im) == (other.den, other.re, other.im)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.den, self.re, self.im))
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
-        return SqMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return _msum([self, other])
 
     def __sub__(self, other: "SqMatrix") -> "SqMatrix":
-        return SqMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return _msum([self, -other])
 
     def __neg__(self) -> "SqMatrix":
-        return SqMatrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return SqMatrix._raw(self.dim, self.den, _times(self.re, -1), _times(self.im, -1))
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
         d = self.dim
         if other.dim != d:
             raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append(
-                tuple(
-                    sum(
-                        (a * b for a, b in zip(row, col) if a and b),
-                        GR_ZERO,
-                    )
-                    for col in cols
-                )
-            )
-        return SqMatrix(tuple(out))
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        a_real, b_real = _is_zero(ai), _is_zero(bi)
+        re = _matmul(ar, br)
+        if a_real and b_real:
+            im = ai
+        elif a_real:
+            im = _matmul(ar, bi)
+        elif b_real:
+            im = _matmul(ai, br)
+        else:
+            re = _lin(re, 1, _matmul(ai, bi), -1)
+            im = _lin(_matmul(ar, bi), 1, _matmul(ai, br), 1)
+        return _normal(d, self.den * other.den, re, im)
+
+    def _scaled(self, cre: int, cim: int, cden: int) -> "SqMatrix":
+        """self * (cre + cim*i) / cden for ints, cden > 0."""
+        re, im = self.re, self.im
+        if cim:
+            re, im = _lin(re, cre, im, -cim), _lin(re, cim, im, cre)
+        else:
+            re, im = _times(re, cre), _times(im, cre)
+        return _normal(self.dim, self.den * cden, re, im)
 
     def scale(self, c: GaussianRational) -> "SqMatrix":
-        return SqMatrix(tuple(tuple(a * c for a in r) for r in self.rows))
+        cden = lcm(c.re.denominator, c.im.denominator)
+        return self._scaled(
+            c.re.numerator * (cden // c.re.denominator),
+            c.im.numerator * (cden // c.im.denominator),
+            cden,
+        )
 
     def transpose(self) -> "SqMatrix":
-        return SqMatrix(tuple(zip(*self.rows)))
+        return SqMatrix._raw(
+            self.dim, self.den, tuple(zip(*self.re)), tuple(zip(*self.im))
+        )
 
     def trace(self) -> GaussianRational:
-        acc = GR_ZERO
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
+        den, d = self.den, range(self.dim)
+        return GaussianRational._raw(
+            rat(sum(self.re[i][i] for i in d), den),
+            rat(sum(self.im[i][i] for i in d), den),
+        )
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
+        return self == self.transpose()
 
     def is_antisymmetric(self) -> bool:
         return self == -self.transpose()
 
     def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
+        return _is_zero(self.re) and _is_zero(self.im)
 
-    def _eliminate(self, extra: list) -> tuple:
-        """Forward Gaussian elimination of the rows [self | extra] to upper
-        triangular form, with exact division.
-
-        Returns (det, reduced rows), or (0, None) when self is singular.
-        """
+    def _numerators(self, augment: bool) -> list:
+        """The numerator rows as lists for ``_bareiss``, with the identity
+        appended when ``augment``: ints when real, else ``_GaussInt``s."""
         d = self.dim
-        m = [list(r) + e for r, e in zip(self.rows, extra)]
-        det = GR_ONE
-        for col in range(d):
-            pivot_row = next((r for r in range(col, d) if m[r][col]), None)
-            if pivot_row is None:
-                return GR_ZERO, None
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                det = -det
-            pivot = m[col][col]
-            det = det * pivot
-            inv = pivot.inverse()
-            for r in range(col + 1, d):
-                if m[r][col]:
-                    factor = m[r][col] * inv
-                    m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
-        return det, m
+        eye = [[int(i == j) for j in range(d)] if augment else [] for i in range(d)]
+        if _is_zero(self.im):
+            return [list(r) + e for r, e in zip(self.re, eye)]
+        return [
+            [_GaussInt(a, b) for a, b in zip(r, i)] + [_GaussInt(v, 0) for v in e]
+            for r, i, e in zip(self.re, self.im, eye)
+        ]
 
     def det(self) -> GaussianRational:
-        """Exact determinant by Gaussian elimination with exact division."""
-        return self._eliminate([[]] * self.dim)[0]
+        """Exact determinant, det(numerators) / den^dim, by Bareiss
+        elimination of the numerators."""
+        out = _bareiss(self._numerators(False), False)
+        if out is None:
+            return GR_ZERO
+        p, sign = out
+        pre, pim = (p.re, p.im) if isinstance(p, _GaussInt) else (p, 0)
+        dd = self.den ** self.dim
+        return GaussianRational._raw(rat(sign * pre, dd), rat(sign * pim, dd))
 
     def inverse(self) -> "SqMatrix":
-        """Eliminate [self | I], then back-substitute to [I | self^(-1)]."""
-        d = self.dim
-        _, m = self._eliminate(
-            [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
-        )
-        if m is None:
+        """den * adj(numerators) / det(numerators), from one fraction-free
+        Gauss-Jordan elimination of [numerators | I].  A complex determinant
+        is cleared with its conjugate, so the denominator stays an int."""
+        d, den = self.dim, self.den
+        m = self._numerators(True)
+        out = _bareiss(m, True)
+        if out is None:
             raise PreconditionError("matrix is singular")
-        for col in reversed(range(d)):
-            inv = m[col][col].inverse()
-            m[col] = [v * inv for v in m[col]]
-            for r in range(col):
-                factor = m[r][col]
-                if factor:
-                    m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
-        return SqMatrix(tuple(tuple(row[d:]) for row in m))
+        p = out[0]  # the right half of m is p times the inverse numerators
+        if isinstance(p, _GaussInt):
+            pre, pim = den * p.re, den * p.im
+            re = tuple(tuple(x.re * pre + x.im * pim for x in r[d:]) for r in m)
+            im = tuple(tuple(x.im * pre - x.re * pim for x in r[d:]) for r in m)
+            return _normal(d, p.re * p.re + p.im * p.im, re, im)
+        s = den if p > 0 else -den
+        return _normal(d, abs(p), tuple(tuple(s * x for x in r[d:]) for r in m), _zeros(d))
 
     def to_json(self) -> list:
         return [[v.text() for v in row] for row in self.rows]
@@ -253,7 +426,7 @@ class MatSeries:
     def __mul__(self, other: "MatSeries") -> "MatSeries":
         self._check_compat(other)
         a, b, zero = self.coeffs, other.coeffs, SqMatrix.zero(self.dim)
-        coeffs = tuple(_cauchy(a, b, k, zero) for k in range(self.order + 1))
+        coeffs = tuple(_mcauchy(a, b, k, zero) for k in range(self.order + 1))
         return MatSeries(self.dim, self.order, coeffs)
 
     def scale(self, c: GaussianRational) -> "MatSeries":
@@ -280,9 +453,7 @@ class MatSeries:
         return MatSeries(
             self.dim,
             self.order - 1,
-            tuple(
-                self.coeffs[k + 1].scale(gr(k + 1)) for k in range(self.order)
-            ),
+            tuple(self.coeffs[k + 1]._scaled(k + 1, 0, 1) for k in range(self.order)),
         )
 
     def trace(self) -> TruncSeries:
@@ -298,7 +469,7 @@ class MatSeries:
         zero = SqMatrix.zero(self.dim)
         out = [inv0]
         for k in range(1, self.order + 1):
-            out.append(-(inv0 * _cauchy(self.coeffs, out, k, zero, 1)))
+            out.append(-(inv0 * _mcauchy(self.coeffs, out, k, zero, 1)))
         return MatSeries(self.dim, self.order, tuple(out))
 
     def det(self) -> TruncSeries:
@@ -310,7 +481,7 @@ class MatSeries:
         invertible, as for ``inverse``: det(t I) = t^dim raises
         ``PreconditionError``.
         """
-        t_dm = [m.scale(gr(k)) for k, m in enumerate(self.coeffs)]
+        t_dm = [m._scaled(k, 0, 1) for k, m in enumerate(self.coeffs)]
         k_log = (self.inverse() * MatSeries(self.dim, self.order, t_dm)).trace()
         # the t^0 coefficient of k_log is 0, as that of t M' is
         log = [
@@ -371,11 +542,11 @@ def mat_exp_series(a: SqMatrix, scale: GaussianRational, N: int) -> MatSeries:
     coeffs = [SqMatrix.identity(a.dim)]
     cur = SqMatrix.identity(a.dim)
     sa = a.scale(scale)
-    fact = rat(1)
+    fact = 1
     for k in range(1, N + 1):
         cur = cur * sa
-        fact = fact * k
-        coeffs.append(cur.scale(gr(1 / fact)))
+        fact *= k
+        coeffs.append(cur._scaled(1, 0, fact))
     return MatSeries(a.dim, N, coeffs)
 
 
@@ -385,9 +556,9 @@ def tanh_series(a: SqMatrix, N: int) -> MatSeries:
     zero = SqMatrix.zero(dim)
     coeffs = [zero]
     for k in range(N):
-        sq = _cauchy(coeffs, coeffs, k, zero)  # (T^2)_k
+        sq = _mcauchy(coeffs, coeffs, k, zero)  # (T^2)_k
         rhs = (SqMatrix.identity(dim) - sq) if k == 0 else -sq
-        coeffs.append((a * rhs).scale(gr(1, k + 1)))
+        coeffs.append((a * rhs)._scaled(1, 0, k + 1))
     return MatSeries(dim, N, coeffs)
 
 
@@ -557,8 +728,7 @@ def riccati_vs_moyal(
     Weyl-context oracle for the quadratic a u^2 + b v^2 + 2c uv."""
     ctx = StarContext.weyl(1)
     n = 2
-    quad = SqMatrix(((a, c), (c, b)))
-    h_poly = quadratic_form(quad.rows, n)
+    h_poly = quadratic_form(((a, c), (c, b)), n)
     oracle = ode_star_exponential(ctx, h_poly, N)
     g, h = riccati_1d(a, b, c, N)
     closed = (h.lift(n) * TruncSeries.from_poly(h_poly, N)).exp() * g.lift(n)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +345,35 @@ def test_main_exit_codes(capsys, tmp_path):
     assert main(argv) == 0
     printed = capsys.readouterr().out
     assert out.read_text() == printed
+
+
+def test_main_twice_in_one_process_matches_fresh_processes(tmp_path, capsys):
+    # the argparse parser is built once per process and reused by every call
+    flags = ["--command", "riccati", "--a", "1", "--b", "2", "--c", "-1", "--N", "4"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(star_job()))
+    runs = (flags, ["--job", str(path)])
+    in_process = []
+    for argv in runs:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "starquant.cli", *argv],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for argv in runs
+    ]
+    assert in_process == fresh
+
+
+def test_non_square_ordering_matrix_exits_2(capsys):
+    assert main(["--command", "ordering", "--K", '[["0","1"],["1"]]', "--f", "z0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "K: matrix must be square", "kind": "schema"}
 
 
 def test_job_file(tmp_path, capsys):

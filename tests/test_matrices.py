@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -25,7 +26,7 @@ from starquant.matrices import (
     tanh_series,
 )
 from starquant.poly import HBAR, MU_INV, MultiPoly
-from starquant.scalars import GR_ONE, gr, rat
+from starquant.scalars import GR_ONE, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 from starquant.verify import (
     rand_invertible_antisym,
@@ -86,6 +87,63 @@ def test_check_sp_pair():
     x_bad = SqMatrix(((gr(1), gr(2)), (gr(0), gr(1))))
     rep = check_sp_pair(lam, x_bad)
     assert not rep["lambda_x_symmetric"]
+
+
+# --- integer layout ---------------------------------------------------------
+
+
+def assert_same(x: SqMatrix, y: SqMatrix) -> None:
+    """Equal values have equal fields and equal hashes, in lowest terms."""
+    assert x == y and hash(x) == hash(y)
+    assert x.den > 0
+    assert gcd(x.den, *(v for part in (x.re, x.im) for r in part for v in r)) == 1
+
+
+def test_same_matrix_by_different_routes():
+    rng = random.Random(21)
+    for n in (1, 2, 3, 4):
+        a = rand_square(rng, n)
+        b = rand_square(rng, n)
+        while not b.det():
+            b = rand_square(rng, n)
+        assert_same((a * b) * b.inverse(), a)
+        assert_same(b.inverse() * (b * a), a)
+        assert_same((a + b) - b, a)
+        assert_same(a - a, SqMatrix.zero(n))
+        assert_same(SqMatrix(a.rows), a)
+        assert_same(a.scale(gr(3, 7)).scale(gr(7, 3)), a)
+    for op in (SqMatrix.__add__, SqMatrix.__sub__, SqMatrix.__mul__):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(SqMatrix.identity(2), SqMatrix.identity(3))
+
+
+def test_complex_product_with_cancelling_imaginary_part():
+    # (P + iP)(P - iP) = 2 P^2, whose imaginary part cancels
+    p = SqMatrix(((gr(1, 2), gr(-2, 3)), (gr(3), gr(1, 5))))
+    plus = p + p.scale(GaussianRational(0, 1))
+    minus = p - p.scale(GaussianRational(0, 1))
+    assert plus.im != minus.im and any(map(any, plus.im))
+    want = SqMatrix(((gr(-7, 2), gr(-14, 15)), (gr(21, 5), gr(-98, 25))))
+    assert_same(plus * minus, want)
+    assert_same(plus * minus, (p * p).scale(gr(2)))
+
+
+def test_negative_entries_keep_a_positive_denominator():
+    m = SqMatrix(((gr(-1, 3), gr(0)), (gr(0), gr(-5, 6))))
+    assert (m.den, m.re) == (6, ((-2, 0), (0, -5)))
+    assert_same(-m, m.scale(gr(-1)))
+    # det(m) > 0 here, det < 0 and a complex det below
+    assert_same(m.inverse(), SqMatrix(((gr(-3), gr(0)), (gr(0), gr(-6, 5)))))
+    neg = SqMatrix(((gr(0), gr(-1, 4)), (gr(1, 3), gr(0))))
+    assert neg.det() == gr(1, 12)
+    flip = SqMatrix(((gr(1, 2), gr(0)), (gr(0), gr(-1, 3))))
+    assert flip.det() == gr(-1, 6)
+    assert_same(flip.inverse(), SqMatrix(((gr(2), gr(0)), (gr(0), gr(-3)))))
+    i_half = GaussianRational(0, rat(1, 2))
+    c = SqMatrix(((i_half, gr(1)), (gr(0), GaussianRational(-1, 1))))
+    assert c.det() == GaussianRational(rat(-1, 2), rat(-1, 2))
+    assert_same(c * c.inverse(), SqMatrix.identity(2))
+    assert c.inverse().den > 0
 
 
 # --- matrix series ----------------------------------------------------------

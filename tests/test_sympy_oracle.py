@@ -96,6 +96,46 @@ def rand_matrix(rng, dim: int) -> SqMatrix:
     )
 
 
+def rand_complex_matrix(rng, dim: int) -> SqMatrix:
+    """Entries whose real and imaginary denominators are distinct primes
+    (or 1), so the common denominator grows with every entry."""
+    primes = iter((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131))
+
+    def part():
+        return rat(rng.randint(-9, 9), next(primes) if rng.random() < 0.8 else 1)
+
+    return SqMatrix(
+        tuple(tuple(GaussianRational(part(), part()) for _ in range(dim)) for _ in range(dim))
+    )
+
+
+def sym_matrix(m: SqMatrix):
+    return sympy.Matrix(m.dim, m.dim, lambda i, j: sym_gauss(m.rows[i][j]))
+
+
+def test_matrix_product_det_inverse_match_sympy():
+    rng = random.Random(107)
+    i_third = GaussianRational(rat(1, 2), rat(1, 3))
+    zero = gr(0)
+    # a zero (0, 0) entry forces a row swap; a complex (0, 0) entry is the
+    # first pivot
+    swap = SqMatrix(((zero, i_third, gr(2)), (gr(1, 5), zero, gr(-1)), (gr(3), gr(1), zero)))
+    cpivot = SqMatrix(((i_third, gr(1)), (gr(-1, 7), GaussianRational(0, -2))))
+    mats = [swap, cpivot]
+    for dim in (1, 2, 3, 4):
+        mats += [rand_complex_matrix(rng, dim) for _ in range(3)]
+    for a in mats:
+        b = rand_complex_matrix(rng, a.dim)
+        sa = sym_matrix(a)
+        assert sym_matrix(a * b) == (sa * sym_matrix(b)).expand()
+        det = sympy.expand(sa.det())
+        assert det != 0 and sym_gauss(a.det()) == det
+        # radsimp clears the complex denominators into a + b*I form
+        want = sa.inv().applyfunc(lambda e: sympy.expand(sympy.radsimp(e)))
+        assert sym_matrix(a.inverse()) == want
+
+
 def test_exp_matches_sympy():
     ring, tr = sympy.ring("t", sympy.QQ)
     rng = random.Random(101)
