@@ -74,6 +74,27 @@ JOBS = {
         },
         0,
     ),
+    "star_exp_complex_n4": (
+        {
+            "command": "star-exp",
+            "inputs": {
+                "lambda": [
+                    ["0", "1/7", "2", "0"],
+                    ["-1/7", "0", "0", "1/3*i"],
+                    ["-2", "0", "0", "5/11"],
+                    ["0", "-1/3*i", "-5/11", "0"],
+                ],
+                "A": [
+                    ["1", "i", "0", "0"],
+                    ["i", "2/3", "0", "1/2"],
+                    ["0", "0", "-1", "0"],
+                    ["0", "1/2", "0", "1/2"],
+                ],
+            },
+            "truncation": 6,
+        },
+        0,
+    ),
     "riccati": (
         {
             "command": "riccati",
