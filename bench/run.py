@@ -14,6 +14,13 @@ only, so a checkout of an older commit can be timed by the same script
   quadratic Hamiltonian, the term-by-term oracle of the closed forms;
 * ``exp_n4_N8``: ``TruncSeries.exp`` of a series with quadratic
   coefficients;
+* ``series_mul_n4_N8``: the product of two random series in 4 variables;
+* ``inv_sqrt_N12``: ``TruncSeries.inv_sqrt`` of a random scalar series with
+  complex coefficients and mu^-1;
+* ``series_inverse_n2_N8``: ``TruncSeries.inverse`` of a random series in 2
+  variables with a constant t^0 coefficient;
+* ``expand_n4_N8``: ``expand_closed_form``, the closed-form star
+  exponential expanded in t (amplitude, phase, ``exp`` and the product);
 * ``jacobi_so3_d3``, ``jacobi_cyclic_n4_d3``: ``check_jacobi`` at
   ``d_max`` 3 on the bracket {z_i, z_(i+1)} = z_(i+2), indices mod n: the
   rotation algebra so(3) at n = 3, which passes, and a non-Poisson bracket
@@ -24,19 +31,22 @@ only, so a checkout of an older commit can be timed by the same script
   t^0 coefficient;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix.
 
-A case runs ``REPEAT`` times and records the median and minimum of its
-``time.perf_counter`` wall times and the number of terms of its result.  A
+A case repeats until it has run ``REPEAT`` times and its repeats total at
+least ``MIN_TOTAL_S``, so that a millisecond case is timed as long as a
+slow one, and records the median and minimum of its ``time.perf_counter``
+wall times, the repeat count and the number of terms of its result.  A
 check's term count is the number of monomials it sweeps, and a matrix
 case's the number of nonzero matrices or series coefficients it returns.
-The reference loop of ``perfbench/hostspeed.py`` runs before each repeat
-and after the last one; ``scaled_median_s`` is the median scaled by the
-factor of those samples to the loop's reference host speed, because the
-speed of a shared host drifts between the before and after runs.  A run
-goes under ``runs["before"]`` or ``runs["after"]`` (``--label``) next to
-the backend name, the Python version and the machine; the other side, if
-already in the file, is kept, and once both exist ``speedup`` holds the
-ratio of their scaled medians per case.  ``--tiny`` shrinks every case to a
-smoke test and runs it once.
+The reference loop of ``perfbench/hostspeed.py`` runs before the first
+repeat, before each repeat that follows ``MIN_TOTAL_S / REPEAT`` seconds of
+unsampled repeats, and after the last one; ``scaled_median_s`` is the
+median scaled by the factor of those samples to the loop's reference host
+speed, because the speed of a shared host drifts between the before and
+after runs.  A run goes under ``runs["before"]`` or ``runs["after"]``
+(``--label``) next to the backend name, the Python version and the
+machine; the other side, if already in the file, is kept, and once both
+exist ``speedup`` holds the ratio of their scaled medians per case.
+``--tiny`` shrinks every case to a smoke test and runs it once.
 Standard library only.
 """
 
@@ -55,6 +65,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 7
+# the least total time of a case's repeats, in seconds
+MIN_TOTAL_S = 0.5
 
 
 def _hostspeed():
@@ -81,8 +93,9 @@ def _import(src: Path):
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
     from starquant.grading import check_jacobi
-    from starquant.matrices import MatSeries, tanh_series
+    from starquant.matrices import MatSeries, expand_closed_form, tanh_series
     from starquant.poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
+    from starquant.scalars import GaussianRational, rat
     from starquant.series import TruncSeries
     from starquant.star import StarContext, ode_star_exponential, star
     from starquant.verify import (
@@ -127,6 +140,47 @@ def cases(tiny: bool) -> list:
         (f"exp_n{n}_N{order}", {"n": n, "N": order},
          lambda: len(series.exp().coeffs[-1].terms))
     )
+    rng = random.Random(3001)
+    pair = [
+        TruncSeries(n, order, [rand_poly(rng, n, 3, 8) for _ in range(order + 1)])
+        for _ in range(2)
+    ]
+    out.append(
+        (f"series_mul_n{n}_N{order}", {"n": n, "N": order},
+         lambda: len((pair[0] * pair[1]).coeffs[-1].terms))
+    )
+    order = 2 if tiny else 12
+    rng = random.Random(3002)
+    scalars = [MultiPoly.one(0)] + [
+        MultiPoly.from_gaussian(
+            GaussianRational(rat(rng.randint(-5, 5), rng.randint(1, 9)),
+                             rat(rng.randint(-5, 5), rng.randint(1, 9)))
+        ).scale(MultiPoly.param("mu", rng.randint(-1, 1)))
+        for _ in range(order)
+    ]
+    scalar_series = TruncSeries(0, order, scalars)
+    out.append(
+        (f"inv_sqrt_N{order}", {"n": 0, "N": order},
+         lambda: len(scalar_series.inv_sqrt().coeffs[-1].terms))
+    )
+    n, order = 2, 2 if tiny else 8
+    rng = random.Random(3003)
+    unit = MultiPoly.from_gaussian(GaussianRational(rat(2, 3), rat(1, 5)), n)
+    inv_series = TruncSeries(
+        n, order, [unit] + [rand_poly(rng, n, 3, 6) for _ in range(order)]
+    )
+    out.append(
+        (f"series_inverse_n{n}_N{order}", {"n": n, "N": order},
+         lambda: len(inv_series.inverse().coeffs[-1].terms))
+    )
+    n, order = 4, 2 if tiny else 8
+    rng = random.Random(3004)
+    lam, a_mat = rand_invertible_antisym(rng, n), rand_symmetric(rng, n)
+    out.append(
+        (f"expand_n{n}_N{order}", {"n": n, "N": order},
+         lambda lam=lam, a_mat=a_mat, order=order:
+         len(expand_closed_form(lam, a_mat, order).coeffs[-1].terms))
+    )
     d_max = 1 if tiny else 3
     for name, n, passes in (("so3", 3, True), ("cyclic_n4", 4, False)):
         # {z_i, z_(i+1)} = z_(i+2), indices mod n: so(3) at n = 3
@@ -170,16 +224,22 @@ def cases(tiny: bool) -> list:
     return out
 
 
-def measure(tiny: bool, repeat: int) -> dict:
+def measure(tiny: bool) -> dict:
     hostspeed = _hostspeed()
     results = {}
     for name, sizes, thunk in cases(tiny):
         times, samples = [], []
-        for _ in range(repeat):
-            samples.append(hostspeed.sample())
+        unsampled = MIN_TOTAL_S
+        while not times or not tiny and (
+            len(times) < REPEAT or sum(times) < MIN_TOTAL_S
+        ):
+            if unsampled >= MIN_TOTAL_S / REPEAT:
+                samples.append(hostspeed.sample())
+                unsampled = 0.0
             start = time.perf_counter()
             terms = thunk()
             times.append(time.perf_counter() - start)
+            unsampled += times[-1]
         samples.append(hostspeed.sample())
         median = statistics.median(times)
         results[name] = {
@@ -188,7 +248,7 @@ def measure(tiny: bool, repeat: int) -> dict:
             "median_s": median,
             "scaled_median_s": median * hostspeed.factor(samples),
             "min_s": min(times),
-            "repeat": repeat,
+            "repeat": len(times),
         }
     return results
 
@@ -213,7 +273,7 @@ def main(argv=None) -> int:
         "backend": f"{backend.__module__}.{backend.__qualname__}",
         "python": platform.python_version(),
         "machine": f"{platform.machine()} {platform.processor() or platform.system()}",
-        "cases": measure(args.tiny, 1 if args.tiny else REPEAT),
+        "cases": measure(args.tiny),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = run

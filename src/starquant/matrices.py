@@ -30,7 +30,7 @@ from .grading import decompose
 from .poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
 from .reports import CheckReport
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat
-from .series import TruncSeries, _cauchy
+from .series import TruncSeries, _cauchy, _mul, _series
 from .star import StarContext, ode_star_exponential
 
 
@@ -708,17 +708,16 @@ def riccati_1d(
     adjoined.  D = 0 degenerates to h = t, g = 1.
     """
     d = c * c - a * b
-    eps = MultiPoly.param("hbar", 2, d)  # the combination hbar^2 D
-    zero, one = MultiPoly.zero(0), MultiPoly.one(0)
-    hc = [zero] * (N + 1)
-    gc = [one] + [zero] * N
+    eps = MultiPoly.param("hbar", 2, d).numerators()  # the combination hbar^2 D
+    zero, one = MultiPoly.zero(0).numerators(), MultiPoly.one(0).numerators()
+    hc, gc, eh = [zero], [one], [zero]  # eh holds the coefficients of eps * h
     for k in range(N):
-        h_sq = _cauchy(hc, hc, k, zero)
-        g_h = _cauchy(gc, hc, k, zero)
-        rhs = (one if k == 0 else zero) + eps * h_sq
-        hc[k + 1] = rhs.scale_rat(rat(1, k + 1))
-        gc[k + 1] = (eps * g_h).scale_rat(rat(1, k + 1))
-    return TruncSeries(0, N, gc), TruncSeries(0, N, hc)
+        # (k+1) h_{k+1} = [k = 0] + (eps h^2)_k, (k+1) g_{k+1} = (g eps h)_k
+        h_next = one if k == 0 else _cauchy(eh, hc, k, div=k + 1)
+        gc.append(_cauchy(gc, eh, k, div=k + 1))
+        hc.append(h_next)
+        eh.append(_mul(eps, h_next))
+    return _series(0, gc), _series(0, hc)
 
 
 def riccati_vs_moyal(

@@ -11,6 +11,11 @@ This is the sparse distributed layout of dedicated computer-algebra systems
 (Monagan & Pearce, "Sparse polynomial division using a heap", JSC 2011;
 FLINT's ``fmpq_mpoly``).
 
+The contraction engine and the series recurrences work below this type on
+integer numerators over one denominator, the layout of FLINT's
+``fmpq_poly``; :meth:`MultiPoly.numerators` and
+:meth:`MultiPoly.from_numerators` convert to and from them.
+
 A scalar -- a Laurent combination of the parameters, such as the coupling
 mu/2 -- is a ``MultiPoly`` with n = 0, whose keys are the parameter tails
 alone; ``const`` embeds it in n variables and ``scale`` multiplies by it.
@@ -24,6 +29,7 @@ more than one summand; a scalar prints bare.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -35,6 +41,7 @@ from .scalars import (
     INVERTIBLE_PARAMS,
     PARAM_INDEX,
     PARAM_NAMES,
+    RAT_ZERO,
     GaussianRational,
     accumulate,
     gr,
@@ -112,6 +119,24 @@ class MultiPoly:
         return cls.from_gaussian(gr(num, den))
 
     @classmethod
+    def from_numerators(cls, n: int, re: dict, im: dict, den: int) -> "MultiPoly":
+        """The MultiPoly whose coefficient at each key has real part
+        re[key]/den and imaginary part im[key]/den (a missing key reads 0):
+        one GaussianRational per key with a nonzero part.  Inverse of
+        :meth:`numerators`; the keys are trusted."""
+        terms = {}
+        for key, p in re.items():
+            q = im.get(key, 0)
+            if p or q:
+                terms[key] = GaussianRational._raw(
+                    rat(p, den) if p else RAT_ZERO, rat(q, den) if q else RAT_ZERO
+                )
+        for key, q in im.items():
+            if q and key not in re:
+                terms[key] = GaussianRational._raw(RAT_ZERO, rat(q, den))
+        return cls._raw(n, terms)
+
+    @classmethod
     def param(cls, name: str, k: int = 1, coef: GaussianRational = GR_ONE) -> "MultiPoly":
         """The scalar coef * name**k."""
         tail = [0] * NPARAM
@@ -144,6 +169,16 @@ class MultiPoly:
         return MultiPoly._raw(
             0, {key[n:]: c for key, c in self.terms.items() if not any(key[:n])}
         )
+
+    def numerators(self) -> tuple:
+        """(re, im, den): the real and the imaginary parts of the
+        coefficients as integer numerators over ``den``, the lcm of their
+        denominators, each map keyed like ``terms`` and without zero parts.
+        ``den`` is positive and the gcd of ``den`` and every numerator is 1;
+        the zero polynomial gives ({}, {}, 1)."""
+        den = common_den(self.terms.values())
+        re, im = numerator_parts(self.terms.items(), den)
+        return dict(re), dict(im), den
 
     def is_homogeneous(self) -> bool:
         n = self.n
@@ -341,6 +376,22 @@ class MultiPoly:
             key = _checked_key(n, exps + tail)
             accumulate(acc, key, GaussianRational.parse(entry["value"]))
         return cls._raw(n, acc)
+
+
+def common_den(coefs) -> int:
+    """The lcm of the denominators of the parts of Gaussian rationals (1 for
+    none)."""
+    return lcm(*(q.denominator for c in coefs for q in (c.re, c.im)))
+
+
+def numerator_parts(items, den: int) -> tuple:
+    """(item, GaussianRational) pairs as (item, numerator) lists of the real
+    and of the imaginary parts over ``den``, a multiple of every
+    denominator, without zero parts.  ``items`` is read twice."""
+    return (
+        [(x, c.re.numerator * (den // c.re.denominator)) for x, c in items if c.re],
+        [(x, c.im.numerator * (den // c.im.denominator)) for x, c in items if c.im],
+    )
 
 
 def _checked_key(n: int, key: Iterable[int]) -> tuple:

@@ -11,23 +11,86 @@ O(N^2) recurrence of a defining equation (Brent & Kung, J. ACM 25(4), 1978;
 Knuth, TAOCP vol. 2, 4.7): ``inverse`` from S X = 1, ``inv_sqrt`` from the
 flow 2 S r' = -S' r and ``exp`` from the flow F' = S' F.  Each step is one
 Cauchy sum, :func:`_cauchy`, which also gives the product.
+
+The recurrences run on integers, in the layout of FLINT's ``fmpq_poly``
+(Hart, ICMS 2010).  Each input coefficient is converted once to a triple
+(re, im, den) by :meth:`MultiPoly.numerators`: the integer numerators of
+the real and imaginary parts, keyed by the flat ``MultiPoly`` key, over
+one positive denominator.  A Cauchy sum multiplies ints under summed keys,
+skipping the imaginary passes of a real side, adds its products over the
+lcm of their denominators and divides by one gcd, so every triple stays
+in lowest terms.  Each output coefficient is built once by
+:meth:`MultiPoly.from_numerators`.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+from operator import add
+
 from .errors import PreconditionError
 from .poly import MultiPoly
-from .scalars import rat
 
 
-def _cauchy(a, b, k: int, zero, start: int = 0):
-    """sum_{j=start..k} a[j] * b[k-j], skipping zero factors; ``zero`` is the
-    empty sum.  Works for any ring elements with ``is_zero``."""
-    acc = zero
+def _acc(out: dict, left: dict, right: dict, m: int) -> None:
+    """out += m * left * right for numerator maps keyed by exponent keys."""
+    for ea, p in left.items():
+        p *= m
+        for eb, q in right.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0) + p * q
+
+
+def _cauchy(a, b, k: int, start: int = 0, weights=None, div: int = 1) -> tuple:
+    """The triple (sum_{j=start..k} w_j a[j] b[k-j]) / div of the triples in
+    a and b, where w_j is weights[j] (1 without weights) and div > 0.
+
+    Zero factors are skipped.  A product is over the product of its
+    factors' denominators; the sum scales each by lcm // den to the lcm of
+    those, and then divides by the gcd of the denominator and every
+    numerator.
+    """
+    products = []
     for j in range(start, k + 1):
-        if not (a[j].is_zero() or b[k - j].is_zero()):
-            acc = acc + a[j] * b[k - j]
-    return acc
+        x, y = a[j], b[k - j]
+        w = 1 if weights is None else weights[j]
+        if w and (x[0] or x[1]) and (y[0] or y[1]):
+            products.append((x, y, w))
+    den = lcm(*(x[2] * y[2] for x, y, _ in products))
+    re: dict = {}
+    im: dict = {}
+    for (xre, xim, xden), (yre, yim, yden), w in products:
+        m = w * (den // (xden * yden))
+        if xre and yre:
+            _acc(re, xre, yre, m)
+        if xim and yim:
+            _acc(re, xim, yim, -m)
+        if xre and yim:
+            _acc(im, xre, yim, m)
+        if xim and yre:
+            _acc(im, xim, yre, m)
+    re = {e: v for e, v in re.items() if v}
+    im = {e: v for e, v in im.items() if v}
+    den *= div
+    g = gcd(den, *re.values(), *im.values())
+    if g == 1:
+        return re, im, den
+    return (
+        {e: v // g for e, v in re.items()},
+        {e: v // g for e, v in im.items()},
+        den // g,
+    )
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """The triple of the product of two triples."""
+    return _cauchy((x,), (y,), 0)
+
+
+def _series(n: int, triples) -> "TruncSeries":
+    """The series whose coefficients have the numerator triples given."""
+    coeffs = tuple(MultiPoly.from_numerators(n, *x) for x in triples)
+    return TruncSeries._raw(n, len(coeffs) - 1, coeffs)
 
 
 class TruncSeries:
@@ -150,9 +213,9 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compat(other)
-        a, b, zero = self.coeffs, other.coeffs, MultiPoly.zero(self.n)
-        coeffs = tuple(_cauchy(a, b, k, zero) for k in range(self.order + 1))
-        return TruncSeries._raw(self.n, self.order, coeffs)
+        a = [c.numerators() for c in self.coeffs]
+        b = [c.numerators() for c in other.coeffs]
+        return _series(self.n, (_cauchy(a, b, k) for k in range(self.order + 1)))
 
     def scale(self, coef: MultiPoly) -> "TruncSeries":
         """Multiply by a scalar (a 0-variable MultiPoly)."""
@@ -192,12 +255,14 @@ class TruncSeries:
         no non-invertible formal parameters).
         """
         lead = self._leading_unit()
-        inv0 = lead.inverse()  # raises for zero / non-invertible scalars
-        zero = MultiPoly.zero(self.n)
-        out = [MultiPoly.const(self.n, inv0)]
+        # raises for zero / non-invertible scalars
+        inv0 = MultiPoly.const(self.n, lead.inverse())
+        neg_inv0 = (-inv0).numerators()
+        s = [c.numerators() for c in self.coeffs]
+        out = [inv0.numerators()]
         for k in range(1, self.order + 1):
-            out.append((-_cauchy(self.coeffs, out, k, zero, 1)).scale(inv0))
-        return TruncSeries._raw(self.n, self.order, tuple(out))
+            out.append(_mul(_cauchy(s, out, k, 1), neg_inv0))
+        return _series(self.n, out)
 
     def inv_sqrt(self) -> "TruncSeries":
         """The series r with r^2 * self = 1 and r(0) = 1, from the flow
@@ -208,27 +273,24 @@ class TruncSeries:
         """
         if self._leading_unit() != MultiPoly.one(0):
             raise PreconditionError("inv_sqrt requires leading coefficient 1")
-        zero = MultiPoly.zero(self.n)
-        ds = [c.scale_rat(j) for j, c in enumerate(self.coeffs)]
-        out = [MultiPoly.one(self.n)]
+        s = [c.numerators() for c in self.coeffs]
+        out = [MultiPoly.one(self.n).numerators()]
         for k in range(1, self.order + 1):
-            # 2k r_k = -2k sum_j s_j r_{k-j} + sum_j j s_j r_{k-j}
-            plain = _cauchy(self.coeffs, out, k, zero, 1)
-            weighted = _cauchy(ds, out, k, zero, 1).scale_rat(rat(1, 2 * k))
-            out.append(weighted - plain)
-        return TruncSeries._raw(self.n, self.order, tuple(out))
+            weights = [j - 2 * k for j in range(k + 1)]
+            out.append(_cauchy(s, out, k, 1, weights, 2 * k))
+        return _series(self.n, out)
 
     def exp(self) -> "TruncSeries":
         """Series exponential of a series S with S_0 = 0, from the flow
         F' = S' F: k F_k = sum_{j=1..k} j S_j F_{k-j}."""
         if not self.coeffs[0].is_zero():
             raise PreconditionError("exp requires a zero t^0 coefficient")
-        zero = MultiPoly.zero(self.n)
-        ds = [c.scale_rat(j) for j, c in enumerate(self.coeffs)]
-        out = [MultiPoly.one(self.n)]
+        s = [c.numerators() for c in self.coeffs]
+        out = [MultiPoly.one(self.n).numerators()]
+        j_weights = range(self.order + 1)
         for k in range(1, self.order + 1):
-            out.append(_cauchy(ds, out, k, zero, 1).scale_rat(rat(1, k)))
-        return TruncSeries._raw(self.n, self.order, tuple(out))
+            out.append(_cauchy(s, out, k, 1, j_weights, k))
+        return _series(self.n, out)
 
     def __repr__(self) -> str:
         body = " + ".join(

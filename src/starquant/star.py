@@ -34,7 +34,8 @@ parameter tail and scales the coefficient.
 
 The state of an order holds no rationals: two maps, ``re`` and ``im``, from
 keys to the integer numerators of the real and imaginary parts, over one
-denominator ``den`` for the whole order.  The kernel (:func:`_entries`)
+denominator ``den`` for the whole order, split as by
+:meth:`MultiPoly.numerators`.  The kernel (:func:`_entries`)
 stores its coefficients the same way, over the lcm ``D`` of their
 denominators, so a step multiplies Python ints only -- numerator times the
 two exponents times the kernel numerator -- in up to four passes (re*re,
@@ -42,7 +43,8 @@ minus im*im, re*im, im*re; real inputs need one), and multiplies ``den`` by
 ``D`` and, with a coupling, by k for the 1/k!.  Summing the n-variable
 groups of a key (x + y, or x + y + w) and keeping the tail turns it back
 into a ``MultiPoly`` key; the collapse sums numerators, and only then is one
-GaussianRational built per output term.  A product summed over all orders
+GaussianRational built per output term
+(:meth:`MultiPoly.from_numerators`).  A product summed over all orders
 (:func:`star`) adds the orders as numerators over the last order's
 denominator, which every earlier one divides.
 """
@@ -51,17 +53,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from math import lcm
 from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .poly import I_HBAR_HALF, MultiPoly
+from .poly import I_HBAR_HALF, MultiPoly, common_den, numerator_parts
 from .scalars import (
     EXP_ZERO,
     GR_ONE,
     PARAM_NAMES,
-    RAT_ZERO,
     GaussianRational,
     accumulate,
     gr,
@@ -260,25 +260,6 @@ class _Kernel(NamedTuple):
     factorial: bool
 
 
-def _num(q, den: int) -> int:
-    """The numerator of the rational q over the denominator den."""
-    return q.numerator * (den // q.denominator)
-
-
-def _common_den(coefs) -> int:
-    """The lcm of the denominators of the parts of Gaussian rationals."""
-    return lcm(*(q.denominator for c in coefs for q in (c.re, c.im)))
-
-
-def _parts(items: list, den: int) -> tuple:
-    """(item, GaussianRational) pairs as (item, numerator) lists of the real
-    and of the imaginary parts over ``den``, without zero parts."""
-    return (
-        [(x, _num(c.re, den)) for x, c in items if c.re],
-        [(x, _num(c.im, den)) for x, c in items if c.im],
-    )
-
-
 def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
     """The contraction kernel of a matrix of polynomials.
 
@@ -291,7 +272,8 @@ def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
     ``coupling`` multiplies every step once, so each shift pairs with each
     coupling term, whose parameter exponents add to the tail and whose
     coefficient multiplies.  The coefficients are then split into real and
-    imaginary numerators over the lcm of their denominators.
+    imaginary numerators over the lcm of their denominators
+    (:func:`starquant.poly.numerator_parts`).
     """
     width = 3 * n if offset == 2 * n else 2 * n
     factors = [(EXP_ZERO, GR_ONE)] if coupling is None else coupling.terms.items()
@@ -310,11 +292,11 @@ def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
                     shifts.append((tuple(shift) + tail, coef * c))
             if shifts:
                 steps.append((a, n + b, shifts))
-    den = _common_den(c for _, _, shifts in steps for _, c in shifts)
+    den = common_den(c for _, _, shifts in steps for _, c in shifts)
     re: list = []
     im: list = []
     for a, b, shifts in steps:
-        for out, part in zip((re, im), _parts(shifts, den)):
+        for out, part in zip((re, im), numerator_parts(shifts, den)):
             if part:
                 out.append((a, b, part))
     return _Kernel(width, den, re, im, coupling is not None)
@@ -396,9 +378,9 @@ def _split(p: MultiPoly, pad: tuple = ()) -> tuple:
     """The real and imaginary numerator lists of p's terms, keyed by
     (z exponents + pad, tail), and their common denominator."""
     n = p.n
-    den = _common_den(p.terms.values())
+    den = common_den(p.terms.values())
     items = [((e[:n] + pad, e[n:]), c) for e, c in p.terms.items()]
-    return (*_parts(items, den), den)
+    return (*numerator_parts(items, den), den)
 
 
 def _collapse(n: int, width: int, state: dict) -> dict:
@@ -445,26 +427,10 @@ def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
         yield _collapse(n, width, re), _collapse(n, width, im), den
 
 
-def _poly(n: int, re: dict, im: dict, den: int) -> MultiPoly:
-    """The MultiPoly with numerator maps re and im over den: one
-    GaussianRational per nonzero term."""
-    terms = {}
-    for key, p in re.items():
-        q = im.get(key, 0)
-        if p or q:
-            terms[key] = GaussianRational._raw(
-                rat(p, den) if p else RAT_ZERO, rat(q, den) if q else RAT_ZERO
-            )
-    for key, q in im.items():
-        if q and key not in re:
-            terms[key] = GaussianRational._raw(RAT_ZERO, rat(q, den))
-    return MultiPoly._raw(n, terms)
-
-
 def _contraction(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
     """Yield the contraction terms of f and g as polynomials, order 0 first."""
     for re, im, den in _orders(kernel, f, g):
-        yield _poly(f.n, re, im, den)
+        yield MultiPoly.from_numerators(f.n, re, im, den)
 
 
 def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPoly:
@@ -482,7 +448,7 @@ def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPol
         for out, part in ((re, ore), (im, oim)):
             for key, v in part.items():
                 out[key] = out.get(key, 0) + v * m
-    return _poly(f.n, re, im, den * div)
+    return MultiPoly.from_numerators(f.n, re, im, den * div)
 
 
 def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:

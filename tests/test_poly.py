@@ -147,3 +147,39 @@ def test_degree_and_homogeneity():
     assert (z0 * z1 + z0 ** 2).degree() == 2
     assert (z0 * z1 + z0 ** 2).is_homogeneous()
     assert not (z0 + z0 ** 2).is_homogeneous()
+
+
+def test_numerators_round_trip():
+    from math import gcd
+
+    i = GaussianRational(0, 1)
+    zero = MultiPoly.zero(2)
+    assert zero.numerators() == ({}, {}, 1)
+    assert MultiPoly.from_numerators(2, {}, {}, 1) == zero
+    # pure-imaginary terms, negative mu exponents, negative parts
+    p = MultiPoly(2, {
+        (1, 0, -1, 0, 0): GaussianRational(0, rat(-2, 3)),
+        (0, 2, -2, 1, 0): GaussianRational(rat(5, 6), rat(-1, 4)),
+        (0, 0, 0, 0, 1): GaussianRational(rat(-7, 10)),
+    })
+    re, im, den = p.numerators()
+    assert den == 60 and (1, 0, -1, 0, 0) not in re
+    assert re == {(0, 2, -2, 1, 0): 50, (0, 0, 0, 0, 1): -42}
+    assert im == {(1, 0, -1, 0, 0): -40, (0, 2, -2, 1, 0): -15}
+    assert MultiPoly.from_numerators(2, re, im, den) == p
+    rng = random.Random(17)
+    for n in (0, 1, 3):
+        for _ in range(10):
+            deg = 4 if n else 0
+            imag = rand_poly(rng, n, deg).scale_gauss(i * gr(1, rng.randint(1, 9)))
+            q = rand_poly(rng, n, deg) + imag
+            q = q.scale(MultiPoly.param("mu", rng.randint(-2, 2)))
+            re, im, den = q.numerators()
+            assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
+            assert all(re.values()) and all(im.values())
+            assert MultiPoly.from_numerators(n, re, im, den) == q
+            # numerators not in lowest terms, and zero numerators, read the same
+            re6 = {e: 6 * v for e, v in re.items()}
+            im6 = {e: 6 * v for e, v in im.items()}
+            re6[(0,) * (n + 3)] = re6.get((0,) * (n + 3), 0)
+            assert MultiPoly.from_numerators(n, re6, im6, 6 * den) == q

@@ -5,7 +5,7 @@ import pytest
 
 from starquant.errors import PreconditionError
 from starquant.poly import HBAR, MultiPoly
-from starquant.scalars import gr, rat
+from starquant.scalars import GaussianRational, gr, rat
 from starquant.series import TruncSeries
 
 N = 8
@@ -245,3 +245,36 @@ def test_dt_and_lift():
     assert lifted.coeffs[2] == MultiPoly.one(3)
     with pytest.raises(PreconditionError):
         TruncSeries.one(0, 0).dt()
+
+
+def test_cauchy_sums_stay_in_lowest_terms():
+    # (sum_j (j - 5) a_j b_{3-j}) / 12 on complex coefficients whose
+    # denominators share factors, so the sum needs the gcd division
+    from math import gcd
+
+    from starquant.series import _cauchy
+
+    rng = random.Random(23)
+    z = MultiPoly.variable(1, 0)
+    for _ in range(20):
+        a = [
+            MultiPoly.from_gaussian(
+                GaussianRational(
+                    rat(rng.randint(-6, 6), rng.choice((2, 4, 6, 9))),
+                    rat(rng.randint(-6, 6), rng.choice((3, 6))),
+                ),
+                1,
+            ).scale(MultiPoly.param("mu", rng.randint(-1, 1)))
+            + z.scale_rat(rat(rng.randint(-4, 4), rng.choice((2, 8))))
+            for _ in range(4)
+        ]
+        b = [c.scale_gauss(GaussianRational(0, 1)) for c in reversed(a)]
+        want = MultiPoly.zero(1)
+        for j in range(4):
+            want = want + (a[j] * b[3 - j]).scale_rat(rat(j - 5))
+        a3 = [c.numerators() for c in a]
+        b3 = [c.numerators() for c in b]
+        re, im, den = _cauchy(a3, b3, 3, 0, range(-5, -1), 12)
+        assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
+        assert all(re.values()) and all(im.values())
+        assert MultiPoly.from_numerators(1, re, im, den) == want.scale_rat(rat(1, 12))

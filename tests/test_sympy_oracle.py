@@ -7,7 +7,11 @@ sympy expands with ``series()``, except for exp of a polynomial, where
 and the determinant, which is sympy's own of a polynomial matrix.  The
 Riccati pair and the amplitude det^(-1/2) also go through the power-series
 ring (``rs_tan``, ``rs_cos``, ``rs_nth_root``).  Small n=2 Moyal products
-are summed from their defining series with ``sympy.diff``.
+are summed from their defining series with ``sympy.diff``.  Two-variable
+series with complex coefficients and mu^-1 go through sympy's sparse
+polynomial ring over the Gaussian rationals, through t^6: the product and
+exp (as the power sum of S^m/m!) against sympy's own, inverse and inv_sqrt
+through their defining identities X S = 1 and r^2 S = 1.
 """
 
 import random
@@ -320,3 +324,106 @@ def test_moyal_product_matches_sympy():
                 expected += weight * coef * df * dg
         got = sym_poly(star(ctx, f, g), zs, params)
         assert sympy.expand(got - expected) == 0
+
+
+# --- two-variable series with complex coefficients and mu^-1 ----------------
+
+SERIES_ORDER = 6
+# sympy's sparse polynomial ring over the Gaussian rationals; mu^-1 is
+# cleared by a power of mu before a series enters it
+RING, RT, RZ0, RZ1, RMU = sympy.ring("t z0 z1 mu", sympy.QQ_I)
+
+
+def rand_laurent_coef(rng, primes) -> MultiPoly:
+    """One or two terms of degree <= 2 in z0, z1 with mu^-1, mu^0 or mu^1,
+    whose real and imaginary parts have denominators drawn from ``primes``."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = [0, 0]
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(2)] += 1
+        tail = (rng.choice((-1, -1, 0, 1)), 0, 0)
+        terms[tuple(exps) + tail] = GaussianRational(
+            rat(rng.choice((-3, -2, -1, 1, 2, 3)), next(primes)),
+            rat(rng.choice((-2, -1, 1, 2)), next(primes)),
+        )
+    return MultiPoly(2, terms)
+
+
+def rand_laurent_series(rng, lead: MultiPoly, first_prime: int = 2) -> TruncSeries:
+    """A 2-variable series through t^6 with t^0 coefficient ``lead``; every
+    denominator of the other coefficients is a distinct prime, so they are
+    pairwise coprime."""
+    primes = iter(sympy.primerange(first_prime, 10**6))
+    coeffs = [lead] + [rand_laurent_coef(rng, primes) for _ in range(SERIES_ORDER)]
+    return TruncSeries(2, SERIES_ORDER, coeffs)
+
+
+def ring_series(s: TruncSeries, mu_shift: int):
+    """mu^mu_shift times the series, as an element of RING."""
+    terms = {}
+    for k, c in enumerate(s.coeffs):
+        for (e0, e1, mu, hbar, tau), g in c.terms.items():
+            assert mu + mu_shift >= 0 and not hbar and not tau
+            terms[(k, e0, e1, mu + mu_shift)] = sympy.QQ_I(
+                sym_rational(g.re), sym_rational(g.im)
+            )
+    return RING(terms)
+
+
+def truncated(p):
+    return rs_trunc(p, RT, SERIES_ORDER + 1)
+
+
+def unit(re, im, mu: int) -> MultiPoly:
+    """The scalar (re + im i) mu^mu in two variables."""
+    return MultiPoly(2, {(0, 0, mu, 0, 0): GaussianRational(re, im)})
+
+
+def test_series_product_matches_sympy():
+    # (mu a)(mu b) = mu^2 (a b)
+    rng = random.Random(108)
+    for _ in range(3):
+        # the leads and the rest of a and b draw from disjoint prime ranges
+        lead_a = rand_laurent_coef(rng, iter(sympy.primerange(1000, 2000)))
+        lead_b = rand_laurent_coef(rng, iter(sympy.primerange(2000, 3000)))
+        a = rand_laurent_series(rng, lead_a)
+        b = rand_laurent_series(rng, lead_b, 3000)
+        want = truncated(ring_series(a, 1) * ring_series(b, 1))
+        assert ring_series(a * b, 2) == want
+
+
+def test_two_variable_exp_matches_power_sum():
+    # exp(S) = sum_{m <= 6} S^m / m!, since S has no t^0 term; with
+    # S' = mu S, mu^6 exp(S) = sum_m mu^(6-m) S'^m / m!
+    rng = random.Random(109)
+    for _ in range(3):
+        s = rand_laurent_series(rng, MultiPoly.zero(2))
+        s_mu = ring_series(s, 1)
+        power, want = RING(1), RING(0)
+        for m in range(SERIES_ORDER + 1):
+            want += power * RMU ** (SERIES_ORDER - m) / sympy.factorial(m)
+            power = truncated(power * s_mu)
+        assert ring_series(s.exp(), SERIES_ORDER) == want
+
+
+def test_two_variable_inverse_satisfies_defining_identity():
+    # X S = 1 through t^6, with a complex unit times mu^-1 or mu as S_0;
+    # X_k carries mu^-7 at the lowest, so (mu^7 X)(mu S) = mu^8
+    rng = random.Random(110)
+    for lead in (unit(rat(2, 3), rat(1, 5), -1), unit(rat(-7, 11), rat(3, 13), 1)):
+        s = rand_laurent_series(rng, lead, 17)
+        x = s.inverse()
+        assert truncated(ring_series(x, 7) * ring_series(s, 1)) == RMU**8
+
+
+def test_two_variable_inv_sqrt_satisfies_defining_identity():
+    # r^2 S = 1 through t^6 with r_0 = 1, which fixes r; r_k carries
+    # mu^-6 at the lowest, so (mu^6 r)^2 (mu S) = mu^13
+    rng = random.Random(111)
+    for _ in range(3):
+        s = rand_laurent_series(rng, MultiPoly.one(2))
+        r = s.inv_sqrt()
+        assert r.coeffs[0] == MultiPoly.one(2)
+        r_mu = ring_series(r, SERIES_ORDER)
+        assert truncated(truncated(r_mu * r_mu) * ring_series(s, 1)) == RMU**13
