@@ -1,12 +1,12 @@
 """Per-layer timings of starquant, written to a BENCH_*.json file.
 
 Usage:
-    python3 bench/run.py --out BENCH_<n>.json --label after
-    python3 bench/run.py --out BENCH_<n>.json --label before --src OTHER/src
+    python3 bench/run.py --out BENCH_<n>.json --before OTHER/src
+    python3 bench/run.py --out BENCH_<n>.json
 
 Each case times one layer on fixed seeded inputs, through public functions
-only, so a checkout of an older commit can be timed by the same script
-(``--src``):
+only, so that the source tree of an older commit (``--before``) is timed
+by the same cases as this one:
 
 * ``star_n2``, ``star_n4``, ``star_n6``: star products of random
   polynomials under a random constant structure matrix (the contraction);
@@ -31,23 +31,26 @@ only, so a checkout of an older commit can be timed by the same script
   t^0 coefficient;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix.
 
-A case repeats until it has run ``REPEAT`` times and its repeats total at
-least ``MIN_TOTAL_S``, so that a millisecond case is timed as long as a
-slow one, and records the median and minimum of its ``time.perf_counter``
+Each side runs in its own worker subprocess, which imports starquant from
+its source tree (``--before``, and this checkout's ``src`` as "after") and
+times one repeat of a case per request.  The two workers take turns, the
+first one swapped every round, so that a drift of the host's speed, or
+the cost of going second, falls on both sides alike.  A case repeats until
+each side has run it ``REPEAT`` times and its repeats total at least
+``MIN_TOTAL_S``, so that a millisecond case is timed as long as a slow
+one; a side records the median and minimum of its ``time.perf_counter``
 wall times, the repeat count and the number of terms of its result.  A
 check's term count is the number of monomials it sweeps, and a matrix
 case's the number of nonzero matrices or series coefficients it returns.
 The reference loop of ``perfbench/hostspeed.py`` runs before the first
-repeat, before each repeat that follows ``MIN_TOTAL_S / REPEAT`` seconds of
-unsampled repeats, and after the last one; ``scaled_median_s`` is the
-median scaled by the factor of those samples to the loop's reference host
-speed, because the speed of a shared host drifts between the before and
-after runs.  A run goes under ``runs["before"]`` or ``runs["after"]``
-(``--label``) next to the backend name, the Python version and the
-machine; the other side, if already in the file, is kept, and once both
-exist ``speedup`` holds the ratio of their scaled medians per case.
-``--tiny`` shrinks every case to a smoke test and runs it once.
-Standard library only.
+round, after each ``MIN_TOTAL_S / REPEAT`` seconds of unsampled repeats
+and after the last one; ``scaled_median_s`` is the median scaled by the
+factor of those samples to the loop's reference host speed.  The file
+holds each side under ``runs["before"]`` and ``runs["after"]`` next to
+the backend name, the Python version and the machine, and ``speedup``,
+the ratio of their medians per case.  Without ``--before`` only this
+tree is timed.  ``--tiny`` shrinks every case to a smoke test and runs it
+once.  Standard library only.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import json
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from math import comb
@@ -224,70 +228,136 @@ def cases(tiny: bool) -> list:
     return out
 
 
-def measure(tiny: bool) -> dict:
+# the program of a worker: load this file, then serve one side's cases
+_WORKER = (
+    "import importlib.util, sys\n"
+    "spec = importlib.util.spec_from_file_location('bench_run', sys.argv[1])\n"
+    "module = importlib.util.module_from_spec(spec)\n"
+    "spec.loader.exec_module(module)\n"
+    "module.serve(sys.argv[2], sys.argv[3] == 'tiny')\n"
+)
+
+
+def serve(src: str, tiny: bool) -> None:
+    """Worker loop: import starquant from ``src``, report the run's
+    environment, then answer each case name read from stdin with the
+    wall time and term count of one repeat, one JSON line each."""
+    _import(Path(src).resolve())
+    from starquant.scalars import rat
+
+    thunks = {name: (sizes, thunk) for name, sizes, thunk in cases(tiny)}
+    backend = type(rat(1))
+    print(json.dumps({
+        "backend": f"{backend.__module__}.{backend.__qualname__}",
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()} {platform.processor() or platform.system()}",
+        "sizes": {name: sizes for name, (sizes, _) in thunks.items()},
+    }), flush=True)
+    for line in sys.stdin:
+        thunk = thunks[line.strip()][1]
+        start = time.perf_counter()
+        terms = thunk()
+        seconds = time.perf_counter() - start
+        print(json.dumps({"s": seconds, "terms": terms}), flush=True)
+
+
+class _Worker:
+    """One side's worker subprocess."""
+
+    def __init__(self, src: Path, tiny: bool):
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _WORKER, __file__, str(src), "tiny" if tiny else "full"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        self.info = self._read()
+
+    def _read(self) -> dict:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"bench: worker exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def run(self, name: str) -> dict:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        return self._read()
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def measure(sides: dict, tiny: bool) -> dict:
+    """Time every case on each side (label -> source tree), the sides
+    taking turns; returns the run of each side."""
     hostspeed = _hostspeed()
-    results = {}
-    for name, sizes, thunk in cases(tiny):
-        times, samples = [], []
-        unsampled = MIN_TOTAL_S
-        while not times or not tiny and (
-            len(times) < REPEAT or sum(times) < MIN_TOTAL_S
-        ):
-            if unsampled >= MIN_TOTAL_S / REPEAT:
-                samples.append(hostspeed.sample())
-                unsampled = 0.0
-            start = time.perf_counter()
-            terms = thunk()
-            times.append(time.perf_counter() - start)
-            unsampled += times[-1]
-        samples.append(hostspeed.sample())
-        median = statistics.median(times)
-        results[name] = {
-            **sizes,
-            "terms": terms,
-            "median_s": median,
-            "scaled_median_s": median * hostspeed.factor(samples),
-            "min_s": min(times),
-            "repeat": len(times),
+    workers = {label: _Worker(src, tiny) for label, src in sides.items()}
+    try:
+        order = list(workers)
+        runs = {
+            label: {**{k: v for k, v in w.info.items() if k != "sizes"}, "cases": {}}
+            for label, w in workers.items()
         }
-    return results
+        for name, sizes in workers["after"].info["sizes"].items():
+            times = {label: [] for label in order}
+            terms = {}
+            samples = [hostspeed.sample()]
+            unsampled = 0.0
+
+            def pending():
+                return any(
+                    not ts or not tiny and (len(ts) < REPEAT or sum(ts) < MIN_TOTAL_S)
+                    for ts in times.values()
+                )
+
+            while pending():
+                for label in order:
+                    result = workers[label].run(name)
+                    times[label].append(result["s"])
+                    terms[label] = result["terms"]
+                    unsampled += result["s"]
+                order.reverse()
+                if unsampled >= MIN_TOTAL_S / REPEAT:
+                    samples.append(hostspeed.sample())
+                    unsampled = 0.0
+            samples.append(hostspeed.sample())
+            for label, ts in times.items():
+                median = statistics.median(ts)
+                runs[label]["cases"][name] = {
+                    **sizes,
+                    "terms": terms[label],
+                    "median_s": median,
+                    "scaled_median_s": median * hostspeed.factor(samples),
+                    "min_s": min(ts),
+                    "repeat": len(ts),
+                }
+    finally:
+        for w in workers.values():
+            w.close()
+    return runs
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, type=Path, help="BENCH_*.json to update")
+    ap.add_argument("--out", required=True, type=Path, help="BENCH_*.json to write")
     ap.add_argument(
-        "--label", default="after", choices=("before", "after"),
-        help="which side of the change this run times",
-    )
-    ap.add_argument(
-        "--src", type=Path, default=ROOT / "src", help="package source tree"
+        "--before", type=Path,
+        help="source tree of the other side of the change, timed in turns with this one",
     )
     ap.add_argument("--tiny", action="store_true", help="smoke-test sizes")
     args = ap.parse_args(argv)
-    _import(args.src.resolve())
-    from starquant.scalars import rat
-
-    backend = type(rat(1))
-    run = {
-        "backend": f"{backend.__module__}.{backend.__qualname__}",
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()} {platform.processor() or platform.system()}",
-        "cases": measure(args.tiny),
-    }
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("runs", {})[args.label] = run
-    runs = data["runs"]
-    if "before" in runs and "after" in runs:
+    sides = {"after": ROOT / "src"}
+    if args.before is not None:
+        sides = {"before": args.before.resolve(), **sides}
+    runs = measure(sides, args.tiny)
+    data = {"runs": runs}
+    if "before" in runs:
         data["speedup"] = {
-            name: round(
-                case["scaled_median_s"] / runs["after"]["cases"][name]["scaled_median_s"], 3
-            )
+            name: round(case["median_s"] / runs["after"]["cases"][name]["median_s"], 3)
             for name, case in runs["before"]["cases"].items()
-            if name in runs["after"]["cases"]
         }
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({args.label: run["cases"]}, sort_keys=True))
+    print(json.dumps({label: run["cases"] for label, run in runs.items()}, sort_keys=True))
     return 0
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .grading import decompose
-from .poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
+from .poly import HALF_MU, MU_INV, MultiPoly, key_width, quadratic_form
 from .reports import CheckReport
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat
 from .series import TruncSeries, _cauchy, _mul, _series
@@ -658,7 +658,7 @@ def expand_closed_form(lam: SqMatrix, a_mat: SqMatrix, N: int) -> TruncSeries:
         exponent = exponent + TruncSeries.t_term(
             quadratic_form(m.rows, n).scale(MU_INV), k, N
         )
-    return exponent.exp() * amplitude.lift(n)
+    return exponent.exp(amplitude.lift(n))
 
 
 def first_divergence(s1: TruncSeries, s2: TruncSeries) -> int | None:
@@ -708,8 +708,10 @@ def riccati_1d(
     adjoined.  D = 0 degenerates to h = t, g = 1.
     """
     d = c * c - a * b
-    eps = MultiPoly.param("hbar", 2, d).numerators()  # the combination hbar^2 D
-    zero, one = MultiPoly.zero(0).numerators(), MultiPoly.one(0).numerators()
+    # eps carries hbar^2, h_k hbar^(k-1), g_k hbar^k and eps * h_k hbar^(k+1)
+    w = key_width(2 * N + 2)
+    eps = MultiPoly.param("hbar", 2, d).numerators(w)  # the combination hbar^2 D
+    zero, one = MultiPoly.zero(0).numerators(w), MultiPoly.one(0).numerators(w)
     hc, gc, eh = [zero], [one], [zero]  # eh holds the coefficients of eps * h
     for k in range(N):
         # (k+1) h_{k+1} = [k = 0] + (eps h^2)_k, (k+1) g_{k+1} = (g eps h)_k
@@ -717,7 +719,7 @@ def riccati_1d(
         gc.append(_cauchy(gc, eh, k, div=k + 1))
         hc.append(h_next)
         eh.append(_mul(eps, h_next))
-    return _series(0, gc), _series(0, hc)
+    return _series(0, gc, w), _series(0, hc, w)
 
 
 def riccati_vs_moyal(
@@ -730,5 +732,5 @@ def riccati_vs_moyal(
     h_poly = quadratic_form(((a, c), (c, b)), n)
     oracle = ode_star_exponential(ctx, h_poly, N)
     g, h = riccati_1d(a, b, c, N)
-    closed = (h.lift(n) * TruncSeries.from_poly(h_poly, N)).exp() * g.lift(n)
+    closed = (h.lift(n) * TruncSeries.from_poly(h_poly, N)).exp(g.lift(n))
     return _oracle_report(closed, oracle)

@@ -13,8 +13,24 @@ FLINT's ``fmpq_mpoly``).
 
 The contraction engine and the series recurrences work below this type on
 integer numerators over one denominator, the layout of FLINT's
-``fmpq_poly``; :meth:`MultiPoly.numerators` and
-:meth:`MultiPoly.from_numerators` convert to and from them.
+``fmpq_poly``, and on packed exponent keys (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007; FLINT's ``fmpz_mpoly``): one Python int per key, so that a product of
+two terms adds its keys with one int add.  :meth:`MultiPoly.numerators`
+and :meth:`MultiPoly.from_numerators` convert to and from them, given the
+field width w in bits.
+
+A packed key has a block of z fields, w bits each, at the low end: field i
+holds the exponent of z_i (the engine places a polynomial's n variables in
+a wider block, see :func:`key_weights`).  The parameter tail sits above
+the block, hbar and tau in one w-bit field each and mu on top.  The
+packing sum(e_i * 2^(w * field_i)) is linear, so the sum of two packed keys
+is the packed sum of the keys, and a field is read back exactly with
+``key >> (w * field) & (2^w - 1)`` as long as every field below the top
+lies in 0..2^w - 1.  Only mu may be negative: on top, its sign reaches no
+other field, and ``key >> (w * top)`` reads it even when it makes the whole
+int negative.  No width is fixed; each operation takes w from a bound it
+proves for every field it builds (:func:`key_width`).
 
 A scalar -- a Laurent combination of the parameters, such as the coupling
 mu/2 -- is a ``MultiPoly`` with n = 0, whose keys are the parameter tails
@@ -29,8 +45,9 @@ more than one summand; a scalar prints bare.
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -119,21 +136,27 @@ class MultiPoly:
         return cls.from_gaussian(gr(num, den))
 
     @classmethod
-    def from_numerators(cls, n: int, re: dict, im: dict, den: int) -> "MultiPoly":
-        """The MultiPoly whose coefficient at each key has real part
-        re[key]/den and imaginary part im[key]/den (a missing key reads 0):
-        one GaussianRational per key with a nonzero part.  Inverse of
-        :meth:`numerators`; the keys are trusted."""
+    def from_numerators(
+        cls, n: int, re: dict, im: dict, den: int, w: int
+    ) -> "MultiPoly":
+        """The MultiPoly whose coefficient at each packed key of field width
+        w has real part re[key]/den and imaginary part im[key]/den (a
+        missing key reads 0): one GaussianRational per key with a nonzero
+        part, and one unpacked key.  Inverse of :meth:`numerators`; the keys
+        are trusted."""
+        fields = _unpack_fields(n, w)
         terms = {}
         for key, p in re.items():
             q = im.get(key, 0)
             if p or q:
-                terms[key] = GaussianRational._raw(
+                terms[tuple([key >> s & m for s, m in fields])] = GaussianRational._raw(
                     rat(p, den) if p else RAT_ZERO, rat(q, den) if q else RAT_ZERO
                 )
         for key, q in im.items():
             if q and key not in re:
-                terms[key] = GaussianRational._raw(RAT_ZERO, rat(q, den))
+                terms[tuple([key >> s & m for s, m in fields])] = GaussianRational._raw(
+                    RAT_ZERO, rat(q, den)
+                )
         return cls._raw(n, terms)
 
     @classmethod
@@ -170,15 +193,22 @@ class MultiPoly:
             0, {key[n:]: c for key, c in self.terms.items() if not any(key[:n])}
         )
 
-    def numerators(self) -> tuple:
+    def max_exponent(self) -> int:
+        """The largest exponent of any field of any key: a bound on every
+        z, hbar and tau exponent, and at least 0 since hbar and tau are."""
+        return max(map(max, self.terms), default=0)
+
+    def numerators(self, w: int, fields: int | None = None, offset: int = 0) -> tuple:
         """(re, im, den): the real and the imaginary parts of the
         coefficients as integer numerators over ``den``, the lcm of their
-        denominators, each map keyed like ``terms`` and without zero parts.
-        ``den`` is positive and the gcd of ``den`` and every numerator is 1;
-        the zero polynomial gives ({}, {}, 1)."""
+        denominators, each map keyed by the packed keys of field width w
+        (see :func:`key_weights` for ``fields`` and ``offset``) and without
+        zero parts.  ``den`` is positive and the gcd of ``den`` and every
+        numerator is 1; the zero polynomial gives ({}, {}, 1)."""
+        weights = key_weights(self.n, w, fields, offset)
         den = common_den(self.terms.values())
-        re, im = numerator_parts(self.terms.items(), den)
-        return dict(re), dict(im), den
+        items = [(sum(map(mul, key, weights)), c) for key, c in self.terms.items()]
+        return (*numerator_parts(items, den), den)
 
     def is_homogeneous(self) -> bool:
         n = self.n
@@ -385,13 +415,60 @@ def common_den(coefs) -> int:
 
 
 def numerator_parts(items, den: int) -> tuple:
-    """(item, GaussianRational) pairs as (item, numerator) lists of the real
-    and of the imaginary parts over ``den``, a multiple of every
-    denominator, without zero parts.  ``items`` is read twice."""
+    """(item, GaussianRational) pairs with distinct items as maps from item
+    to numerator of the real and of the imaginary parts over ``den``, a
+    multiple of every denominator, without zero parts.  ``items`` is read
+    twice."""
     return (
-        [(x, c.re.numerator * (den // c.re.denominator)) for x, c in items if c.re],
-        [(x, c.im.numerator * (den // c.im.denominator)) for x, c in items if c.im],
+        {x: c.re.numerator * (den // c.re.denominator) for x, c in items if c.re},
+        {x: c.im.numerator * (den // c.im.denominator) for x, c in items if c.im},
     )
+
+
+# the parameter tail in packed field order: the non-negative parameters
+# first, then mu on top, where its sign can borrow from no field above it
+_TAIL_FIELDS = sorted(
+    range(NPARAM), key=lambda k: PARAM_NAMES[k] in INVERTIBLE_PARAMS
+)
+
+
+def key_width(bound: int) -> int:
+    """The least field width w >= 1, in bits, that holds 0..bound."""
+    return max(bound.bit_length(), 1)
+
+
+@cache
+def key_weights(
+    n: int, w: int, fields: int | None = None, offset: int = 0
+) -> tuple:
+    """The weights that pack an (n + 3)-key into one int: the packed key
+    is ``sum(map(mul, key, weights))``.  z_i goes to field offset + i of a
+    block of ``fields`` z fields (n by default), w bits each, and the
+    parameter tail above the block, mu on top."""
+    if fields is None:
+        fields = n
+    weights = [1 << (w * (offset + i)) for i in range(n)] + [0] * NPARAM
+    for place, k in enumerate(_TAIL_FIELDS):
+        weights[n + k] = 1 << (w * (fields + place))
+    return tuple(weights)
+
+
+@cache
+def _unpack_fields(n: int, w: int) -> tuple:
+    """(shift, mask) per position of an (n + 3)-key packed by
+    ``key_weights(n, w)``: the position is ``key >> shift & mask``; the mask
+    of the top field is -1, which keeps its sign."""
+    mask = (1 << w) - 1
+    fields = [(w * i, mask) for i in range(n)] + [None] * NPARAM
+    for place, k in enumerate(_TAIL_FIELDS):
+        top = place == NPARAM - 1
+        fields[n + k] = (w * (n + place), -1 if top else mask)
+    return tuple(fields)
+
+
+def unpack_key(key: int, n: int, w: int) -> tuple:
+    """The (n + 3)-key packed as ``key`` by ``key_weights(n, w)``."""
+    return tuple([key >> s & m for s, m in _unpack_fields(n, w)])
 
 
 def _checked_key(n: int, key: Iterable[int]) -> tuple:

@@ -18,6 +18,8 @@ denominator, and their text forms agree.
 
 from __future__ import annotations
 
+import re
+
 try:  # pragma: no cover - exercised implicitly by whichever backend is present
     from gmpy2 import mpq as _ratctor
 except ImportError:  # pragma: no cover
@@ -156,8 +158,10 @@ class GaussianRational:
     def parse(cls, s: str) -> "GaussianRational":
         """Parse the canonical text form produced by :meth:`text`.
 
-        Accepts sums of "a/b" and "a/b*i" summands, plus the shorthands
-        "i" and "-i".
+        Accepts sums of "a/b" and "a/b*i" (or "a/bi") summands, each with
+        optional signs, plus the shorthands "i" and "-i"; a and b are
+        ASCII digits and "/b" is optional.  Decimal points, exponents and
+        underscores are rejected with a ValueError.
         """
         s = s.replace(" ", "")
         if not s:
@@ -183,15 +187,27 @@ class GaussianRational:
             if chunk == "i":
                 im_acc += sign
             elif chunk.endswith("*i"):
-                im_acc += sign * rat(chunk[:-2])
+                im_acc += sign * _rational(chunk[:-2], s)
             elif chunk.endswith("i"):
-                im_acc += sign * rat(chunk[:-1])
+                im_acc += sign * _rational(chunk[:-1], s)
             else:
-                re_acc += sign * rat(chunk)
+                re_acc += sign * _rational(chunk, s)
         return cls._raw(re_acc, im_acc)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.text()!r})"
+
+
+_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(text: str, scalar: str):
+    """The rational "a" or "a/b" of ASCII digits, and nothing else."""
+    m = _RATIONAL.fullmatch(text)
+    if not m:
+        raise ValueError(f"malformed rational {text!r} in scalar {scalar!r}")
+    num, den = m.groups()
+    return rat(int(num), int(den) if den else 1)
 
 
 GR_ZERO = GaussianRational(0, 0)

@@ -15,29 +15,37 @@ Cauchy sum, :func:`_cauchy`, which also gives the product.
 The recurrences run on integers, in the layout of FLINT's ``fmpq_poly``
 (Hart, ICMS 2010).  Each input coefficient is converted once to a triple
 (re, im, den) by :meth:`MultiPoly.numerators`: the integer numerators of
-the real and imaginary parts, keyed by the flat ``MultiPoly`` key, over
-one positive denominator.  A Cauchy sum multiplies ints under summed keys,
-skipping the imaginary passes of a real side, adds its products over the
-lcm of their denominators and divides by one gcd, so every triple stays
-in lowest terms.  Each output coefficient is built once by
+the real and imaginary parts, keyed by packed exponent keys (one int per
+key, see :mod:`starquant.poly`), over one positive denominator.  A Cauchy
+sum multiplies ints under keys summed by one int add, skipping the
+imaginary passes of a real side, adds its products over the lcm of their
+denominators and divides by one gcd, so every triple stays in lowest
+terms.  Each output coefficient is built once by
 :meth:`MultiPoly.from_numerators`.
+
+The field width w of the keys comes from a bound on every exponent an
+operation builds.  Coefficient k of ``exp``, ``inv_sqrt`` and ``inverse``
+is a sum of products of at most k coefficients S_1..S_k (times a power
+of mu for ``inverse``), so the order times the coefficients' largest
+exponent bounds it; a product adds the two operands' largest exponents.
+``exp`` can also multiply its result by a second series before leaving
+the integers, which saves the conversion of the exponential and back.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import add
 
 from .errors import PreconditionError
-from .poly import MultiPoly
+from .poly import MultiPoly, key_width
 
 
 def _acc(out: dict, left: dict, right: dict, m: int) -> None:
-    """out += m * left * right for numerator maps keyed by exponent keys."""
+    """out += m * left * right for numerator maps keyed by packed keys."""
     for ea, p in left.items():
         p *= m
         for eb, q in right.items():
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             out[key] = out.get(key, 0) + p * q
 
 
@@ -87,10 +95,17 @@ def _mul(x: tuple, y: tuple) -> tuple:
     return _cauchy((x,), (y,), 0)
 
 
-def _series(n: int, triples) -> "TruncSeries":
-    """The series whose coefficients have the numerator triples given."""
-    coeffs = tuple(MultiPoly.from_numerators(n, *x) for x in triples)
+def _series(n: int, triples, w: int) -> "TruncSeries":
+    """The series whose coefficients have the numerator triples given,
+    keyed at field width w."""
+    coeffs = tuple(MultiPoly.from_numerators(n, *x, w) for x in triples)
     return TruncSeries._raw(n, len(coeffs) - 1, coeffs)
+
+
+def _reach(coeffs) -> int:
+    """The largest exponent of any coefficient (see
+    :meth:`MultiPoly.max_exponent`)."""
+    return max(c.max_exponent() for c in coeffs)
 
 
 class TruncSeries:
@@ -213,9 +228,13 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compat(other)
-        a = [c.numerators() for c in self.coeffs]
-        b = [c.numerators() for c in other.coeffs]
-        return _series(self.n, (_cauchy(a, b, k) for k in range(self.order + 1)))
+        # a product of two terms adds their exponents
+        w = key_width(_reach(self.coeffs) + _reach(other.coeffs))
+        a = [c.numerators(w) for c in self.coeffs]
+        b = [c.numerators(w) for c in other.coeffs]
+        return _series(
+            self.n, (_cauchy(a, b, k) for k in range(self.order + 1)), w
+        )
 
     def scale(self, coef: MultiPoly) -> "TruncSeries":
         """Multiply by a scalar (a 0-variable MultiPoly)."""
@@ -239,6 +258,12 @@ class TruncSeries:
 
     # -- the three series solvers ----------------------------------------
 
+    def _order_width(self) -> int:
+        """The key width of the solvers: their coefficient k is a sum of
+        products of at most k coefficients S_1..S_k (times a constant of
+        no exponent but mu), so no field exceeds order * max exponent."""
+        return key_width(self.order * _reach(self.coeffs))
+
     def _leading_unit(self) -> MultiPoly:
         c0 = self.coeffs[0]
         if not c0.is_constant():
@@ -257,12 +282,13 @@ class TruncSeries:
         lead = self._leading_unit()
         # raises for zero / non-invertible scalars
         inv0 = MultiPoly.const(self.n, lead.inverse())
-        neg_inv0 = (-inv0).numerators()
-        s = [c.numerators() for c in self.coeffs]
-        out = [inv0.numerators()]
+        w = self._order_width()
+        neg_inv0 = (-inv0).numerators(w)
+        s = [c.numerators(w) for c in self.coeffs]
+        out = [inv0.numerators(w)]
         for k in range(1, self.order + 1):
             out.append(_mul(_cauchy(s, out, k, 1), neg_inv0))
-        return _series(self.n, out)
+        return _series(self.n, out, w)
 
     def inv_sqrt(self) -> "TruncSeries":
         """The series r with r^2 * self = 1 and r(0) = 1, from the flow
@@ -273,24 +299,37 @@ class TruncSeries:
         """
         if self._leading_unit() != MultiPoly.one(0):
             raise PreconditionError("inv_sqrt requires leading coefficient 1")
-        s = [c.numerators() for c in self.coeffs]
-        out = [MultiPoly.one(self.n).numerators()]
+        w = self._order_width()
+        s = [c.numerators(w) for c in self.coeffs]
+        out = [MultiPoly.one(self.n).numerators(w)]
         for k in range(1, self.order + 1):
             weights = [j - 2 * k for j in range(k + 1)]
             out.append(_cauchy(s, out, k, 1, weights, 2 * k))
-        return _series(self.n, out)
+        return _series(self.n, out, w)
 
-    def exp(self) -> "TruncSeries":
+    def exp(self, factor: "TruncSeries | None" = None) -> "TruncSeries":
         """Series exponential of a series S with S_0 = 0, from the flow
-        F' = S' F: k F_k = sum_{j=1..k} j S_j F_{k-j}."""
+        F' = S' F: k F_k = sum_{j=1..k} j S_j F_{k-j}.
+
+        With a ``factor`` of the same order and variable count, the result
+        is exp(S) * factor, multiplied before the coefficients of exp(S)
+        leave the integer layout."""
         if not self.coeffs[0].is_zero():
             raise PreconditionError("exp requires a zero t^0 coefficient")
-        s = [c.numerators() for c in self.coeffs]
-        out = [MultiPoly.one(self.n).numerators()]
+        bound = self.order * _reach(self.coeffs)
+        if factor is not None:
+            self._check_compat(factor)
+            bound += _reach(factor.coeffs)
+        w = key_width(bound)
+        s = [c.numerators(w) for c in self.coeffs]
+        out = [MultiPoly.one(self.n).numerators(w)]
         j_weights = range(self.order + 1)
         for k in range(1, self.order + 1):
             out.append(_cauchy(s, out, k, 1, j_weights, k))
-        return _series(self.n, out)
+        if factor is not None:
+            b = [c.numerators(w) for c in factor.coeffs]
+            out = [_cauchy(out, b, k) for k in range(self.order + 1)]
+        return _series(self.n, out, w)
 
     def __repr__(self) -> str:
         body = " + ".join(

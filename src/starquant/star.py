@@ -13,13 +13,13 @@ linear exponentials, and the term-by-term ODE recursion for star
 exponentials which acts as the independent oracle for every closed form in
 :mod:`starquant.matrices`.
 
-The contraction works on flat exponent keys over doubled variables: x
-(the left factor) then y (the right factor), each of n variables, then the
+The contraction works on exponent vectors over doubled variables: x (the
+left factor) then y (the right factor), each of n variables, then the
 exponents of the formal parameters mu, hbar, tau, as in a ``MultiPoly`` key.
 One step (:func:`contract_step`) lowers x_a and y_b, scales by their
 exponents and multiplies by a term of the entry L^{ab}: its parameter
 exponents add to the tail and its coefficient multiplies.  Where the
-entry's z exponents go in the key is the only difference between the three
+entry's z exponents go is the only difference between the three
 contractions built on the step:
 
 * constant L: nowhere; the key is (x | y | params), width 2n;
@@ -32,20 +32,31 @@ The width counts the z positions only.  The coupling multiplies every step
 once, so it is folded into the entries: each of its terms shifts the
 parameter tail and scales the coefficient.
 
+Every key is one packed int (:func:`starquant.poly.key_weights`): the
+width z fields, w bits each, at the low end, the parameter tail above them
+and mu on top.  A step's shift is packed the same way, so applying it is
+one int add; x_a and y_b are read as ``key >> (w * a) & (2^w - 1)``, and
+the kernel's steps are grouped by row a so that a key reads x_a once per
+row.  The collapse to n-variable keys adds the masked groups of fields
+(x + y, or x + y + w) and moves the tail down.  The width w is not fixed:
+each contraction takes it from a bound on every field it can build, the
+two operands' largest exponents plus the step cap (the degrees plus 4)
+times the kernel's largest shift (:func:`_orders`), and the kernel packs
+its steps once per width.
+
 The state of an order holds no rationals: two maps, ``re`` and ``im``, from
-keys to the integer numerators of the real and imaginary parts, over one
-denominator ``den`` for the whole order, split as by
-:meth:`MultiPoly.numerators`.  The kernel (:func:`_entries`)
-stores its coefficients the same way, over the lcm ``D`` of their
-denominators, so a step multiplies Python ints only -- numerator times the
-two exponents times the kernel numerator -- in up to four passes (re*re,
-minus im*im, re*im, im*re; real inputs need one), and multiplies ``den`` by
-``D`` and, with a coupling, by k for the 1/k!.  Summing the n-variable
-groups of a key (x + y, or x + y + w) and keeping the tail turns it back
-into a ``MultiPoly`` key; the collapse sums numerators, and only then is one
-GaussianRational built per output term
-(:meth:`MultiPoly.from_numerators`).  A product summed over all orders
-(:func:`star`) adds the orders as numerators over the last order's
+packed keys to the integer numerators of the real and imaginary parts,
+over one denominator ``den`` for the whole order, split as by
+:meth:`MultiPoly.numerators`.  The kernel (:func:`_entries`) is built on
+the integer numerators of the entries and of the coupling and stores its
+coefficients the same way, over the lcm ``D`` of their denominators, so a
+step multiplies Python ints only -- numerator times the two exponents
+times the kernel numerator -- in up to four passes (re*re, minus im*im,
+re*im, im*re; real inputs need one), and multiplies ``den`` by ``D`` and,
+with a coupling, by k for the 1/k!.  The collapse sums numerators, and
+only then is one GaussianRational and one unpacked key built per output
+term (:meth:`MultiPoly.from_numerators`).  A product summed over all
+orders (:func:`star`) adds the orders as numerators over the last order's
 denominator, which every earlier one divides.
 """
 
@@ -53,11 +64,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from operator import add
+from math import gcd
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .poly import I_HBAR_HALF, MultiPoly, common_den, numerator_parts
+from .poly import (
+    I_HBAR_HALF,
+    MultiPoly,
+    common_den,
+    key_weights,
+    key_width,
+    numerator_parts,
+)
 from .scalars import (
     EXP_ZERO,
     GR_ONE,
@@ -247,10 +266,12 @@ class _Kernel(NamedTuple):
 
     ``width`` is the number of z positions of a state key.  ``re`` and
     ``im`` hold the real and imaginary parts of the steps as integer
-    numerators over the common denominator ``den``; each is a list of
-    (a, b, shifts) with (shift, numerator) pairs (see :func:`_entries`).
-    ``factorial`` is True when a coupling is folded in, so that order k
-    also carries 1/k!.
+    numerators over the common denominator ``den``, grouped by row: each
+    is a list of (a, [(n + b, shift, numerator), ...]) (see
+    :func:`_entries`).  ``factorial`` is True when a coupling is folded in,
+    so that order k also carries 1/k!.  ``reach`` is the largest exponent a
+    shift adds to any field, and ``packed`` caches the steps packed for
+    each field width (see :func:`_packed`).
     """
 
     width: int
@@ -258,48 +279,70 @@ class _Kernel(NamedTuple):
     re: list
     im: list
     factorial: bool
+    reach: int
+    packed: dict
 
 
 def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
     """The contraction kernel of a matrix of polynomials.
 
-    There is one step per nonzero entry.  A step is (a, n + b, shifts): it
-    applies where x_a and y_b are present, and ``shifts`` lists (shift, coef)
-    for the terms of lam[a][b].  A shift is the exponent delta of a key of
-    ``width`` z positions plus the parameter tail: -1 at x_a and at y_b, the
-    term's z exponents starting at ``offset`` (None when every entry is
-    constant), and its parameter exponents in the tail.  A scalar
-    ``coupling`` multiplies every step once, so each shift pairs with each
-    coupling term, whose parameter exponents add to the tail and whose
-    coefficient multiplies.  The coefficients are then split into real and
-    imaginary numerators over the lcm of their denominators
-    (:func:`starquant.poly.numerator_parts`).
+    There is one step per term of a nonzero entry, (n + b, shift, coef) in
+    row a: it applies where x_a and y_b are present.  A shift is the
+    exponent delta of a key of ``width`` z positions plus the parameter
+    tail: -1 at x_a and at y_b, the term's z exponents starting at
+    ``offset`` (None when every entry is constant), and its parameter
+    exponents in the tail.  A scalar ``coupling`` multiplies every step
+    once, so each term of lam[a][b] pairs with each coupling term, whose
+    parameter exponents add to the tail and whose coefficient multiplies;
+    steps of one shift are merged.  The products are taken on the integer
+    numerators of the entries and of the coupling
+    (:func:`starquant.poly.numerator_parts`), over the product of their
+    denominators divided by the gcd of it and every numerator, which is
+    the lcm of the denominators of the steps.
     """
     width = 3 * n if offset == 2 * n else 2 * n
-    factors = [(EXP_ZERO, GR_ONE)] if coupling is None else coupling.terms.items()
-    steps = []
-    for a in range(n):
-        for b in range(n):
-            shifts = []
-            for key, coef in lam[a][b].terms.items():
-                shift = [0] * width
-                if offset is not None:
-                    shift[offset : offset + n] = key[:n]
-                shift[a] -= 1
-                shift[n + b] -= 1
-                for ctail, c in factors:
-                    tail = tuple(map(add, key[n:], ctail))
-                    shifts.append((tuple(shift) + tail, coef * c))
-            if shifts:
-                steps.append((a, n + b, shifts))
-    den = common_den(c for _, _, shifts in steps for _, c in shifts)
-    re: list = []
-    im: list = []
-    for a, b, shifts in steps:
-        for out, part in zip((re, im), numerator_parts(shifts, den)):
-            if part:
-                out.append((a, b, part))
-    return _Kernel(width, den, re, im, coupling is not None)
+    terms = [
+        ((a, b, key), coef)
+        for a in range(n)
+        for b in range(n)
+        for key, coef in lam[a][b].terms.items()
+    ]
+    lden = common_den(c for _, c in terms)
+    if coupling is None:
+        cre, cim, cden = {EXP_ZERO: 1}, {}, 1
+    else:
+        cden = common_den(coupling.terms.values())
+        cre, cim = numerator_parts(coupling.terms.items(), cden)
+    re, im = _complex(
+        _couple, *numerator_parts(terms, lden), cre, cim, n, width, offset
+    )
+    den = lden * cden
+    g = gcd(den, *re.values(), *im.values())
+    reach = 0
+    parts = []
+    for part in (re, im):
+        rows: dict = {}
+        for (a, b, shift), c in part.items():
+            reach = max(reach, *shift)
+            rows.setdefault(a, []).append((b, shift, c // g))
+        parts.append(list(rows.items()))
+    return _Kernel(width, den // g, *parts, coupling is not None, reach, {})
+
+
+def _couple(out, left, right, sign, n, width, offset) -> None:
+    """Add sign times the steps of the entry terms ``left`` (keyed by (a,
+    b, key)) coupled with the coupling terms ``right`` (keyed by tail)."""
+    for (a, b, key), p in left.items():
+        shift = [0] * width
+        if offset is not None:
+            shift[offset : offset + n] = key[:n]
+        shift[a] -= 1
+        shift[n + b] -= 1
+        shift = tuple(shift)
+        p *= sign
+        for ctail, q in right.items():
+            step = (a, n + b, shift + tuple(map(add, key[n:], ctail)))
+            out[step] = out.get(step, 0) + p * q
 
 
 def _full_entries(ctx: StarContext, coupling=None) -> _Kernel:
@@ -314,123 +357,139 @@ def _iterated_entries(ctx: StarContext) -> _Kernel:
     return _entries(ctx.n, ctx.lam, ctx.n)
 
 
-def _complex(apply, lre, lim, rre, rim) -> tuple:
+def _packed(kernel: _Kernel, w: int) -> tuple:
+    """The real and imaginary rows of ``kernel`` for state keys packed at
+    field width w: (a * w, [(b * w, shift, numerator), ...]) per row a,
+    each shift one packed int.  Built once per width and kept in
+    ``kernel.packed``."""
+    rows = kernel.packed.get(w)
+    if rows is None:
+        weights = key_weights(kernel.width, w)
+        rows = kernel.packed[w] = tuple(
+            [
+                (a * w, [(b * w, sum(map(mul, s, weights)), c) for b, s, c in row])
+                for a, row in part
+            ]
+            for part in (kernel.re, kernel.im)
+        )
+    return rows
+
+
+def _complex(apply, lre, lim, rre, rim, *args) -> tuple:
     """The real and imaginary maps of (lre + i lim)(rre + i rim).
 
-    ``apply(out, left, right, sign)`` adds sign * left * right into the map
-    ``out``.  A pass whose side is empty is skipped, so real inputs pay for
-    one pass; zero values are stripped from the result.
+    ``apply(out, left, right, sign, *args)`` adds sign * left * right into
+    the map ``out``.  A pass whose side is empty is skipped, so real inputs
+    pay for one pass; zero values are stripped from the result.
     """
     re: dict = {}
     im: dict = {}
     if lre and rre:
-        apply(re, lre, rre, 1)
+        apply(re, lre, rre, 1, *args)
     if lim and rim:
-        apply(re, lim, rim, -1)
+        apply(re, lim, rim, -1, *args)
     if lre and rim:
-        apply(im, lre, rim, 1)
+        apply(im, lre, rim, 1, *args)
     if lim and rre:
-        apply(im, lim, rre, 1)
+        apply(im, lim, rre, 1, *args)
     return (
         {e: v for e, v in re.items() if v},
         {e: v for e, v in im.items() if v},
     )
 
 
-def _step(out: dict, state: dict, steps: list, sign: int) -> None:
-    for exps, v in state.items():
-        for a, b, shifts in steps:
-            ea = exps[a]
+def _step(out: dict, state: dict, rows: list, sign: int, mask: int) -> None:
+    for key, v in state.items():
+        for sa, row in rows:
+            ea = key >> sa & mask
             if not ea:
                 continue
-            eb = exps[b]
-            if not eb:
-                continue
-            dv = sign * v * ea * eb
-            for shift, c in shifts:
-                key = tuple(map(add, exps, shift))
-                out[key] = out.get(key, 0) + dv * c
+            va = sign * v * ea
+            for sb, shift, c in row:
+                eb = key >> sb & mask
+                if eb:
+                    k = key + shift
+                    out[k] = out.get(k, 0) + va * eb * c
 
 
-def contract_step(kernel: _Kernel, re: dict, im: dict) -> tuple:
+def contract_step(kernel: _Kernel, w: int, re: dict, im: dict) -> tuple:
     """One derivative-pair contraction step on a state of integer numerators.
 
-    For every (a, b, shifts) of the kernel (see :func:`_entries`) and every
-    key with positive exponents at positions a and b, differentiate both and
-    multiply by the matrix entry: the derivative factor is the product of
-    the two exponents, and the new key is the old one plus the entry's
-    shift.  ``re`` and ``im`` map keys to the real and imaginary numerators;
-    the result's denominator is the state's times ``kernel.den``.
+    For every step (a, b, shift) of the kernel (see :func:`_entries`) and
+    every key with positive exponents at positions a and b, differentiate
+    both and multiply by the matrix entry: the derivative factor is the
+    product of the two exponents, and the new key is the old one plus the
+    step's shift, one int add on keys packed at field width w.  ``re`` and
+    ``im`` map keys to the real and imaginary numerators; the result's
+    denominator is the state's times ``kernel.den``.
     """
-    return _complex(_step, re, im, kernel.re, kernel.im)
+    return _complex(_step, re, im, *_packed(kernel, w), (1 << w) - 1)
 
 
-def _pairs(out: dict, left: list, right: list, sign: int) -> None:
-    for (x, ftail), p in left:
+def _pairs(out: dict, left: dict, right: dict, sign: int) -> None:
+    for x, p in left.items():
         p *= sign
-        for (y, gtail), q in right:
-            # distinct pairs meet on one key when their tails sum alike
-            key = x + y + tuple(map(add, ftail, gtail))
-            out[key] = out.get(key, 0) + p * q
+        for y, q in right.items():
+            k = x + y
+            out[k] = out.get(k, 0) + p * q
 
 
-def _split(p: MultiPoly, pad: tuple = ()) -> tuple:
-    """The real and imaginary numerator lists of p's terms, keyed by
-    (z exponents + pad, tail), and their common denominator."""
-    n = p.n
-    den = common_den(p.terms.values())
-    items = [((e[:n] + pad, e[n:]), c) for e, c in p.terms.items()]
-    return (*numerator_parts(items, den), den)
-
-
-def _collapse(n: int, width: int, state: dict) -> dict:
-    """Identify the n-variable groups of every key (x, y and w all become z),
-    keep the parameter tail and sum the numerators."""
+def _collapse(n: int, width: int, w: int, state: dict) -> dict:
+    """Identify the n-variable groups of every packed key (x, y and w all
+    become z), keep the parameter tail above them and sum the numerators:
+    the keys come out packed in n z fields at the same width."""
+    block = n * w
+    mask = (1 << block) - 1
+    top = width * w
+    groups = range(block, top, block)
     acc: dict = {}
-    for exps, v in state.items():
-        key = exps[:n]
-        for start in range(n, width, n):
-            key = tuple(map(add, key, exps[start : start + n]))
-        key += exps[width:]
+    for k, v in state.items():
+        key = (k >> top << block) + (k & mask)
+        for s in groups:
+            key += k >> s & mask
         acc[key] = acc.get(key, 0) + v
     return acc
 
 
 def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
     """Yield the contraction terms of f and g, order 0 first, each as the
-    collapsed (re, im, den) numerator maps over one denominator.
+    collapsed (re, im, den, w) numerator maps over one denominator, keyed
+    by n-variable keys packed at field width w.
 
     Term k carries coupling^k/k! when the kernel has a coupling folded in
     (the 1/k goes into the denominator), and is the bare k-fold contraction
-    otherwise.
+    otherwise.  Every field of every key, collapsed or not, is at most
+    the two operands' largest exponents plus ``cap`` times the kernel's
+    reach, because no more than ``cap`` steps run; w holds that bound.
     """
     n = f.n
     width = kernel.width
-    fre, fim, fden = _split(f)
-    gre, gim, gden = _split(g, (0,) * (width - 2 * n))
-    re, im = _complex(_pairs, fre, fim, gre, gim)
-    den = fden * gden
-    yield _collapse(n, width, re), _collapse(n, width, im), den
     # every step lowers the left-slot degree, so this bound is never reached
     cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
+    w = key_width(f.max_exponent() + g.max_exponent() + cap * kernel.reach)
+    fre, fim, fden = f.numerators(w, width)
+    gre, gim, gden = g.numerators(w, width, n)
+    re, im = _complex(_pairs, fre, fim, gre, gim)
+    den = fden * gden
+    yield _collapse(n, width, w, re), _collapse(n, width, w, im), den, w
     for k in count(1):
         if k > cap:
             raise PreconditionError(
                 f"contraction did not terminate within {cap} steps"
             )
-        re, im = contract_step(kernel, re, im)
+        re, im = contract_step(kernel, w, re, im)
         if not re and not im:
             return
         den *= kernel.den
         if kernel.factorial:
             den *= k
-        yield _collapse(n, width, re), _collapse(n, width, im), den
+        yield _collapse(n, width, w, re), _collapse(n, width, w, im), den, w
 
 
 def _contraction(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
     """Yield the contraction terms of f and g as polynomials, order 0 first."""
-    for re, im, den in _orders(kernel, f, g):
-        yield MultiPoly.from_numerators(f.n, re, im, den)
+    for re, im, den, w in _orders(kernel, f, g):
+        yield MultiPoly.from_numerators(f.n, re, im, den, w)
 
 
 def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPoly:
@@ -440,15 +499,15 @@ def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPol
     numerators over the last denominator.
     """
     orders = list(_orders(kernel, f, g))
-    den = orders[-1][2]
+    den, w = orders[-1][2:]
     re: dict = {}
     im: dict = {}
-    for ore, oim, oden in orders:
+    for ore, oim, oden, _ in orders:
         m = den // oden
         for out, part in ((re, ore), (im, oim)):
             for key, v in part.items():
                 out[key] = out.get(key, 0) + v * m
-    return MultiPoly.from_numerators(f.n, re, im, den * div)
+    return MultiPoly.from_numerators(f.n, re, im, den * div, w)
 
 
 def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:

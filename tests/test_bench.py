@@ -15,10 +15,12 @@ def load_bench():
 
 
 def test_bench_writes_labelled_runs(tmp_path, capsys):
+    # both sides in one invocation, each in its own worker; here the
+    # "before" tree is this checkout's own source
     bench = load_bench()
     out = tmp_path / "BENCH_smoke.json"
-    for label in ("before", "after"):
-        assert bench.main(["--out", str(out), "--label", label, "--tiny"]) == 0
+    src = BENCH.parent.parent / "src"
+    assert bench.main(["--out", str(out), "--before", str(src), "--tiny"]) == 0
     capsys.readouterr()
     data = json.loads(out.read_text())
     names = {
@@ -27,6 +29,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         "jacobi_so3_d1", "jacobi_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",
         "matseries_det_n4_N2", "tanh_n4_N2",
     }
+    assert set(data["runs"]) == {"before", "after"}
     for label in ("before", "after"):
         run = data["runs"][label]
         assert run["backend"] in ("fractions.Fraction", "gmpy2.mpq")
@@ -35,4 +38,16 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         for case in run["cases"].values():
             assert case["median_s"] > 0 and case["terms"] > 0
             assert case["scaled_median_s"] > 0 and case["repeat"] == 1
+    # the same tree on both sides computes the same results
+    before, after = (data["runs"][label]["cases"] for label in ("before", "after"))
+    assert all(before[name]["terms"] == after[name]["terms"] for name in names)
     assert set(data["speedup"]) == names
+
+
+def test_bench_without_before_times_one_side(tmp_path, capsys):
+    bench = load_bench()
+    out = tmp_path / "BENCH_smoke.json"
+    assert bench.main(["--out", str(out), "--tiny"]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert set(data["runs"]) == {"after"} and "speedup" not in data

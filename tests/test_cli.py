@@ -369,6 +369,31 @@ def test_main_twice_in_one_process_matches_fresh_processes(tmp_path, capsys):
     assert in_process == fresh
 
 
+@pytest.mark.parametrize("text", ["2.5", "1_000", "1e999"])
+def test_non_canonical_scalar_text_exits_2(text, capsys, tmp_path):
+    # decimal, underscore and exponent notation never reach the rationals
+    identity = '[["1","0"],["0","1"]]'
+    job = star_job()
+    job["inputs"]["f"] = [{"exps": [1, 0], "coef": {"params": {}, "value": text}}]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    runs = [
+        ["--job", str(path)],
+        ["--command", "riccati", "--a", text, "--b", "1", "--c", "0"],
+        ["--command", "star-exp", "--lambda", json.dumps([["0", text], ["-1", "0"]]),
+         "--A", identity],
+        ["--command", "star-exp", "--lambda", '[["0","1"],["-1","0"]]',
+         "--A", json.dumps([[text, "0"], ["0", "1"]])],
+        ["--command", "star", "--n", "2", "--lambda", '[["0","1"],["-1","0"]]',
+         "--coupling", "mu/2", "--f", "z0", "--g", "z1", "--mu", text],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "schema"
+
+
 def test_non_square_ordering_matrix_exits_2(capsys):
     assert main(["--command", "ordering", "--K", '[["0","1"],["1"]]', "--f", "z0"]) == 2
     captured = capsys.readouterr()
@@ -382,6 +407,29 @@ def test_job_file(tmp_path, capsys):
     assert main(["--job", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["star"]["text"] == "z0*z1 + 1/2*mu"
+
+
+def test_star_with_wide_exponents(monkeypatch, capsys):
+    # exponents above the 8 bits of a byte, with the degree cap raised; the
+    # CLI output is the JSON of the pairing expansion
+    from starquant.verify import pairing_product
+
+    monkeypatch.setenv("STARQUANT_MAX_DEGREE", "300")
+    lam = '[["0","1"],["-1","0"]]'
+    cases = [
+        ("mu/2", "z0^300*mu^-300 + 2/3*z0^41*tau^257", "z1^260*hbar^300"),
+        ("mu/2", "mu^-100000*z0*z1", "hbar^70000*z0"),
+        ("i*hbar^300/2", "z0^40*mu^-300", "z1^40*hbar^300"),
+    ]
+    for coupling, f_text, g_text in cases:
+        argv = ["--command", "star", "--n", "2", "--lambda", lam,
+                "--coupling", coupling, "--f", f_text, "--g", g_text]
+        assert main(argv) == 0
+        star_out = json.loads(capsys.readouterr().out)["result"]["star"]
+        c = parse_scalar(coupling)
+        pairs = [(0, 1, c), (1, 0, -c)]
+        want = pairing_product(pairs, parse_poly(f_text, 2), parse_poly(g_text, 2))
+        assert star_out == {"text": want.text(), "terms": want.to_json()}
 
 
 def test_degree_cap(monkeypatch, capsys):

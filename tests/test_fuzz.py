@@ -1,4 +1,5 @@
-"""Hypothesis fuzz test of ``star-exp`` jobs through ``cli.main``.
+"""Hypothesis fuzz tests of ``star-exp`` and ``star`` jobs through
+``cli.main``.
 
 Jobs mix valid and malformed matrices: sizes 1-4, entries drawn from valid
 scalars, garbage strings, null, bools and nested lists, non-square rows, an
@@ -14,6 +15,13 @@ and never raise:
 
 Valid jobs stay small: n <= 2 at truncation <= 4, or n = 3, 4 at
 truncation <= 2.
+
+``star`` jobs draw n from 1 to 4, an antisymmetric structure matrix of
+constants or (for small degrees) linear polynomials, a nonzero coupling,
+and f and g as sums of two monomials up to the degree cap with powers of mu
+(negative ones too), hbar and tau; any of these may be garbage instead.
+They have no precondition left to violate, so they exit 2 with an empty
+stdout and a ``schema`` error, or 0 with the product; never 1 or 3.
 """
 
 import io
@@ -25,11 +33,14 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from starquant.cli import main
+from starquant.cli import main, max_input_degree
+from starquant.poly import MultiPoly
 from starquant.scalars import GaussianRational
 
 VALID_SCALARS = ("0", "1", "-2", "1/3", "-5/7", "i", "2/3*i", "1/2+i", "-i", 3, -1)
-GARBAGE = ("", "abc", "1/0", "z0", "1//2", "i*i*", "mu", "nan")
+GARBAGE = (
+    "", "abc", "1/0", "z0", "1//2", "i*i*", "mu", "nan", "2.5", "1_000", "1e999",
+)
 
 valid_entry = st.sampled_from(VALID_SCALARS)
 entry = st.one_of(
@@ -100,6 +111,17 @@ def star_exp_jobs(draw):
     }
 
 
+def run(job) -> tuple:
+    """(exit code, stdout, stderr) of ``main`` on the job."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(job))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--job", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -108,18 +130,101 @@ def star_exp_jobs(draw):
 )
 @given(star_exp_jobs())
 def test_star_exp_jobs_exit_with_one_meaning_each(job):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "job.json"
-        path.write_text(json.dumps(job))
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["--job", str(path)])
+    code, out, err = run(job)
     if code == 2:
-        assert out.getvalue() == ""
-        assert json.loads(err.getvalue())["kind"] == "schema"
+        assert out == ""
+        assert json.loads(err)["kind"] == "schema"
     elif code == 3:
-        assert out.getvalue() == ""
-        assert json.loads(err.getvalue())["kind"] == "precondition"
+        assert out == ""
+        assert json.loads(err)["kind"] == "precondition"
     else:
         assert code == 0, (code, job)
-        assert json.loads(out.getvalue())["result"]["oracle_check"]["pass"] is True
+        assert json.loads(out)["result"]["oracle_check"]["pass"] is True
+
+
+POLY_GARBAGE = (
+    "", "z", "z9", "z0^", "z0^-1", "hbar^-1", "tau^-2", "1/0", "((z0", "2.5",
+    "1_000", "1e999", "mu^^2", "z0 z1", None, 7.5, True, [["z0"]],
+)
+COEFFICIENTS = ("1", "-1", "2/3", "-5/7", "i", "(1/2-3*i)", "mu", "hbar/3")
+
+
+@st.composite
+def monomial(draw, n: int, degree: int):
+    """A coefficient, z factors of total degree ``degree`` and parameter
+    powers, as text."""
+    exps = [0] * n
+    for _ in range(degree):
+        exps[draw(st.integers(0, n - 1))] += 1
+    factors = [draw(st.sampled_from(COEFFICIENTS))]
+    factors += [f"z{j}^{e}" for j, e in enumerate(exps) if e]
+    mu, hbar, tau = draw(st.integers(-3, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    factors += [f"{name}^{e}" for name, e in (("mu", mu), ("hbar", hbar), ("tau", tau)) if e]
+    return "*".join(factors)
+
+
+@st.composite
+def polynomial(draw, n: int, max_degree: int):
+    """One or two monomials of degree <= max_degree, the cap and the
+    values next to it included, joined by + or -."""
+    degrees = st.sampled_from(sorted({0, 1, 2, max_degree // 2, max_degree - 1, max_degree}))
+    terms = draw(st.lists(monomial(n, draw(degrees)), min_size=1, max_size=2))
+    text = terms[0]
+    for t in terms[1:]:
+        text += draw(st.sampled_from((" + ", " - "))) + t
+    return text
+
+
+@st.composite
+def star_jobs(draw):
+    """A star job with at most one kind of garbage; half have none."""
+    fault = draw(st.sampled_from((None, None, None, "lambda", "coupling", "f", "g", "mu")))
+    n = draw(st.integers(1, 4))
+    cap = max_input_degree()
+    constant = draw(st.booleans())
+    # a polynomial lambda multiplies the terms per step: keep its degrees low
+    max_degree = cap if constant else 3
+    entries = st.sampled_from(("0", "1", "-2/3", "1/2+i", "mu^-1", "3*hbar"))
+    if not constant:
+        entries = st.one_of(entries, st.builds("z{}".format, st.integers(0, n - 1)))
+        entries = st.one_of(entries, st.builds("{}*mu^-2".format, entries))
+    lam = [["0"] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = draw(entries)
+            lam[a][b], lam[b][a] = v, f"-({v})"
+    coupling = draw(st.sampled_from(("mu/2", "i*hbar/2", "mu^-1", "2/3*mu^-3+hbar")))
+    inputs = {"f": draw(polynomial(n, max_degree)), "g": draw(polynomial(n, max_degree))}
+    if draw(st.booleans()):
+        inputs["mu"] = draw(st.sampled_from(("-3/2", "2", "i", "1/3-i")))
+    garbage = st.sampled_from(POLY_GARBAGE)
+    if fault == "lambda" and n > 1:
+        lam[0][1] = draw(garbage)
+    elif fault == "coupling":
+        coupling = draw(garbage)
+    elif fault in ("f", "g", "mu"):
+        inputs[fault] = draw(garbage)
+    return {
+        "command": "star",
+        "context": {"n": n, "lambda": lam, "coupling": coupling},
+        "inputs": inputs,
+    }
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(star_jobs())
+def test_star_jobs_exit_0_or_2(job):
+    code, out, err = run(job)
+    if code == 2:
+        assert out == ""
+        assert json.loads(err)["kind"] == "schema"
+    else:
+        assert code == 0, (code, err, job)
+        product = json.loads(out)["result"]["star"]
+        n = job["context"]["n"]
+        assert MultiPoly.from_json(n, product["terms"]).text() == product["text"]

@@ -1,9 +1,10 @@
 import random
+from operator import add, mul
 
 import pytest
 
 from starquant.errors import PreconditionError
-from starquant.poly import MU, MultiPoly, quadratic_form
+from starquant.poly import MU, MultiPoly, key_weights, key_width, quadratic_form, unpack_key
 from starquant.scalars import EXP_ZERO, GaussianRational, gr, rat
 
 Z2 = lambda j: MultiPoly.variable(2, j)
@@ -149,24 +150,30 @@ def test_degree_and_homogeneity():
     assert not (z0 + z0 ** 2).is_homogeneous()
 
 
+def pack(key, n, w, fields=None, offset=0):
+    return sum(map(mul, key, key_weights(n, w, fields, offset)))
+
+
 def test_numerators_round_trip():
     from math import gcd
 
     i = GaussianRational(0, 1)
     zero = MultiPoly.zero(2)
-    assert zero.numerators() == ({}, {}, 1)
-    assert MultiPoly.from_numerators(2, {}, {}, 1) == zero
+    assert zero.numerators(1) == ({}, {}, 1)
+    assert MultiPoly.from_numerators(2, {}, {}, 1, 1) == zero
     # pure-imaginary terms, negative mu exponents, negative parts
     p = MultiPoly(2, {
         (1, 0, -1, 0, 0): GaussianRational(0, rat(-2, 3)),
         (0, 2, -2, 1, 0): GaussianRational(rat(5, 6), rat(-1, 4)),
         (0, 0, 0, 0, 1): GaussianRational(rat(-7, 10)),
     })
-    re, im, den = p.numerators()
-    assert den == 60 and (1, 0, -1, 0, 0) not in re
-    assert re == {(0, 2, -2, 1, 0): 50, (0, 0, 0, 0, 1): -42}
-    assert im == {(1, 0, -1, 0, 0): -40, (0, 2, -2, 1, 0): -15}
-    assert MultiPoly.from_numerators(2, re, im, den) == p
+    w = key_width(p.max_exponent())
+    assert w == 2
+    re, im, den = p.numerators(w)
+    assert den == 60 and pack((1, 0, -1, 0, 0), 2, w) not in re
+    assert re == {pack((0, 2, -2, 1, 0), 2, w): 50, pack((0, 0, 0, 0, 1), 2, w): -42}
+    assert im == {pack((1, 0, -1, 0, 0), 2, w): -40, pack((0, 2, -2, 1, 0), 2, w): -15}
+    assert MultiPoly.from_numerators(2, re, im, den, w) == p
     rng = random.Random(17)
     for n in (0, 1, 3):
         for _ in range(10):
@@ -174,12 +181,48 @@ def test_numerators_round_trip():
             imag = rand_poly(rng, n, deg).scale_gauss(i * gr(1, rng.randint(1, 9)))
             q = rand_poly(rng, n, deg) + imag
             q = q.scale(MultiPoly.param("mu", rng.randint(-2, 2)))
-            re, im, den = q.numerators()
-            assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
-            assert all(re.values()) and all(im.values())
-            assert MultiPoly.from_numerators(n, re, im, den) == q
-            # numerators not in lowest terms, and zero numerators, read the same
-            re6 = {e: 6 * v for e, v in re.items()}
-            im6 = {e: 6 * v for e, v in im.items()}
-            re6[(0,) * (n + 3)] = re6.get((0,) * (n + 3), 0)
-            assert MultiPoly.from_numerators(n, re6, im6, 6 * den) == q
+            # the least width, and a wider one, read the same
+            for w in (key_width(q.max_exponent()), 9):
+                re, im, den = q.numerators(w)
+                assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
+                assert all(re.values()) and all(im.values())
+                assert MultiPoly.from_numerators(n, re, im, den, w) == q
+                # numerators not in lowest terms, and zero numerators, read the same
+                re6 = {e: 6 * v for e, v in re.items()}
+                im6 = {e: 6 * v for e, v in im.items()}
+                re6[0] = re6.get(0, 0)
+                assert MultiPoly.from_numerators(n, re6, im6, 6 * den, w) == q
+
+
+def test_packed_keys_round_trip_with_negative_mu():
+    # fields wider than one byte, and mu tails of either sign on top
+    rng = random.Random(29)
+    for n in (0, 1, 2, 4):
+        for _ in range(40):
+            e = rng.choice((1, 3, 255, 256, 300, 70000))
+            key = tuple(rng.randint(0, e) for _ in range(n)) + (
+                rng.randint(-e, e), rng.randint(0, e), rng.randint(0, e)
+            )
+            w = key_width(max(0, *key))
+            packed = pack(key, n, w)
+            assert unpack_key(packed, n, w) == key
+            if key[n] < 0:
+                assert packed < 0
+            # packing is linear: the packed sum of two keys is their sum
+            other = tuple(rng.randint(0, e) for _ in range(n)) + (
+                rng.randint(-e, e), rng.randint(0, e), rng.randint(0, e)
+            )
+            total = tuple(map(add, key, other))
+            w = key_width(max(0, *total))
+            assert pack(key, n, w) + pack(other, n, w) == pack(total, n, w)
+            assert unpack_key(pack(key, n, w) + pack(other, n, w), n, w) == total
+            # the engine's layouts: n variables at block offset n of 2n fields
+            # keep the tail above the whole block
+            wide = pack(key, n, w, 2 * n, n)
+            assert wide >> (w * n) & ((1 << (w * n)) - 1) == pack(key[:n] + (0, 0, 0), n, w)
+            assert wide >> (w * 2 * n) == pack((0,) * n + key[n:], n, w) >> (w * n)
+    # one bit too narrow reads a different key
+    key = (4, 0, -1, 4, 0)
+    w = key_width(4)
+    assert unpack_key(pack(key, 2, w), 2, w) == key
+    assert unpack_key(pack(key, 2, w - 1), 2, w - 1) != key

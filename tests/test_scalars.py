@@ -56,6 +56,17 @@ def test_parse_forms():
     assert GaussianRational.parse("-i") == -GR_I
     assert GaussianRational.parse("0") == GR_ZERO
     assert GaussianRational.parse("-5/10") == gr(-1, 2)
+    assert GaussianRational.parse("2i") == GaussianRational.parse("2*i")
+    assert GaussianRational.parse("--3+-1/3*i").text() == "3-1/3*i"
+
+
+@pytest.mark.parametrize(
+    "text", ["2.5", "1_000", "1e999", "1e-5", "1/2.0", "2.5*i", "1_0i", "inf", "½", "٣"]
+)
+def test_parse_rejects_non_canonical_numbers(text):
+    # only signs, ASCII digits, one optional "/digits" and the i forms
+    with pytest.raises(ValueError):
+        GaussianRational.parse(text)
 
 
 def test_pow_including_negative():

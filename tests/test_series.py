@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from starquant.errors import PreconditionError
-from starquant.poly import HBAR, MultiPoly
+from starquant.poly import HBAR, MultiPoly, key_width
 from starquant.scalars import GaussianRational, gr, rat
 from starquant.series import TruncSeries
 
@@ -272,9 +272,63 @@ def test_cauchy_sums_stay_in_lowest_terms():
         want = MultiPoly.zero(1)
         for j in range(4):
             want = want + (a[j] * b[3 - j]).scale_rat(rat(j - 5))
-        a3 = [c.numerators() for c in a]
-        b3 = [c.numerators() for c in b]
+        # the packed keys of a product add two exponents of at most 1
+        w = key_width(2)
+        a3 = [c.numerators(w) for c in a]
+        b3 = [c.numerators(w) for c in b]
         re, im, den = _cauchy(a3, b3, 3, 0, range(-5, -1), 12)
         assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
         assert all(re.values()) and all(im.values())
-        assert MultiPoly.from_numerators(1, re, im, den) == want.scale_rat(rat(1, 12))
+        assert MultiPoly.from_numerators(1, re, im, den, w) == want.scale_rat(rat(1, 12))
+
+
+# --- exponents wider than one byte per packed key field ----------------------
+
+
+def wide_coef(rng, n: int) -> MultiPoly:
+    """One or two complex terms with z exponents up to 40, mu^-300..300,
+    hbar^0..300 and tau^0 or tau^257: every field needs more than a byte."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = tuple(rng.randint(0, 40) for _ in range(n))
+        tail = (rng.randint(-300, 300), rng.randint(0, 300), rng.choice((0, 257)))
+        terms[exps + tail] = GaussianRational(
+            rat(rng.randint(-5, 5), rng.randint(1, 7)), rat(rng.randint(-5, 5), rng.randint(1, 7))
+        )
+    return MultiPoly(n, terms)
+
+
+def cauchy(a: TruncSeries, b: TruncSeries) -> list:
+    """The coefficients of a * b by MultiPoly products, without the
+    integer layout."""
+    zero = MultiPoly.zero(a.n)
+    return [
+        sum((a.coeffs[j] * b.coeffs[k - j] for j in range(k + 1)), zero)
+        for k in range(a.order + 1)
+    ]
+
+
+def test_series_with_wide_exponents_match_multipoly_products():
+    rng = random.Random(31)
+    order = 4
+    for n in (0, 2):
+        one = TruncSeries.one(n, order)
+        rest = [wide_coef(rng, n) for _ in range(order)]
+        a = TruncSeries(n, order, [wide_coef(rng, n)] + rest)
+        b = TruncSeries(n, order, [wide_coef(rng, n) for _ in range(order + 1)])
+        assert (a * b).coeffs == tuple(cauchy(a, b))
+        # exp(S) = sum_m S^m / m!, and with a factor, exp(S) * b
+        s = TruncSeries(n, order, [MultiPoly.zero(n)] + rest)
+        power, want = one, TruncSeries.zero(n, order)
+        for m in range(order + 1):
+            want = want + power.scale_rat(rat(1, factorial(m)))
+            power = TruncSeries(n, order, cauchy(power, s))
+        assert s.exp() == want
+        assert s.exp(b).coeffs == tuple(cauchy(want, b))
+        # X S = 1 with S_0 = c mu^-300, and r^2 S = 1 with S_0 = 1
+        lead = MultiPoly(n, {(0,) * n + (-300, 0, 0): GaussianRational(rat(2, 3), rat(1, 5))})
+        s = TruncSeries(n, order, [lead] + rest)
+        assert cauchy(s.inverse(), s) == list(one.coeffs)
+        s = TruncSeries(n, order, [MultiPoly.one(n)] + rest)
+        r = s.inv_sqrt()
+        assert cauchy(TruncSeries(n, order, cauchy(r, r)), s) == list(one.coeffs)

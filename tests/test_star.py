@@ -1,10 +1,11 @@
 import random
+from math import factorial, perm
 
 import pytest
 
 from starquant.errors import PreconditionError
 from starquant.poly import HALF_MU, HBAR, I_HBAR_HALF, MU, MU_INV, TAU, MultiPoly
-from starquant.scalars import EXP_ZERO, GR_I, PARAM_INDEX, GaussianRational, gr, rat
+from starquant.scalars import EXP_ZERO, GR_I, GR_ONE, PARAM_INDEX, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 from starquant.star import (
     OrderingK,
@@ -509,3 +510,74 @@ def test_context_json_roundtrip():
     back = StarContext.from_json(ctx.to_json())
     assert back.n == ctx.n and back.coupling == ctx.coupling
     assert back.lam == ctx.lam
+
+
+# --- exponents wider than one byte per packed key field ----------------------
+
+
+def term(n, exps, mu=0, hbar=0, tau=0, coef=GR_ONE) -> MultiPoly:
+    """The one-term polynomial coef * z^exps * mu^mu * hbar^hbar * tau^tau."""
+    return MultiPoly(n, {tuple(exps) + (mu, hbar, tau): coef})
+
+
+def test_star_with_wide_exponents_matches_pairing_product():
+    # f in z0 and g in z1 only, so pairing_product follows one pairing
+    # sequence; the coupling adds mu^-300 hbar^300 per order, up to
+    # hbar^12300, and f, g carry z^41, mu^-300, hbar^300 and tau^260
+    coupling = term(0, (), -300, 300, coef=GaussianRational(rat(1, 2), rat(1, 5)))
+    lam = antisym(2, {(0, 1): gr(1, 3)})
+    ctx = StarContext.constant(lam, coupling)
+    pairs = coupled_pairs(lam, coupling)
+    f = term(2, (40, 0), -300, 300) + term(2, (3, 0), tau=260, coef=gr(2, 3))
+    g = term(2, (0, 41), -300) + term(2, (0, 2), hbar=300, coef=gr(5, 7))
+    assert star(ctx, f, g) == pairing_product(pairs, f, g)
+    assert star(ctx, g, f) == pairing_product(pairs, g, f)
+    # z exponents of 300: 301 orders, against the closed form
+    # z0^p (*) z1^q = sum_k (mu/2 L01)^k / k! p!/(p-k)! q!/(q-k)! z0^(p-k) z1^(q-k)
+    ctx = StarContext.constant(lam, HALF_MU)
+    p = q = 300
+    want = MultiPoly.zero(2)
+    for k in range(p + 1):
+        c = rat(1, 6) ** k / factorial(k) * perm(p, k) * perm(q, k)
+        want = want + term(2, (p - k, q - k), k - 300, coef=gr(c))
+    assert star(ctx, term(2, (p, 0)), term(2, (0, q), -300)) == want
+
+
+def test_polynomial_lambda_with_wide_exponents_matches_factor_orders():
+    # entries z_k mu^-300 hbar^300 (so(3) scaled): the w-variable and the
+    # iterated kernels shift the tail by +-300 per step
+    z = zvars(3)
+    zero = MultiPoly.zero(3)
+    scale = term(0, (), -300, 300)
+    l01, l02, l12 = z[2].scale(scale), -z[1].scale(scale), z[0].scale(scale)
+    lam = ((zero, l01, l02), (-l01, zero, l12), (-l02, -l12, zero))
+    ctx = StarContext(3, lam, HALF_MU)
+    f = term(3, (40, 1, 0), hbar=300) + term(3, (0, 0, 2), -300, tau=300, coef=gr(1, 3))
+    g = term(3, (0, 41, 1), tau=300) + term(3, (1, 0, 0), -300, 299, coef=GR_I)
+    k_max = 3
+    got = iterated_terms(ctx, f, g, k_max)
+    got += [zero] * (k_max + 1 - len(got))
+    assert got == factor_orders(ctx, f, g, k_max, True)
+    contracted = factor_orders(ctx, f, g, k_max, False)
+    terms = star_terms(ctx, f, g)
+    weight = MultiPoly.one(0)
+    for k in range(k_max + 1):
+        assert (terms[k] if k < len(terms) else zero) == contracted[k].scale(weight)
+        weight = weight * HALF_MU.scale_rat(rat(1, k + 1))
+
+
+def test_ode_star_exponential_with_wide_exponents():
+    # F_{k+1} = H (*) F_k / (k+1), each product by pairing_product; H
+    # carries mu^-300 hbar^300, so F_4 carries hbar^1200
+    lam = antisym(2, {(0, 1): GaussianRational(rat(1, 2), rat(-1, 3))})
+    ctx = StarContext.constant(lam, I_HBAR_HALF)
+    pairs = coupled_pairs(lam, I_HBAR_HALF)
+    h = (
+        term(2, (2, 0), -300, 300)
+        + term(2, (1, 1), tau=257, coef=gr(2, 3))
+        + term(2, (0, 2), 300, coef=GR_I)
+    )
+    want = [MultiPoly.one(2)]
+    for k in range(4):
+        want.append(pairing_product(pairs, h, want[-1]).scale_rat(rat(1, k + 1)))
+    assert ode_star_exponential(ctx, h, 4) == TruncSeries(2, 4, want)

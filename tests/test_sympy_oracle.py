@@ -427,3 +427,80 @@ def test_two_variable_inv_sqrt_satisfies_defining_identity():
         assert r.coeffs[0] == MultiPoly.one(2)
         r_mu = ring_series(r, SERIES_ORDER)
         assert truncated(truncated(r_mu * r_mu) * ring_series(s, 1)) == RMU**13
+
+
+# exponents wider than one byte per packed key field: z^40 and hbar^300 in
+# every coefficient, and mu^-300, cleared by a power of mu before a series
+# enters the ring
+WIDE_RING, WT, WZ0, WMU, WHBAR = sympy.ring("t z0 mu hbar", sympy.QQ_I)
+WIDE_ORDER = 3
+
+
+def wide_series(rng, lead: MultiPoly) -> TruncSeries:
+    """A 1-variable series through t^3 with t^0 coefficient ``lead`` and
+    one or two terms z0^(35..40) mu^(-300 or 0) hbar^(260..300) after it."""
+    coeffs = [lead]
+    for _ in range(WIDE_ORDER):
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            key = (rng.randint(35, 40), rng.choice((-300, 0)), rng.randint(260, 300), 0)
+            terms[key] = GaussianRational(rat(rng.randint(1, 5), rng.randint(1, 9)), rat(-1, 3))
+        coeffs.append(MultiPoly(1, terms))
+    return TruncSeries(1, WIDE_ORDER, coeffs)
+
+
+def wide_ring_series(s: TruncSeries, mu_shift: int):
+    """mu^mu_shift times the series, as an element of WIDE_RING."""
+    terms = {}
+    for k, c in enumerate(s.coeffs):
+        for (e0, mu, hbar, tau), g in c.terms.items():
+            assert mu + mu_shift >= 0 and not tau
+            terms[(k, e0, mu + mu_shift, hbar)] = sympy.QQ_I(sym_rational(g.re), sym_rational(g.im))
+    return WIDE_RING(terms)
+
+
+def test_wide_exponent_series_match_sympy():
+    # S_j carries mu^-300 at the lowest, so mu^(300 k) clears order k
+    rng = random.Random(112)
+    top = 300 * WIDE_ORDER
+
+    def trunc(p):
+        return rs_trunc(p, WT, WIDE_ORDER + 1)
+
+    a = wide_series(rng, MultiPoly.zero(1))
+    b = wide_series(rng, MultiPoly.one(1))
+    a_mu, b_mu = wide_ring_series(a, 300), wide_ring_series(b, 300)
+    assert wide_ring_series(a * b, 600) == trunc(a_mu * b_mu)
+    # exp(S) = sum_m S^m / m!
+    power, want = WIDE_RING(1), WIDE_RING(0)
+    for m in range(WIDE_ORDER + 1):
+        want += power * WMU ** (top - 300 * m) / sympy.factorial(m)
+        power = trunc(power * a_mu)
+    assert wide_ring_series(a.exp(), top) == want
+    # X S = 1 with S_0 = (2/3 + i/5) mu^-300, and r^2 S = 1 with S_0 = 1
+    lead = MultiPoly(1, {(0, -300, 0, 0): GaussianRational(rat(2, 3), rat(1, 5))})
+    s = wide_series(rng, lead)
+    x = s.inverse()
+    assert trunc(wide_ring_series(x, top + 300) * wide_ring_series(s, 300)) == WMU ** (top + 600)
+    r = b.inv_sqrt()
+    r_mu = wide_ring_series(r, top)
+    assert trunc(trunc(r_mu * r_mu) * b_mu) == WMU ** (2 * top + 300)
+
+
+def test_riccati_1d_with_wide_hbar_powers_matches_tan_and_sec():
+    # at order 260, h and g reach hbar^258 and hbar^260: the t^k
+    # coefficient is tan_k D^((k-1)/2) hbar^(k-1) or sec_k D^(k/2) hbar^k
+    order = 260
+    ring, x = sympy.ring("x", sympy.QQ)
+    tan = rs_tan(x, x, order + 1)
+    sec = rs_series_inversion(rs_cos(x, x, order + 1), x, order + 1)
+    a, b, c = gr(1), gr(2), GaussianRational(rat(1, 2), rat(1, 3))
+    d = c * c - a * b
+    g, h = riccati_1d(a, b, c, order)
+    zero = MultiPoly.zero(0)
+    for k in range(order + 1):
+        coef = sec.coeff(x**k) if k % 2 == 0 else tan.coeff(x**k)
+        value = gr(int(coef.numerator), int(coef.denominator)) * d ** (k // 2)
+        want = MultiPoly.param("hbar", k - k % 2, value)
+        assert h.coeffs[k] == (want if k % 2 else zero)
+        assert g.coeffs[k] == (zero if k % 2 else want)
