@@ -29,7 +29,13 @@ by the same cases as this one:
 * ``matseries_inverse_n4_N8``, ``matseries_det_n4_N8``: ``MatSeries.inverse``
   and ``MatSeries.det`` of a random 4x4 matrix series with an invertible
   t^0 coefficient;
-* ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix.
+* ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix;
+* ``cli_star_poly_n3``, ``cli_riccati_N8``: a fixed job file run end to end
+  through ``cli.main(["--job", FILE])`` with stdout captured (argparse, the
+  schema checks, the handler and the JSON output): a ``star`` job under the
+  so(3) structure matrix with f and g of degrees 5 and 6, and a
+  ``riccati`` job at truncation 8.  Their term count is the number of
+  terms in the printed product, or in the printed g and h series.
 
 Each side runs in its own worker subprocess, which imports starquant from
 its source tree (``--before``, and this checkout's ``src`` as "after") and
@@ -57,13 +63,16 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import json
 import platform
 import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
 
@@ -96,6 +105,7 @@ def _import(src: Path):
 
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
+    from starquant import cli
     from starquant.grading import check_jacobi
     from starquant.matrices import MatSeries, expand_closed_form, tanh_series
     from starquant.poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
@@ -224,6 +234,50 @@ def cases(tiny: bool) -> list:
     out.append(
         (f"tanh_n{n}_N{order}", {"n": n, "N": order},
          lambda: sum(not m.is_zero() for m in tanh_series(a, order).coeffs))
+    )
+    # the job files live as long as the thunks that read them
+    jobs = tempfile.TemporaryDirectory(prefix="starquant-bench-")
+
+    def cli_case(name, job, count):
+        path = Path(jobs.name) / f"{name}.json"
+        path.write_text(json.dumps(job))
+
+        def run_cli(jobs=jobs):
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                code = cli.main(["--job", str(path)])
+            if code != 0:
+                raise SystemExit(f"bench: {name} exited with {code}")
+            return count(json.loads(stdout.getvalue())["result"])
+
+        return run_cli
+
+    so3 = [["0", "z2", "-z1"], ["-z2", "0", "z0"], ["z1", "-z0", "0"]]
+    if tiny:
+        f, g, degrees = "z0*z1 - mu*z2^2", "z1*z2 + 2/3*z0", [2, 2]
+    else:
+        f = "z0^2*z1*z2^2 - 2/3*mu*z0^3*z1^2 + z1^5 - 1/2*z0*z2^4 + 3*z1^2*z2^3"
+        g = "z0^3*z1*z2^2 + 5/7*z1^6 - mu^-1*z0^2*z2^4 + 2*z0*z1^4*z2 - z2^6"
+        degrees = [5, 6]
+    job = {
+        "command": "star",
+        "context": {"n": 3, "lambda": so3, "coupling": "mu/2"},
+        "inputs": {"f": f, "g": g},
+    }
+    out.append(
+        ("cli_star_poly_n3", {"n": 3, "degrees": degrees},
+         cli_case("star", job, lambda result: len(result["star"]["terms"])))
+    )
+    order = 2 if tiny else 8
+    job = {
+        "command": "riccati",
+        "inputs": {"a": "2/3", "b": "-5/7", "c": "1/2+i"},
+        "truncation": order,
+    }
+    out.append(
+        (f"cli_riccati_N{order}", {"N": order},
+         cli_case("riccati", job, lambda result: sum(
+             len(c["terms"]) for c in result["g"] + result["h"])))
     )
     return out
 

@@ -284,6 +284,8 @@ def _run_grade(job: dict) -> tuple:
     if job.get("context") is None:
         raise SchemaError("grade requires a context carrying n")
     n = _context_input(job["context"]).n
+    if n < 2:
+        raise SchemaError("grade requires context n >= 2 (projective dimension n - 1)")
     f = _poly_input(_required(inputs, "f", "inputs"), n, "f")
     if "mu" in inputs:
         f = specialize_mu(f, _gauss_input(inputs["mu"], "mu"))
@@ -409,10 +411,42 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder;
+    this writer dispatches on the exact type and joins each container once.
+    ``indent`` is the newline and indentation before the value's closing
+    bracket.  Leaves other than ``str`` and ``int`` (bool, None, float) go
+    through ``json.dumps``; a non-``str`` dict key raises ``TypeError``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_escape(k) + ": " + json_text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def _json_flag(raw: str, label: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise SchemaError(f"--{label} must be valid JSON: {exc}") from exc
 
 
@@ -490,7 +524,7 @@ def main(argv=None) -> int:
                     job = json.load(fh)
             except OSError as exc:
                 raise SchemaError(f"cannot read job file: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also bad UTF-8 and over-long ints
                 raise SchemaError(f"job file is not valid JSON: {exc}") from exc
             if args.out and isinstance(job, dict) and "output_path" not in job:
                 job["output_path"] = args.out
@@ -509,7 +543,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    text = json.dumps(envelope, indent=2, sort_keys=True)
+    text = json_text(envelope)
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

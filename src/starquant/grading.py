@@ -29,7 +29,7 @@ from .errors import PreconditionError
 from .poly import MultiPoly, grlex_key
 from .reports import CheckReport
 from .scalars import PARAM_INDEX, GaussianRational, accumulate
-from .star import StarContext, _contraction, _full_entries, _iterated_entries, star
+from .star import StarContext, _full_entries, _iterated_entries, _orders, star
 
 _MU = PARAM_INDEX["mu"]
 
@@ -254,22 +254,24 @@ def check_lambda_relation(
     monos = monomials_upto(ctx.n, d_max)
     # both forms as bare k-fold contractions, without coupling or 1/k!.  The
     # matrix is fixed, so the kernels of both forms are built once for all
-    # pairs.  Every pair keeps its two generators, and all pairs advance one
-    # order at a time, so the check stops at the first failing order; a
-    # generator that ended counts as zero from then on.
+    # pairs, and both pack their keys at the width of the larger reach.
+    # Every pair keeps its two generators of numerator maps, and all pairs
+    # advance one order at a time, so the check stops at the first failing
+    # order; a generator that ended counts as zero from then on.
     full_kernel = _full_entries(ctx)
     iterated_kernel = _iterated_entries(ctx)
+    reach = max(full_kernel.reach, iterated_kernel.reach)
     pairs = []
     for f in monos:
         for g in monos:
-            lhs = _contraction(iterated_kernel, f, g)
-            rhs = _contraction(full_kernel, f, g)
+            lhs = _orders(iterated_kernel, f, g, reach)
+            rhs = _orders(full_kernel, f, g, reach)
             next(lhs), next(rhs)  # order 0 is f*g on both sides
             pairs.append((f, g, lhs, rhs))
-    zero = MultiPoly.zero(ctx.n)
+    zero = ({}, {}, 1, 0)
     for k in range(1, k_max + 1):
         for f, g, lhs, rhs in pairs:
-            if next(lhs, zero) != next(rhs, zero):
+            if not _same_order(next(lhs, zero), next(rhs, zero)):
                 return CheckReport(
                     passed=False,
                     first_divergence_order=k,
@@ -277,3 +279,16 @@ def check_lambda_relation(
                     detail="iterated and contracted forms differ",
                 )
     return CheckReport(passed=True)
+
+
+def _same_order(lhs: tuple, rhs: tuple) -> bool:
+    """Whether two (re, im, den, w) orders of :func:`star._orders`, packed
+    at one width, are the same polynomial: a/d1 == b/d2 per key and part,
+    tested as a*d2 == b*d1 with zero numerators left out."""
+    lre, lim, lden, _ = lhs
+    rre, rim, rden, _ = rhs
+    return all(
+        {key: v * rden for key, v in left.items() if v}
+        == {key: v * lden for key, v in right.items() if v}
+        for left, right in ((lre, rre), (lim, rim))
+    )

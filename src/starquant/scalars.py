@@ -19,6 +19,9 @@ denominator, and their text forms agree.
 from __future__ import annotations
 
 import re
+import sys
+
+from .errors import SchemaError
 
 try:  # pragma: no cover - exercised implicitly by whichever backend is present
     from gmpy2 import mpq as _ratctor
@@ -145,13 +148,20 @@ class GaussianRational:
         if not self:
             return "0"
         parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            s = str(self.im)
-            if parts and not s.startswith("-"):
-                parts.append("+")
-            parts.append(s + "*i")
+        try:
+            if self.re:
+                parts.append(str(self.re))
+            if self.im:
+                s = str(self.im)
+                if parts and not s.startswith("-"):
+                    parts.append("+")
+                parts.append(s + "*i")
+        except ValueError as exc:
+            # str() of an int longer than Python's int-to-text digit limit
+            raise SchemaError(
+                "a coefficient has more digits than the output limit of "
+                f"{sys.get_int_max_str_digits()}"
+            ) from exc
         return "".join(parts)
 
     @classmethod

@@ -451,7 +451,7 @@ def _collapse(n: int, width: int, w: int, state: dict) -> dict:
     return acc
 
 
-def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
+def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly, reach: int = 0):
     """Yield the contraction terms of f and g, order 0 first, each as the
     collapsed (re, im, den, w) numerator maps over one denominator, keyed
     by n-variable keys packed at field width w.
@@ -460,13 +460,16 @@ def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
     (the 1/k goes into the denominator), and is the bare k-fold contraction
     otherwise.  Every field of every key, collapsed or not, is at most
     the two operands' largest exponents plus ``cap`` times the kernel's
-    reach, because no more than ``cap`` steps run; w holds that bound.
+    reach, because no more than ``cap`` steps run; w holds that bound,
+    with ``reach`` in place of the kernel's when it is larger, so that two
+    kernels given the larger of their reaches pack at the same width.
     """
     n = f.n
     width = kernel.width
     # every step lowers the left-slot degree, so this bound is never reached
     cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
-    w = key_width(f.max_exponent() + g.max_exponent() + cap * kernel.reach)
+    reach = max(reach, kernel.reach)
+    w = key_width(f.max_exponent() + g.max_exponent() + cap * reach)
     fre, fim, fden = f.numerators(w, width)
     gre, gim, gden = g.numerators(w, width, n)
     re, im = _complex(_pairs, fre, fim, gre, gim)

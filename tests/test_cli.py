@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from starquant.cli import main, run_job
+from starquant.cli import json_text, main, run_job
 from starquant.errors import SchemaError
 from starquant.parsing import parse_poly, parse_scalar
 from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MultiPoly
@@ -150,6 +152,11 @@ def malformed_jobs():
         star_with(truncation="8"),
         {"command": "star-exp", "inputs": {"lambda": [["0", "1"], ["-1", "0"]]}},
         {"command": "ordering", "inputs": {"f": "z0"}},
+        {
+            "command": "grade",
+            "context": {"n": 1, "lambda": [["0"]], "coupling": "mu/2"},
+            "inputs": {"f": "z0"},
+        },
         verify_with("jacobi", **{"lambda": lam, "n": 3}),
         verify_with("jacobi", **{"lambda": lam, "d_max": "4"}),
         verify_with("jacobi", **{"lambda": "oops"}),
@@ -453,3 +460,95 @@ def test_degree_cap(monkeypatch, capsys):
     assert code == 2
     capsys.readouterr()
     monkeypatch.delenv("STARQUANT_MAX_DEGREE")
+
+
+# --- output limits ---------------------------------------------------------------
+
+
+def _schema_exit(argv, capsys) -> str:
+    """The error message of a job that must exit 2 with an empty stdout."""
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["kind"] == "schema"
+    return error["error"]
+
+
+def test_coefficient_past_the_int_text_limit_exits_2(capsys):
+    # Python prints no int of more than sys.get_int_max_str_digits() digits
+    # (4300); such a coefficient is a schema error, not a traceback
+    limit = str(sys.get_int_max_str_digits())
+    lam = '[["0","1"],["-1","0"]]'
+    star = ["--command", "star", "--n", "2", "--lambda", lam, "--coupling", "mu/2"]
+    # mu = 3/2 raised to the power -20000 has about 6000 digits
+    message = _schema_exit(
+        star + ["--f", "mu^-20000*z0*z1", "--g", "z0", "--mu", "3/2"], capsys
+    )
+    assert "output limit" in message and limit in message
+    # two inputs of 2500 digits each, whose product has 5000
+    big = "7" * 2500
+    message = _schema_exit(star + ["--f", f"{big}*z0", "--g", f"{big}*z0"], capsys)
+    assert "output limit" in message and limit in message
+    # each input under the limit is fine on its own
+    assert main(star + ["--f", f"{big}*z0", "--g", "z0"]) == 0
+    text = json.loads(capsys.readouterr().out)["result"]["star"]["text"]
+    assert text == f"{big}*z0^2"
+
+
+def test_job_text_past_the_int_limit_or_not_utf8_exits_2(tmp_path, capsys):
+    huge = "9" * 5000
+    path = tmp_path / "job.json"
+    path.write_text(
+        '{"command": "verify", "inputs": {"suite": "cayley", "seed": %s}}' % huge
+    )
+    assert "not valid JSON" in _schema_exit(["--job", str(path)], capsys)
+    path.write_bytes(b'{"command": "\xff"}')
+    assert "not valid JSON" in _schema_exit(["--job", str(path)], capsys)
+    argv = ["--command", "star-exp", "--lambda", f"[[{huge}]]", "--A", '[["1"]]']
+    assert "--lambda must be valid JSON" in _schema_exit(argv, capsys)
+
+
+# --- output writer ---------------------------------------------------------------
+
+# strings with every character json escapes: quotes, backslashes, control
+# characters, non-ASCII and astral code points
+json_strings = st.one_of(
+    st.text(),
+    st.sampled_from(('"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "😀", "a\"b\\c")),
+)
+json_ints = st.one_of(
+    st.integers(),
+    st.integers(10**999, 10**1000 - 1).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+json_leaves = st.one_of(
+    json_strings, json_ints, st.booleans(), st.none(), st.floats(allow_nan=True)
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(json_trees)
+def test_json_text_matches_indented_json_dumps(tree):
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_json_text_of_empty_containers_and_bad_keys():
+    tree = {"a": [], "b": {}, "c": [{}, [], ()], "d": ({"e": []},)}
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    for bad in ({1: "x"}, {"a": {None: 1}}, [{"a": 1, 2: "b"}]):
+        with pytest.raises(TypeError):
+            json_text(bad)

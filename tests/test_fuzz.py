@@ -22,6 +22,14 @@ and f and g as sums of two monomials up to the degree cap with powers of mu
 (negative ones too), hbar and tau; any of these may be garbage instead.
 They have no precondition left to violate, so they exit 2 with an empty
 stdout and a ``schema`` error, or 0 with the product; never 1 or 3.
+
+``riccati``, ``ordering`` and ``grade`` jobs draw their scalars, matrices
+and polynomials from the same pools, with at most one fault each.  They
+exit 2 or 3 as above, or 0; never 1, since ``riccati`` compares two exact
+forms that always agree and the other two verify nothing.
+
+Every exit 0, of every command, prints exactly what ``json.dumps`` with
+``indent=2`` and sorted keys prints for the same envelope.
 """
 
 import io
@@ -112,14 +120,31 @@ def star_exp_jobs(draw):
 
 
 def run(job) -> tuple:
-    """(exit code, stdout, stderr) of ``main`` on the job."""
+    """(exit code, stdout, stderr) of ``main`` on the job; the stdout of an
+    exit 0 must be the indented ``json.dumps`` text of its envelope."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "job.json"
         path.write_text(json.dumps(job))
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["--job", str(path)])
+    if code == 0:
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     return code, out.getvalue(), err.getvalue()
+
+
+def exit_0_2_or_3(job) -> dict:
+    """Run a job that may exit 0, 2 or 3 but never 1; the envelope of an
+    exit 0, else None."""
+    code, out, err = run(job)
+    if code == 0:
+        return json.loads(out)
+    assert out == ""
+    kind = {2: "schema", 3: "precondition"}.get(code)
+    assert kind is not None, (code, err, job)
+    assert json.loads(err)["kind"] == kind
+    return None
 
 
 @settings(
@@ -228,3 +253,92 @@ def test_star_jobs_exit_0_or_2(job):
         product = json.loads(out)["result"]["star"]
         n = job["context"]["n"]
         assert MultiPoly.from_json(n, product["terms"]).text() == product["text"]
+
+
+# garbage in one input field, or (twice as often) no fault
+JOB_FAULTS = ("field", None, None)
+poly_or_garbage = st.sampled_from(POLY_GARBAGE)
+
+
+@st.composite
+def riccati_jobs(draw):
+    """A riccati job: a, b, c valid scalars, garbage or left out (0)."""
+    fault = draw(st.sampled_from(JOB_FAULTS + ("truncation",)))
+    inputs = {}
+    for name in draw(st.lists(st.sampled_from("abc"), unique=True)):
+        inputs[name] = draw(valid_entry)
+    if fault == "field":
+        inputs[draw(st.sampled_from("abc"))] = draw(entry)
+    if fault == "truncation":
+        truncation = draw(st.sampled_from((True, "3", -1, 0, 33, 2.0)))
+    else:
+        truncation = draw(st.integers(1, 6))
+    return {"command": "riccati", "inputs": inputs, "truncation": truncation}
+
+
+@st.composite
+def ordering_jobs(draw):
+    """An ordering job: a symmetric K (any K, or of odd size, under a
+    fault), f, an optional g and an optional context, constant or not, of
+    the size of K or another."""
+    fault = draw(st.sampled_from(JOB_FAULTS + ("K", "odd", "context")))
+    n = draw(st.sampled_from((3 if fault == "odd" else 2, 1 if fault == "odd" else 4)))
+    shape = "any" if fault == "K" else "symmetric"
+    k_mat = draw(matrix(n, shape, entry if fault == "K" else valid_entry))
+    inputs = {"K": k_mat, "f": draw(polynomial(n, 4))}
+    job = {"command": "ordering", "inputs": inputs}
+    if draw(st.booleans()):
+        inputs["g"] = draw(polynomial(n, 4))
+        if n > 1 and (draw(st.booleans()) or fault == "context"):
+            m = draw(st.sampled_from((2, 4))) if fault == "context" else n
+            lam = [["0"] * m for _ in range(m)]
+            lam[0][1] = draw(st.sampled_from(("1", "-2/3", "mu^-1", "z0")))
+            lam[1][0] = f"-({lam[0][1]})"
+            job["context"] = {"n": m, "lambda": lam, "coupling": "i*hbar/2"}
+    if fault == "field":
+        inputs[draw(st.sampled_from(("f", "g")))] = draw(poly_or_garbage)
+    return job
+
+
+@st.composite
+def grade_jobs(draw):
+    """A grade job: f up to the degree cap in n = 1..4 variables and an
+    optional mu, 0 included."""
+    fault = draw(st.sampled_from(JOB_FAULTS + ("context",)))
+    n = draw(st.integers(1, 4))
+    context = {"n": n, "lambda": [["0"] * n for _ in range(n)], "coupling": "mu/2"}
+    if fault == "context":
+        context = draw(st.sampled_from((None, {"n": n}, {**context, "n": 0}, "n")))
+    inputs = {"f": draw(polynomial(n, max_input_degree()))}
+    if draw(st.booleans()):
+        # mu = 0 cannot be specialized: a precondition error, exit 3
+        inputs["mu"] = draw(st.sampled_from(("-3/2", "2", "i", "0", "0")))
+    if fault == "field":
+        inputs[draw(st.sampled_from(("f", "mu")))] = draw(poly_or_garbage)
+    return {"command": "grade", "context": context, "inputs": inputs}
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(riccati_jobs(), ordering_jobs(), grade_jobs()))
+def test_riccati_ordering_and_grade_jobs_never_exit_1(job):
+    envelope = exit_0_2_or_3(job)
+    if envelope is None:
+        return
+    result = envelope["result"]
+    if job["command"] == "riccati":
+        assert result["oracle_check"]["pass"] is True
+    elif job["command"] == "ordering":
+        n = len(job["inputs"]["K"])
+        intertwined = result["intertwined_f"]
+        assert MultiPoly.from_json(n, intertwined["terms"]).text() == intertwined["text"]
+        assert ("k_ordered_product" in result) == ("g" in job["inputs"])
+    else:
+        n = job["context"]["n"]
+        assert result["projective_dimension"] == n - 1
+        degrees = [c["degree"] for c in result["graded"]["components"]]
+        assert sorted(int(d) for d in result["h0_dims"]) == sorted(set(degrees))

@@ -196,6 +196,14 @@ def test_golden_stdout(name, tmp_path, capsys):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_golden_stdout_is_indented_json_dumps(name, tmp_path, capsys):
+    # the CLI's own writer prints what json.dumps prints with indent=2
+    job, _ = JOBS[name]
+    _, out = _run(name, job, tmp_path, capsys)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 if __name__ == "__main__":
     import io
     import tempfile

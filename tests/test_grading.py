@@ -304,11 +304,14 @@ def test_lambda_relation_stops_where_the_eager_sweep_does():
     # builds every order first
     z0 = MultiPoly.variable(2, 0)
     zero = MultiPoly.zero(2)
+    # (1/2 + i/2)^2 = i/2: the order-2 difference of this entry is imaginary
+    z0_gauss = z0.scale_gauss(GaussianRational(rat(1, 2), rat(1, 2)))
     contexts = [
         _so3_context(),
         _cyclic_bad_context(),
         _log_canonical_context(),
         StarContext(2, ((zero, z0), (-z0, zero)), HALF_MU),
+        StarContext(2, ((zero, z0_gauss), (-z0_gauss, zero)), HALF_MU),
         basic_ctx(2),
     ]
     for ctx in contexts:
