@@ -38,20 +38,27 @@ from .scalars import PARAM_NAMES, GaussianRational
 from .star import OrderingK, StarContext, intertwine, star, star_k_ordered
 from .verify import SUITES, run_suite
 
-COMMANDS = ("star", "star-exp", "riccati", "ordering", "grade", "verify")
-
-_JOB_KEYS = {"command", "context", "inputs", "truncation", "output_path"}
-_CONTEXT_KEYS = {"n", "lambda", "coupling", "params"}
-
-_INPUT_KEYS = {
-    "star": {"f", "g", "mu"},
-    "star-exp": {"lambda", "A"},
-    "riccati": {"a", "b", "c"},
-    "ordering": {"K", "f", "g"},
-    "grade": {"f", "mu"},
-    "verify": {"suite", "seed", "cases", "lambda", "n", "d_max", "k_max"},
+# The one schema of the job fields.  Each command maps to whether it reads a
+# context, then to its inputs; a field is REQUIRED, OPTIONAL, or has a default
+# that fills it in when absent.  Ordering reads a context only to multiply f
+# and g, but checks one that it is given.
+REQUIRED, OPTIONAL = object(), object()
+SCHEMA = {
+    "star": (REQUIRED, {"f": REQUIRED, "g": REQUIRED, "mu": OPTIONAL}),
+    "star-exp": (None, {"lambda": REQUIRED, "A": REQUIRED}),
+    "riccati": (None, {"a": "0", "b": "0", "c": "0"}),
+    "ordering": (OPTIONAL, {"K": REQUIRED, "f": REQUIRED, "g": OPTIONAL}),
+    "grade": (REQUIRED, {"f": REQUIRED, "mu": OPTIONAL}),
+    "verify": (None, {
+        "suite": REQUIRED, "seed": 42, "cases": OPTIONAL, "lambda": OPTIONAL,
+        "n": OPTIONAL, "d_max": 4, "k_max": 4,
+    }),
 }
-
+COMMANDS = tuple(SCHEMA)
+CONTEXT_FIELDS = {"n": REQUIRED, "lambda": REQUIRED, "coupling": REQUIRED, "params": OPTIONAL}
+_JOB_FIELDS = {
+    "command": REQUIRED, "context": None, "inputs": {}, "truncation": 8, "output_path": None,
+}
 
 # caps on the size fields, next to the degree cap of max_input_degree
 MAX_TRUNCATION = 32
@@ -66,10 +73,16 @@ def max_input_degree() -> int:
         raise SchemaError(f"STARQUANT_MAX_DEGREE must be an integer, got {raw!r}") from exc
 
 
-def _required(data: dict, key: str, where: str):
-    if key not in data:
-        raise SchemaError(f"{where} is missing {key!r}")
-    return data[key]
+# the integer fields, in a job, its context or its inputs: (minimum, maximum),
+# where max_input_degree stands for the degree cap at the time of the check
+_INT_BOUNDS = {
+    "truncation": (1, MAX_TRUNCATION),
+    "seed": (None, None),
+    "cases": (1, MAX_CASES),
+    "n": (1, None),
+    "d_max": (0, max_input_degree),
+    "k_max": (2, max_input_degree),
+}
 
 
 def _int_field(
@@ -83,6 +96,27 @@ def _int_field(
     if maximum is not None and value > maximum:
         raise SchemaError(f"{label} must be an integer <= {maximum}")
     return value
+
+
+def _fields(data, fields: dict, where: str) -> dict:
+    """``data`` checked against ``fields``: an object with no unknown field,
+    every required one and integers in bounds, returned with the defaults
+    filled in.  Defaults are not checked, so that a degree cap lowered below
+    the default d_max or k_max rejects no job that leaves them out."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where} must be an object")
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise SchemaError(f"unknown {where} fields: {sorted(unknown)}")
+    missing = [name for name, spec in fields.items() if spec is REQUIRED and name not in data]
+    if missing:
+        raise SchemaError(f"{where} is missing {missing}")
+    for name in data:
+        if name in _INT_BOUNDS:
+            low, high = _INT_BOUNDS[name]
+            _int_field(data[name], name, low, high() if callable(high) else high)
+    defaults = {name: spec for name, spec in fields.items() if spec is not OPTIONAL}
+    return {**defaults, **data}
 
 
 def _guard_degree(p: MultiPoly, label: str) -> MultiPoly:
@@ -109,16 +143,15 @@ def _poly_input(value, n: int, label: str) -> MultiPoly:
 def _scalar_input(value, label: str) -> MultiPoly:
     if isinstance(value, str):
         return parse_scalar(value)
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and not value.is_integer():
-            raise SchemaError(f"{label} must be exact; write it as a string fraction")
-        return MultiPoly.from_rat(int(value))
+    # a JSON float is inexact and a bool is no number: neither is taken
+    if type(value) is int:
+        return MultiPoly.from_rat(value)
     if isinstance(value, list):
         try:
             return MultiPoly.from_json(0, value)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed scalar JSON for {label}: {exc}") from exc
-    raise SchemaError(f"{label} must be a string or a JSON scalar list")
+    raise SchemaError(f"{label} must be a string, an integer or a JSON scalar list")
 
 
 def _gauss_input(value, label: str) -> GaussianRational:
@@ -162,22 +195,15 @@ def _lambda_input(data, n: int | None = None) -> tuple:
 
 
 def _context_input(data) -> StarContext:
-    if not isinstance(data, dict):
-        raise SchemaError("context must be an object")
-    unknown = set(data) - _CONTEXT_KEYS
-    if unknown:
-        raise SchemaError(f"unknown context fields: {sorted(unknown)}")
-    n = _int_field(_required(data, "n", "context"), "context n", 1)
-    rows = _lambda_input(_required(data, "lambda", "context"), n)
-    coupling = _scalar_input(_required(data, "coupling", "context"), "coupling")
+    data = _fields(data, CONTEXT_FIELDS, "context")
+    n = data["n"]
+    rows = _lambda_input(data["lambda"], n)
+    coupling = _scalar_input(data["coupling"], "coupling")
     params = data.get("params")
-    if params is not None:
-        if not isinstance(params, list) or not all(
-            isinstance(p, str) for p in params
-        ):
-            raise SchemaError("context params must be a list of parameter names")
-        if not set(params) <= set(PARAM_NAMES):
-            raise SchemaError(f"unknown parameters {sorted(set(params) - set(PARAM_NAMES))}")
+    if params is not None and not (
+        isinstance(params, list) and all(isinstance(p, str) and p in PARAM_NAMES for p in params)
+    ):
+        raise SchemaError(f"context params must be a list of names from {list(PARAM_NAMES)}")
     return StarContext(n, rows, coupling)
 
 
@@ -190,22 +216,18 @@ def _series_payload(series) -> list:
     return [_poly_payload(c) for c in series.coeffs]
 
 
-def _graded_payload(f: MultiPoly) -> dict:
-    return decompose(f).to_json()
-
-
 # --- command handlers --------------------------------------------------------
 
 
 def _run_star(job: dict) -> tuple:
-    ctx = _context_input(job.get("context"))
+    ctx = _context_input(job["context"])
     inputs = job["inputs"]
-    f = _poly_input(_required(inputs, "f", "inputs"), ctx.n, "f")
-    g = _poly_input(_required(inputs, "g", "inputs"), ctx.n, "g")
+    f = _poly_input(inputs["f"], ctx.n, "f")
+    g = _poly_input(inputs["g"], ctx.n, "g")
     result = star(ctx, f, g)
     payload = {
         "star": _poly_payload(result),
-        "graded": _graded_payload(result),
+        "graded": decompose(result).to_json(),
     }
     if "mu" in inputs:
         value = _gauss_input(inputs["mu"], "mu")
@@ -216,8 +238,8 @@ def _run_star(job: dict) -> tuple:
 def _run_star_exp(job: dict) -> tuple:
     inputs = job["inputs"]
     n_order = job["truncation"]
-    lam = SqMatrix(_matrix_input(_required(inputs, "lambda", "inputs"), "lambda"))
-    a_mat = SqMatrix(_matrix_input(_required(inputs, "A", "inputs"), "A"))
+    lam = SqMatrix(_matrix_input(inputs["lambda"], "lambda"))
+    a_mat = SqMatrix(_matrix_input(inputs["A"], "A"))
     if a_mat.dim != lam.dim:
         raise SchemaError("A must have the size of lambda")
     amplitude, phase = closed_star_exponential(lam, a_mat, n_order)
@@ -241,9 +263,7 @@ def _run_star_exp(job: dict) -> tuple:
 def _run_riccati(job: dict) -> tuple:
     inputs = job["inputs"]
     n_order = job["truncation"]
-    a = _gauss_input(inputs.get("a", "0"), "a")
-    b = _gauss_input(inputs.get("b", "0"), "b")
-    c = _gauss_input(inputs.get("c", "0"), "c")
+    a, b, c = (_gauss_input(inputs[name], name) for name in "abc")
     g, h = riccati_1d(a, b, c, n_order)
     report = riccati_vs_moyal(a, b, c, n_order)
     d = c * c - a * b
@@ -258,35 +278,29 @@ def _run_riccati(job: dict) -> tuple:
 
 def _run_ordering(job: dict) -> tuple:
     inputs = job["inputs"]
-    kmat = OrderingK(_matrix_input(_required(inputs, "K", "inputs"), "K"))
+    kmat = OrderingK(_matrix_input(inputs["K"], "K"))
     n = kmat.n
     if n % 2:
         raise SchemaError("ordering matrices act on an even number of variables")
-    f = _poly_input(_required(inputs, "f", "inputs"), n, "f")
+    f = _poly_input(inputs["f"], n, "f")
     payload = {"intertwined_f": _poly_payload(intertwine(kmat, f))}
-    if "g" in inputs:
-        g = _poly_input(inputs["g"], n, "g")
-        ctx = (
-            _context_input(job["context"])
-            if job.get("context") is not None
-            else StarContext.weyl(n // 2)
-        )
+    g = _poly_input(inputs["g"], n, "g") if "g" in inputs else None
+    context = job["context"]
+    # a context is checked even when no g is there to use it
+    ctx = StarContext.weyl(n // 2) if context is None else _context_input(context)
+    if g is not None:
         if ctx.n != n:
             raise SchemaError("the context n must equal the size of K")
-        payload["k_ordered_product"] = _poly_payload(
-            star_k_ordered(ctx, kmat, f, g)
-        )
+        payload["k_ordered_product"] = _poly_payload(star_k_ordered(ctx, kmat, f, g))
     return payload, 0
 
 
 def _run_grade(job: dict) -> tuple:
     inputs = job["inputs"]
-    if job.get("context") is None:
-        raise SchemaError("grade requires a context carrying n")
     n = _context_input(job["context"]).n
     if n < 2:
         raise SchemaError("grade requires context n >= 2 (projective dimension n - 1)")
-    f = _poly_input(_required(inputs, "f", "inputs"), n, "f")
+    f = _poly_input(inputs["f"], n, "f")
     if "mu" in inputs:
         f = specialize_mu(f, _gauss_input(inputs["mu"], "mu"))
     graded = decompose(f)
@@ -302,27 +316,22 @@ def _run_grade(job: dict) -> tuple:
 
 def _run_verify(job: dict) -> tuple:
     inputs = job["inputs"]
-    suite = inputs.get("suite")
-    if suite not in SUITES:
+    suite = inputs["suite"]
+    # a list or an object is no suite name, and is unhashable
+    if not isinstance(suite, str) or suite not in SUITES:
         raise SchemaError(f"suite must be one of {sorted(SUITES)}")
-    seed = _int_field(inputs.get("seed", 42), "seed")
-    cases = inputs.get("cases")
-    if cases is not None:
-        _int_field(cases, "cases", 1, MAX_CASES)
+    seed = inputs["seed"]
     if "lambda" in inputs:
         if suite not in ("jacobi", "lambda-relation"):
             raise SchemaError("an explicit lambda is only used by the validator suites")
-        n = _int_field(inputs["n"], "n", 1) if "n" in inputs else None
-        rows = _lambda_input(inputs["lambda"], n)
-        d_max = _int_field(inputs.get("d_max", 4), "d_max", 0, max_input_degree())
+        rows = _lambda_input(inputs["lambda"], inputs.get("n"))
         ctx = StarContext(len(rows), rows, HALF_MU)
         if suite == "jacobi":
-            report = check_jacobi(ctx, d_max)
+            report = check_jacobi(ctx, inputs["d_max"])
         else:
-            k_max = _int_field(inputs.get("k_max", 4), "k_max", 2, max_input_degree())
-            report = check_lambda_relation(ctx, k_max, d_max)
+            report = check_lambda_relation(ctx, inputs["k_max"], inputs["d_max"])
         return {"report": report.to_json()}, 0 if report.passed else 1
-    results = run_suite(suite, seed=seed, cases=cases)
+    results = run_suite(suite, seed=seed, cases=inputs.get("cases"))
     failed = [r for r in results if not r["pass"]]
     payload = {
         "suite": suite,
@@ -345,31 +354,22 @@ _HANDLERS = {
 
 
 def validate_job(job: dict) -> dict:
-    if not isinstance(job, dict):
-        raise SchemaError("job must be a JSON object")
-    unknown = set(job) - _JOB_KEYS
-    if unknown:
-        raise SchemaError(f"unknown job fields: {sorted(unknown)}")
-    command = job.get("command")
+    """The job checked against SCHEMA, with the defaults filled in; the
+    handlers parse the values."""
+    job = _fields(job, _JOB_FIELDS, "job")
+    command = job["command"]
     if command not in COMMANDS:
         raise SchemaError(f"command must be one of {COMMANDS}")
-    truncation = _int_field(job.get("truncation", 8), "truncation", 1, MAX_TRUNCATION)
-    inputs = job.get("inputs", {})
-    if not isinstance(inputs, dict):
-        raise SchemaError("inputs must be an object")
-    unknown = set(inputs) - _INPUT_KEYS[command]
-    if unknown:
-        raise SchemaError(f"unknown inputs for {command}: {sorted(unknown)}")
-    out = job.get("output_path")
-    if out is not None and not isinstance(out, str):
+    reads_context, inputs = SCHEMA[command]
+    job["inputs"] = _fields(job["inputs"], inputs, f"inputs for {command}")
+    # a null context is an absent one
+    if job["context"] is None and reads_context is REQUIRED:
+        raise SchemaError(f"{command} requires a context")
+    if job["context"] is not None and reads_context is None:
+        raise SchemaError(f"{command} reads no context")
+    if job["output_path"] is not None and not isinstance(job["output_path"], str):
         raise SchemaError("output_path must be a string")
-    return {
-        "command": command,
-        "context": job.get("context"),
-        "inputs": inputs,
-        "truncation": truncation,
-        "output_path": out,
-    }
+    return job
 
 
 def run_job(job: dict) -> tuple:
@@ -379,10 +379,18 @@ def run_job(job: dict) -> tuple:
     return envelope, code, job["output_path"]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad flag is a schema error: exit 2 with the JSON error, not usage."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 @functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    ap = argparse.ArgumentParser(
+    """The command-line parser, built once per process.  Each flag's dest
+    other than job, command, N and out is the job field it fills."""
+    ap = _ArgumentParser(
         prog="starquant",
         description="Exact star products, star exponentials and their verifications.",
     )
@@ -390,9 +398,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--command", choices=COMMANDS, help="command to run")
     ap.add_argument("--n", type=int, help="variable count for the context")
     ap.add_argument(
-        "--lambda",
-        dest="lam",
-        help="JSON matrix; polynomial entries for contexts, scalars for star-exp",
+        "--lambda", help="JSON matrix; polynomial entries for contexts, scalars for star-exp"
     )
     ap.add_argument("--coupling", help="coupling scalar, e.g. 'mu/2' or 'i*hbar/2'")
     ap.add_argument("--f", help="first polynomial")
@@ -403,7 +409,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--b", help="riccati coefficient b")
     ap.add_argument("--c", help="riccati coefficient c")
     ap.add_argument("--N", type=int, default=8, help="truncation order (default 8)")
-    ap.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
+    ap.add_argument("--seed", type=int, help="seed for randomized suites (default 42)")
     ap.add_argument("--cases", type=int, help="case count for randomized suites")
     ap.add_argument("--suite", help="verification suite name")
     ap.add_argument("--mu", help="specialize mu to this scalar in the output")
@@ -451,71 +457,31 @@ def _json_flag(raw: str, label: str):
 
 
 def job_from_args(args: argparse.Namespace) -> dict:
-    command = args.command
-    job: dict = {"command": command, "truncation": args.N, "inputs": {}}
+    """The job the flags describe.  A set flag fills the input of its name
+    when the command takes one, else the context field of that name; grade's
+    zero-lambda context is built from --n."""
+    fields = SCHEMA[args.command][1]
+    job: dict = {"command": args.command, "truncation": args.N, "inputs": {}}
+    context: dict = {}
+    for name, value in vars(args).items():
+        if value is None or name in ("job", "command", "N", "out"):
+            continue
+        if name in ("lambda", "A", "K"):
+            value = _json_flag(value, name)
+        (job["inputs"] if name in fields else context)[name] = value
+    if args.command == "grade" and args.n is not None:
+        zero = [["0"] * args.n for _ in range(args.n)]
+        context = {"lambda": zero, "coupling": "mu/2", **context}
+    if context:
+        job["context"] = context
     if args.out:
         job["output_path"] = args.out
-    inputs = job["inputs"]
-    if command == "star":
-        if args.n is None or args.lam is None or args.coupling is None:
-            raise SchemaError("star requires --n, --lambda and --coupling")
-        job["context"] = {
-            "n": args.n,
-            "lambda": _json_flag(args.lam, "lambda"),
-            "coupling": args.coupling,
-        }
-        if args.f is None or args.g is None:
-            raise SchemaError("star requires --f and --g")
-        inputs["f"] = args.f
-        inputs["g"] = args.g
-        if args.mu is not None:
-            inputs["mu"] = args.mu
-    elif command == "star-exp":
-        if args.lam is None or args.A is None:
-            raise SchemaError("star-exp requires --lambda and --A")
-        inputs["lambda"] = _json_flag(args.lam, "lambda")
-        inputs["A"] = _json_flag(args.A, "A")
-    elif command == "riccati":
-        for name, value in (("a", args.a), ("b", args.b), ("c", args.c)):
-            if value is not None:
-                inputs[name] = value
-    elif command == "ordering":
-        if args.K is None or args.f is None:
-            raise SchemaError("ordering requires --K and --f")
-        inputs["K"] = _json_flag(args.K, "K")
-        inputs["f"] = args.f
-        if args.g is not None:
-            inputs["g"] = args.g
-    elif command == "grade":
-        if args.n is None or args.f is None:
-            raise SchemaError("grade requires --n and --f")
-        zero = "0"
-        job["context"] = {
-            "n": args.n,
-            "lambda": [[zero] * args.n for _ in range(args.n)],
-            "coupling": "mu/2",
-        }
-        inputs["f"] = args.f
-        if args.mu is not None:
-            inputs["mu"] = args.mu
-    elif command == "verify":
-        if args.suite is None:
-            raise SchemaError("verify requires --suite")
-        inputs["suite"] = args.suite
-        inputs["seed"] = args.seed
-        if args.cases is not None:
-            inputs["cases"] = args.cases
-        if args.lam is not None:
-            inputs["lambda"] = _json_flag(args.lam, "lambda")
-            if args.n is not None:
-                inputs["n"] = args.n
     return job
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
-    args = ap.parse_args(argv)
     try:
+        args = _build_argparser().parse_args(argv)
         if bool(args.job) == bool(args.command):
             raise SchemaError("pass exactly one of --job or --command")
         if args.job:

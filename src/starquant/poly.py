@@ -393,17 +393,24 @@ class MultiPoly:
     @classmethod
     def from_json(cls, n: int, data: Iterable[dict]) -> "MultiPoly":
         """Inverse of :meth:`to_json`.  Every exponent is checked, also on
-        entries that are zero or cancel."""
+        entries that are zero or cancel; a malformed entry, or an exponent
+        that is not an int (a bool, a float or a string), raises TypeError."""
         acc: dict = {}
         for item in data:
             entry = item["coef"] if n else item
-            exps = [int(e) for e in item["exps"]] if n else []
+            params = entry.get("params", {}) if isinstance(entry, dict) else None
+            if not isinstance(params, dict):
+                raise TypeError("a coefficient must be an object with a params object")
+            exps = list(item["exps"]) if n else []
             tail = [0] * NPARAM
-            for name, e in entry.get("params", {}).items():
+            for name, e in params.items():
                 if name not in PARAM_INDEX:
                     raise ValueError(f"unknown parameter {name!r}")
-                tail[PARAM_INDEX[name]] = int(e)
-            key = _checked_key(n, exps + tail)
+                tail[PARAM_INDEX[name]] = e
+            key = exps + tail
+            if any(type(e) is not int for e in key):
+                raise TypeError(f"exponents must be integers, got {key}")
+            key = _checked_key(n, key)
             accumulate(acc, key, GaussianRational.parse(entry["value"]))
         return cls._raw(n, acc)
 

@@ -171,8 +171,11 @@ class GaussianRational:
         Accepts sums of "a/b" and "a/b*i" (or "a/bi") summands, each with
         optional signs, plus the shorthands "i" and "-i"; a and b are
         ASCII digits and "/b" is optional.  Decimal points, exponents and
-        underscores are rejected with a ValueError.
+        underscores are rejected with a ValueError, and a non-string with
+        a TypeError.
         """
+        if not isinstance(s, str):
+            raise TypeError(f"a scalar must be a string, got {type(s).__name__}")
         s = s.replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")

@@ -40,7 +40,7 @@ from .errors import PreconditionError
 from .poly import MultiPoly, key_width
 
 
-def _acc(out: dict, left: dict, right: dict, m: int) -> None:
+def add_products(out: dict, left: dict, right: dict, m: int) -> None:
     """out += m * left * right for numerator maps keyed by packed keys."""
     for ea, p in left.items():
         p *= m
@@ -70,13 +70,13 @@ def _cauchy(a, b, k: int, start: int = 0, weights=None, div: int = 1) -> tuple:
     for (xre, xim, xden), (yre, yim, yden), w in products:
         m = w * (den // (xden * yden))
         if xre and yre:
-            _acc(re, xre, yre, m)
+            add_products(re, xre, yre, m)
         if xim and yim:
-            _acc(re, xim, yim, -m)
+            add_products(re, xim, yim, -m)
         if xre and yim:
-            _acc(im, xre, yim, m)
+            add_products(im, xre, yim, m)
         if xim and yre:
-            _acc(im, xim, yre, m)
+            add_products(im, xim, yre, m)
     re = {e: v for e, v in re.items() if v}
     im = {e: v for e, v in im.items() if v}
     den *= div

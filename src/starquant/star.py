@@ -86,7 +86,7 @@ from .scalars import (
     gr,
     rat,
 )
-from .series import TruncSeries
+from .series import TruncSeries, add_products
 
 # scalar i*hbar/4, the exponent coupling of the ordering intertwiner
 I_HBAR_QUARTER = MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 4)))
@@ -159,17 +159,6 @@ class OrderingK:
         if not isinstance(other, OrderingK):
             return NotImplemented
         return self.entries == other.entries
-
-    def to_json(self) -> list:
-        return [[v.text() for v in row] for row in self.entries]
-
-    @classmethod
-    def from_json(cls, data) -> "OrderingK":
-        return cls(
-            tuple(
-                tuple(GaussianRational.parse(v) for v in row) for row in data
-            )
-        )
 
 
 class StarContext:
@@ -426,14 +415,6 @@ def contract_step(kernel: _Kernel, w: int, re: dict, im: dict) -> tuple:
     return _complex(_step, re, im, *_packed(kernel, w), (1 << w) - 1)
 
 
-def _pairs(out: dict, left: dict, right: dict, sign: int) -> None:
-    for x, p in left.items():
-        p *= sign
-        for y, q in right.items():
-            k = x + y
-            out[k] = out.get(k, 0) + p * q
-
-
 def _collapse(n: int, width: int, w: int, state: dict) -> dict:
     """Identify the n-variable groups of every packed key (x, y and w all
     become z), keep the parameter tail above them and sum the numerators:
@@ -472,7 +453,7 @@ def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly, reach: int = 0):
     w = key_width(f.max_exponent() + g.max_exponent() + cap * reach)
     fre, fim, fden = f.numerators(w, width)
     gre, gim, gden = g.numerators(w, width, n)
-    re, im = _complex(_pairs, fre, fim, gre, gim)
+    re, im = _complex(add_products, fre, fim, gre, gim)
     den = fden * gden
     yield _collapse(n, width, w, re), _collapse(n, width, w, im), den, w
     for k in count(1):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from starquant.cli import json_text, main, run_job
+from starquant.cli import CONTEXT_FIELDS, SCHEMA, _build_argparser, json_text, main, run_job
 from starquant.errors import SchemaError
 from starquant.parsing import parse_poly, parse_scalar
 from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MultiPoly
@@ -114,12 +114,24 @@ def test_job_schema_rejections():
 def malformed_jobs():
     """Jobs that each get one field wrong: missing, mistyped (a bool or a
     string where an integer belongs), out of range (including above the
-    caps on truncation, cases, d_max and k_max), or of the wrong shape."""
+    caps on truncation, cases, d_max and k_max), of the wrong shape, given
+    to a command that does not read it, or a JSON number that is a float or
+    a bool."""
     lam = [["0", "z0"], ["-z0", "0"]]
 
     def star_with(**fields):
         job = star_job()
         job.update(fields)
+        return job
+
+    def with_coupling(coupling):
+        job = star_job()
+        job["context"]["coupling"] = coupling
+        return job
+
+    def with_f_coef(exps, params):
+        job = star_job()
+        job["inputs"]["f"] = [{"exps": exps, "coef": {"params": params, "value": "1"}}]
         return job
 
     def verify_with(suite, **inputs):
@@ -132,6 +144,8 @@ def malformed_jobs():
     int_params = star_job()
     int_params["context"]["params"] = 5
     zero4 = [["0"] * 4 for _ in range(4)]
+    context = star_job()["context"]
+    swap = [["0", "1"], ["1", "0"]]
     return [
         no_g,
         bool_n,
@@ -169,6 +183,29 @@ def malformed_jobs():
         verify_with("riccati", cases=1001),
         verify_with("jacobi", **{"lambda": [["0"]], "d_max": 17}),
         verify_with("lambda-relation", **{"lambda": [["0"]], "k_max": 17}),
+        # fields that no path of the command reads are checked all the same
+        {
+            "command": "star-exp",
+            "context": context,
+            "inputs": {"lambda": [["0", "1"], ["-1", "0"]], "A": [["1", "0"], ["0", "1"]]},
+        },
+        {"command": "riccati", "context": "garbage"},
+        {"command": "verify", "context": context, "inputs": {"suite": "riccati"}},
+        {"command": "ordering", "context": "junk", "inputs": {"K": swap, "f": "z0"}},
+        verify_with("riccati", d_max="x"),
+        verify_with("jacobi", **{"lambda": lam, "k_max": "x"}),
+        verify_with("riccati", cases=None),
+        verify_with(["cayley"]),
+        # JSON numbers that are booleans or floats
+        with_coupling(True),
+        with_coupling(1e23),
+        with_f_coef([1.5, 0], {}),
+        with_f_coef([True, 0], {}),
+        with_f_coef([1, 0], {"mu": 1.5}),
+        # JSON term lists whose coefficient, params or value has the wrong type
+        with_f_coef([1, 0], []),
+        star_with(inputs={"f": [{"exps": [1, 0], "coef": 5}], "g": "z1"}),
+        star_with(inputs={"f": [{"exps": [1, 0], "coef": {"value": 5}}], "g": "z1"}),
     ]
 
 
@@ -399,6 +436,47 @@ def test_non_canonical_scalar_text_exits_2(text, capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--command", "star", "--n", "abc"], ["--bogus"], ["--command", "nope"]]
+)
+def test_bad_flags_exit_2_with_the_json_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert set(error) == {"error", "kind"} and error["kind"] == "schema"
+
+
+def test_every_flag_fills_a_schema_field():
+    # flags and the job schema cannot drift apart: each flag's dest is the
+    # name of an input of some command or of a context field
+    fields = set(CONTEXT_FIELDS).union(*(inputs for _, inputs in SCHEMA.values()))
+    dests = set(vars(_build_argparser().parse_args([]))) - {"job", "command", "N", "out"}
+    assert dests <= fields
+
+
+def test_flags_fill_inputs_or_the_context(capsys):
+    # a flag that the command takes as an input is one; any other fills the
+    # context, which riccati does not read and star does not know --suite in
+    lam = '[["0","1"],["-1","0"]]'
+    ordering = ["--command", "ordering", "--K", '[["0","1"],["1","0"]]', "--f", "z0", "--g", "z1"]
+    assert main(ordering) == 0
+    weyl = json.loads(capsys.readouterr().out)["result"]["k_ordered_product"]
+    assert main(ordering + ["--n", "2", "--lambda", lam, "--coupling", "mu/2"]) == 0
+    product = json.loads(capsys.readouterr().out)["result"]["k_ordered_product"]
+    job = {
+        "command": "ordering",
+        "context": {"n": 2, "lambda": json.loads(lam), "coupling": "mu/2"},
+        "inputs": {"K": [["0", "1"], ["1", "0"]], "f": "z0", "g": "z1"},
+    }
+    assert product == run_job(job)[0]["result"]["k_ordered_product"] != weyl
+    assert "reads no context" in _schema_exit(
+        ["--command", "riccati", "--a", "1", "--f", "z0"], capsys
+    )
+    star = ["--command", "star", "--n", "2", "--lambda", lam, "--coupling", "mu/2"]
+    assert "suite" in _schema_exit(star + ["--f", "z0", "--g", "z1", "--suite", "x"], capsys)
 
 
 def test_non_square_ordering_matrix_exits_2(capsys):

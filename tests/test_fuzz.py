@@ -28,6 +28,15 @@ and polynomials from the same pools, with at most one fault each.  They
 exit 2 or 3 as above, or 0; never 1, since ``riccati`` compares two exact
 forms that always agree and the other two verify nothing.
 
+``verify`` jobs draw a suite, a seed and a case count (1, 2, or 1000 on
+``riccati``, which ignores it) and, for the validator suites, an explicit
+lambda with d_max <= 2 and k_max <= 3.  At most one field is faulty: an
+unknown suite, a seed or case count that is a bool, a string, a float or
+out of range, a mismatched n, a sweep bound out of range, or a lambda
+given to a suite that takes none.  A faulty job exits 2; any other exits
+1 exactly when a case or the report failed, and 0 for every constant
+lambda.
+
 Every exit 0, of every command, prints exactly what ``json.dumps`` with
 ``indent=2`` and sorted keys prints for the same envelope.
 """
@@ -44,6 +53,7 @@ from hypothesis import strategies as st
 from starquant.cli import main, max_input_degree
 from starquant.poly import MultiPoly
 from starquant.scalars import GaussianRational
+from starquant.verify import SUITES
 
 VALID_SCALARS = ("0", "1", "-2", "1/3", "-5/7", "i", "2/3*i", "1/2+i", "-i", 3, -1)
 GARBAGE = (
@@ -342,3 +352,75 @@ def test_riccati_ordering_and_grade_jobs_never_exit_1(job):
         assert result["projective_dimension"] == n - 1
         degrees = [c["degree"] for c in result["graded"]["components"]]
         assert sorted(int(d) for d in result["h0_dims"]) == sorted(set(degrees))
+
+
+VALIDATORS = ("jacobi", "lambda-relation")
+# values that make a verify input faulty
+FAULTY = {
+    "suite": ("nope", "", "Cayley", None, 3, ["cayley"], {}),
+    "seed": (True, False, "42", 4.0, None),
+    "cases": (0, 1001, True, "2", None),
+    "n": (0, 4, True, "3"),
+    "d_max": (-1, 17, "2", True),
+    "k_max": (1, 17, "3", False),
+}
+
+
+@st.composite
+def verify_jobs(draw):
+    """(job, fault, constant): a verify job with at most one faulty field
+    (a key of FAULTY, or "lambda" for a lambda given to a suite that takes
+    none) and whether its lambda is constant (None without one)."""
+    # half of the jobs have no fault
+    fault = draw(st.sampled_from((*FAULTY, "lambda"))) if draw(st.booleans()) else None
+    with_lambda = fault in ("n", "lambda") or draw(st.booleans())
+    if fault == "lambda":
+        suite = draw(st.sampled_from([s for s in sorted(SUITES) if s not in VALIDATORS]))
+    else:
+        suite = draw(st.sampled_from(VALIDATORS if with_lambda else sorted(SUITES)))
+    inputs = {
+        "suite": suite,
+        "seed": draw(st.integers(-(2**70), 2**70)),
+        "cases": draw(st.sampled_from((1, 2, 1000) if suite == "riccati" else (1, 2))),
+    }
+    constant = None
+    if with_lambda:
+        n = draw(st.integers(1, 3))
+        constant = draw(st.booleans())
+        entries = ["1", "-2/3", "1/2+i", "mu^-1", "3*hbar"]
+        if not constant:
+            entries += ["z0", f"z{n - 1}", f"z0*z{n - 1}", "mu*z0^2"]
+        lam = [["0"] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                v = draw(st.sampled_from(entries))
+                lam[a][b], lam[b][a] = v, f"-({v})"
+        inputs.update({"lambda": lam, "d_max": draw(st.integers(0, 2))})
+        inputs["k_max"] = draw(st.integers(2, 3))
+        if draw(st.booleans()):
+            inputs["n"] = n
+    if fault in FAULTY:
+        inputs[fault] = draw(st.sampled_from(FAULTY[fault]))
+    return {"command": "verify", "inputs": inputs}, fault, constant
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(verify_jobs())
+def test_verify_jobs_exit_1_only_on_a_failed_check(case):
+    job, fault, constant = case
+    code, out, err = run(job)
+    if fault is not None:
+        assert code == 2, (code, job)
+        assert out == ""
+        assert json.loads(err)["kind"] == "schema"
+        return
+    result = json.loads(out)["result"]
+    passed = result["report"]["pass"] if "report" in result else result["failed"] == 0
+    assert code == (0 if passed else 1), (code, job)
+    if constant:
+        assert code == 0, job
