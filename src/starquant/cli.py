@@ -34,7 +34,7 @@ from .matrices import (
 )
 from .parsing import parse_poly, parse_scalar
 from .poly import HALF_MU, MultiPoly
-from .scalars import PARAM_NAMES, GaussianRational
+from .scalars import GaussianRational
 from .star import OrderingK, StarContext, intertwine, star, star_k_ordered
 from .verify import SUITES, run_suite
 
@@ -55,14 +55,16 @@ SCHEMA = {
     }),
 }
 COMMANDS = tuple(SCHEMA)
-CONTEXT_FIELDS = {"n": REQUIRED, "lambda": REQUIRED, "coupling": REQUIRED, "params": OPTIONAL}
+CONTEXT_FIELDS = {"n": REQUIRED, "lambda": REQUIRED, "coupling": REQUIRED}
 _JOB_FIELDS = {
     "command": REQUIRED, "context": None, "inputs": {}, "truncation": 8, "output_path": None,
 }
 
-# caps on the size fields, next to the degree cap of max_input_degree
+# caps on the size fields, next to the degree cap of max_input_degree; the
+# variable cap bounds n and the rows of lambda, A and K
 MAX_TRUNCATION = 32
 MAX_CASES = 1000
+MAX_VARIABLES = 32
 
 
 def max_input_degree() -> int:
@@ -79,7 +81,7 @@ _INT_BOUNDS = {
     "truncation": (1, MAX_TRUNCATION),
     "seed": (None, None),
     "cases": (1, MAX_CASES),
-    "n": (1, None),
+    "n": (1, MAX_VARIABLES),
     "d_max": (0, max_input_degree),
     "k_max": (2, max_input_degree),
 }
@@ -169,6 +171,8 @@ def _matrix_input(value, label: str) -> tuple:
     """A non-empty square matrix of scalars, as GaussianRational rows."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{label} must be a non-empty matrix (list of rows)")
+    if len(value) > MAX_VARIABLES:
+        raise SchemaError(f"{label} must have at most {MAX_VARIABLES} rows")
     rows = []
     for row in value:
         if not isinstance(row, list):
@@ -185,6 +189,8 @@ def _lambda_input(data, n: int | None = None) -> tuple:
         raise SchemaError("lambda must be a non-empty n x n matrix")
     if n is None:
         n = len(data)
+        if n > MAX_VARIABLES:
+            raise SchemaError(f"lambda must have at most {MAX_VARIABLES} rows")
     if len(data) != n or any(
         not isinstance(row, list) or len(row) != n for row in data
     ):
@@ -199,11 +205,6 @@ def _context_input(data) -> StarContext:
     n = data["n"]
     rows = _lambda_input(data["lambda"], n)
     coupling = _scalar_input(data["coupling"], "coupling")
-    params = data.get("params")
-    if params is not None and not (
-        isinstance(params, list) and all(isinstance(p, str) and p in PARAM_NAMES for p in params)
-    ):
-        raise SchemaError(f"context params must be a list of names from {list(PARAM_NAMES)}")
     return StarContext(n, rows, coupling)
 
 
@@ -459,7 +460,7 @@ def _json_flag(raw: str, label: str):
 def job_from_args(args: argparse.Namespace) -> dict:
     """The job the flags describe.  A set flag fills the input of its name
     when the command takes one, else the context field of that name; grade's
-    zero-lambda context is built from --n."""
+    zero-lambda context is built from --n, which is checked first."""
     fields = SCHEMA[args.command][1]
     job: dict = {"command": args.command, "truncation": args.N, "inputs": {}}
     context: dict = {}
@@ -470,6 +471,7 @@ def job_from_args(args: argparse.Namespace) -> dict:
             value = _json_flag(value, name)
         (job["inputs"] if name in fields else context)[name] = value
     if args.command == "grade" and args.n is not None:
+        _int_field(args.n, "n", *_INT_BOUNDS["n"])
         zero = [["0"] * args.n for _ in range(args.n)]
         context = {"lambda": zero, "coupling": "mu/2", **context}
     if context:

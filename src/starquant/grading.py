@@ -149,7 +149,8 @@ def specialize_mu(f: MultiPoly, value: GaussianRational) -> MultiPoly:
 
 
 def star_graded(ctx: StarContext, f: GradedElement, g: GradedElement) -> GradedElement:
-    """Star product computed per component pair and redecomposed.
+    """Star product of the reassembled elements, redecomposed; by
+    bilinearity it is the sum of the products of the component pairs.
 
     Only established for a constant structure matrix; contraction order k
     sends degrees (p, q) to p + q - 2k and raises the mu weight by k when
@@ -159,13 +160,7 @@ def star_graded(ctx: StarContext, f: GradedElement, g: GradedElement) -> GradedE
         raise PreconditionError("graded star product requires constant lambda")
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("variable count mismatch with context")
-    total = MultiPoly.zero(ctx.n)
-    for (d1, w1), p1 in f.components.items():
-        lhs = p1.scale(MultiPoly.param("mu", w1))
-        for (d2, w2), p2 in g.components.items():
-            rhs = p2.scale(MultiPoly.param("mu", w2))
-            total = total + star(ctx, lhs, rhs)
-    return decompose(total)
+    return decompose(star(ctx, f.reassemble(), g.reassemble()))
 
 
 # --- validators -------------------------------------------------------------

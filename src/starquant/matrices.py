@@ -435,9 +435,6 @@ class MatSeries:
     def matmul_left(self, m: SqMatrix) -> "MatSeries":
         return MatSeries(self.dim, self.order, tuple(m * c for c in self.coeffs))
 
-    def transpose(self) -> "MatSeries":
-        return MatSeries(self.dim, self.order, tuple(m.transpose() for m in self.coeffs))
-
     def truncate(self, order: int) -> "MatSeries":
         if order <= self.order:
             return MatSeries(self.dim, order, self.coeffs[: order + 1])
@@ -651,13 +648,9 @@ def expand_closed_form(lam: SqMatrix, a_mat: SqMatrix, N: int) -> TruncSeries:
     """Expand amplitude * exp((1/mu) Q(t)[Z]) into a polynomial t-series."""
     amplitude, phase = closed_star_exponential(lam, a_mat, N)
     n = lam.dim
-    exponent = TruncSeries.zero(n, N)
-    for k, m in enumerate(phase.coeffs):
-        if m.is_zero():
-            continue
-        exponent = exponent + TruncSeries.t_term(
-            quadratic_form(m.rows, n).scale(MU_INV), k, N
-        )
+    exponent = TruncSeries(
+        n, N, (quadratic_form(m.rows, n).scale(MU_INV) for m in phase.coeffs)
+    )
     return exponent.exp(amplitude.lift(n))
 
 

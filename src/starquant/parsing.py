@@ -1,6 +1,6 @@
 """Small recursive-descent parser for human-readable polynomial expressions.
 
-Grammar (whitespace-insensitive)::
+Grammar (ASCII whitespace between tokens is ignored)::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -22,7 +22,9 @@ from .errors import SchemaError
 from .poly import MultiPoly
 from .scalars import GR_I, PARAM_INDEX, gr
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
+# ASCII only, as in scalars: a digit is 0-9 and a space is ASCII whitespace,
+# so any other character, a non-ASCII digit or space too, is unexpected
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S))", re.ASCII)
 
 
 def _tokenize(text: str) -> list:
@@ -30,7 +32,7 @@ def _tokenize(text: str) -> list:
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m:
+        if not m:  # only whitespace is left
             break
         pos = m.end()
         if m.group(1) is not None:
@@ -39,8 +41,6 @@ def _tokenize(text: str) -> list:
             tokens.append(("name", m.group(2)))
         else:
             ch = m.group(3)
-            if ch.strip() == "":
-                continue
             if ch not in "+-*/^()":
                 raise SchemaError(f"unexpected character {ch!r} in expression")
             tokens.append((ch, ch))

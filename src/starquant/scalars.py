@@ -11,30 +11,22 @@ tail of each flat monomial key (z..., mu, hbar, tau), and a scalar in the
 parameters is a ``MultiPoly`` in 0 variables.  ``mu`` is invertible
 (negative exponents allowed); ``hbar`` and ``tau`` are not.
 
-Rationals are backed by ``gmpy2.mpq`` when available and fall back to
-``fractions.Fraction``; both keep values in lowest terms with positive
-denominator, and their text forms agree.
+Rationals are ``fractions.Fraction``: ``rat`` is the class itself, so
+every value is in lowest terms with a positive denominator, and ``str`` of
+one that outgrows Python's int-to-text limit raises, which
+:meth:`GaussianRational.text` turns into a schema error.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction
 
 from .errors import SchemaError
 
-try:  # pragma: no cover - exercised implicitly by whichever backend is present
-    from gmpy2 import mpq as _ratctor
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _ratctor
-
-
-def rat(num=0, den=None):
-    """Build an exact rational (int, string like "3/2", or rational input)."""
-    if den is None:
-        return _ratctor(num)
-    return _ratctor(num, den)
-
+# the exact rationals: rat(num) or rat(num, den)
+rat = Fraction
 
 RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
@@ -74,7 +66,7 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # Internal fast constructor: trusts that re/im are already backend rationals.
+    # Internal fast constructor: trusts that re/im are already Fractions.
     @staticmethod
     def _raw(re, im) -> "GaussianRational":
         g = GaussianRational.__new__(GaussianRational)

@@ -80,7 +80,6 @@ from .poly import (
 from .scalars import (
     EXP_ZERO,
     GR_ONE,
-    PARAM_NAMES,
     GaussianRational,
     accumulate,
     gr,
@@ -227,24 +226,6 @@ class StarContext:
         return tuple(
             tuple(p.constant_coefficient() for p in row) for row in self.lam
         )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda": [[p.to_json() for p in row] for row in self.lam],
-            "coupling": self.coupling.to_json(),
-            "params": list(PARAM_NAMES),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StarContext":
-        n = int(data["n"])
-        lam = tuple(
-            tuple(MultiPoly.from_json(n, p) for p in row)
-            for row in data["lambda"]
-        )
-        coupling = MultiPoly.from_json(0, data["coupling"])
-        return cls(n, lam, coupling)
 
 
 # --- contraction engine ------------------------------------------------

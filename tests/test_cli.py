@@ -8,7 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from starquant.cli import CONTEXT_FIELDS, SCHEMA, _build_argparser, json_text, main, run_job
+from starquant.cli import (
+    CONTEXT_FIELDS,
+    MAX_VARIABLES,
+    SCHEMA,
+    _build_argparser,
+    json_text,
+    main,
+    run_job,
+)
 from starquant.errors import SchemaError
 from starquant.parsing import parse_poly, parse_scalar
 from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MultiPoly
@@ -52,6 +60,17 @@ def test_parse_errors():
         parse_poly("hbar^-1", 2)  # would need a non-invertible inverse
     with pytest.raises(SchemaError):
         parse_poly("z0 @ z1", 2)
+
+
+def test_ascii_whitespace_parses_anywhere():
+    # leading, trailing, tab and newline whitespace between tokens is ignored
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    one = MultiPoly.one(2)
+    assert parse_poly(" z0 + 1", 2) == z0 + one
+    assert parse_poly("z0 + 1 ", 2) == z0 + one
+    assert parse_poly("\tz0\t*\tz1\t", 2) == z0 * z1
+    assert parse_poly("\n z0 +\n1\n", 2) == z0 + one
+    assert parse_scalar(" mu / 2 ") == HALF_MU
 
 
 def test_text_parse_roundtrip():
@@ -484,6 +503,62 @@ def test_non_square_ordering_matrix_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "K: matrix must be square", "kind": "schema"}
+
+
+def _job_exit(job, tmp_path, capsys) -> str:
+    """The error message of a job file that must exit 2 with an empty stdout."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return _schema_exit(["--job", str(path)], capsys)
+
+
+def test_context_params_is_an_unknown_field(tmp_path, capsys):
+    job = star_job()
+    job["context"]["params"] = ["mu"]
+    assert "params" in _job_exit(job, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\uff13*z0", "1\u00a0+ z0"])
+def test_non_ascii_digits_and_spaces_exit_2(text, tmp_path, capsys):
+    # an Arabic-Indic three, a fullwidth three and a no-break space are no
+    # digits or spaces of the grammar, in polynomials as in scalars
+    poly = star_job()
+    poly["inputs"]["f"] = text
+    coupling = star_job()
+    coupling["context"]["coupling"] = text
+    for job in (poly, coupling):
+        assert "unexpected character" in _job_exit(job, tmp_path, capsys)
+    argv = ["--command", "star", "--n", "2", "--lambda", '[["0","1"],["-1","0"]]',
+            "--coupling", "mu/2", "--f", text, "--g", "z1"]
+    assert "unexpected character" in _schema_exit(argv, capsys)
+
+
+def test_variable_cap(tmp_path, capsys):
+    # one above the cap on n and on the rows of lambda, A and K exits 2 before
+    # any matrix of that size is built; the zero lambda would be accepted
+    n = MAX_VARIABLES + 1
+    zeros = [["0"] * n for _ in range(n)]
+    job = star_job()
+    job["context"] = {"n": n, "lambda": zeros, "coupling": "mu/2"}
+    assert f"<= {MAX_VARIABLES}" in _job_exit(job, tmp_path, capsys)
+    jacobi = {"command": "verify", "inputs": {"suite": "jacobi", "lambda": zeros, "n": n}}
+    assert f"<= {MAX_VARIABLES}" in _job_exit(jacobi, tmp_path, capsys)
+    del jacobi["inputs"]["n"]
+    assert f"at most {MAX_VARIABLES} rows" in _job_exit(jacobi, tmp_path, capsys)
+    assert f"<= {MAX_VARIABLES}" in _schema_exit(
+        ["--command", "grade", "--n", str(n), "--f", "z0"], capsys
+    )
+    big = json.dumps(zeros)
+    two = '[["0","1"],["-1","0"]]'
+    for argv in (
+        ["--command", "ordering", "--K", big, "--f", "z0"],
+        ["--command", "star-exp", "--lambda", big, "--A", big],
+        ["--command", "star-exp", "--lambda", two, "--A", big],
+    ):
+        assert f"at most {MAX_VARIABLES} rows" in _schema_exit(argv, capsys)
+    # the cap itself is accepted
+    assert main(["--command", "grade", "--n", str(MAX_VARIABLES), "--f", "z0"]) == 0
+    capsys.readouterr()
 
 
 def test_job_file(tmp_path, capsys):

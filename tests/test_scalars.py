@@ -1,3 +1,4 @@
+import fractions
 import random
 
 import pytest
@@ -20,6 +21,13 @@ def small_rats():
 
 
 gaussians = st.builds(GaussianRational, small_rats(), small_rats())
+
+
+def test_rationals_are_fractions():
+    # one backend: every rational is a fractions.Fraction
+    assert type(rat(1)) is fractions.Fraction
+    assert type(rat(3, 6)) is fractions.Fraction and rat(3, 6) == rat(1, 2)
+    assert type(GaussianRational.parse("3/2-1/3*i").im) is fractions.Fraction
 
 
 @given(gaussians, gaussians, gaussians)

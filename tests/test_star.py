@@ -505,13 +505,6 @@ def test_standard_j_shape():
     assert all(not j[i][i] for i in range(4))
 
 
-def test_context_json_roundtrip():
-    ctx = StarContext.weyl(1)
-    back = StarContext.from_json(ctx.to_json())
-    assert back.n == ctx.n and back.coupling == ctx.coupling
-    assert back.lam == ctx.lam
-
-
 # --- exponents wider than one byte per packed key field ----------------------
 
 
