@@ -30,12 +30,14 @@ by the same cases as this one:
   and ``MatSeries.det`` of a random 4x4 matrix series with an invertible
   t^0 coefficient;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix;
-* ``cli_star_poly_n3``, ``cli_riccati_N8``: a fixed job file run end to end
-  through ``cli.main(["--job", FILE])`` with stdout captured (argparse, the
-  schema checks, the handler and the JSON output): a ``star`` job under the
-  so(3) structure matrix with f and g of degrees 5 and 6, and a
-  ``riccati`` job at truncation 8.  Their term count is the number of
-  terms in the printed product, or in the printed g and h series.
+* ``cli_star_poly_n3``, ``cli_riccati_N8``, ``cli_star_exp_n4_N8``: a
+  fixed job file run end to end through ``cli.main(["--job", FILE])`` with
+  stdout captured (argparse, the schema checks, the handler and the JSON
+  output): a ``star`` job under the so(3) structure matrix with f and g of
+  degrees 5 and 6, a ``riccati`` job at truncation 8, and a ``star-exp``
+  job on a 4x4 structure matrix at truncation 8 (closed form, expansion
+  and ODE oracle).  Their term count is the number of terms in the printed
+  product, in the printed g and h series, or in the printed amplitude.
 
 Each side runs in its own worker subprocess, which imports starquant from
 its source tree (``--before``, and this checkout's ``src`` as "after") and
@@ -54,8 +56,12 @@ and after the last one; ``scaled_median_s`` is the median scaled by the
 factor of those samples to the loop's reference host speed.  The file
 holds each side under ``runs["before"]`` and ``runs["after"]`` next to
 the backend name, the Python version and the machine, and ``speedup``,
-the ratio of their medians per case.  Without ``--before`` only this
-tree is timed.  ``--tiny`` shrinks every case to a smoke test and runs it
+the ratio of their medians per case.  Each round also gives one
+before/after ratio of two repeats run back to back, which a drift of the
+host's speed moves far less than the medians; ``round_ratio`` holds the
+lower quartile, the median and the upper quartile of those ratios per
+case, and the number of rounds.  Without ``--before`` only this tree is
+timed.  ``--tiny`` shrinks every case to a smoke test and runs it
 once.  Standard library only.
 """
 
@@ -74,6 +80,7 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 from math import comb
+from operator import truediv
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -279,6 +286,21 @@ def cases(tiny: bool) -> list:
          cli_case("riccati", job, lambda result: sum(
              len(c["terms"]) for c in result["g"] + result["h"])))
     )
+    job = {
+        "command": "star-exp",
+        "inputs": {
+            "lambda": [["0", "1", "-2", "3/2"], ["-1", "0", "1/2", "-3"],
+                       ["2", "-1/2", "0", "1"], ["-3/2", "3", "-1", "0"]],
+            "A": [["1", "-1/2", "2", "1"], ["-1/2", "3", "1", "-2"],
+                  ["2", "1", "-1", "3/2"], ["1", "-2", "3/2", "2"]],
+        },
+        "truncation": order,
+    }
+    out.append(
+        (f"cli_star_exp_n4_N{order}", {"n": 4, "N": order},
+         cli_case("star_exp", job, lambda result: sum(
+             len(c["terms"]) for c in result["amplitude"])))
+    )
     return out
 
 
@@ -341,13 +363,25 @@ class _Worker:
         self.proc.wait()
 
 
-def measure(sides: dict, tiny: bool) -> dict:
+def quartiles(values: list) -> dict:
+    """The lower quartile, median and upper quartile of a nonempty list
+    (inclusive method: each lies within the values), and its length."""
+    q1, median, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive")
+        if len(values) > 1 else values * 3
+    )
+    return {"q1": q1, "median": median, "q3": q3, "rounds": len(values)}
+
+
+def measure(sides: dict, tiny: bool) -> tuple:
     """Time every case on each side (label -> source tree), the sides
-    taking turns; returns the run of each side."""
+    taking turns; returns the run of each side and, with two sides, the
+    before/after ratio of each round per case."""
     hostspeed = _hostspeed()
     workers = {label: _Worker(src, tiny) for label, src in sides.items()}
     try:
         order = list(workers)
+        ratios = {}
         runs = {
             label: {**{k: v for k, v in w.info.items() if k != "sizes"}, "cases": {}}
             for label, w in workers.items()
@@ -375,6 +409,8 @@ def measure(sides: dict, tiny: bool) -> dict:
                     samples.append(hostspeed.sample())
                     unsampled = 0.0
             samples.append(hostspeed.sample())
+            if len(times) == 2:
+                ratios[name] = list(map(truediv, times["before"], times["after"]))
             for label, ts in times.items():
                 median = statistics.median(ts)
                 runs[label]["cases"][name] = {
@@ -388,7 +424,7 @@ def measure(sides: dict, tiny: bool) -> dict:
     finally:
         for w in workers.values():
             w.close()
-    return runs
+    return runs, ratios
 
 
 def main(argv=None) -> int:
@@ -403,15 +439,23 @@ def main(argv=None) -> int:
     sides = {"after": ROOT / "src"}
     if args.before is not None:
         sides = {"before": args.before.resolve(), **sides}
-    runs = measure(sides, args.tiny)
+    runs, ratios = measure(sides, args.tiny)
     data = {"runs": runs}
     if "before" in runs:
         data["speedup"] = {
             name: round(case["median_s"] / runs["after"]["cases"][name]["median_s"], 3)
             for name, case in runs["before"]["cases"].items()
         }
+        data["round_ratio"] = {
+            name: {k: round(v, 3) for k, v in quartiles(r).items()}
+            for name, r in ratios.items()
+        }
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps({label: run["cases"] for label, run in runs.items()}, sort_keys=True))
+    if ratios:
+        for name, q in data["round_ratio"].items():
+            print(f"{name}: speedup {data['speedup'][name]}, round ratio "
+                  f"{q['median']} [{q['q1']}, {q['q3']}] over {q['rounds']} rounds")
     return 0
 
 

@@ -157,15 +157,42 @@ def _msum(mats: list) -> "SqMatrix":
     )
 
 
+def _product(x: "SqMatrix", y: "SqMatrix") -> tuple:
+    """The integer rows (re, im) of x * y over x.den * y.den, not
+    normalised; the imaginary passes of a real side are skipped."""
+    if y.dim != x.dim:
+        raise ValueError("dimension mismatch")
+    ar, ai, br, bi = x.re, x.im, y.re, y.im
+    a_real, b_real = _is_zero(ai), _is_zero(bi)
+    re = _matmul(ar, br)
+    if a_real and b_real:
+        return re, ai
+    if a_real:
+        return re, _matmul(ar, bi)
+    if b_real:
+        return re, _matmul(ai, br)
+    return _lin(re, 1, _matmul(ai, bi), -1), _lin(_matmul(ar, bi), 1, _matmul(ai, br), 1)
+
+
 def _mcauchy(a, b, k: int, zero, start: int = 0):
-    """``_cauchy`` for matrix coefficients: the products are summed at once
-    by ``_msum``."""
-    prods = [
-        a[j] * b[k - j]
+    """``_cauchy`` for matrix coefficients: the integer products are summed
+    over the lcm of their denominators and normalised once."""
+    pairs = [
+        (a[j], b[k - j])
         for j in range(start, k + 1)
         if not (a[j].is_zero() or b[k - j].is_zero())
     ]
-    return _msum(prods) if prods else zero
+    if not pairs:
+        return zero
+    den = lcm(*(x.den * y.den for x, y in pairs))
+    re = im = zero.re
+    for x, y in pairs:
+        m = den // (x.den * y.den)
+        pre, pim = _product(x, y)
+        re = _lin(re, 1, pre, m)
+        if not _is_zero(pim):
+            im = _lin(im, 1, pim, m)
+    return _normal(zero.dim, den, re, im)
 
 
 class SqMatrix:
@@ -242,22 +269,7 @@ class SqMatrix:
         return SqMatrix._raw(self.dim, self.den, _times(self.re, -1), _times(self.im, -1))
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
-        d = self.dim
-        if other.dim != d:
-            raise ValueError("dimension mismatch")
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        a_real, b_real = _is_zero(ai), _is_zero(bi)
-        re = _matmul(ar, br)
-        if a_real and b_real:
-            im = ai
-        elif a_real:
-            im = _matmul(ar, bi)
-        elif b_real:
-            im = _matmul(ai, br)
-        else:
-            re = _lin(re, 1, _matmul(ai, bi), -1)
-            im = _lin(_matmul(ar, bi), 1, _matmul(ai, br), 1)
-        return _normal(d, self.den * other.den, re, im)
+        return _normal(self.dim, self.den * other.den, *_product(self, other))
 
     def _scaled(self, cre: int, cim: int, cden: int) -> "SqMatrix":
         """self * (cre + cim*i) / cden for ints, cden > 0."""
@@ -476,7 +488,8 @@ class MatSeries:
         Times t, its t^k coefficient reads k L_k = tr((M^(-1) t M')_k) for
         L = log(det M / det M_0); then det M = det(M_0) exp(L).  M_0 must be
         invertible, as for ``inverse``: det(t I) = t^dim raises
-        ``PreconditionError``.
+        ``PreconditionError``.  No command reaches that limit: ``solve_g``
+        takes the determinant of a series whose M_0 is the identity.
         """
         t_dm = [m._scaled(k, 0, 1) for k, m in enumerate(self.coeffs)]
         k_log = (self.inverse() * MatSeries(self.dim, self.order, t_dm)).trace()

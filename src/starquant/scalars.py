@@ -162,13 +162,14 @@ class GaussianRational:
 
         Accepts sums of "a/b" and "a/b*i" (or "a/bi") summands, each with
         optional signs, plus the shorthands "i" and "-i"; a and b are
-        ASCII digits and "/b" is optional.  Decimal points, exponents and
-        underscores are rejected with a ValueError, and a non-string with
-        a TypeError.
+        ASCII digits and "/b" is optional.  ASCII whitespace is skipped
+        anywhere, as in polynomials; any other space is malformed.  Decimal
+        points, exponents and underscores are rejected with a ValueError,
+        and a non-string with a TypeError.
         """
         if not isinstance(s, str):
             raise TypeError(f"a scalar must be a string, got {type(s).__name__}")
-        s = s.replace(" ", "")
+        s = _SPACE.sub("", s)
         if not s:
             raise ValueError("empty scalar string")
         # split into signed summands
@@ -204,6 +205,8 @@ class GaussianRational:
 
 
 _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+# the whitespace of the polynomial tokenizer: space, \t, \n, \r, \f, \v
+_SPACE = re.compile(r"\s+", re.ASCII)
 
 
 def _rational(text: str, scalar: str):

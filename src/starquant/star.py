@@ -58,13 +58,26 @@ only then is one GaussianRational and one unpacked key built per output
 term (:meth:`MultiPoly.from_numerators`).  A product summed over all
 orders (:func:`star`) adds the orders as numerators over the last order's
 denominator, which every earlier one divides.
+
+The ODE oracle (:func:`ode_star_exponential`) multiplies by one left
+factor H at every order, so it contracts H alone, once, into the operator
+L_H = sum_beta P_beta d^beta (:func:`_left_operator`).  Its steps are the
+kernel's, except that a step raises a derivative count beta_b in the y_b
+field instead of lowering y_b and scaling by it (:func:`_raise_step`);
+order k carries 1/k! and the kernel's denominator as above.  x and w then
+collapse into one n-variable key, grouped by beta.  Applied to a packed
+key e with e >= beta, a term of L_H adds one packed shift, x + w + tail -
+beta, and scales by the falling factorials prod_i e_i!/(e_i - beta_i)!
+(:func:`_apply_step`).  The width holds every field that the build and the
+N applications make: N times B, where B is the largest exponent of H plus
+deg H times the larger of 1 and the kernel's reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from math import gcd
+from math import gcd, perm
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -634,16 +647,131 @@ def exp_linear_product(
     return prefactor, shifted
 
 
+def _raise_step(out: dict, state: dict, rows: list, sign: int, mask: int) -> None:
+    """:func:`_step` with the right factor left symbolic: lower x_a and scale
+    by its exponent, but raise the derivative count beta_b in the y_b field
+    (each shift of ``rows`` already carries +2 there)."""
+    for key, v in state.items():
+        for sa, row in rows:
+            ea = key >> sa & mask
+            if ea:
+                va = sign * v * ea
+                for shift, c in row:
+                    k = key + shift
+                    out[k] = out.get(k, 0) + va * c
+
+
+def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
+    """(re, im, den): the left star operator F -> h (*) F of the kernel, as
+    integer numerators over one denominator, for keys of n z fields packed
+    at field width w.
+
+    The orders of h are contracted as by :func:`_orders` with the right
+    factor left symbolic (:func:`_raise_step`); then x and w collapse into
+    one n-variable key, and the terms are grouped by beta.  Each part is a
+    list of (beta, terms) with beta as [(field shift, count), ...] for its
+    nonzero counts and terms as [(shift, numerator), ...], each shift the
+    packed x + w + tail - beta.  w must hold every field of every key built
+    (see :func:`ode_star_exponential`).
+    """
+    n = h.n
+    block = n * w
+    mask = (1 << block) - 1
+    fmask = (1 << w) - 1
+    top = kernel.width * w
+    rows = [
+        [(sa, [(shift + (2 << sb), c) for sb, shift, c in row]) for sa, row in part]
+        for part in _packed(kernel, w)
+    ]
+    re, im, den = h.numerators(w, kernel.width)
+    orders = []
+    for k in count(1):
+        orders.append((re, im, den))
+        re, im = _complex(_raise_step, re, im, *rows, fmask)
+        if not re and not im:
+            break
+        den *= kernel.den * k if kernel.factorial else kernel.den
+    parts: tuple = ({}, {})
+    for ore, oim, oden in orders:
+        m = den // oden
+        for out, part in zip(parts, (ore, oim)):
+            for key, v in part.items():
+                beta = key >> block & mask
+                shift = (key >> top << block) + (key & mask) - beta
+                for s in range(2 * block, top, block):
+                    shift += key >> s & mask
+                terms = out.setdefault(beta, {})
+                terms[shift] = terms.get(shift, 0) + v * m
+    g = gcd(den, *(v for part in parts for terms in part.values() for v in terms.values()))
+    operator = tuple(
+        [
+            (
+                [(w * i, b) for i in range(n) if (b := beta >> w * i & fmask)],
+                [(shift, v // g) for shift, v in terms.items() if v],
+            )
+            for beta, terms in part.items()
+        ]
+        for part in parts
+    )
+    return (*operator, den // g)
+
+
+def _apply_step(out: dict, operator: list, state: dict, sign: int, mask: int) -> None:
+    """out += sign * L(state) for one part of a left operator (see
+    :func:`_left_operator`): a key e with e >= beta gets each term's shift
+    added, times the falling factorials e_i!/(e_i - beta_i)!."""
+    for key, v in state.items():
+        for beta, terms in operator:
+            m = sign * v
+            for s, b in beta:
+                e = key >> s & mask
+                if e < b:
+                    break
+                m *= perm(e, b)
+            else:
+                for shift, c in terms:
+                    k = key + shift
+                    out[k] = out.get(k, 0) + m * c
+
+
 def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     """Term-by-term star-exponential series: F0 = 1, F_{k+1} = H (*) F_k / (k+1).
 
     This recursion is the independent oracle against which all closed-form
-    expressions are checked.
+    expressions are checked.  For a fixed left factor the star product is a
+    differential operator in the right one, H (*) F = sum_beta P_beta
+    d^beta F (Bayen, Flato, Fronsdal, Lichnerowicz & Sternheimer, Ann.
+    Phys. 111, 1978), so that operator L_H is built once from the engine's
+    kernel (:func:`_left_operator`) and applied at every order, on integer
+    numerators in lowest terms.  It has at most deg H + 1 orders, for a
+    constant or a polynomial lambda alike, because the fully contracted
+    kernel never differentiates the entries.
+
+    Width: a step lowers x, so at most deg H steps run, each adding 1 to
+    one beta field and at most the kernel's reach to the w and tail
+    fields; every field that builds L_H is at most B = H.max_exponent() +
+    deg H * max(reach, 1).  Every term of L_H adds at most B to a z, hbar
+    or tau field of F_k, and e >= beta keeps the z fields non-negative, so
+    every field of F_N is at most N * B.  mu sits on top and may be
+    negative.
     """
     if H.n != ctx.n:
         raise ValueError("variable count mismatch with context")
+    n = ctx.n
     kernel = _full_entries(ctx, ctx.coupling)
-    coeffs = [MultiPoly.one(ctx.n)]
-    for k in range(N):
-        coeffs.append(_star(kernel, H, coeffs[-1], k + 1))
-    return TruncSeries(ctx.n, N, coeffs)
+    steps = max(H.degree(), 0)
+    w = key_width(max(N, 1) * (H.max_exponent() + steps * max(kernel.reach, 1)))
+    lre, lim, lden = _left_operator(kernel, H, w)
+    mask = (1 << w) - 1
+    re, im, den = {0: 1}, {}, 1
+    coeffs = [MultiPoly.one(n)]
+    for k in range(1, N + 1):
+        re, im = _complex(_apply_step, lre, lim, re, im, mask)
+        den *= lden * k
+        g = gcd(den, *re.values(), *im.values())
+        if g != 1:
+            den //= g
+            re = {e: v // g for e, v in re.items()}
+            im = {e: v // g for e, v in im.items()}
+        coeffs.append(MultiPoly.from_numerators(n, re, im, den, w))
+    return TruncSeries(n, N, coeffs)

@@ -28,6 +28,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         "series_mul_n4_N2", "inv_sqrt_N2", "series_inverse_n2_N2", "expand_n4_N2",
         "jacobi_so3_d1", "jacobi_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",
         "matseries_det_n4_N2", "tanh_n4_N2", "cli_star_poly_n3", "cli_riccati_N2",
+        "cli_star_exp_n4_N2",
     }
     assert set(data["runs"]) == {"before", "after"}
     for label in ("before", "after"):
@@ -51,3 +52,25 @@ def test_bench_without_before_times_one_side(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out.read_text())
     assert set(data["runs"]) == {"after"} and "speedup" not in data
+
+
+def test_round_ratio_quartiles():
+    # inclusive quartiles of the per-round before/after ratios; one round
+    # gives its one ratio three times
+    bench = load_bench()
+    assert bench.quartiles([2.0]) == {"q1": 2.0, "median": 2.0, "q3": 2.0, "rounds": 1}
+    assert bench.quartiles([1.0, 5.0, 2.0, 4.0, 3.0]) == {
+        "q1": 2.0, "median": 3.0, "q3": 4.0, "rounds": 5,
+    }
+
+
+def test_bench_reports_round_ratios_per_case(tmp_path, capsys):
+    bench = load_bench()
+    out = tmp_path / "BENCH_smoke.json"
+    src = BENCH.parent.parent / "src"
+    assert bench.main(["--out", str(out), "--before", str(src), "--tiny"]) == 0
+    assert "round ratio" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert set(data["round_ratio"]) == set(data["speedup"])
+    for q in data["round_ratio"].values():
+        assert 0 < q["q1"] <= q["median"] <= q["q3"] and q["rounds"] == 1

@@ -533,6 +533,20 @@ def test_non_ascii_digits_and_spaces_exit_2(text, tmp_path, capsys):
     assert "unexpected character" in _schema_exit(argv, capsys)
 
 
+def test_scalars_skip_the_ascii_whitespace_of_polynomials(capsys):
+    # a scalar field skips the whitespace the tokenizer skips, and only that
+    def riccati(a):
+        return ["--command", "riccati", "--a", a, "--b", "1", "--c", "0"]
+
+    assert main(riccati("1/2")) == 0
+    want = capsys.readouterr().out
+    for text in ("1\t/2", " 1 /2\n", "\r1\f/\v2"):
+        assert main(riccati(text)) == 0
+        assert capsys.readouterr().out == want
+    # a no-break space is no whitespace of the grammar
+    assert "malformed rational" in _schema_exit(riccati("1\u00a0/2"), capsys)
+
+
 def test_variable_cap(tmp_path, capsys):
     # one above the cap on n and on the rows of lambda, A and K exits 2 before
     # any matrix of that size is built; the zero lambda would be accepted

@@ -20,7 +20,13 @@ from starquant.star import (
     star_k_ordered,
     star_terms,
 )
-from starquant.verify import pairing_product, poisson_bracket, rand_antisym, rand_poly
+from starquant.verify import (
+    ode_by_products,
+    pairing_product,
+    poisson_bracket,
+    rand_antisym,
+    rand_poly,
+)
 
 
 def simple_ctx() -> StarContext:
@@ -574,3 +580,75 @@ def test_ode_star_exponential_with_wide_exponents():
     for k in range(4):
         want.append(pairing_product(pairs, h, want[-1]).scale_rat(rat(1, k + 1)))
     assert ode_star_exponential(ctx, h, 4) == TruncSeries(2, 4, want)
+
+
+def complex_antisym(rng, n) -> tuple:
+    """A constant antisymmetric matrix with complex entries."""
+    return antisym(n, {
+        (a, b): GaussianRational(rat(rng.randint(-3, 3), rng.randint(1, 4)),
+                                 rat(rng.randint(-3, 3), rng.randint(1, 5)))
+        for a in range(n) for b in range(a + 1, n)
+    })
+
+
+def ode_hamiltonians(rng, n) -> list:
+    """(H, N) cases: a quadratic H with mu^-1, a cubic one with mu^2 and
+    complex coefficients, one that mixes mu^-1, mu^2 and a constant, the
+    zero H and a constant H."""
+    quadratic = sum(
+        (term(n, [int(i == a) + int(i == b) for i in range(n)],
+              coef=GaussianRational(rat(rng.randint(1, 3)), rat(rng.randint(-1, 1), 2)))
+         for a in range(n) for b in range(a, n)),
+        MultiPoly.zero(n),
+    ).scale(MU_INV)
+    cubic = rand_poly(rng, n, 3, 3).scale(MU ** 2)
+    cubic += term(n, [3] + [0] * (n - 1), mu=2, coef=GaussianRational(rat(1, 3), rat(2)))
+    mixed = (
+        rand_poly(rng, n, 2, 3).scale(MU_INV)
+        + rand_poly(rng, n, 2, 2).scale(MU ** 2)
+        + term(n, [0] * n, coef=gr(-2, 5))
+    )
+    constant = term(n, [0] * n, mu=-1, coef=GaussianRational(rat(1, 2), rat(-1, 3)))
+    N_cubic = 5 if n < 3 else 3
+    return [(quadratic, 8), (cubic, N_cubic), (mixed, 6), (MultiPoly.zero(n), 8),
+            (constant, 8)]
+
+
+@pytest.mark.parametrize("coupling", [HALF_MU, I_HBAR_HALF], ids=["mu/2", "i*hbar/2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ode_star_exponential_agrees_with_products(n, coupling):
+    # the left operator of H, built once, against one engine product per
+    # order, on a constant lambda with complex entries
+    rng = random.Random(700 + n)
+    ctx = StarContext.constant(complex_antisym(rng, n), coupling)
+    for h, N in ode_hamiltonians(rng, n):
+        assert ode_star_exponential(ctx, h, N) == ode_by_products(ctx, h, N)
+
+
+def test_ode_star_exponential_agrees_with_products_on_polynomial_lambda():
+    # so(3) with a complex scale and a constant shift: the kernel's z
+    # exponents go to the w-variables, which the operator collapses into x
+    z = zvars(3)
+    zero = MultiPoly.zero(3)
+    c = GaussianRational(rat(2, 3), rat(-1, 2))
+    l01 = z[2].scale_gauss(c) + MultiPoly.const(3, MultiPoly.from_rat(1, 5))
+    l02, l12 = -z[1], (z[0] * z[0]).scale_rat(rat(3, 7))
+    lam = ((zero, l01, l02), (-l01, zero, l12), (-l02, -l12, zero))
+    rng = random.Random(711)
+    for coupling in (HALF_MU, I_HBAR_HALF):
+        ctx = StarContext(3, lam, coupling)
+        for h, N in ode_hamiltonians(rng, 3)[:3]:
+            N = min(N, 4)
+            assert ode_star_exponential(ctx, h, N) == ode_by_products(ctx, h, N)
+
+
+def test_ode_star_exponential_with_wide_z_fields():
+    # H carries z0^70, so F_4 carries z0^280: the z fields pass 255 and the
+    # key width must grow past 8 bits; the contractions pair z0 with z1
+    lam = antisym(2, {(0, 1): GaussianRational(rat(2, 3), rat(1, 7))})
+    h = term(2, (70, 1), -1) + term(2, (1, 2), 2, coef=gr(-3, 5)) + term(2, (0, 1))
+    for coupling in (HALF_MU, I_HBAR_HALF):
+        ctx = StarContext.constant(lam, coupling)
+        got = ode_star_exponential(ctx, h, 4)
+        assert got == ode_by_products(ctx, h, 4)
+        assert got.coeffs[4].max_exponent() == 280
