@@ -25,19 +25,25 @@ by the same cases as this one:
   ``d_max`` 3 on the bracket {z_i, z_(i+1)} = z_(i+2), indices mod n: the
   rotation algebra so(3) at n = 3, which passes, and a non-Poisson bracket
   at n = 4, which fails;
+* ``lambda_relation_so3_d3``, ``lambda_relation_cyclic_n4_d3``:
+  ``check_lambda_relation`` at ``k_max`` 4 and ``d_max`` 3 on the same two
+  brackets; both entries are linear, so both fail at order 2;
 * ``matmul_n4``: all 256 products of 16 random 4x4 ``SqMatrix``;
 * ``matseries_inverse_n4_N8``, ``matseries_det_n4_N8``: ``MatSeries.inverse``
   and ``MatSeries.det`` of a random 4x4 matrix series with an invertible
   t^0 coefficient;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix;
-* ``cli_star_poly_n3``, ``cli_riccati_N8``, ``cli_star_exp_n4_N8``: a
-  fixed job file run end to end through ``cli.main(["--job", FILE])`` with
-  stdout captured (argparse, the schema checks, the handler and the JSON
-  output): a ``star`` job under the so(3) structure matrix with f and g of
-  degrees 5 and 6, a ``riccati`` job at truncation 8, and a ``star-exp``
-  job on a 4x4 structure matrix at truncation 8 (closed form, expansion
-  and ODE oracle).  Their term count is the number of terms in the printed
-  product, in the printed g and h series, or in the printed amplitude.
+* ``cli_star_poly_n3``, ``cli_riccati_N8``, ``cli_star_exp_n4_N8``,
+  ``cli_verify_lambda_n3``: a fixed job file run end to end through
+  ``cli.main(["--job", FILE])`` with stdout captured (argparse, the schema
+  checks, the handler and the JSON output): a ``star`` job under the so(3)
+  structure matrix with f and g of degrees 5 and 6, a ``riccati`` job at
+  truncation 8, a ``star-exp`` job on a 4x4 structure matrix at
+  truncation 8 (closed form, expansion and ODE oracle), and a
+  ``lambda-relation`` job under the so(3) matrix at ``k_max`` 4 and
+  ``d_max`` 3, which exits 1.  Their term count is the number of terms in
+  the printed product, in the printed g and h series or in the printed
+  amplitude, and the number of monomials swept.
 
 Each side runs in its own worker subprocess, which imports starquant from
 its source tree (``--before``, and this checkout's ``src`` as "after") and
@@ -113,7 +119,7 @@ def _import(src: Path):
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
     from starquant import cli
-    from starquant.grading import check_jacobi
+    from starquant.grading import check_jacobi, check_lambda_relation
     from starquant.matrices import MatSeries, expand_closed_form, tanh_series
     from starquant.poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
     from starquant.scalars import GaussianRational, rat
@@ -218,6 +224,17 @@ def cases(tiny: bool) -> list:
             return comb(n + d_max, n)
 
         out.append((f"jacobi_{name}_d{d_max}", {"n": n, "d_max": d_max}, run_jacobi))
+
+        def run_lambda(ctx=ctx, n=n, name=name):
+            # the linear entries fail at order 2 once a monomial has degree 2
+            if check_lambda_relation(ctx, 4, d_max).passed != (d_max < 2):
+                raise SystemExit(f"bench: lambda_relation_{name} gave the wrong verdict")
+            return comb(n + d_max, n)
+
+        out.append(
+            (f"lambda_relation_{name}_d{d_max}", {"n": n, "k_max": 4, "d_max": d_max},
+             run_lambda)
+        )
     n, order = 4, 2 if tiny else 8
     rng = random.Random(4000)
     mats = [rand_square(rng, n) for _ in range(4 if tiny else 16)]
@@ -245,7 +262,7 @@ def cases(tiny: bool) -> list:
     # the job files live as long as the thunks that read them
     jobs = tempfile.TemporaryDirectory(prefix="starquant-bench-")
 
-    def cli_case(name, job, count):
+    def cli_case(name, job, count, exit_code=0):
         path = Path(jobs.name) / f"{name}.json"
         path.write_text(json.dumps(job))
 
@@ -253,7 +270,7 @@ def cases(tiny: bool) -> list:
             stdout = io.StringIO()
             with redirect_stdout(stdout):
                 code = cli.main(["--job", str(path)])
-            if code != 0:
+            if code != exit_code:
                 raise SystemExit(f"bench: {name} exited with {code}")
             return count(json.loads(stdout.getvalue())["result"])
 
@@ -300,6 +317,12 @@ def cases(tiny: bool) -> list:
         (f"cli_star_exp_n4_N{order}", {"n": 4, "N": order},
          cli_case("star_exp", job, lambda result: sum(
              len(c["terms"]) for c in result["amplitude"])))
+    )
+    inputs = {"suite": "lambda-relation", "lambda": so3, "n": 3, "k_max": 4, "d_max": d_max}
+    out.append(
+        ("cli_verify_lambda_n3", {"n": 3, "k_max": 4, "d_max": d_max},
+         cli_case("verify_lambda", {"command": "verify", "inputs": inputs},
+                  lambda result: comb(3 + d_max, 3), int(d_max >= 2)))
     )
     return out
 

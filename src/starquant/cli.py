@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from math import comb
 
 from .errors import PreconditionError, SchemaError
 from .grading import (
@@ -61,10 +62,12 @@ _JOB_FIELDS = {
 }
 
 # caps on the size fields, next to the degree cap of max_input_degree; the
-# variable cap bounds n and the rows of lambda, A and K
+# variable cap bounds n and the rows of lambda, A and K, and the sweep cap
+# the monomials comb(n + d_max, n) whose pairs the lambda relation contracts
 MAX_TRUNCATION = 32
 MAX_CASES = 1000
 MAX_VARIABLES = 32
+MAX_SWEEP_MONOMIALS = 120
 
 
 def max_input_degree() -> int:
@@ -330,7 +333,14 @@ def _run_verify(job: dict) -> tuple:
         if suite == "jacobi":
             report = check_jacobi(ctx, inputs["d_max"])
         else:
-            report = check_lambda_relation(ctx, inputs["k_max"], inputs["d_max"])
+            n, d_max = len(rows), inputs["d_max"]
+            monomials = comb(n + d_max, n)
+            if monomials > MAX_SWEEP_MONOMIALS:
+                raise SchemaError(
+                    f"the lambda-relation sweep at n = {n} and d_max = {d_max} has "
+                    f"{monomials} monomials, above the cap {MAX_SWEEP_MONOMIALS}"
+                )
+            report = check_lambda_relation(ctx, inputs["k_max"], d_max)
         return {"report": report.to_json()}, 0 if report.passed else 1
     results = run_suite(suite, seed=seed, cases=inputs.get("cases"))
     failed = [r for r in results if not r["pass"]]

@@ -8,6 +8,12 @@ which the star product is associative and graded: the iterated-versus-
 contracted identity for the structure matrix, swept over monomial pairs,
 and the Jacobi rule for the induced bracket.
 
+Both sides of the identity are bilinear in (f, g), so
+``check_lambda_relation`` contracts all monomial pairs of an order in one
+engine step per side: the pair's index in the sweep sits in the low bits
+of every packed key, and the smallest index whose terms differ is the
+first failing pair of the sweep.
+
 For an antisymmetric structure matrix the second-derivative terms of the
 Jacobi sum cancel, leaving a trilinear form in first derivatives,
 
@@ -26,10 +32,17 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from .errors import PreconditionError
-from .poly import MultiPoly, grlex_key
+from .poly import MultiPoly, grlex_key, key_width
 from .reports import CheckReport
 from .scalars import PARAM_INDEX, GaussianRational, accumulate
-from .star import StarContext, _full_entries, _iterated_entries, _orders, star
+from .star import (
+    StarContext,
+    _collapse,
+    _full_entries,
+    _iterated_entries,
+    contract_step,
+    star,
+)
 
 _MU = PARAM_INDEX["mu"]
 
@@ -175,13 +188,19 @@ def _exps_of_degree(d: int, k: int):
             yield (first,) + rest
 
 
-def monomials_upto(n: int, d_max: int) -> list:
-    """All monomials of total degree <= d_max, in grlex order."""
+def _exponents_upto(n: int, d_max: int) -> list:
+    """The exponent tuples of all monomials of total degree <= d_max, in
+    grlex order."""
     all_exps = []
     for d in range(d_max + 1):
         all_exps.extend(_exps_of_degree(d, n))
     all_exps.sort(key=grlex_key)
-    return [MultiPoly.monomial(n, e) for e in all_exps]
+    return all_exps
+
+
+def monomials_upto(n: int, d_max: int) -> list:
+    """All monomials of total degree <= d_max, in grlex order."""
+    return [MultiPoly.monomial(n, e) for e in _exponents_upto(n, d_max)]
 
 
 def _jacobi_trivector(ctx: StarContext) -> dict:
@@ -241,49 +260,65 @@ def check_lambda_relation(
     For a constant structure matrix the two coincide at every order; a
     non-constant matrix generically fails at order 2 because the iterated
     form differentiates the matrix entries accumulated by earlier steps.
-    Reports the smallest failing order with the lexicographically first
-    witness pair.
+    Reports the smallest failing order with the first failing pair of the
+    sweep over (f, g), f outer and g inner, both in grlex order.
+
+    Both forms are bilinear, so each side contracts all m^2 pairs at once,
+    as one state of integer numerators.  Pair i = f_index * m + g_index
+    starts as one key, f's exponents in the x fields and g's in the y
+    fields, packed at one field width above p low bits that hold i (p is
+    the bit length of m^2 - 1), with numerator 1 over denominator 1.
+    Each order is one :func:`star.contract_step` per side on the kernels
+    of both forms (bare k-fold contractions, without coupling or 1/k!),
+    and the collapse keeps the low bits, so order k of the two forms is
+    compared for every pair at once; the smallest index whose terms differ
+    is the witness.  The check stops at the first failing order, and
+    passes as soon as both states are empty.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2 (order 1 can never diverge)")
-    monos = monomials_upto(ctx.n, d_max)
-    # both forms as bare k-fold contractions, without coupling or 1/k!.  The
-    # matrix is fixed, so the kernels of both forms are built once for all
-    # pairs, and both pack their keys at the width of the larger reach.
-    # Every pair keeps its two generators of numerator maps, and all pairs
-    # advance one order at a time, so the check stops at the first failing
-    # order; a generator that ended counts as zero from then on.
-    full_kernel = _full_entries(ctx)
-    iterated_kernel = _iterated_entries(ctx)
-    reach = max(full_kernel.reach, iterated_kernel.reach)
-    pairs = []
-    for f in monos:
-        for g in monos:
-            lhs = _orders(iterated_kernel, f, g, reach)
-            rhs = _orders(full_kernel, f, g, reach)
-            next(lhs), next(rhs)  # order 0 is f*g on both sides
-            pairs.append((f, g, lhs, rhs))
-    zero = ({}, {}, 1, 0)
+    n = ctx.n
+    exps = _exponents_upto(n, d_max)
+    m = len(exps)
+    low = (m * m - 1).bit_length()
+    iterated = _iterated_entries(ctx)
+    full = _full_entries(ctx)
+    # no more than k_max steps run, each adding at most the reach to a
+    # field, collapsed or not; one width serves both sides and every pair
+    w = key_width(2 * d_max + k_max * max(iterated.reach, full.reach))
+    packed = [sum(e << w * i for i, e in enumerate(exp)) for exp in exps]
+    start = {
+        ((f + (g << n * w)) << low) + i: 1
+        for i, (f, g) in enumerate(product(packed, repeat=2))
+    }
+    lre, lim, lden = start, {}, 1
+    rre, rim, rden = start, {}, 1
     for k in range(1, k_max + 1):
-        for f, g, lhs, rhs in pairs:
-            if not _same_order(next(lhs, zero), next(rhs, zero)):
-                return CheckReport(
-                    passed=False,
-                    first_divergence_order=k,
-                    witness={"k": k, "f": f.text(), "g": g.text()},
-                    detail="iterated and contracted forms differ",
-                )
+        lre, lim = contract_step(iterated, w, lre, lim, low)
+        rre, rim = contract_step(full, w, rre, rim, low)
+        if not (lre or lim or rre or rim):
+            break
+        lden *= iterated.den
+        rden *= full.den
+        # a/lden == b/rden per key and part, tested as a*rden == b*lden
+        # with zero numerators left out
+        differ = set()
+        for left, right in ((lre, rre), (lim, rim)):
+            left = _collapse(n, iterated.width, w, left, low)
+            right = _collapse(n, full.width, w, right, low)
+            differ |= {key: v * rden for key, v in left.items() if v}.items() ^ {
+                key: v * lden for key, v in right.items() if v
+            }.items()
+        if differ:
+            i = min(key & (1 << low) - 1 for key, _ in differ)
+            return CheckReport(
+                passed=False,
+                first_divergence_order=k,
+                witness={
+                    "k": k,
+                    "f": MultiPoly.monomial(n, exps[i // m]).text(),
+                    "g": MultiPoly.monomial(n, exps[i % m]).text(),
+                },
+                detail="iterated and contracted forms differ",
+            )
     return CheckReport(passed=True)
-
-
-def _same_order(lhs: tuple, rhs: tuple) -> bool:
-    """Whether two (re, im, den, w) orders of :func:`star._orders`, packed
-    at one width, are the same polynomial: a/d1 == b/d2 per key and part,
-    tested as a*d2 == b*d1 with zero numerators left out."""
-    lre, lim, lden, _ = lhs
-    rre, rim, rden, _ = rhs
-    return all(
-        {key: v * rden for key, v in left.items() if v}
-        == {key: v * lden for key, v in right.items() if v}
-        for left, right in ((lre, rre), (lim, rim))
-    )

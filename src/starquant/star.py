@@ -42,7 +42,10 @@ row.  The collapse to n-variable keys adds the masked groups of fields
 each contraction takes it from a bound on every field it can build, the
 two operands' largest exponents plus the step cap (the degrees plus 4)
 times the kernel's largest shift (:func:`_orders`), and the kernel packs
-its steps once per width.
+its steps once per width.  A state may also carry ``low`` bits below the
+z fields that no step and no collapse touches: the lambda-relation check
+(:func:`starquant.grading.check_lambda_relation`) keeps the index of a
+monomial pair there, so that one state holds every pair.
 
 The state of an order holds no rationals: two maps, ``re`` and ``im``, from
 packed keys to the integer numerators of the real and imaginary parts,
@@ -340,17 +343,21 @@ def _iterated_entries(ctx: StarContext) -> _Kernel:
     return _entries(ctx.n, ctx.lam, ctx.n)
 
 
-def _packed(kernel: _Kernel, w: int) -> tuple:
+def _packed(kernel: _Kernel, w: int, low: int = 0) -> tuple:
     """The real and imaginary rows of ``kernel`` for state keys packed at
-    field width w: (a * w, [(b * w, shift, numerator), ...]) per row a,
-    each shift one packed int.  Built once per width and kept in
+    field width w above ``low`` bits that no step touches: (a * w + low,
+    [(b * w + low, shift, numerator), ...]) per row a, each shift one
+    packed int with its low bits 0.  Built once per (w, low) and kept in
     ``kernel.packed``."""
-    rows = kernel.packed.get(w)
+    rows = kernel.packed.get((w, low))
     if rows is None:
         weights = key_weights(kernel.width, w)
-        rows = kernel.packed[w] = tuple(
+        rows = kernel.packed[w, low] = tuple(
             [
-                (a * w, [(b * w, sum(map(mul, s, weights)), c) for b, s, c in row])
+                (
+                    a * w + low,
+                    [(b * w + low, sum(map(mul, s, weights)) << low, c) for b, s, c in row],
+                )
                 for a, row in part
             ]
             for part in (kernel.re, kernel.im)
@@ -395,38 +402,44 @@ def _step(out: dict, state: dict, rows: list, sign: int, mask: int) -> None:
                     out[k] = out.get(k, 0) + va * eb * c
 
 
-def contract_step(kernel: _Kernel, w: int, re: dict, im: dict) -> tuple:
+def contract_step(
+    kernel: _Kernel, w: int, re: dict, im: dict, low: int = 0
+) -> tuple:
     """One derivative-pair contraction step on a state of integer numerators.
 
     For every step (a, b, shift) of the kernel (see :func:`_entries`) and
     every key with positive exponents at positions a and b, differentiate
     both and multiply by the matrix entry: the derivative factor is the
     product of the two exponents, and the new key is the old one plus the
-    step's shift, one int add on keys packed at field width w.  ``re`` and
-    ``im`` map keys to the real and imaginary numerators; the result's
-    denominator is the state's times ``kernel.den``.
+    step's shift, one int add on keys packed at field width w above
+    ``low`` bits, which the step keeps.  ``re`` and ``im`` map keys to the
+    real and imaginary numerators; the result's denominator is the state's
+    times ``kernel.den``.
     """
-    return _complex(_step, re, im, *_packed(kernel, w), (1 << w) - 1)
+    return _complex(_step, re, im, *_packed(kernel, w, low), (1 << w) - 1)
 
 
-def _collapse(n: int, width: int, w: int, state: dict) -> dict:
+def _collapse(n: int, width: int, w: int, state: dict, low: int = 0) -> dict:
     """Identify the n-variable groups of every packed key (x, y and w all
-    become z), keep the parameter tail above them and sum the numerators:
-    the keys come out packed in n z fields at the same width."""
+    become z), keep the ``low`` bits below them and the parameter tail
+    above them, and sum the numerators: the keys come out packed in n z
+    fields at the same width, above the same low bits."""
     block = n * w
-    mask = (1 << block) - 1
-    top = width * w
-    groups = range(block, top, block)
+    base = block + low
+    mask = (1 << base) - 1
+    gmask = mask >> low << low
+    top = width * w + low
+    groups = range(block, width * w, block)
     acc: dict = {}
     for k, v in state.items():
-        key = (k >> top << block) + (k & mask)
+        key = (k >> top << base) + (k & mask)
         for s in groups:
-            key += k >> s & mask
+            key += k >> s & gmask
         acc[key] = acc.get(key, 0) + v
     return acc
 
 
-def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly, reach: int = 0):
+def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
     """Yield the contraction terms of f and g, order 0 first, each as the
     collapsed (re, im, den, w) numerator maps over one denominator, keyed
     by n-variable keys packed at field width w.
@@ -435,16 +448,13 @@ def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly, reach: int = 0):
     (the 1/k goes into the denominator), and is the bare k-fold contraction
     otherwise.  Every field of every key, collapsed or not, is at most
     the two operands' largest exponents plus ``cap`` times the kernel's
-    reach, because no more than ``cap`` steps run; w holds that bound,
-    with ``reach`` in place of the kernel's when it is larger, so that two
-    kernels given the larger of their reaches pack at the same width.
+    reach, because no more than ``cap`` steps run; w holds that bound.
     """
     n = f.n
     width = kernel.width
     # every step lowers the left-slot degree, so this bound is never reached
     cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
-    reach = max(reach, kernel.reach)
-    w = key_width(f.max_exponent() + g.max_exponent() + cap * reach)
+    w = key_width(f.max_exponent() + g.max_exponent() + cap * kernel.reach)
     fre, fim, fden = f.numerators(w, width)
     gre, gim, gden = g.numerators(w, width, n)
     re, im = _complex(add_products, fre, fim, gre, gim)

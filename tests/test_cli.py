@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from starquant.cli import (
     CONTEXT_FIELDS,
+    MAX_SWEEP_MONOMIALS,
     MAX_VARIABLES,
     SCHEMA,
     _build_argparser,
@@ -573,6 +574,42 @@ def test_variable_cap(tmp_path, capsys):
     # the cap itself is accepted
     assert main(["--command", "grade", "--n", str(MAX_VARIABLES), "--f", "z0"]) == 0
     capsys.readouterr()
+
+
+def test_lambda_relation_sweep_cap(monkeypatch, tmp_path, capsys):
+    # n = 4 with d_max 5 sweeps comb(9, 4) = 126 monomials, the fewest above
+    # the cap, and exits 2 before the check runs; n = 3 with d_max 7 sweeps
+    # 120, at the cap, and is accepted.  The check is stubbed, so neither
+    # job sweeps: the rejected one must not get that far, and the accepted
+    # one would take about a second.
+    from starquant import cli
+    from starquant.reports import CheckReport
+
+    assert MAX_SWEEP_MONOMIALS == 120
+
+    def refuse(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "check_lambda_relation", refuse)
+
+    def job(n, d_max):
+        lam = [["0"] * n for _ in range(n)]
+        lam[0][1], lam[1][0] = "1", "-1"
+        inputs = {"suite": "lambda-relation", "lambda": lam, "d_max": d_max, "k_max": 16}
+        return {"command": "verify", "inputs": inputs}
+
+    error = _job_exit(job(4, 5), tmp_path, capsys)
+    assert "126 monomials" in error and f"cap {MAX_SWEEP_MONOMIALS}" in error
+    # the default d_max 4 counts too
+    big = job(32, 4)
+    del big["inputs"]["d_max"]
+    assert "58905 monomials" in _job_exit(big, tmp_path, capsys)
+    # Jacobi streams its triples and has no sweep cap
+    jacobi = job(4, 5)
+    jacobi["inputs"]["suite"] = "jacobi"
+    assert run_job(jacobi)[1] == 0
+    monkeypatch.setattr(cli, "check_lambda_relation", lambda *args: CheckReport(passed=True))
+    assert run_job(job(3, 7))[1] == 0
 
 
 def test_job_file(tmp_path, capsys):

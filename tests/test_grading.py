@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 from starquant.errors import PreconditionError
+from starquant.parsing import parse_poly
 from starquant.grading import (
     GradedElement,
     check_jacobi,
@@ -334,6 +335,56 @@ def test_lambda_relation_stops_where_the_eager_sweep_does():
         "witness": {"k": 2, "f": "z2^2", "g": "z1"},
         "detail": "iterated and contracted forms differ",
     }
+
+
+def _text_context(n: int, entries: dict) -> StarContext:
+    """The context with lambda[a][b] = entries[a, b] (polynomial text) above
+    the diagonal, its negative below and 0 elsewhere."""
+    zero = MultiPoly.zero(n)
+    lam = [[zero] * n for _ in range(n)]
+    for (a, b), text in entries.items():
+        lam[a][b] = parse_poly(text, n)
+        lam[b][a] = -lam[a][b]
+    return StarContext(n, lam, HALF_MU)
+
+
+# (n, entries, k_max, d_max, passes); the check keeps every pair's index in
+# the low bits of its keys, so these cover one pair, index bits that a
+# power of two would not hold, negative mu exponents above the index and
+# a constant lambda compared at every order up to 5, and an entry whose
+# exponents need fields far wider than the monomials'
+EDGE_CASES = {
+    "n1": (1, {}, 2, 3, True),
+    "n4_cyclic": (4, {(0, 1): "z2", (1, 2): "z3", (2, 3): "z0", (0, 3): "-z1"}, 3, 2, False),
+    "n4_constant": (
+        4, {(0, 1): "1/2+i", (0, 2): "-2/3", (1, 3): "3*i", (2, 3): "5/7"}, 4, 2, True
+    ),
+    "constant_to_order_5": (2, {(0, 1): "(2/3-i)*hbar*mu^-1"}, 5, 5, True),
+    "mu_inv_hbar": (2, {(0, 1): "mu^-1*z0 + 1/3*hbar*z1^2"}, 4, 3, False),
+    "mu_inv_n3": (3, {(0, 1): "mu^-1*z2", (1, 2): "hbar*z0", (0, 2): "i*mu^-2*z1"}, 3, 3, False),
+    "one_pair": (3, {(0, 1): "z2", (1, 2): "z0", (0, 2): "-z1"}, 4, 0, True),
+    "nine_pairs": (2, {(0, 1): "z0"}, 2, 1, True),
+    "wide_entry": (2, {(0, 1): "z1^40*hbar^70 + mu^-90*z0"}, 3, 2, False),
+    # no step differentiates z0, so the two forms agree
+    "wide_entry_passes": (3, {(1, 2): "z0^40*hbar^70"}, 3, 2, True),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_lambda_relation_agrees_with_the_eager_sweep_at_the_edges(name):
+    n, entries, k_max, d_max, passes = EDGE_CASES[name]
+    ctx = _text_context(n, entries)
+    rep = check_lambda_relation(ctx, k_max, d_max)
+    expected = eager_lambda_relation(ctx, k_max, d_max)
+    assert rep.passed == passes == (expected is None)
+    if expected is not None:
+        k, f, g = expected
+        assert rep.first_divergence_order == k
+        assert rep.witness == {"k": k, "f": f, "g": g}
+    if name == "constant_to_order_5":
+        # order 5 of the pair (z0^5, z1^5) is not zero, so it was compared
+        z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        assert len(iterated_terms(ctx, z0**5, z1**5, 5)) == 6
 
 
 def test_lambda_relation_so3_at_degree_5_stops_at_order_2():
