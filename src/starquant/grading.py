@@ -230,12 +230,14 @@ def check_jacobi(ctx: StarContext, d_max: int = 4) -> CheckReport:
     The sum is evaluated as sum_abc J^abc d_a f d_b g d_c h with the
     trivector J of the module docstring (the Schouten-Nijenhuis bracket
     [lam, lam] up to a factor).  When J is zero, as for every Poisson
-    structure and every n <= 2, the check passes without a sweep.
+    structure and every n <= 2, the check passes without a sweep.  A
+    constant has no gradient, so the sweep skips the monomial 1: every
+    triple that holds it is zero.
     """
     trivector = _jacobi_trivector(ctx)
     if not trivector:
         return CheckReport(passed=True)
-    monos = monomials_upto(ctx.n, d_max)
+    monos = monomials_upto(ctx.n, d_max)[1:]
     grads = [(f, [f.derivative(a) for a in range(ctx.n)]) for f in monos]
     for (f, df), (g, dg), (h, dh) in combinations_with_replacement(grads, 3):
         jac = MultiPoly.zero(ctx.n)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .grading import decompose
-from .poly import HALF_MU, MU_INV, MultiPoly, key_width, quadratic_form
+from .poly import HALF_MU, MU_INV, MultiPoly, common_den, key_width, quadratic_form
 from .reports import CheckReport
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat
 from .series import TruncSeries, _cauchy, _mul, _series
@@ -132,29 +132,15 @@ def _normal(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
     return SqMatrix._raw(dim, den, re, im)
 
 
-def _msum(mats: list) -> "SqMatrix":
-    """The sum of a nonempty list of matrices, over the lcm of their
-    denominators, with one normalisation."""
-    first = mats[0]
-    if any(m.dim != first.dim for m in mats):
+def _add(x: "SqMatrix", y: "SqMatrix") -> "SqMatrix":
+    """x + y over the lcm of their denominators, with one normalisation."""
+    if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    if len(mats) == 1:
-        return first
-    den = lcm(*(m.den for m in mats))
-    fs = [den // m.den for m in mats]
-
-    def total(parts: list) -> tuple:
-        return tuple(
-            tuple(sum(map(mul, fs, vals)) for vals in zip(*rows)) for rows in zip(*parts)
-        )
-
-    real = all(_is_zero(m.im) for m in mats)
-    return _normal(
-        first.dim,
-        den,
-        total([m.re for m in mats]),
-        first.im if real else total([m.im for m in mats]),
-    )
+    den = lcm(x.den, y.den)
+    fx, fy = den // x.den, den // y.den
+    real = _is_zero(x.im) and _is_zero(y.im)
+    im = x.im if real else _lin(x.im, fx, y.im, fy)
+    return _normal(x.dim, den, _lin(x.re, fx, y.re, fy), im)
 
 
 def _product(x: "SqMatrix", y: "SqMatrix") -> tuple:
@@ -209,7 +195,7 @@ class SqMatrix:
             if len(r) != dim:
                 raise ValueError("matrix must be square")
         # numerators over the lcm of the denominators are in lowest terms
-        den = lcm(*(q.denominator for r in rows for v in r for q in (v.re, v.im)))
+        den = common_den(v for r in rows for v in r)
         re = tuple(tuple(v.re.numerator * (den // v.re.denominator) for v in r) for r in rows)
         im = tuple(tuple(v.im.numerator * (den // v.im.denominator) for v in r) for r in rows)
         self._set(dim, den, re, im)
@@ -260,10 +246,10 @@ class SqMatrix:
         return hash((self.den, self.re, self.im))
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
-        return _msum([self, other])
+        return _add(self, other)
 
     def __sub__(self, other: "SqMatrix") -> "SqMatrix":
-        return _msum([self, -other])
+        return _add(self, -other)
 
     def __neg__(self) -> "SqMatrix":
         return SqMatrix._raw(self.dim, self.den, _times(self.re, -1), _times(self.im, -1))
@@ -281,7 +267,7 @@ class SqMatrix:
         return _normal(self.dim, self.den * cden, re, im)
 
     def scale(self, c: GaussianRational) -> "SqMatrix":
-        cden = lcm(c.re.denominator, c.im.denominator)
+        cden = common_den((c,))
         return self._scaled(
             c.re.numerator * (cden // c.re.denominator),
             c.im.numerator * (cden // c.im.denominator),

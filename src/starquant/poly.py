@@ -18,7 +18,15 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007; FLINT's ``fmpz_mpoly``): one Python int per key, so that a product of
 two terms adds its keys with one int add.  :meth:`MultiPoly.numerators`
 and :meth:`MultiPoly.from_numerators` convert to and from them, given the
-field width w in bits.
+field width w in bits.  The operations on that layout are written once,
+here: :func:`common_den` and :func:`numerator_parts` split coefficients
+into it; ``_complex`` adds up m * x * y over a list of (x, y, m) products
+of complex numerator maps in four passes and strips the zeros;
+``_lowest`` divides a triple by the gcd of its denominator and
+numerators; ``_order_sum`` adds orders whose denominators divide the last
+one; and ``_add_products`` multiplies two maps whose keys add.  The series
+recurrences, and so the closed forms, and the contraction engine with its
+ODE oracle share nothing above them.
 
 A packed key has a block of z fields, w bits each, at the low end: field i
 holds the exponent of z_i (the engine places a polynomial's n variables in
@@ -46,7 +54,7 @@ more than one summand; a scalar prints bare.
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -430,6 +438,73 @@ def numerator_parts(items, den: int) -> tuple:
         {x: c.re.numerator * (den // c.re.denominator) for x, c in items if c.re},
         {x: c.im.numerator * (den // c.im.denominator) for x, c in items if c.im},
     )
+
+
+def _add_products(out: dict, left: dict, right: dict, m: int) -> None:
+    """out += m * left * right for numerator maps keyed by packed keys."""
+    for ea, p in left.items():
+        p *= m
+        for eb, q in right.items():
+            key = ea + eb
+            out[key] = out.get(key, 0) + p * q
+
+
+def _complex(apply, products) -> tuple:
+    """(re, im): the real and imaginary numerator maps of the sum of
+    m * (lre + i lim)(rre + i rim) over the (left, right, m) of
+    ``products``, where left and right start with their (re, im) maps.
+
+    ``apply(out, lpart, rpart, m)`` adds m * lpart * rpart into the map
+    ``out``; callers bind any further arguments with ``functools.partial``,
+    since a call through ``*args`` costs the short Cauchy sums of the
+    series a few percent.  The four passes are re*re, minus im*im, re*im
+    and im*re; a pass with an empty side is skipped, so real inputs pay for
+    one.  Zero values are stripped from the result.
+    """
+    re: dict = {}
+    im: dict = {}
+    for x, y, m in products:
+        lre, lim, rre, rim = x[0], x[1], y[0], y[1]
+        if lre and rre:
+            apply(re, lre, rre, m)
+        if lim and rim:
+            apply(re, lim, rim, -m)
+        if lre and rim:
+            apply(im, lre, rim, m)
+        if lim and rre:
+            apply(im, lim, rre, m)
+    return (
+        {e: v for e, v in re.items() if v},
+        {e: v for e, v in im.items() if v},
+    )
+
+
+def _lowest(re: dict, im: dict, den: int) -> tuple:
+    """The triple (re, im, den), den > 0, divided by the gcd of ``den`` and
+    every numerator; zero numerators leave the gcd as it is."""
+    g = gcd(den, *re.values(), *im.values())
+    if g == 1:
+        return re, im, den
+    return (
+        {e: v // g for e, v in re.items()},
+        {e: v // g for e, v in im.items()},
+        den // g,
+    )
+
+
+def _order_sum(orders: list) -> tuple:
+    """(re, im, den): the sum of the triples (re, im, den, ...) of
+    ``orders``, each of whose denominators divides the last one, as
+    numerators over the last denominator."""
+    den = orders[-1][2]
+    re: dict = {}
+    im: dict = {}
+    for ore, oim, oden, *_ in orders:
+        m = den // oden
+        for out, part in ((re, ore), (im, oim)):
+            for key, v in part.items():
+                out[key] = out.get(key, 0) + v * m
+    return re, im, den
 
 
 # the parameter tail in packed field order: the non-negative parameters

@@ -14,13 +14,11 @@ Cauchy sum, :func:`_cauchy`, which also gives the product.
 
 The recurrences run on integers, in the layout of FLINT's ``fmpq_poly``
 (Hart, ICMS 2010).  Each input coefficient is converted once to a triple
-(re, im, den) by :meth:`MultiPoly.numerators`: the integer numerators of
-the real and imaginary parts, keyed by packed exponent keys (one int per
-key, see :mod:`starquant.poly`), over one positive denominator.  A Cauchy
-sum multiplies ints under keys summed by one int add, skipping the
-imaginary passes of a real side, adds its products over the lcm of their
-denominators and divides by one gcd, so every triple stays in lowest
-terms.  Each output coefficient is built once by
+(re, im, den) by :meth:`MultiPoly.numerators` (see :mod:`starquant.poly`
+for the layout), and a Cauchy sum is one call of the shared complex
+product ``poly._complex`` over its products, each scaled to the lcm of
+their denominators, and one ``poly._lowest``, so every triple stays in
+lowest terms.  Each output coefficient is built once by
 :meth:`MultiPoly.from_numerators`.
 
 The field width w of the keys comes from a bound on every exponent an
@@ -34,19 +32,10 @@ the integers, which saves the conversion of the exponential and back.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 from .errors import PreconditionError
-from .poly import MultiPoly, key_width
-
-
-def add_products(out: dict, left: dict, right: dict, m: int) -> None:
-    """out += m * left * right for numerator maps keyed by packed keys."""
-    for ea, p in left.items():
-        p *= m
-        for eb, q in right.items():
-            key = ea + eb
-            out[key] = out.get(key, 0) + p * q
+from .poly import MultiPoly, _add_products, _complex, _lowest, key_width
 
 
 def _cauchy(a, b, k: int, start: int = 0, weights=None, div: int = 1) -> tuple:
@@ -55,8 +44,7 @@ def _cauchy(a, b, k: int, start: int = 0, weights=None, div: int = 1) -> tuple:
 
     Zero factors are skipped.  A product is over the product of its
     factors' denominators; the sum scales each by lcm // den to the lcm of
-    those, and then divides by the gcd of the denominator and every
-    numerator.
+    those, and is then reduced to lowest terms.
     """
     products = []
     for j in range(start, k + 1):
@@ -65,29 +53,10 @@ def _cauchy(a, b, k: int, start: int = 0, weights=None, div: int = 1) -> tuple:
         if w and (x[0] or x[1]) and (y[0] or y[1]):
             products.append((x, y, w))
     den = lcm(*(x[2] * y[2] for x, y, _ in products))
-    re: dict = {}
-    im: dict = {}
-    for (xre, xim, xden), (yre, yim, yden), w in products:
-        m = w * (den // (xden * yden))
-        if xre and yre:
-            add_products(re, xre, yre, m)
-        if xim and yim:
-            add_products(re, xim, yim, -m)
-        if xre and yim:
-            add_products(im, xre, yim, m)
-        if xim and yre:
-            add_products(im, xim, yre, m)
-    re = {e: v for e, v in re.items() if v}
-    im = {e: v for e, v in im.items() if v}
-    den *= div
-    g = gcd(den, *re.values(), *im.values())
-    if g == 1:
-        return re, im, den
-    return (
-        {e: v // g for e, v in re.items()},
-        {e: v // g for e, v in im.items()},
-        den // g,
+    re, im = _complex(
+        _add_products, [(x, y, w * (den // (x[2] * y[2]))) for x, y, w in products]
     )
+    return _lowest(re, im, den * div)
 
 
 def _mul(x: tuple, y: tuple) -> tuple:

@@ -49,18 +49,17 @@ monomial pair there, so that one state holds every pair.
 
 The state of an order holds no rationals: two maps, ``re`` and ``im``, from
 packed keys to the integer numerators of the real and imaginary parts,
-over one denominator ``den`` for the whole order, split as by
-:meth:`MultiPoly.numerators`.  The kernel (:func:`_entries`) is built on
-the integer numerators of the entries and of the coupling and stores its
-coefficients the same way, over the lcm ``D`` of their denominators, so a
-step multiplies Python ints only -- numerator times the two exponents
-times the kernel numerator -- in up to four passes (re*re, minus im*im,
-re*im, im*re; real inputs need one), and multiplies ``den`` by ``D`` and,
-with a coupling, by k for the 1/k!.  The collapse sums numerators, and
-only then is one GaussianRational and one unpacked key built per output
-term (:meth:`MultiPoly.from_numerators`).  A product summed over all
-orders (:func:`star`) adds the orders as numerators over the last order's
-denominator, which every earlier one divides.
+over one denominator ``den`` for the whole order, the layout of
+:mod:`starquant.poly`, whose private helpers do the complex products, the
+reduction to lowest terms and the sums of orders for this module and the
+series alike.  The kernel (:func:`_entries`) stores its coefficients the
+same way, over the lcm ``D`` of their denominators, so a step multiplies
+Python ints only -- numerator times the two exponents times the kernel
+numerator -- and multiplies ``den`` by ``D`` and, with a coupling, by k
+for the 1/k!.  The collapse sums numerators, and only then is one
+GaussianRational and one unpacked key built per output term
+(:meth:`MultiPoly.from_numerators`).  A product summed over all orders
+(:func:`star`) adds the orders over the last order's denominator.
 
 The ODE oracle (:func:`ode_star_exponential`) multiplies by one left
 factor H at every order, so it contracts H alone, once, into the operator
@@ -79,8 +78,9 @@ deg H times the larger of 1 and the kernel's reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, islice
-from math import gcd, perm
+from math import perm
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -88,6 +88,10 @@ from .errors import PreconditionError
 from .poly import (
     I_HBAR_HALF,
     MultiPoly,
+    _add_products,
+    _complex,
+    _lowest,
+    _order_sum,
     common_den,
     key_weights,
     key_width,
@@ -101,7 +105,7 @@ from .scalars import (
     gr,
     rat,
 )
-from .series import TruncSeries, add_products
+from .series import TruncSeries
 
 # scalar i*hbar/4, the exponent coupling of the ordering intertwiner
 I_HBAR_QUARTER = MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 4)))
@@ -283,8 +287,8 @@ def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
     steps of one shift are merged.  The products are taken on the integer
     numerators of the entries and of the coupling
     (:func:`starquant.poly.numerator_parts`), over the product of their
-    denominators divided by the gcd of it and every numerator, which is
-    the lcm of the denominators of the steps.
+    denominators in lowest terms, which is the lcm of the denominators of
+    the steps.
     """
     width = 3 * n if offset == 2 * n else 2 * n
     terms = [
@@ -299,20 +303,18 @@ def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
     else:
         cden = common_den(coupling.terms.values())
         cre, cim = numerator_parts(coupling.terms.items(), cden)
-    re, im = _complex(
-        _couple, *numerator_parts(terms, lden), cre, cim, n, width, offset
-    )
-    den = lden * cden
-    g = gcd(den, *re.values(), *im.values())
+    products = [(numerator_parts(terms, lden), (cre, cim), 1)]
+    couple = partial(_couple, n=n, width=width, offset=offset)
+    re, im, den = _lowest(*_complex(couple, products), lden * cden)
     reach = 0
     parts = []
     for part in (re, im):
         rows: dict = {}
         for (a, b, shift), c in part.items():
             reach = max(reach, *shift)
-            rows.setdefault(a, []).append((b, shift, c // g))
+            rows.setdefault(a, []).append((b, shift, c))
         parts.append(list(rows.items()))
-    return _Kernel(width, den // g, *parts, coupling is not None, reach, {})
+    return _Kernel(width, den, *parts, coupling is not None, reach, {})
 
 
 def _couple(out, left, right, sign, n, width, offset) -> None:
@@ -365,29 +367,6 @@ def _packed(kernel: _Kernel, w: int, low: int = 0) -> tuple:
     return rows
 
 
-def _complex(apply, lre, lim, rre, rim, *args) -> tuple:
-    """The real and imaginary maps of (lre + i lim)(rre + i rim).
-
-    ``apply(out, left, right, sign, *args)`` adds sign * left * right into
-    the map ``out``.  A pass whose side is empty is skipped, so real inputs
-    pay for one pass; zero values are stripped from the result.
-    """
-    re: dict = {}
-    im: dict = {}
-    if lre and rre:
-        apply(re, lre, rre, 1, *args)
-    if lim and rim:
-        apply(re, lim, rim, -1, *args)
-    if lre and rim:
-        apply(im, lre, rim, 1, *args)
-    if lim and rre:
-        apply(im, lim, rre, 1, *args)
-    return (
-        {e: v for e, v in re.items() if v},
-        {e: v for e, v in im.items() if v},
-    )
-
-
 def _step(out: dict, state: dict, rows: list, sign: int, mask: int) -> None:
     for key, v in state.items():
         for sa, row in rows:
@@ -416,7 +395,8 @@ def contract_step(
     real and imaginary numerators; the result's denominator is the state's
     times ``kernel.den``.
     """
-    return _complex(_step, re, im, *_packed(kernel, w, low), (1 << w) - 1)
+    step = partial(_step, mask=(1 << w) - 1)
+    return _complex(step, [((re, im), _packed(kernel, w, low), 1)])
 
 
 def _collapse(n: int, width: int, w: int, state: dict, low: int = 0) -> dict:
@@ -455,10 +435,10 @@ def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
     # every step lowers the left-slot degree, so this bound is never reached
     cap = max(f.degree(), 0) + max(g.degree(), 0) + 4
     w = key_width(f.max_exponent() + g.max_exponent() + cap * kernel.reach)
-    fre, fim, fden = f.numerators(w, width)
-    gre, gim, gden = g.numerators(w, width, n)
-    re, im = _complex(add_products, fre, fim, gre, gim)
-    den = fden * gden
+    fx = f.numerators(w, width)
+    gx = g.numerators(w, width, n)
+    re, im = _complex(_add_products, [(fx, gx, 1)])
+    den = fx[2] * gx[2]
     yield _collapse(n, width, w, re), _collapse(n, width, w, im), den, w
     for k in count(1):
         if k > cap:
@@ -481,21 +461,11 @@ def _contraction(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
 
 
 def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPoly:
-    """The sum of all contraction terms of f and g, divided by ``div``.
-
-    Each order's denominator divides the last one, so the orders add up as
-    numerators over the last denominator.
-    """
+    """The sum of all contraction terms of f and g, divided by ``div``:
+    each order's denominator divides the last one's."""
     orders = list(_orders(kernel, f, g))
-    den, w = orders[-1][2:]
-    re: dict = {}
-    im: dict = {}
-    for ore, oim, oden, _ in orders:
-        m = den // oden
-        for out, part in ((re, ore), (im, oim)):
-            for key, v in part.items():
-                out[key] = out.get(key, 0) + v * m
-    return MultiPoly.from_numerators(f.n, re, im, den * div, w)
+    re, im, den = _order_sum(orders)
+    return MultiPoly.from_numerators(f.n, re, im, den * div, orders[-1][3])
 
 
 def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
@@ -677,12 +647,12 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
     at field width w.
 
     The orders of h are contracted as by :func:`_orders` with the right
-    factor left symbolic (:func:`_raise_step`); then x and w collapse into
-    one n-variable key, and the terms are grouped by beta.  Each part is a
-    list of (beta, terms) with beta as [(field shift, count), ...] for its
-    nonzero counts and terms as [(shift, numerator), ...], each shift the
-    packed x + w + tail - beta.  w must hold every field of every key built
-    (see :func:`ode_star_exponential`).
+    factor left symbolic (:func:`_raise_step`) and summed; then x and w
+    collapse into one n-variable key, and the terms are grouped by beta.
+    Each part is a list of (beta, terms) with beta as [(field shift,
+    count), ...] for its nonzero counts and terms as [(shift, numerator),
+    ...], each shift the packed x + w + tail - beta.  w must hold every
+    field of every key built (see :func:`ode_star_exponential`).
     """
     n = h.n
     block = n * w
@@ -693,37 +663,38 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
         [(sa, [(shift + (2 << sb), c) for sb, shift, c in row]) for sa, row in part]
         for part in _packed(kernel, w)
     ]
+    raise_step = partial(_raise_step, mask=fmask)
     re, im, den = h.numerators(w, kernel.width)
     orders = []
     for k in count(1):
         orders.append((re, im, den))
-        re, im = _complex(_raise_step, re, im, *rows, fmask)
+        re, im = _complex(raise_step, [((re, im), rows, 1)])
         if not re and not im:
             break
         den *= kernel.den * k if kernel.factorial else kernel.den
+    re, im, den = _order_sum(orders)
     parts: tuple = ({}, {})
-    for ore, oim, oden in orders:
-        m = den // oden
-        for out, part in zip(parts, (ore, oim)):
-            for key, v in part.items():
-                beta = key >> block & mask
-                shift = (key >> top << block) + (key & mask) - beta
-                for s in range(2 * block, top, block):
-                    shift += key >> s & mask
-                terms = out.setdefault(beta, {})
-                terms[shift] = terms.get(shift, 0) + v * m
-    g = gcd(den, *(v for part in parts for terms in part.values() for v in terms.values()))
-    operator = tuple(
-        [
-            (
-                [(w * i, b) for i in range(n) if (b := beta >> w * i & fmask)],
-                [(shift, v // g) for shift, v in terms.items() if v],
-            )
-            for beta, terms in part.items()
-        ]
-        for part in parts
-    )
-    return (*operator, den // g)
+    for out, part in zip(parts, (re, im)):
+        for key, v in part.items():
+            beta = key >> block & mask
+            shift = (key >> top << block) + (key & mask) - beta
+            for s in range(2 * block, top, block):
+                shift += key >> s & mask
+            out[beta, shift] = out.get((beta, shift), 0) + v
+    *parts, den = _lowest(*parts, den)
+    operator = []
+    for part in parts:
+        groups: dict = {}
+        for (beta, shift), v in part.items():
+            if v:
+                groups.setdefault(beta, []).append((shift, v))
+        operator.append(
+            [
+                ([(w * i, b) for i in range(n) if (b := beta >> w * i & fmask)], terms)
+                for beta, terms in groups.items()
+            ]
+        )
+    return (*operator, den)
 
 
 def _apply_step(out: dict, operator: list, state: dict, sign: int, mask: int) -> None:
@@ -772,16 +743,11 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     steps = max(H.degree(), 0)
     w = key_width(max(N, 1) * (H.max_exponent() + steps * max(kernel.reach, 1)))
     lre, lim, lden = _left_operator(kernel, H, w)
-    mask = (1 << w) - 1
+    apply_step = partial(_apply_step, mask=(1 << w) - 1)
     re, im, den = {0: 1}, {}, 1
     coeffs = [MultiPoly.one(n)]
     for k in range(1, N + 1):
-        re, im = _complex(_apply_step, lre, lim, re, im, mask)
-        den *= lden * k
-        g = gcd(den, *re.values(), *im.values())
-        if g != 1:
-            den //= g
-            re = {e: v // g for e, v in re.items()}
-            im = {e: v // g for e, v in im.items()}
+        products = [((lre, lim), (re, im), 1)]
+        re, im, den = _lowest(*_complex(apply_step, products), den * lden * k)
         coeffs.append(MultiPoly.from_numerators(n, re, im, den, w))
     return TruncSeries(n, N, coeffs)

@@ -226,3 +226,105 @@ def test_packed_keys_round_trip_with_negative_mu():
     w = key_width(4)
     assert unpack_key(pack(key, 2, w), 2, w) == key
     assert unpack_key(pack(key, 2, w - 1), 2, w - 1) != key
+
+
+def gaussian_map(parts: tuple) -> dict:
+    """A (re, im) pair of numerator maps as one map to (re, im) int pairs."""
+    re, im = parts[0], parts[1]
+    return {e: (re.get(e, 0), im.get(e, 0)) for e in re.keys() | im.keys()}
+
+
+def test_complex_product_of_numerator_maps():
+    from starquant.poly import _add_products, _complex
+
+    # empty maps and empty product lists give empty maps
+    assert _complex(_add_products, []) == ({}, {})
+    assert _complex(_add_products, [(({}, {}), ({1: 2}, {3: 4}), 5)]) == ({}, {})
+    # imaginary-only values: (3i z^1)(5i z^2) = -15 z^3, (3i)(5) = 15i
+    assert _complex(_add_products, [(({}, {1: 3}), ({}, {2: 5}), 1)]) == ({3: -15}, {})
+    assert _complex(_add_products, [(({}, {1: 3}), ({2: 5}, {}), 1)]) == ({}, {3: 15})
+    # negative numerators and multipliers: -(-2 + i)(3 - 4i) - (-2)(-1)
+    # = -11i, whose real part cancels and is stripped
+    products = [
+        (({0: -2}, {0: 1}), ({1: 3}, {1: -4}), -1),
+        (({1: -2}, {}), ({0: -1}, {}), -1),
+    ]
+    assert _complex(_add_products, products) == ({}, {1: -11})
+    # random sums against (a + bi)(c + di) on int pairs
+    rng = random.Random(41)
+    for _ in range(40):
+        products = []
+        want: dict = {}
+        for _ in range(rng.randint(0, 3)):
+            maps = [
+                tuple(
+                    {rng.randint(0, 5): rng.randint(-9, 9) for _ in range(rng.randint(0, 3))}
+                    for _ in range(2)
+                )
+                for _ in range(2)
+            ]
+            m = rng.choice((-3, -1, 1, 2))
+            products.append((*maps, m))
+            x, y = (gaussian_map(p) for p in maps)
+            for ex, (a, b) in x.items():
+                for ey, (c, d) in y.items():
+                    re, im = want.get(ex + ey, (0, 0))
+                    want[ex + ey] = (re + m * (a * c - b * d), im + m * (a * d + b * c))
+        re, im = _complex(_add_products, products)
+        assert all(re.values()) and all(im.values())
+        assert gaussian_map((re, im)) == {e: v for e, v in want.items() if v != (0, 0)}
+
+
+def test_lowest_terms_and_order_sums():
+    from starquant.poly import _lowest, _order_sum
+
+    assert _lowest({}, {}, 6) == ({}, {}, 1)
+    # negative numerators: gcd(8, -4, 6) = 2
+    assert _lowest({1: -4}, {2: 6}, 8) == ({1: -2}, {2: 3}, 4)
+    assert _lowest({}, {2: -9}, 6) == ({}, {2: -3}, 2)
+    # a triple already in lowest terms comes back as it is
+    re, im = {1: 3, 2: -6}, {1: 2}
+    assert _lowest(re, im, 4) == (re, im, 4)
+    assert _lowest(re, im, 4)[0] is re
+    # zero numerators leave the gcd as it is
+    assert _lowest({1: 0, 2: 10}, {}, 15) == ({1: 0, 2: 2}, {}, 3)
+    # 1/2 z^1 + (1/6 - i/3) z^1 + 5i/12 z^2 = 2/3 z^1 + (-1/3 z^1 + 5/12 z^2) i
+    orders = [({1: 1}, {}, 2), ({1: 1}, {1: -2}, 6, "w"), ({}, {2: 5}, 12)]
+    assert _order_sum(orders) == ({1: 8}, {1: -4, 2: 5}, 12)
+    assert _order_sum([({}, {}, 1), ({}, {}, 4)]) == ({}, {}, 4)
+
+
+def test_kernel_denominator_is_in_lowest_terms():
+    from fractions import Fraction
+    from math import gcd, lcm
+
+    from starquant.star import StarContext, _full_entries
+
+    rng = random.Random(43)
+    for _ in range(20):
+        n = rng.randint(2, 3)
+        lam = [[gr(0)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                v = GaussianRational(
+                    rat(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6))),
+                    rat(rng.randint(-4, 4), rng.choice((1, 3, 9))),
+                )
+                lam[a][b], lam[b][a] = v, -v
+        coupling = MultiPoly.param("mu", 1, gr(rng.choice((1, 2, 3)), rng.choice((1, 2, 4))))
+        if not any(map(any, lam)):
+            continue
+        kernel = _full_entries(StarContext.constant(lam, coupling), coupling)
+        nums = [c for part in (kernel.re, kernel.im) for _, row in part for _, _, c in row]
+        assert kernel.den > 0 and all(nums) and gcd(kernel.den, *nums) == 1
+        # the lcm of the denominators of the steps' parts
+        c = coupling.constant_coefficient().terms
+        (cval,) = c.values()
+        dens = [
+            Fraction(part).denominator
+            for row in lam
+            for v in row
+            if v
+            for part in ((v * cval).re, (v * cval).im)
+        ]
+        assert kernel.den == lcm(*dens)
