@@ -33,17 +33,21 @@ by the same cases as this one:
   and ``MatSeries.det`` of a random 4x4 matrix series with an invertible
   t^0 coefficient;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix;
-* ``cli_star_poly_n3``, ``cli_riccati_N8``, ``cli_star_exp_n4_N8``,
-  ``cli_verify_lambda_n3``: a fixed job file run end to end through
-  ``cli.main(["--job", FILE])`` with stdout captured (argparse, the schema
-  checks, the handler and the JSON output): a ``star`` job under the so(3)
-  structure matrix with f and g of degrees 5 and 6, a ``riccati`` job at
-  truncation 8, a ``star-exp`` job on a 4x4 structure matrix at
-  truncation 8 (closed form, expansion and ODE oracle), and a
+* ``cli_star_poly_n3``, ``cli_star_small``, ``cli_grade``,
+  ``cli_riccati_N8``, ``cli_star_exp_n4_N8``, ``cli_verify_lambda_n3``: a
+  fixed job file run end to end through ``cli.main(["--job", FILE])``
+  with stdout captured (argparse, the schema checks, the handler and the
+  JSON output): a ``star`` job under the so(3) structure matrix with f and
+  g of degrees 5 and 6; a millisecond ``star`` job in two variables with
+  mixed parameters and ``mu`` specialized; a ``grade`` job in three
+  variables with mu powers of both signs; a ``riccati`` job at
+  truncation 8; a ``star-exp`` job on a 4x4 structure matrix at
+  truncation 8 (closed form, expansion and ODE oracle); and a
   ``lambda-relation`` job under the so(3) matrix at ``k_max`` 4 and
   ``d_max`` 3, which exits 1.  Their term count is the number of terms in
-  the printed product, in the printed g and h series or in the printed
-  amplitude, and the number of monomials swept.
+  the printed product (with the specialized one), in the printed graded
+  components, in the printed g and h series or in the printed amplitude,
+  and the number of monomials swept.
 
 Each side runs in its own worker subprocess, which imports starquant from
 its source tree (``--before``, and this checkout's ``src`` as "after") and
@@ -90,7 +94,11 @@ from operator import truediv
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEAT = 7
+# the least number of repeats, and so of rounds, of a case: the round
+# ratios of a 40-200 ms case spread about 10 % (an interquartile range of
+# 0.87-1.02 over 12 rounds), so its median ratio needs some 40 rounds to
+# resolve 5 %
+REPEAT = 40
 # the least total time of a case's repeats, in seconds
 MIN_TOTAL_S = 0.5
 
@@ -291,6 +299,35 @@ def cases(tiny: bool) -> list:
     out.append(
         ("cli_star_poly_n3", {"n": 3, "degrees": degrees},
          cli_case("star", job, lambda result: len(result["star"]["terms"])))
+    )
+    job = {
+        "command": "star",
+        "context": {"n": 2, "lambda": [["0", "1"], ["-1", "0"]], "coupling": "mu/2"},
+        "inputs": {
+            "f": "z0*(mu + hbar - tau) + mu^-1*z1^2" if tiny
+            else "z0^2*(mu + hbar - tau) + mu^-1*z1^3 - 2/3*z0*z1",
+            "g": "z0*z1^2 - i*mu*z1 + tau" if tiny
+            else "z0^2*z1^2 - i*mu*z1^3 + (1/2 + i)*hbar*z0 + tau",
+            "mu": "2/3+i",
+        },
+    }
+    out.append(
+        ("cli_star_small", {"n": 2},
+         cli_case("star_small", job, lambda result: sum(
+             len(result[name]["terms"]) for name in ("star", "specialized"))))
+    )
+    f = "mu^-1*z0^2 + z1 + hbar*z1 + mu*z0*z2 - tau*mu^2*z2^3"
+    if not tiny:
+        f = f"({f})^3 + 3/7*mu^-2*z1*(z0 + 2*z2 - i*hbar)^4"
+    job = {
+        "command": "grade",
+        "context": {"n": 3, "lambda": [["0"] * 3 for _ in range(3)], "coupling": "mu/2"},
+        "inputs": {"f": f},
+    }
+    out.append(
+        ("cli_grade", {"n": 3},
+         cli_case("grade", job, lambda result: sum(
+             len(c["poly"]) for c in result["graded"]["components"])))
     )
     order = 2 if tiny else 8
     job = {

@@ -22,6 +22,7 @@ from .grading import (
     check_jacobi,
     check_lambda_relation,
     decompose,
+    graded_terms,
     h0_dim,
     specialize_mu,
 )
@@ -34,7 +35,7 @@ from .matrices import (
     riccati_vs_moyal,
 )
 from .parsing import parse_poly, parse_scalar
-from .poly import HALF_MU, MultiPoly
+from .poly import HALF_MU, MultiPoly, TermRows
 from .scalars import GaussianRational
 from .star import OrderingK, StarContext, intertwine, star, star_k_ordered
 from .verify import SUITES, run_suite
@@ -212,8 +213,10 @@ def _context_input(data) -> StarContext:
 
 
 def _poly_payload(p: MultiPoly) -> dict:
-    """Text and JSON of a polynomial, or of a scalar when p.n == 0."""
-    return {"text": p.text(), "terms": p.to_json()}
+    """Text and terms of a polynomial, or of a scalar when p.n == 0, from
+    one sort and one text per coefficient."""
+    rows = p.rows()
+    return {"text": p.text(rows), "terms": TermRows(p.n, rows)}
 
 
 def _series_payload(series) -> list:
@@ -229,9 +232,10 @@ def _run_star(job: dict) -> tuple:
     f = _poly_input(inputs["f"], ctx.n, "f")
     g = _poly_input(inputs["g"], ctx.n, "g")
     result = star(ctx, f, g)
+    product = _poly_payload(result)
     payload = {
-        "star": _poly_payload(result),
-        "graded": decompose(result).to_json(),
+        "star": product,
+        "graded": graded_terms(result.n, product["terms"].rows),
     }
     if "mu" in inputs:
         value = _gauss_input(inputs["mu"], "mu")
@@ -307,13 +311,12 @@ def _run_grade(job: dict) -> tuple:
     f = _poly_input(inputs["f"], n, "f")
     if "mu" in inputs:
         f = specialize_mu(f, _gauss_input(inputs["mu"], "mu"))
-    graded = decompose(f)
+    graded = graded_terms(n, f.rows())
+    degrees = sorted({c["degree"] for c in graded["components"]})
     payload = {
-        "graded": graded.to_json(),
+        "graded": graded,
         "projective_dimension": n - 1,
-        "h0_dims": {
-            str(d): h0_dim(n - 1, d) for d in graded.degrees()
-        },
+        "h0_dims": {str(d): h0_dim(n - 1, d) for d in degrees},
     }
     return payload, 0
 
@@ -383,11 +386,32 @@ def validate_job(job: dict) -> dict:
     return job
 
 
-def run_job(job: dict) -> tuple:
+def _run(job: dict) -> tuple:
+    """(envelope, exit code, output path) of a job, with each term list in
+    the envelope a TermRows, which ``json_text`` prints."""
     job = validate_job(job)
     payload, code = _HANDLERS[job["command"]](job)
     envelope = {"command": job["command"], "result": payload}
     return envelope, code, job["output_path"]
+
+
+def _data(value):
+    """``value`` with each TermRows in it replaced by its list."""
+    kind = type(value)
+    if kind is TermRows:
+        return value.to_json()
+    if kind is dict:
+        return {k: _data(v) for k, v in value.items()}
+    if kind is list:
+        return [_data(v) for v in value]
+    return value
+
+
+def run_job(job: dict) -> tuple:
+    """(envelope, exit code, output path) of a job; the envelope is the
+    JSON data that ``main`` prints."""
+    envelope, code, out_path = _run(job)
+    return _data(envelope), code, out_path
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -437,8 +461,9 @@ def json_text(value, indent: str = "\n") -> str:
     With ``indent`` set, CPython's ``json`` runs its pure-Python encoder;
     this writer dispatches on the exact type and joins each container once.
     ``indent`` is the newline and indentation before the value's closing
-    bracket.  Leaves other than ``str`` and ``int`` (bool, None, float) go
-    through ``json.dumps``; a non-``str`` dict key raises ``TypeError``.
+    bracket.  A ``TermRows`` writes the text of its list itself.  Leaves
+    other than ``str`` and ``int`` (bool, None, float) go through
+    ``json.dumps``; a non-``str`` dict key raises ``TypeError``.
     """
     kind = type(value)
     if kind is str:
@@ -457,6 +482,8 @@ def json_text(value, indent: str = "\n") -> str:
         inner = indent + "  "
         items = [json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is TermRows:
+        return value.json_text(indent)
     return json.dumps(value)
 
 
@@ -508,7 +535,7 @@ def main(argv=None) -> int:
                 job["output_path"] = args.out
         else:
             job = job_from_args(args)
-        envelope, code, out_path = run_job(job)
+        envelope, code, out_path = _run(job)
     except SchemaError as exc:
         print(json.dumps({"error": str(exc), "kind": "schema"}), file=sys.stderr)
         return 2

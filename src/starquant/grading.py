@@ -23,16 +23,17 @@ Jacobi sum cancel, leaving a trilinear form in first derivatives,
 where J is, up to a constant factor, the Schouten-Nijenhuis bracket
 [lam, lam] (Lichnerowicz, J. Diff. Geom. 12, 1977; Vaisman, Lectures on
 the Geometry of Poisson Manifolds, 1994, ch. 1).  ``check_jacobi`` builds J
-once instead of nesting brackets.
+once instead of nesting brackets, and reads its first witness off the
+entries of J without a sweep.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, product
 from math import comb
 
 from .errors import PreconditionError
-from .poly import MultiPoly, grlex_key, key_width
+from .poly import MultiPoly, TermRows, grlex_key, key_width
 from .reports import CheckReport
 from .scalars import PARAM_INDEX, GaussianRational, accumulate
 from .star import (
@@ -84,9 +85,6 @@ class GradedElement:
     def is_zero(self) -> bool:
         return not self.components
 
-    def degrees(self) -> list:
-        return sorted({d for d, _ in self.components})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):
             return NotImplemented
@@ -126,18 +124,39 @@ class GradedElement:
         return f"GradedElement({{{body}}})"
 
 
+def _buckets(n: int, pairs) -> dict:
+    """The (key, value) pairs in n variables split by (degree, mu exponent),
+    in their order, each key with its mu exponent set to 0; keys of one
+    bucket share the mu exponent, so stripping it keeps them distinct and
+    in the same order."""
+    buckets: dict = {}
+    for key, value in pairs:
+        bucket = buckets.setdefault((sum(key[:n]), key[n + _MU]), [])
+        bucket.append((_without_mu(key, n), value))
+    return buckets
+
+
 def decompose(f: MultiPoly) -> GradedElement:
     """Split by total degree and mu exponent; reassembly returns f exactly."""
     n = f.n
-    buckets: dict = {}
-    for key, coef in f.terms.items():
-        # keys of one bucket share the mu exponent, so stripping it keeps
-        # them distinct
-        bucket = buckets.setdefault((sum(key[:n]), key[n + _MU]), {})
-        bucket[_without_mu(key, n)] = coef
     return GradedElement(
-        n, {dw: MultiPoly._raw(n, terms) for dw, terms in buckets.items()}
+        n,
+        {dw: MultiPoly._raw(n, dict(terms))
+         for dw, terms in _buckets(n, f.terms.items()).items()},
     )
+
+
+def graded_terms(n: int, rows: list) -> dict:
+    """``decompose(f).to_json()`` with each component's term list as a
+    :class:`TermRows`, from the rows ``f.rows()``.  A component takes the
+    rows of its bucket in their order, so it needs no sort of its own."""
+    buckets = _buckets(n, rows)
+    return {
+        "components": [
+            {"degree": d, "mu": w, "poly": TermRows(n, buckets[d, w])}
+            for d, w in sorted(buckets)
+        ]
+    }
 
 
 def h0_dim(n: int, m: int) -> int:
@@ -204,18 +223,21 @@ def monomials_upto(n: int, d_max: int) -> list:
 
 
 def _jacobi_trivector(ctx: StarContext) -> dict:
-    """The nonzero entries of J^abc (see the module docstring), keyed by
-    (a, b, c)."""
+    """The nonzero entries J^abc with a < b < c (see the module docstring),
+    keyed by (a, b, c); J is totally antisymmetric, so they determine the
+    rest."""
     n, lam = ctx.n, ctx.lam
-    # dlam[b][c][l] = d_l lam^bc
+    # dlam[b][c][l] = d_l lam^bc, and reach[a] the l with lam^al nonzero
     dlam = [[[p.derivative(l) for l in range(n)] for p in row] for row in lam]
+    reach = [[l for l in range(n) if row[l]] for row in lam]
     trivector = {}
-    for a, b, c in product(range(n), repeat=3):
+    for a, b, c in combinations(range(n), 3):
         entry = MultiPoly.zero(n)
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            for l in range(n):
-                if lam[i][l] and dlam[j][k][l]:
-                    entry = entry + lam[i][l] * dlam[j][k][l]
+            djk = dlam[j][k]
+            for l in reach[i]:
+                if djk[l]:
+                    entry = entry + lam[i][l] * djk[l]
         if entry:
             trivector[(a, b, c)] = entry
     return trivector
@@ -223,34 +245,37 @@ def _jacobi_trivector(ctx: StarContext) -> dict:
 
 def check_jacobi(ctx: StarContext, d_max: int = 4) -> CheckReport:
     """Verify the cyclic Jacobi sum of the bracket on all monomial triples
-    of degree <= d_max; reports the lexicographically first witness.
+    of degree <= d_max; reports the first witness of the sweep over
+    unordered triples (f, g, h) of the grlex list, f <= g <= h.
 
     The Jacobi sum is antisymmetric under swapping two arguments (the
     bracket is antisymmetric), so sweeping unordered triples is exhaustive.
-    The sum is evaluated as sum_abc J^abc d_a f d_b g d_c h with the
-    trivector J of the module docstring (the Schouten-Nijenhuis bracket
-    [lam, lam] up to a factor).  When J is zero, as for every Poisson
-    structure and every n <= 2, the check passes without a sweep.  A
-    constant has no gradient, so the sweep skips the monomial 1: every
-    triple that holds it is zero.
+    It equals sum_abc J^abc d_a f d_b g d_c h with the trivector J of the
+    module docstring (the Schouten-Nijenhuis bracket [lam, lam] up to a
+    factor), which is totally antisymmetric.  So no sweep is needed:
+
+    * When J is zero, as for every Poisson structure and every n <= 2,
+      every triple passes.  When d_max is 0 the sweep holds only the
+      constant triple, which passes.
+    * A failing triple (f, g, h) has some J^abc != 0 with d_a f, d_b g and
+      d_c h nonzero.  In the grlex list z_x comes before every other
+      monomial that contains z_x, so the linear triple sorted(z_a, z_b,
+      z_c) comes no later than (f, g, h) in the sweep, and its sum is
+      +-J^abc, nonzero.  Hence the first witness is the first linear triple
+      with a nonzero entry.  The grlex list starts z_(n-1), ..., z_0, so
+      that triple is (z_c, z_b, z_a) for the entry (a, b, c), a < b < c,
+      with the largest (c, b, a).
     """
     trivector = _jacobi_trivector(ctx)
-    if not trivector:
+    if not trivector or d_max < 1:
         return CheckReport(passed=True)
-    monos = monomials_upto(ctx.n, d_max)[1:]
-    grads = [(f, [f.derivative(a) for a in range(ctx.n)]) for f in monos]
-    for (f, df), (g, dg), (h, dh) in combinations_with_replacement(grads, 3):
-        jac = MultiPoly.zero(ctx.n)
-        for (a, b, c), entry in trivector.items():
-            if df[a] and dg[b] and dh[c]:
-                jac = jac + entry * df[a] * dg[b] * dh[c]
-        if not jac.is_zero():
-            return CheckReport(
-                passed=False,
-                witness={"f": f.text(), "g": g.text(), "h": h.text()},
-                detail="cyclic Jacobi sum is nonzero",
-            )
-    return CheckReport(passed=True)
+    a, b, c = max(trivector, key=lambda abc: abc[::-1])
+    z = [MultiPoly.variable(ctx.n, j).text() for j in (c, b, a)]
+    return CheckReport(
+        passed=False,
+        witness={"f": z[0], "g": z[1], "h": z[2]},
+        detail="cyclic Jacobi sum is nonzero",
+    )
 
 
 def check_lambda_relation(

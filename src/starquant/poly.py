@@ -48,7 +48,10 @@ The canonical order of terms is graded-lexicographic on the z exponents
 (total degree first, then lexicographic), then lexicographic on the
 parameter tail; it fixes serialization and text output.  In text, the terms
 that share a z monomial form one coefficient, in parentheses when it has
-more than one summand; a scalar prints bare.
+more than one summand; a scalar prints bare.  :meth:`MultiPoly.rows` sorts
+a polynomial into that order once and formats each coefficient once; the
+text, the JSON term list and the CLI's :class:`TermRows` payload all print
+from those rows.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from typing import Iterable, Sequence
 from .errors import PreconditionError
 from .scalars import (
     EXP_ZERO,
-    GR_I,
     GR_ONE,
     INVERTIBLE_PARAMS,
     PARAM_INDEX,
@@ -334,27 +336,31 @@ class MultiPoly:
 
     # -- text and JSON ----------------------------------------------------
 
-    def sorted_terms(self) -> list:
+    def rows(self) -> list:
+        """(key, coefficient text) per term, in canonical order: the one
+        sort and the one formatting of each coefficient that :meth:`text`,
+        :meth:`to_json` and :class:`TermRows` print from."""
         n = self.n
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][:n]), kv[0]))
+        ordered = sorted(self.terms.items(), key=lambda kv: (sum(kv[0][:n]), kv[0]))
+        return [(key, coef.text()) for key, coef in ordered]
 
-    def _monomials(self) -> list:
-        """(z exponents, [(parameter tail, coef), ...]) per z monomial, in
-        canonical order."""
+    def text(self, rows: list | None = None) -> str:
+        """The canonical text, from ``rows`` (``self.rows()``) when they
+        are given."""
+        if not self.terms:
+            return "0"
+        if rows is None:
+            rows = self.rows()
         n = self.n
+        # (z exponents, [(parameter tail, coefficient text), ...]) per z
+        # monomial; a scalar has one, with z = ()
         groups: list = []
-        for key, coef in self.sorted_terms():
+        for key, ctext in rows:
             z = key[:n]
             if not groups or groups[-1][0] != z:
                 groups.append((z, []))
-            groups[-1][1].append((key[n:], coef))
-        return groups
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        groups = self._monomials()
-        if self.n == 0:
+            groups[-1][1].append((key[n:], ctext))
+        if n == 0:
             return _scalar_text(groups[0][1])
         pieces = []
         for exps, tail_terms in reversed(groups):
@@ -390,13 +396,7 @@ class MultiPoly:
         a monomial whose coefficient mixes several parameter exponents
         produces several entries sharing the same "exps".  A scalar (n = 0)
         is the bare list of its {"params", "value"} entries."""
-        n = self.n
-        out = []
-        for key, coef in self.sorted_terms():
-            params = {name: e for name, e in zip(PARAM_NAMES, key[n:]) if e}
-            entry = {"params": params, "value": coef.text()}
-            out.append({"exps": list(key[:n]), "coef": entry} if n else entry)
-        return out
+        return TermRows(self.n, self.rows()).to_json()
 
     @classmethod
     def from_json(cls, n: int, data: Iterable[dict]) -> "MultiPoly":
@@ -421,6 +421,76 @@ class MultiPoly:
             key = _checked_key(n, key)
             accumulate(acc, key, GaussianRational.parse(entry["value"]))
         return cls._raw(n, acc)
+
+
+class TermRows:
+    """The term list of a polynomial, as the rows of :meth:`MultiPoly.rows`:
+    the payload that the CLI's JSON writer prints without building the
+    list.  :meth:`to_json` is the list; :meth:`json_text` is its text as
+    ``json.dumps(self.to_json(), indent=2, sort_keys=True)`` lays it out,
+    with ``indent`` the newline and indentation before the closing
+    bracket."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: list):
+        self.n = n
+        self.rows = rows
+
+    def to_json(self) -> list:
+        n = self.n
+        out = []
+        for key, ctext in self.rows:
+            params = {name: e for name, e in zip(PARAM_NAMES, key[n:]) if e}
+            entry = {"params": params, "value": ctext}
+            out.append({"exps": list(key[:n]), "coef": entry} if n else entry)
+        return out
+
+    def json_text(self, indent: str) -> str:
+        """Each term as the text before its coefficient, which depends only
+        on its parameter tail, the coefficient text, and the text after it,
+        which depends only on its z exponents; both are made once per
+        distinct tail or exponents.  A coefficient text holds only digits,
+        "/", "+", "-", "*" and "i", which JSON writes unescaped."""
+        n, rows = self.n, self.rows
+        if not rows:
+            return "[]"
+        inner = indent + "  "
+        i2, i4 = inner + "  ", inner + "    "
+        if n:
+            head = "{" + i2 + '"coef": {' + i4 + '"params": %s,' + i4 + '"value": "'
+            params_indent, comma = i4, "," + i4
+            after = '"' + i2 + "}," + i2 + '"exps": [' + i4 + "%s" + i2 + "]" + inner + "}"
+        else:
+            head = "{" + i2 + '"params": %s,' + i2 + '"value": "'
+            params_indent, after = i2, '"' + inner + "}"
+        heads: dict = {}
+        # a scalar's z is (), and its text after the coefficient has no exps
+        afters: dict = {(): after}
+        out = []
+        for key, ctext in rows:
+            tail, z = key[n:], key[:n]
+            before = heads.get(tail)
+            if before is None:
+                before = heads[tail] = head % _params_text(tail, params_indent)
+            end = afters.get(z)
+            if end is None:
+                end = afters[z] = after % comma.join(map(str, z))
+            out.append(before + ctext + end)
+        return "[" + inner + ("," + inner).join(out) + indent + "]"
+
+
+# (name, position in the tail) of each parameter, in JSON key order
+_PARAMS_BY_NAME = sorted((name, k) for k, name in enumerate(PARAM_NAMES))
+
+
+def _params_text(tail: tuple, indent: str) -> str:
+    """The JSON text of the params object of a tail, at ``indent``."""
+    entries = [f'"{name}": {tail[k]}' for name, k in _PARAMS_BY_NAME if tail[k]]
+    if not entries:
+        return "{}"
+    inner = indent + "  "
+    return "{" + inner + ("," + inner).join(entries) + indent + "}"
 
 
 def common_den(coefs) -> int:
@@ -571,28 +641,28 @@ def _needs_parens(ctext: str) -> bool:
     return ("+" in ctext[1:]) or ("-" in ctext[1:])
 
 
-# text of a unit coefficient in front of parameter factors
-_UNIT_PREFIX = {GR_ONE: "", -GR_ONE: "-", GR_I: "i*", -GR_I: "-i*"}
+# text of a unit coefficient in front of parameter factors, by its own text
+_UNIT_PREFIX = {"1": "", "-1": "-", "1*i": "i*", "-1*i": "-i*"}
 
 
 def _scalar_text(tail_terms: list) -> str:
-    """Text of a parameter combination, from (tail, coef) pairs in order."""
+    """Text of a parameter combination, from (tail, coefficient text) pairs
+    in order."""
     pieces = []
-    for tail, coef in tail_terms:
+    for tail, ctext in tail_terms:
         factors = "*".join(
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(PARAM_NAMES, tail)
             if e
         )
-        prefix = _UNIT_PREFIX.get(coef)
+        prefix = _UNIT_PREFIX.get(ctext)
         if not factors:
-            body = coef.text()
+            body = ctext
         elif prefix is not None:
             body = prefix + factors
+        elif _needs_parens(ctext):
+            body = f"({ctext})*{factors}"
         else:
-            ctext = coef.text()
-            if _needs_parens(ctext):
-                ctext = f"({ctext})"
             body = ctext + "*" + factors
         if pieces and not body.startswith("-"):
             pieces.append("+")

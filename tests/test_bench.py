@@ -28,8 +28,8 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         "series_mul_n4_N2", "inv_sqrt_N2", "series_inverse_n2_N2", "expand_n4_N2",
         "jacobi_so3_d1", "jacobi_cyclic_n4_d1", "lambda_relation_so3_d1",
         "lambda_relation_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",
-        "matseries_det_n4_N2", "tanh_n4_N2", "cli_star_poly_n3", "cli_riccati_N2",
-        "cli_star_exp_n4_N2", "cli_verify_lambda_n3",
+        "matseries_det_n4_N2", "tanh_n4_N2", "cli_star_poly_n3", "cli_star_small",
+        "cli_grade", "cli_riccati_N2", "cli_star_exp_n4_N2", "cli_verify_lambda_n3",
     }
     assert set(data["runs"]) == {"before", "after"}
     for label in ("before", "after"):

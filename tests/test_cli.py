@@ -19,8 +19,9 @@ from starquant.cli import (
     run_job,
 )
 from starquant.errors import SchemaError
+from starquant.grading import decompose, graded_terms
 from starquant.parsing import parse_poly, parse_scalar
-from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MultiPoly
+from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MultiPoly, TermRows
 from starquant.scalars import GaussianRational, rat
 
 
@@ -604,12 +605,34 @@ def test_lambda_relation_sweep_cap(monkeypatch, tmp_path, capsys):
     big = job(32, 4)
     del big["inputs"]["d_max"]
     assert "58905 monomials" in _job_exit(big, tmp_path, capsys)
-    # Jacobi streams its triples and has no sweep cap
+    # Jacobi sweeps no monomials and has no cap
     jacobi = job(4, 5)
     jacobi["inputs"]["suite"] = "jacobi"
     assert run_job(jacobi)[1] == 0
     monkeypatch.setattr(cli, "check_lambda_relation", lambda *args: CheckReport(passed=True))
     assert run_job(job(3, 7))[1] == 0
+
+
+def test_jacobi_at_n32_builds_no_monomials(monkeypatch, tmp_path, capsys):
+    # {z0, z1} = z2, {z0, z2} = z0 at n = 32 fails the Jacobi rule; its
+    # witness comes off the trivector, so building the grlex monomials of
+    # a sweep, comb(36, 4) = 58905 of them at d_max 4, fails the job
+    from starquant import grading
+
+    def refuse(*args):
+        raise AssertionError("the monomial list was built")
+
+    monkeypatch.setattr(grading, "monomials_upto", refuse)
+    monkeypatch.setattr(grading, "_exponents_upto", refuse)
+    lam = [["0"] * 32 for _ in range(32)]
+    lam[0][1], lam[1][0], lam[0][2], lam[2][0] = "z2", "-z2", "z0", "-z0"
+    path = tmp_path / "job.json"
+    job = {"command": "verify", "inputs": {"suite": "jacobi", "lambda": lam}}
+    path.write_text(json.dumps(job))
+    assert main(["--job", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)["result"]["report"]
+    assert not report["pass"]
+    assert report["witness"] == {"f": "z2", "g": "z1", "h": "z0"}
 
 
 def test_job_file(tmp_path, capsys):
@@ -698,6 +721,23 @@ def test_coefficient_past_the_int_text_limit_exits_2(capsys):
     assert main(star + ["--f", f"{big}*z0", "--g", "z0"]) == 0
     text = json.loads(capsys.readouterr().out)["result"]["star"]["text"]
     assert text == f"{big}*z0^2"
+    # every output path that formats coefficients: a star product whose
+    # only long coefficient is in its contraction term, the graded
+    # component of degree 0 and mu weight 1; the grade command, with and
+    # without mu; and the series of a riccati job, whose order-10
+    # coefficients hold a^5 = 10^5000 while its discriminant -a fits
+    wide = ["--command", "star", "--n", "2", "--coupling", "mu/2"]
+    wide += ["--lambda", json.dumps([["0", big], ["-" + big, "0"]])]
+    failing = [
+        wide + ["--f", f"{big}*z0", "--g", "z1"],
+        ["--command", "grade", "--n", "2", "--f", "mu^-20000*z0", "--mu", "3/2"],
+        ["--command", "grade", "--n", "2", "--f", f"{big}*{big}*z0"],
+        ["--command", "riccati", "--a", "1" + "0" * 1000, "--b", "1", "--c", "0",
+         "--N", "10"],
+    ]
+    for argv in failing:
+        message = _schema_exit(argv, capsys)
+        assert "output limit" in message and limit in message
 
 
 def test_job_text_past_the_int_limit_or_not_utf8_exits_2(tmp_path, capsys):
@@ -756,3 +796,37 @@ def test_json_text_of_empty_containers_and_bad_keys():
     for bad in ({1: "x"}, {"a": {None: 1}}, [{"a": 1, 2: "b"}]):
         with pytest.raises(TypeError):
             json_text(bad)
+
+
+# polynomials in 0 to 3 variables, empty ones included: mu exponents of
+# either sign, hbar and tau on the same terms, and complex coefficients
+# whose parts run from one digit to about 60
+wide_rationals = st.builds(
+    rat, st.integers(-(10**60), 10**60), st.integers(1, 10**40)
+)
+gaussians = st.builds(GaussianRational, wide_rationals, wide_rationals)
+
+
+@st.composite
+def polys(draw):
+    n = draw(st.integers(0, 3))
+    keys = st.tuples(
+        *[st.integers(0, 3)] * n, st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)
+    )
+    return MultiPoly(n, draw(st.dictionaries(keys, gaussians, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), st.integers(0, 4))
+def test_term_rows_write_their_json_data(p, depth):
+    # the writer prints the term list, and each graded component, as
+    # json.dumps prints the data form at that indentation
+    indent = "\n" + "  " * depth
+
+    def dumps(data):
+        return json.dumps(data, indent=2, sort_keys=True).replace("\n", indent)
+
+    rows = p.rows()
+    assert json_text(TermRows(p.n, rows), indent) == dumps(p.to_json())
+    graded = graded_terms(p.n, rows)
+    assert json_text(graded, indent) == dumps(decompose(p).to_json())

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from starquant.cli import main
+from starquant.cli import main, run_job
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -202,6 +202,16 @@ def test_golden_stdout_is_indented_json_dumps(name, tmp_path, capsys):
     job, _ = JOBS[name]
     _, out = _run(name, job, tmp_path, capsys)
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_run_job_returns_the_printed_data(name, tmp_path, capsys):
+    # run_job's envelope is the JSON data main prints, term lists included
+    job, want_code = JOBS[name]
+    _, out = _run(name, job, tmp_path, capsys)
+    envelope, code, _ = run_job(job)
+    assert code == want_code
+    assert envelope == json.loads(out)
 
 
 if __name__ == "__main__":

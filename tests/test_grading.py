@@ -167,12 +167,15 @@ def test_check_jacobi():
     bad = check_jacobi(_cyclic_bad_context(), 3)
     assert not bad.passed
     assert bad.witness == {"f": "z2", "g": "z1", "h": "z0"}
-    # {z0, z1} = z2, {z0, z2} = z0 at n = 12: the sweep skips the monomial
-    # 1 and still reports the first witness of the grlex order
+    # {z0, z1} = z2, {z0, z2} = z0 at n = 12: the first witness of the
+    # grlex sweep at every d_max >= 1, and none at d_max 0
     z = [MultiPoly.variable(12, j) for j in range(12)]
-    wide = check_jacobi(_upper_context(12, {(0, 1): z[2], (0, 2): z[0]}), 2)
-    assert not wide.passed
-    assert wide.witness == {"f": "z2", "g": "z1", "h": "z0"}
+    wide_ctx = _upper_context(12, {(0, 1): z[2], (0, 2): z[0]})
+    assert check_jacobi(wide_ctx, 0).passed
+    for d_max in (2, 3, 4):
+        wide = check_jacobi(wide_ctx, d_max)
+        assert not wide.passed
+        assert wide.witness == {"f": "z2", "g": "z1", "h": "z0"}
 
 
 def _upper_context(n, upper) -> StarContext:
