@@ -504,3 +504,57 @@ def test_riccati_1d_with_wide_hbar_powers_matches_tan_and_sec():
         want = MultiPoly.param("hbar", k - k % 2, value)
         assert h.coeffs[k] == (want if k % 2 else zero)
         assert g.coeffs[k] == (zero if k % 2 else want)
+
+
+# --- MultiPoly arithmetic ---------------------------------------------------
+
+
+def rand_mixed_poly(rng, n: int) -> MultiPoly:
+    """Up to five terms of degree <= 3 with complex coefficients and mixed
+    parameter tails: mu^-2..mu^2, hbar^0..2 and tau^0..1; a scalar when n
+    is 0."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 3) if n else 0):
+            exps[rng.randrange(n)] += 1
+        tail = (rng.randint(-2, 2), rng.randint(0, 2), rng.randint(0, 1))
+        terms[tuple(exps) + tail] = GaussianRational(
+            rat(rng.randint(-5, 5), rng.randint(1, 6)),
+            rat(rng.randint(-3, 3), rng.randint(1, 6)) if rng.random() < 0.5 else 0,
+        )
+    return MultiPoly(n, terms)
+
+
+def test_multipoly_arithmetic_matches_sympy():
+    from starquant.grading import specialize_mu
+
+    rng = random.Random(113)
+    params = sympy.symbols(PARAM_NAMES)
+    mu = params[PARAM_NAMES.index("mu")]
+    for n in (1, 2, 3):
+        zs = sympy.symbols(f"z0:{n}")
+        for _ in range(6):
+            p, q = rand_mixed_poly(rng, n), rand_mixed_poly(rng, n)
+            sp, sq = sym_poly(p, zs, params), sym_poly(q, zs, params)
+
+            def same(got: MultiPoly, want) -> bool:
+                return sympy.expand(sym_poly(got, zs, params) - want) == 0
+
+            assert same(p + q, sp + sq) and same(p - q, sp - sq)
+            assert same(p * q, sp * sq) and same(p - p, 0)
+            for j in range(n):
+                assert same(p.derivative(j), sympy.diff(sp, zs[j]))
+            r = rat(rng.randint(-7, 7), rng.randint(1, 5))
+            assert same(p.scale_rat(r), sym_rational(r) * sp)
+            # a single term with a mu power of either sign
+            unit = MultiPoly.param(
+                "mu", rng.randint(-3, 3),
+                GaussianRational(rat(rng.randint(1, 5), rng.randint(1, 4)), rat(rng.randint(-2, 2), 3)),
+            )
+            assert same(unit.inverse(), 1 / sym_poly(unit, (), params))
+            offsets = [rand_mixed_poly(rng, 0) for _ in range(n)]
+            moved = {z: z + sym_poly(o, (), params) for z, o in zip(zs, offsets)}
+            assert same(p.shift(offsets), sp.subs(moved, simultaneous=True))
+            value = GaussianRational(rat(rng.randint(1, 5), rng.randint(1, 4)), rat(rng.randint(-2, 2), 5))
+            assert same(specialize_mu(p, value), sp.subs(mu, sym_gauss(value)))
