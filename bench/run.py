@@ -34,7 +34,8 @@ by the same cases as this one:
   t^0 coefficient;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix;
 * ``cli_star_poly_n3``, ``cli_star_small``, ``cli_grade``,
-  ``cli_riccati_N8``, ``cli_star_exp_n4_N8``, ``cli_verify_lambda_n3``: a
+  ``cli_riccati_N8``, ``cli_star_exp_n4_N8``, ``cli_ordering``,
+  ``cli_verify_lambda_n3``: a
   fixed job file run end to end through ``cli.main(["--job", FILE])``
   with stdout captured (argparse, the schema checks, the handler and the
   JSON output): a ``star`` job under the so(3) structure matrix with f and
@@ -42,12 +43,15 @@ by the same cases as this one:
   mixed parameters and ``mu`` specialized; a ``grade`` job in three
   variables with mu powers of both signs; a ``riccati`` job at
   truncation 8; a ``star-exp`` job on a 4x4 structure matrix at
-  truncation 8 (closed form, expansion and ODE oracle); and a
+  truncation 8 (closed form, expansion and ODE oracle); an ``ordering``
+  job in four variables (the intertwiner of f and the K-ordered product of
+  f and g, both of degree 4, in the default Weyl context); and a
   ``lambda-relation`` job under the so(3) matrix at ``k_max`` 4 and
   ``d_max`` 3, which exits 1.  Their term count is the number of terms in
   the printed product (with the specialized one), in the printed graded
-  components, in the printed g and h series or in the printed amplitude,
-  and the number of monomials swept.
+  components, in the printed g and h series, in the printed amplitude or
+  in the two printed ordering results, and the number of monomials
+  swept.
 
 Each side runs in its own worker subprocess, which imports starquant from
 its source tree (``--before``, and this checkout's ``src`` as "after") and
@@ -124,12 +128,31 @@ def _import(src: Path):
     return starquant
 
 
+def term_count(p) -> int:
+    """The number of terms of a MultiPoly: its keys where the tree stores
+    integer numerators (``MultiPoly.keys``), else its ``terms`` map, so that
+    no side builds coefficients that the case does not time."""
+    return len(p.keys()) if hasattr(p, "keys") else len(p.terms)
+
+
+def quadratic(multipoly, rows):
+    """The polynomial Z M tZ of a matrix of GaussianRational rows, built by
+    public MultiPoly operations that every tree has."""
+    n = len(rows)
+    z = [multipoly.variable(n, j) for j in range(n)]
+    total = multipoly.zero(n)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            total = total + (z[i] * z[j]).scale_gauss(v)
+    return total
+
+
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
     from starquant import cli
     from starquant.grading import check_jacobi, check_lambda_relation
     from starquant.matrices import MatSeries, expand_closed_form, tanh_series
-    from starquant.poly import HALF_MU, MU_INV, MultiPoly, quadratic_form
+    from starquant.poly import HALF_MU, MU_INV, MultiPoly
     from starquant.scalars import GaussianRational, rat
     from starquant.series import TruncSeries
     from starquant.star import StarContext, ode_star_exponential, star
@@ -153,7 +176,7 @@ def cases(tiny: bool) -> list:
         ]
 
         def run_star(ctx=ctx, pairs=pairs):
-            return sum(len(star(ctx, f, g).terms) for f, g in pairs)
+            return sum(term_count(star(ctx, f, g)) for f, g in pairs)
 
         out.append((f"star_n{n}", {"n": n, "degree": deg, "products": 8}, run_star))
     for n, order in ((4, 8), (2, 12)):
@@ -161,10 +184,10 @@ def cases(tiny: bool) -> list:
             order = 2
         rng = random.Random(2000 + n)
         ctx = StarContext.constant(rand_invertible_antisym(rng, n).rows, HALF_MU)
-        h = quadratic_form(rand_symmetric(rng, n).rows, n).scale(MU_INV)
+        h = quadratic(MultiPoly, rand_symmetric(rng, n).rows).scale(MU_INV)
 
         def run_oracle(ctx=ctx, h=h, order=order):
-            return len(ode_star_exponential(ctx, h, order).coeffs[-1].terms)
+            return term_count(ode_star_exponential(ctx, h, order).coeffs[-1])
 
         out.append((f"oracle_n{n}_N{order}", {"n": n, "N": order}, run_oracle))
     n, order = 4, 2 if tiny else 8
@@ -173,7 +196,7 @@ def cases(tiny: bool) -> list:
     series = TruncSeries(n, order, coeffs)
     out.append(
         (f"exp_n{n}_N{order}", {"n": n, "N": order},
-         lambda: len(series.exp().coeffs[-1].terms))
+         lambda: term_count(series.exp().coeffs[-1]))
     )
     rng = random.Random(3001)
     pair = [
@@ -182,7 +205,7 @@ def cases(tiny: bool) -> list:
     ]
     out.append(
         (f"series_mul_n{n}_N{order}", {"n": n, "N": order},
-         lambda: len((pair[0] * pair[1]).coeffs[-1].terms))
+         lambda: term_count((pair[0] * pair[1]).coeffs[-1]))
     )
     order = 2 if tiny else 12
     rng = random.Random(3002)
@@ -196,7 +219,7 @@ def cases(tiny: bool) -> list:
     scalar_series = TruncSeries(0, order, scalars)
     out.append(
         (f"inv_sqrt_N{order}", {"n": 0, "N": order},
-         lambda: len(scalar_series.inv_sqrt().coeffs[-1].terms))
+         lambda: term_count(scalar_series.inv_sqrt().coeffs[-1]))
     )
     n, order = 2, 2 if tiny else 8
     rng = random.Random(3003)
@@ -206,7 +229,7 @@ def cases(tiny: bool) -> list:
     )
     out.append(
         (f"series_inverse_n{n}_N{order}", {"n": n, "N": order},
-         lambda: len(inv_series.inverse().coeffs[-1].terms))
+         lambda: term_count(inv_series.inverse().coeffs[-1]))
     )
     n, order = 4, 2 if tiny else 8
     rng = random.Random(3004)
@@ -214,7 +237,7 @@ def cases(tiny: bool) -> list:
     out.append(
         (f"expand_n{n}_N{order}", {"n": n, "N": order},
          lambda lam=lam, a_mat=a_mat, order=order:
-         len(expand_closed_form(lam, a_mat, order).coeffs[-1].terms))
+         term_count(expand_closed_form(lam, a_mat, order).coeffs[-1]))
     )
     d_max = 1 if tiny else 3
     for name, n, passes in (("so3", 3, True), ("cyclic_n4", 4, False)):
@@ -354,6 +377,22 @@ def cases(tiny: bool) -> list:
         (f"cli_star_exp_n4_N{order}", {"n": 4, "N": order},
          cli_case("star_exp", job, lambda result: sum(
              len(c["terms"]) for c in result["amplitude"])))
+    )
+    f = "z0*z2 - 2/3*z1^2" if tiny else "z0^3*z2 - 2/3*z1^2*z3^2 + (1/2 - i)*z0*z1*z2*z3 + 5*z2^4"
+    g = "z1*z3 + z0" if tiny else "z1^3*z3 + 3/4*z0^2*z2^2 - i*z0*z3^3 + 2*z1*z2"
+    job = {
+        "command": "ordering",
+        "inputs": {
+            "K": [["1", "1/2", "0", "1"], ["1/2", "0", "1", "-1/3"],
+                  ["0", "1", "2", "0"], ["1", "-1/3", "0", "-1"]],
+            "f": f,
+            "g": g,
+        },
+    }
+    out.append(
+        ("cli_ordering", {"n": 4},
+         cli_case("ordering", job, lambda result: sum(
+             len(result[name]["terms"]) for name in ("intertwined_f", "k_ordered_product"))))
     )
     inputs = {"suite": "lambda-relation", "lambda": so3, "n": 3, "k_max": 4, "d_max": d_max}
     out.append(

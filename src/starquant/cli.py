@@ -125,25 +125,24 @@ def _fields(data, fields: dict, where: str) -> dict:
     return {**defaults, **data}
 
 
-def _guard_degree(p: MultiPoly, label: str) -> MultiPoly:
+def _poly_input(value, n: int, label: str) -> MultiPoly:
+    """A polynomial of degree at most the cap, as is each product it parses."""
     cap = max_input_degree()
+    if isinstance(value, str):
+        p = parse_poly(value, n, cap)
+    elif isinstance(value, list):
+        try:
+            p = MultiPoly.from_json(n, value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed polynomial JSON for {label}: {exc}") from exc
+    else:
+        raise SchemaError(f"{label} must be an expression string or a JSON term list")
     if p.degree() > cap:
         raise SchemaError(
             f"{label} has degree {p.degree()} above the cap {cap} "
             "(raise STARQUANT_MAX_DEGREE to override)"
         )
     return p
-
-
-def _poly_input(value, n: int, label: str) -> MultiPoly:
-    if isinstance(value, str):
-        return _guard_degree(parse_poly(value, n), label)
-    if isinstance(value, list):
-        try:
-            return _guard_degree(MultiPoly.from_json(n, value), label)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed polynomial JSON for {label}: {exc}") from exc
-    raise SchemaError(f"{label} must be an expression string or a JSON term list")
 
 
 def _scalar_input(value, label: str) -> MultiPoly:

@@ -33,7 +33,7 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import PreconditionError
-from .poly import MultiPoly, TermRows, grlex_key, key_width
+from .poly import MultiPoly, TermRows, _lowest, grlex_key, key_width
 from .reports import CheckReport
 from .scalars import PARAM_INDEX, GaussianRational, accumulate
 from .star import (
@@ -46,11 +46,6 @@ from .star import (
 )
 
 _MU = PARAM_INDEX["mu"]
-
-
-def _without_mu(key: tuple, n: int) -> tuple:
-    """A flat key with its mu exponent set to 0."""
-    return key[: n + _MU] + (0,) + key[n + _MU + 1 :]
 
 
 class GradedElement:
@@ -70,10 +65,9 @@ class GradedElement:
                 continue
             if poly.n != n:
                 raise ValueError("component variable count mismatch")
-            degs = {sum(key[:n]) for key in poly.terms}
-            if degs != {deg}:
+            if not poly.is_homogeneous() or poly.degree() != deg:
                 raise ValueError(f"component at degree {deg} is not homogeneous")
-            if any(key[n + _MU] for key in poly.terms):
+            if any(key[n + _MU] for key in poly.keys()):
                 raise ValueError("component coefficients must be mu-free")
             clean[(deg, weight)] = poly
         object.__setattr__(self, "n", n)
@@ -132,18 +126,23 @@ def _buckets(n: int, pairs) -> dict:
     buckets: dict = {}
     for key, value in pairs:
         bucket = buckets.setdefault((sum(key[:n]), key[n + _MU]), [])
-        bucket.append((_without_mu(key, n), value))
+        bucket.append((key[: n + _MU] + (0,) + key[n + _MU + 1 :], value))
     return buckets
+
+
+def _components(f: MultiPoly) -> dict:
+    """The mu-free part of f of each (degree, mu exponent)."""
+    n = f.n
+    re, im = _buckets(n, f.re.items()), _buckets(n, f.im.items())
+    return {
+        dw: MultiPoly._raw(n, *_lowest(dict(re.get(dw, ())), dict(im.get(dw, ())), f.den))
+        for dw in re.keys() | im.keys()
+    }
 
 
 def decompose(f: MultiPoly) -> GradedElement:
     """Split by total degree and mu exponent; reassembly returns f exactly."""
-    n = f.n
-    return GradedElement(
-        n,
-        {dw: MultiPoly._raw(n, dict(terms))
-         for dw, terms in _buckets(n, f.terms.items()).items()},
-    )
+    return GradedElement(f.n, _components(f))
 
 
 def graded_terms(n: int, rows: list) -> dict:
@@ -173,11 +172,11 @@ def specialize_mu(f: MultiPoly, value: GaussianRational) -> MultiPoly:
     """Substitute mu -> value (a nonzero scalar), collapsing mu exponents."""
     if not value:
         raise PreconditionError("mu is invertible; cannot specialize to zero")
-    n = f.n
-    out: dict = {}
-    for key, coef in f.terms.items():
-        accumulate(out, _without_mu(key, n), coef * value ** key[n + _MU])
-    return MultiPoly._raw(n, out)
+    v = MultiPoly.from_gaussian(value, f.n)
+    out = MultiPoly.zero(f.n)
+    for (_, e), part in _components(f).items():
+        out = out + (part * v ** e if e else part)
+    return out
 
 
 def star_graded(ctx: StarContext, f: GradedElement, g: GradedElement) -> GradedElement:

@@ -14,8 +14,11 @@ Sums, products and scalings are integer matrix arithmetic followed by one
 gcd normalisation, and a product skips the imaginary passes of a real side.
 ``det`` and ``inverse`` run one fraction-free elimination of the numerators
 (Bareiss, Math. Comp. 22, 1968), over the Gaussian integers Z[i] when ``im``
-is nonzero.  ``rows`` builds the GaussianRational entries; it is the only
-way out of the integer layout.
+is nonzero.  It is the layout of ``MultiPoly`` too, so a phase matrix
+becomes a quadratic form numerator for numerator (:func:`quadratic_form`).
+GaussianRational entries enter by the constructor and ``scale`` and leave
+by ``rows``, ``trace`` and ``det``, through the two helpers of
+:mod:`starquant.scalars`.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .grading import decompose
-from .poly import HALF_MU, MU_INV, MultiPoly, common_den, key_width, quadratic_form
+from .poly import HALF_MU, MU_INV, MultiPoly, key_width, quadratic_form
 from .reports import CheckReport
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat, to_gaussian, to_numerators
 from .series import TruncSeries, _cauchy, _mul, _series
 from .star import StarContext, ode_star_exponential
 
@@ -194,11 +197,8 @@ class SqMatrix:
         for r in rows:
             if len(r) != dim:
                 raise ValueError("matrix must be square")
-        # numerators over the lcm of the denominators are in lowest terms
-        den = common_den(v for r in rows for v in r)
-        re = tuple(tuple(v.re.numerator * (den // v.re.denominator) for v in r) for r in rows)
-        im = tuple(tuple(v.im.numerator * (den // v.im.denominator) for v in r) for r in rows)
-        self._set(dim, den, re, im)
+        re, im, den = to_numerators(v for r in rows for v in r)
+        self._set(dim, den, *(tuple(zip(*[iter(part)] * dim)) for part in (re, im)))
 
     def _set(self, dim: int, den: int, re: tuple, im: tuple) -> None:
         object.__setattr__(self, "dim", dim)
@@ -220,7 +220,7 @@ class SqMatrix:
         """The entries as GaussianRational rows."""
         den = self.den
         return tuple(
-            tuple(GaussianRational._raw(rat(a, den), rat(b, den)) for a, b in zip(r, i))
+            tuple(to_gaussian(a, b, den) for a, b in zip(r, i))
             for r, i in zip(self.re, self.im)
         )
 
@@ -267,24 +267,21 @@ class SqMatrix:
         return _normal(self.dim, self.den * cden, re, im)
 
     def scale(self, c: GaussianRational) -> "SqMatrix":
-        cden = common_den((c,))
-        return self._scaled(
-            c.re.numerator * (cden // c.re.denominator),
-            c.im.numerator * (cden // c.im.denominator),
-            cden,
-        )
+        (cre,), (cim,), cden = to_numerators((c,))
+        return self._scaled(cre, cim, cden)
 
     def transpose(self) -> "SqMatrix":
         return SqMatrix._raw(
             self.dim, self.den, tuple(zip(*self.re)), tuple(zip(*self.im))
         )
 
+    def _trace(self) -> tuple:
+        """(re, im, den) of the trace."""
+        d = range(self.dim)
+        return sum(self.re[i][i] for i in d), sum(self.im[i][i] for i in d), self.den
+
     def trace(self) -> GaussianRational:
-        den, d = self.den, range(self.dim)
-        return GaussianRational._raw(
-            rat(sum(self.re[i][i] for i in d), den),
-            rat(sum(self.im[i][i] for i in d), den),
-        )
+        return to_gaussian(*self._trace())
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -315,8 +312,7 @@ class SqMatrix:
             return GR_ZERO
         p, sign = out
         pre, pim = (p.re, p.im) if isinstance(p, _GaussInt) else (p, 0)
-        dd = self.den ** self.dim
-        return GaussianRational._raw(rat(sign * pre, dd), rat(sign * pim, dd))
+        return to_gaussian(sign * pre, sign * pim, self.den ** self.dim)
 
     def inverse(self) -> "SqMatrix":
         """den * adj(numerators) / det(numerators), from one fraction-free
@@ -454,7 +450,7 @@ class MatSeries:
     def trace(self) -> TruncSeries:
         """Trace as a scalar (0-variable) series."""
         return TruncSeries(
-            0, self.order, [MultiPoly.from_gaussian(m.trace()) for m in self.coeffs]
+            0, self.order, [MultiPoly.number(0, *m._trace()) for m in self.coeffs]
         )
 
     def inverse(self) -> "MatSeries":
@@ -481,7 +477,7 @@ class MatSeries:
         k_log = (self.inverse() * MatSeries(self.dim, self.order, t_dm)).trace()
         # the t^0 coefficient of k_log is 0, as that of t M' is
         log = [
-            c.scale_rat(rat(1, k)) if k else c for k, c in enumerate(k_log.coeffs)
+            c * MultiPoly.number(0, 1, 0, k) if k else c for k, c in enumerate(k_log.coeffs)
         ]
         det0 = MultiPoly.from_gaussian(self.coeffs[0].det())
         return TruncSeries(0, self.order, log).exp().scale(det0)
@@ -493,20 +489,15 @@ class MatSeries:
 # --- Cayley calculus ------------------------------------------------------
 
 
-def _cayley_inverse_factor(x):
+def cayley(x):
+    """The Cayley transform (1 - X)(1 + X)^(-1) for a matrix or matrix series."""
     one = x.one_like()
     try:
-        return one, (one + x).inverse()
+        return (one - x) * (one + x).inverse()
     except PreconditionError as exc:
         raise PreconditionError(
             "1 + X is singular: outside the Cayley transform domain"
         ) from exc
-
-
-def cayley(x):
-    """The Cayley transform (1 - X)(1 + X)^(-1) for a matrix or matrix series."""
-    one, inv = _cayley_inverse_factor(x)
-    return (one - x) * inv
 
 
 # the Cayley transform is an involution, so it is its own inverse
@@ -648,7 +639,7 @@ def expand_closed_form(lam: SqMatrix, a_mat: SqMatrix, N: int) -> TruncSeries:
     amplitude, phase = closed_star_exponential(lam, a_mat, N)
     n = lam.dim
     exponent = TruncSeries(
-        n, N, (quadratic_form(m.rows, n).scale(MU_INV) for m in phase.coeffs)
+        n, N, (quadratic_form(m.re, m.im, m.den).scale(MU_INV) for m in phase.coeffs)
     )
     return exponent.exp(amplitude.lift(n))
 
@@ -676,7 +667,7 @@ def _oracle_report(closed: TruncSeries, oracle: TruncSeries) -> CheckReport:
 def closed_form_vs_oracle(lam: SqMatrix, a_mat: SqMatrix, N: int) -> CheckReport:
     """Compare the closed-form expansion with the ODE oracle through t^N."""
     ctx = StarContext.constant(lam.rows, HALF_MU)
-    h = quadratic_form(a_mat.rows, lam.dim).scale(MU_INV)
+    h = quadratic_form(a_mat.re, a_mat.im, a_mat.den).scale(MU_INV)
     oracle = ode_star_exponential(ctx, h, N)
     return _oracle_report(expand_closed_form(lam, a_mat, N), oracle)
 
@@ -721,7 +712,8 @@ def riccati_vs_moyal(
     Weyl-context oracle for the quadratic a u^2 + b v^2 + 2c uv."""
     ctx = StarContext.weyl(1)
     n = 2
-    h_poly = quadratic_form(((a, c), (c, b)), n)
+    m = SqMatrix(((a, c), (c, b)))
+    h_poly = quadratic_form(m.re, m.im, m.den)
     oracle = ode_star_exponential(ctx, h_poly, N)
     g, h = riccati_1d(a, b, c, N)
     closed = (h.lift(n) * TruncSeries.from_poly(h_poly, N)).exp(g.lift(n))

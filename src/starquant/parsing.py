@@ -12,6 +12,9 @@ Names: ``z0``..``z{n-1}`` (variables), ``mu``, ``hbar``, ``tau``, ``i``.
 Rational literals appear as divisions of integers ("3/2"); division and
 negative powers are accepted exactly when the divisor/base is an invertible
 scalar monomial (an integer, ``i``, or a power of ``mu``).
+A degree cap rejects a product or power above it before multiplying it
+out; only an intermediate that a later sum cancels (``z0^20 - z0^20``) is
+rejected that the cap would let through after expansion.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import re
 
 from .errors import SchemaError
 from .poly import MultiPoly
-from .scalars import GR_I, PARAM_INDEX, gr
+from .scalars import PARAM_INDEX
 
 # ASCII only, as in scalars: a digit is 0-9 and a space is ASCII whitespace,
 # so any other character, a non-ASCII digit or space too, is unexpected
@@ -49,10 +52,16 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, n: int):
+    def __init__(self, text: str, n: int, max_degree: float):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
+        self.max_degree = max_degree
+
+    def check_degree(self, degree: int) -> None:
+        if degree > self.max_degree:
+            cap = self.max_degree
+            raise SchemaError(f"a product or power of degree {degree} exceeds the cap {cap}")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -84,11 +93,15 @@ class _Parser:
 
     def term(self) -> MultiPoly:
         value = self.factor()
+        degree = value.degree()
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
             rhs = self.factor()
             if op == "*":
+                d = rhs.degree()
+                self.check_degree(degree + d)
                 value = value * rhs
+                degree = degree + d if value else -1
             else:
                 value = value * _scalar_inverse(rhs)
         return value
@@ -111,12 +124,13 @@ class _Parser:
             self.next()
             sign = -1
         exp = sign * self.expect("int")[1]
+        self.check_degree(base.degree() * exp)
         return base ** exp if exp >= 0 else _scalar_inverse(base) ** (-exp)
 
     def atom(self) -> MultiPoly:
         tok = self.next()
         if tok[0] == "int":
-            return MultiPoly.from_gaussian(gr(tok[1]), self.n)
+            return MultiPoly.number(self.n, tok[1])
         if tok[0] == "(":
             value = self.expr()
             self.expect(")")
@@ -127,7 +141,7 @@ class _Parser:
 
     def name_value(self, name: str) -> MultiPoly:
         if name == "i":
-            return MultiPoly.from_gaussian(GR_I, self.n)
+            return MultiPoly.number(self.n, 0, 1)
         if name in PARAM_INDEX:
             return MultiPoly.const(self.n, MultiPoly.param(name))
         if name.startswith("z") and name[1:].isdigit():
@@ -146,14 +160,15 @@ def _scalar_inverse(p: MultiPoly) -> MultiPoly:
     return p.inverse()
 
 
-def parse_poly(text: str, n: int) -> MultiPoly:
-    """Parse a polynomial expression in variables z0..z{n-1}.
+def parse_poly(text: str, n: int, max_degree: float = float("inf")) -> MultiPoly:
+    """Parse a polynomial expression in variables z0..z{n-1}, with no
+    product or power of degree above ``max_degree``.
 
     Expressions that cannot be represented (division by zero, inverses of
     non-invertible parameters) are input errors, not math errors.
     """
     try:
-        return _Parser(text, n).parse()
+        return _Parser(text, n, max_degree).parse()
     except SchemaError:
         raise
     except (ZeroDivisionError, ValueError) as exc:

@@ -1,62 +1,56 @@
 """Sparse multivariate polynomials over the Gaussian rationals and the formal
 parameters mu, hbar, tau.
 
-A ``MultiPoly`` in n variables z0..z{n-1} is one sparse map from flat
-exponent keys to nonzero ``GaussianRational`` coefficients.  A key has
+A ``MultiPoly`` in n variables z0..z{n-1} is keyed by flat exponent keys of
 length n + 3: the exponents of z0..z{n-1}, then those of mu, hbar and tau
 (the order of ``PARAM_NAMES``).  The z, hbar and tau exponents are
 non-negative; mu lives in a Laurent ring, so its exponent may be negative.
-A product of two terms is one exponent-vector sum and one Gaussian product.
-This is the sparse distributed layout of dedicated computer-algebra systems
-(Monagan & Pearce, "Sparse polynomial division using a heap", JSC 2011;
-FLINT's ``fmpq_mpoly``).
+The coefficients are two maps from keys to integers, ``re`` and ``im``,
+the numerators of the real and imaginary parts over one denominator
+``den``, kept canonical: den > 0, the gcd of den and every numerator is 1,
+and no numerator is zero.  So equal polynomials have equal fields, which
+``==`` and ``hash`` compare.  This is the sparse distributed layout of
+FLINT's ``fmpq_mpoly`` (Hart, ICMS 2010; Monagan & Pearce, JSC 2011): a
+product of two terms is one key sum and integer products.
 
-The contraction engine and the series recurrences work below this type on
-integer numerators over one denominator, the layout of FLINT's
-``fmpq_poly``, and on packed exponent keys (Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007; FLINT's ``fmpz_mpoly``): one Python int per key, so that a product of
-two terms adds its keys with one int add.  :meth:`MultiPoly.numerators`
-and :meth:`MultiPoly.from_numerators` convert to and from them, given the
-field width w in bits.  The operations on that layout are written once,
-here: :func:`common_den` and :func:`numerator_parts` split coefficients
-into it; ``_complex`` adds up m * x * y over a list of (x, y, m) products
-of complex numerator maps in four passes and strips the zeros;
-``_lowest`` divides a triple by the gcd of its denominator and
-numerators; ``_order_sum`` adds orders whose denominators divide the last
-one; and ``_add_products`` multiplies two maps whose keys add.  The series
-recurrences, and so the closed forms, and the contraction engine with its
-ODE oracle share nothing above them.
+The integer operations are written once, here, and the contraction engine
+and the series recurrences share them: ``_complex`` adds up m * x * y over
+(x, y, m) products of complex numerator maps and strips the zeros;
+``_lowest`` divides a triple by the gcd of its denominator and numerators;
+``_order_sum`` adds orders whose denominators divide the last one.  Above
+them the series, and so the closed forms, and the engine with its ODE
+oracle share nothing.  ``GaussianRational`` appears only at the boundary,
+through the helpers of :mod:`starquant.scalars`: the constructor from a
+map of coefficients, :meth:`MultiPoly.from_json`, the :attr:`terms` view
+and the coefficient text of :meth:`MultiPoly.rows`.
 
-A packed key has a block of z fields, w bits each, at the low end: field i
-holds the exponent of z_i (the engine places a polynomial's n variables in
-a wider block, see :func:`key_weights`).  The parameter tail sits above
-the block, hbar and tau in one w-bit field each and mu on top.  The
-packing sum(e_i * 2^(w * field_i)) is linear, so the sum of two packed keys
-is the packed sum of the keys, and a field is read back exactly with
-``key >> (w * field) & (2^w - 1)`` as long as every field below the top
-lies in 0..2^w - 1.  Only mu may be negative: on top, its sign reaches no
-other field, and ``key >> (w * top)`` reads it even when it makes the whole
-int negative.  No width is fixed; each operation takes w from a bound it
-proves for every field it builds (:func:`key_width`).
+The engine and the series pack each key into one int (Monagan & Pearce,
+CASC 2007; FLINT's ``fmpz_mpoly``), so that a product of two terms adds
+its keys with one int add; :meth:`MultiPoly.numerators` and
+:meth:`MultiPoly.from_numerators` repack the keys for a field width w in
+bits.  Field i of the low block of z fields holds the exponent of z_i (the
+engine places n variables in a wider block, see :func:`key_weights`); the
+parameter tail sits above the block, hbar and tau in one w-bit field each
+and mu on top.  The packing sum(e_i * 2^(w * field_i)) is linear, and
+``key >> (w * field) & (2^w - 1)`` reads a field back exactly as long as
+every field below the top lies in 0..2^w - 1.  Only mu may be negative: on
+top, its sign reaches no other field.  Each operation takes w from a bound
+it proves for every field it builds (:func:`key_width`).
 
 A scalar -- a Laurent combination of the parameters, such as the coupling
-mu/2 -- is a ``MultiPoly`` with n = 0, whose keys are the parameter tails
-alone; ``const`` embeds it in n variables and ``scale`` multiplies by it.
-
-The canonical order of terms is graded-lexicographic on the z exponents
-(total degree first, then lexicographic), then lexicographic on the
-parameter tail; it fixes serialization and text output.  In text, the terms
-that share a z monomial form one coefficient, in parentheses when it has
-more than one summand; a scalar prints bare.  :meth:`MultiPoly.rows` sorts
-a polynomial into that order once and formats each coefficient once; the
-text, the JSON term list and the CLI's :class:`TermRows` payload all print
-from those rows.
+mu/2 -- is a ``MultiPoly`` with n = 0; ``const`` embeds it in n variables
+and ``scale`` multiplies by it.  The canonical order of terms is grlex on
+the z exponents, then lex on the parameter tail.  In text, the terms that
+share a z monomial form one coefficient, in parentheses when it has more
+than one summand.  :meth:`MultiPoly.rows` sorts a polynomial once and
+formats each coefficient once; the text, the JSON term list and the CLI's
+:class:`TermRows` payload all print from those rows.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -68,11 +62,13 @@ from .scalars import (
     INVERTIBLE_PARAMS,
     PARAM_INDEX,
     PARAM_NAMES,
-    RAT_ZERO,
     GaussianRational,
     accumulate,
     gr,
+    numerator_text,
     rat,
+    to_gaussian,
+    to_numerators,
 )
 
 NPARAM = len(PARAM_NAMES)
@@ -83,37 +79,51 @@ def grlex_key(exps: tuple) -> tuple:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in n variables and the formal parameters."""
+    """Immutable sparse polynomial: ``re`` and ``im`` over ``den``."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "re", "im", "den")
 
     def __init__(self, n: int, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, coef in terms.items():
-                accumulate(clean, _checked_key(n, key), coef)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        """The polynomial of a map from keys to GaussianRationals."""
+        terms = terms or {}
+        keys = [_checked_key(n, key) for key in terms]
+        re, im, den = to_numerators(terms.values())
+        re, im = _nonzero(dict(zip(keys, re))), _nonzero(dict(zip(keys, im)))
+        for name, value in zip(self.__slots__, (n, *_lowest(re, im, den))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
-    def _raw(n: int, terms: dict) -> "MultiPoly":
+    def _raw(n: int, re: dict, im: dict, den: int) -> "MultiPoly":
+        """The polynomial of canonical fields, trusted."""
         p = MultiPoly.__new__(MultiPoly)
         object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "re", re)
+        object.__setattr__(p, "im", im)
+        object.__setattr__(p, "den", den)
         return p
+
+    def _parts(self, n: int, part_map) -> "MultiPoly":
+        """The polynomial ``part_map`` of each numerator map, over den."""
+        im = part_map(self.im) if self.im else {}
+        return MultiPoly._raw(n, *_lowest(part_map(self.re), im, self.den))
+
+    @staticmethod
+    def _term(n: int, key: tuple, re: int, im: int, den: int) -> "MultiPoly":
+        """The single term (re + im*i)/den at a trusted key, den > 0."""
+        return MultiPoly._raw(n, *_lowest({key: re} if re else {}, {key: im} if im else {}, den))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "MultiPoly":
-        return cls._raw(n, {})
+        return cls._raw(n, {}, {}, 1)
 
     @classmethod
     def one(cls, n: int) -> "MultiPoly":
-        return cls._raw(n, {(0,) * (n + NPARAM): GR_ONE})
+        return cls._raw(n, {(0,) * (n + NPARAM): 1}, {}, 1)
 
     @classmethod
     def const(cls, n: int, coef: "MultiPoly") -> "MultiPoly":
@@ -121,7 +131,7 @@ class MultiPoly:
         if n == coef.n:
             return coef
         pad = (0,) * n
-        return cls._raw(n, {pad + tail: c for tail, c in coef.terms.items()})
+        return coef._parts(n, lambda part: {pad + tail: v for tail, v in part.items()})
 
     @classmethod
     def variable(cls, n: int, j: int) -> "MultiPoly":
@@ -129,108 +139,105 @@ class MultiPoly:
             raise IndexError(f"variable index {j} out of range for n={n}")
         key = [0] * (n + NPARAM)
         key[j] = 1
-        return cls._raw(n, {tuple(key): GR_ONE})
+        return cls._raw(n, {tuple(key): 1}, {}, 1)
 
     @classmethod
     def monomial(cls, n: int, exps: Sequence[int]) -> "MultiPoly":
         """The monomial z^exps with coefficient 1."""
-        return cls(n, {tuple(exps) + EXP_ZERO: GR_ONE})
+        return cls._raw(n, {_checked_key(n, tuple(exps) + EXP_ZERO): 1}, {}, 1)
+
+    @classmethod
+    def number(cls, n: int, re: int, im: int = 0, den: int = 1) -> "MultiPoly":
+        """The constant (re + im*i)/den in n variables, for ints, den > 0."""
+        return cls._term(n, (0,) * (n + NPARAM), re, im, den)
 
     @classmethod
     def from_gaussian(cls, g: GaussianRational, n: int = 0) -> "MultiPoly":
         """The constant g in n variables (a scalar by default)."""
-        return cls._raw(n, {(0,) * (n + NPARAM): g} if g else {})
+        (re,), (im,), den = to_numerators((g,))
+        return cls.number(n, re, im, den)
 
     @classmethod
     def from_rat(cls, num, den=1) -> "MultiPoly":
         return cls.from_gaussian(gr(num, den))
 
     @classmethod
-    def from_numerators(
-        cls, n: int, re: dict, im: dict, den: int, w: int
-    ) -> "MultiPoly":
-        """The MultiPoly whose coefficient at each packed key of field width
-        w has real part re[key]/den and imaginary part im[key]/den (a
-        missing key reads 0): one GaussianRational per key with a nonzero
-        part, and one unpacked key.  Inverse of :meth:`numerators`; the keys
-        are trusted."""
+    def from_numerators(cls, n: int, re: dict, im: dict, den: int, w: int) -> "MultiPoly":
+        """The polynomial (re + im*i)/den, den > 0, of numerator maps keyed by
+        trusted packed keys of field width w, with zeros dropped and in
+        lowest terms: the inverse of :meth:`numerators`."""
         fields = _unpack_fields(n, w)
-        terms = {}
-        for key, p in re.items():
-            q = im.get(key, 0)
-            if p or q:
-                terms[tuple([key >> s & m for s, m in fields])] = GaussianRational._raw(
-                    rat(p, den) if p else RAT_ZERO, rat(q, den) if q else RAT_ZERO
-                )
-        for key, q in im.items():
-            if q and key not in re:
-                terms[tuple([key >> s & m for s, m in fields])] = GaussianRational._raw(
-                    RAT_ZERO, rat(q, den)
-                )
-        return cls._raw(n, terms)
+        re, im = (
+            {tuple([key >> s & m for s, m in fields]): v for key, v in part.items() if v}
+            for part in (re, im)
+        )
+        return cls._raw(n, *_lowest(re, im, den))
 
     @classmethod
     def param(cls, name: str, k: int = 1, coef: GaussianRational = GR_ONE) -> "MultiPoly":
         """The scalar coef * name**k."""
         tail = [0] * NPARAM
         tail[PARAM_INDEX[name]] = k
-        return cls._raw(0, {_checked_key(0, tail): coef} if coef else {})
+        (re,), (im,), den = to_numerators((coef,))
+        return cls._term(0, _checked_key(0, tail), re, im, den)
 
     # -- queries --------------------------------------------------------
 
+    def keys(self):
+        """The keys of the nonzero terms."""
+        return self.re.keys() | self.im.keys() if self.im else self.re.keys()
+
+    @property
+    def terms(self) -> dict:
+        """Each key's GaussianRational coefficient, built per call for tools."""
+        re, im, den = self.re, self.im, self.den
+        return {key: to_gaussian(re.get(key, 0), im.get(key, 0), den) for key in self.keys()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self.re or self.im)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.re or self.im)
 
     def degree(self) -> int:
         """Total degree in z; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
         n = self.n
-        return max(sum(key[:n]) for key in self.terms)
+        return max([sum(key[:n]) for key in self.keys()], default=-1)
 
     def is_constant(self) -> bool:
         """True iff no z variable appears (parameters may)."""
         n = self.n
-        return not any(any(key[:n]) for key in self.terms)
+        return not any(any(key[:n]) for key in self.keys())
 
     def constant_coefficient(self) -> "MultiPoly":
         """The z-free part, as a scalar."""
         n = self.n
-        return MultiPoly._raw(
-            0, {key[n:]: c for key, c in self.terms.items() if not any(key[:n])}
-        )
+        return self._parts(0, lambda part: {k[n:]: v for k, v in part.items() if not any(k[:n])})
 
     def max_exponent(self) -> int:
         """The largest exponent of any field of any key: a bound on every
         z, hbar and tau exponent, and at least 0 since hbar and tau are."""
-        return max(map(max, self.terms), default=0)
+        return max(map(max, self.keys()), default=0)
 
     def numerators(self, w: int, fields: int | None = None, offset: int = 0) -> tuple:
-        """(re, im, den): the real and the imaginary parts of the
-        coefficients as integer numerators over ``den``, the lcm of their
-        denominators, each map keyed by the packed keys of field width w
-        (see :func:`key_weights` for ``fields`` and ``offset``) and without
-        zero parts.  ``den`` is positive and the gcd of ``den`` and every
-        numerator is 1; the zero polynomial gives ({}, {}, 1)."""
-        weights = key_weights(self.n, w, fields, offset)
-        den = common_den(self.terms.values())
-        items = [(sum(map(mul, key, weights)), c) for key, c in self.terms.items()]
-        return (*numerator_parts(items, den), den)
+        """(re, im, den) with each key packed at field width w (see
+        :func:`key_weights` for ``fields`` and ``offset``)."""
+        ws = key_weights(self.n, w, fields, offset)
+        re, im = ({sum(map(mul, k, ws)): v for k, v in d.items()} for d in (self.re, self.im))
+        return re, im, self.den
 
     def is_homogeneous(self) -> bool:
         n = self.n
-        return len({sum(key[:n]) for key in self.terms}) <= 1
+        return len({sum(key[:n]) for key in self.keys()}) <= 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        # canonical fields: equal values have equal fields
+        return (self.n, self.den, self.re, self.im) == (other.n, other.den, other.re, other.im)
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self.re.items()), frozenset(self.im.items())))
 
     # -- ring operations -------------------------------------------------
 
@@ -240,53 +247,51 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compat(other)
-        if not self.terms:
+        if not self:
             return other
-        if not other.terms:
+        if not other:
             return self
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            accumulate(out, key, coef)
-        return MultiPoly._raw(self.n, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        re = _lin(self.re, a, other.re, b)
+        im = _lin(self.im, a, other.im, b) if self.im or other.im else {}
+        return MultiPoly._raw(self.n, *_lowest(re, im, den))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw(self.n, {e: -c for e, c in self.terms.items()})
+        return self._parts(self.n, lambda part: {e: -v for e, v in part.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compat(other)
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                accumulate(out, tuple(map(add, ea, eb)), ca * cb)
-        return MultiPoly._raw(self.n, out)
+        products = [((self.re, self.im), (other.re, other.im), 1)]
+        re, im = _complex(_add_key_products, products)
+        return MultiPoly._raw(self.n, *_lowest(re, im, self.den * other.den))
 
     def scale(self, coef: "MultiPoly") -> "MultiPoly":
         """Multiply by a scalar (a 0-variable MultiPoly)."""
         return self * MultiPoly.const(self.n, coef)
 
     def scale_gauss(self, g: GaussianRational) -> "MultiPoly":
-        if not g:
-            return MultiPoly._raw(self.n, {})
-        return MultiPoly._raw(self.n, {e: c * g for e, c in self.terms.items()})
+        return self * MultiPoly.from_gaussian(g, self.n)
 
     def scale_rat(self, r) -> "MultiPoly":
-        if not r:
-            return MultiPoly._raw(self.n, {})
-        return MultiPoly._raw(self.n, {e: c.scale(r) for e, c in self.terms.items()})
+        return self.scale_gauss(gr(r))
 
     def inverse(self) -> "MultiPoly":
         """Invert a single term whose exponents are all invertible (a
         Gaussian rational times a power of mu)."""
-        if not self.terms:
+        if not self:
             raise ZeroDivisionError("inverse of zero scalar")
-        if len(self.terms) != 1:
+        keys = self.keys()
+        if len(keys) != 1:
             raise PreconditionError("only monomial scalars are invertible")
-        (key, coef), = self.terms.items()
+        (key,) = keys
+        a, b, d = self.re.get(key, 0), self.im.get(key, 0), self.den
         inv_key = _checked_key(self.n, tuple(-e for e in key))
-        return MultiPoly._raw(self.n, {inv_key: coef.inverse()})
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        return MultiPoly._term(self.n, inv_key, d * a, -d * b, a * a + b * b)
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -296,8 +301,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- calculus --------------------------------------------------------
@@ -306,12 +312,9 @@ class MultiPoly:
         """Exact formal partial derivative with respect to z_j."""
         if not 0 <= j < self.n:
             raise IndexError(f"variable index {j} out of range for n={self.n}")
-        out = {}
-        for key, coef in self.terms.items():
-            e = key[j]
-            if e:
-                out[key[:j] + (e - 1,) + key[j + 1:]] = coef.scale(e)
-        return MultiPoly._raw(self.n, out)
+        return self._parts(self.n, lambda part: {
+            k[:j] + (k[j] - 1,) + k[j + 1:]: v * k[j] for k, v in part.items() if k[j]
+        }) if self else self
 
     def shift(self, offsets: Sequence["MultiPoly"]) -> "MultiPoly":
         """Evaluate at Z + offsets, expanded and canonicalized.
@@ -326,8 +329,10 @@ class MultiPoly:
             return self
         moved = [MultiPoly.variable(n, j) + MultiPoly.const(n, c) for j, c in enumerate(offsets)]
         result = MultiPoly.zero(n)
-        for key, coef in self.terms.items():
-            part = MultiPoly._raw(n, {(0,) * n + key[n:]: coef})
+        re, im = self.re, self.im
+        for key in self.keys():
+            tail = (0,) * n + key[n:]
+            part = MultiPoly._term(n, tail, re.get(key, 0), im.get(key, 0), self.den)
             for j, e in enumerate(key[:n]):
                 if e:
                     part = part * moved[j] ** e
@@ -340,14 +345,14 @@ class MultiPoly:
         """(key, coefficient text) per term, in canonical order: the one
         sort and the one formatting of each coefficient that :meth:`text`,
         :meth:`to_json` and :class:`TermRows` print from."""
-        n = self.n
-        ordered = sorted(self.terms.items(), key=lambda kv: (sum(kv[0][:n]), kv[0]))
-        return [(key, coef.text()) for key, coef in ordered]
+        n, re, im, den = self.n, self.re, self.im, self.den
+        ordered = sorted(self.keys(), key=lambda key: (sum(key[:n]), key))
+        return [(key, numerator_text(re.get(key, 0), im.get(key, 0), den)) for key in ordered]
 
     def text(self, rows: list | None = None) -> str:
         """The canonical text, from ``rows`` (``self.rows()``) when they
         are given."""
-        if not self.terms:
+        if not self:
             return "0"
         if rows is None:
             rows = self.rows()
@@ -420,7 +425,7 @@ class MultiPoly:
                 raise TypeError(f"exponents must be integers, got {key}")
             key = _checked_key(n, key)
             accumulate(acc, key, GaussianRational.parse(entry["value"]))
-        return cls._raw(n, acc)
+        return cls(n, acc)
 
 
 class TermRows:
@@ -493,21 +498,20 @@ def _params_text(tail: tuple, indent: str) -> str:
     return "{" + inner + ("," + inner).join(entries) + indent + "}"
 
 
-def common_den(coefs) -> int:
-    """The lcm of the denominators of the parts of Gaussian rationals (1 for
-    none)."""
-    return lcm(*(q.denominator for c in coefs for q in (c.re, c.im)))
+def _nonzero(part: dict) -> dict:
+    return {e: v for e, v in part.items() if v}
 
 
-def numerator_parts(items, den: int) -> tuple:
-    """(item, GaussianRational) pairs with distinct items as maps from item
-    to numerator of the real and of the imaginary parts over ``den``, a
-    multiple of every denominator, without zero parts.  ``items`` is read
-    twice."""
-    return (
-        {x: c.re.numerator * (den // c.re.denominator) for x, c in items if c.re},
-        {x: c.im.numerator * (den // c.im.denominator) for x, c in items if c.im},
-    )
+def _lin(x: dict, a: int, y: dict, b: int) -> dict:
+    """The numerator map a x + b y, for nonzero a and b, without zeros."""
+    out = dict(x) if a == 1 else {e: a * v for e, v in x.items()}
+    for e, v in y.items():
+        t = out.get(e, 0) + b * v
+        if t:
+            out[e] = t
+        else:
+            del out[e]
+    return out
 
 
 def _add_products(out: dict, left: dict, right: dict, m: int) -> None:
@@ -516,6 +520,15 @@ def _add_products(out: dict, left: dict, right: dict, m: int) -> None:
         p *= m
         for eb, q in right.items():
             key = ea + eb
+            out[key] = out.get(key, 0) + p * q
+
+
+def _add_key_products(out: dict, left: dict, right: dict, m: int) -> None:
+    """:func:`_add_products` for numerator maps keyed by flat keys."""
+    for ea, p in left.items():
+        p *= m
+        for eb, q in right.items():
+            key = tuple(map(add, ea, eb))
             out[key] = out.get(key, 0) + p * q
 
 
@@ -544,15 +557,15 @@ def _complex(apply, products) -> tuple:
         if lim and rre:
             apply(im, lim, rre, m)
     return (
-        {e: v for e, v in re.items() if v},
-        {e: v for e, v in im.items() if v},
+        re if all(re.values()) else _nonzero(re),
+        im if all(im.values()) else _nonzero(im),
     )
 
 
 def _lowest(re: dict, im: dict, den: int) -> tuple:
     """The triple (re, im, den), den > 0, divided by the gcd of ``den`` and
     every numerator; zero numerators leave the gcd as it is."""
-    g = gcd(den, *re.values(), *im.values())
+    g = 1 if den == 1 else gcd(den, *re.values(), *im.values())
     if g == 1:
         return re, im, den
     return (
@@ -670,18 +683,17 @@ def _scalar_text(tail_terms: list) -> str:
     return "".join(pieces)
 
 
-def quadratic_form(entries: Sequence[Sequence[GaussianRational]], n: int) -> MultiPoly:
-    """The polynomial Z M tZ = sum_ij M[i][j] z_i z_j for an n x n matrix."""
-    acc: dict = {}
-    for i in range(n):
-        for j in range(n):
-            v = entries[i][j]
-            if v:
-                key = [0] * (n + NPARAM)
-                key[i] += 1
-                key[j] += 1
-                accumulate(acc, tuple(key), v)
-    return MultiPoly._raw(n, acc)
+def quadratic_form(re: Sequence, im: Sequence, den: int) -> MultiPoly:
+    """The polynomial Z M tZ = sum_ij M[i][j] z_i z_j for the n x n matrix
+    M of integer numerator rows re and im over den > 0 (the fields of a
+    ``SqMatrix``)."""
+    n = len(re)
+    parts = ({}, {})
+    for part, rows in zip(parts, (re, im)):
+        for i, j in product(range(n), repeat=2):
+            key = tuple(int(k == i) + int(k == j) for k in range(n + NPARAM))
+            part[key] = part.get(key, 0) + rows[i][j]
+    return MultiPoly._raw(n, *_lowest(*map(_nonzero, parts), den))
 
 
 MU = MultiPoly.param("mu")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import SchemaError
 
@@ -137,24 +138,8 @@ class GaussianRational:
 
     def text(self) -> str:
         """Canonical text form: "a/b" and "a/b*i" summands, e.g. "3/2-1/3*i"."""
-        if not self:
-            return "0"
-        parts = []
-        try:
-            if self.re:
-                parts.append(str(self.re))
-            if self.im:
-                s = str(self.im)
-                if parts and not s.startswith("-"):
-                    parts.append("+")
-                parts.append(s + "*i")
-        except ValueError as exc:
-            # str() of an int longer than Python's int-to-text digit limit
-            raise SchemaError(
-                "a coefficient has more digits than the output limit of "
-                f"{sys.get_int_max_str_digits()}"
-            ) from exc
-        return "".join(parts)
+        (re,), (im,), den = to_numerators((self,))
+        return numerator_text(re, im, den)
 
     @classmethod
     def parse(cls, s: str) -> "GaussianRational":
@@ -226,6 +211,47 @@ GR_I = GaussianRational(0, 1)
 def gr(num, den=1) -> GaussianRational:
     """Shorthand for a real Gaussian rational num/den."""
     return GaussianRational._raw(rat(num, den), RAT_ZERO)
+
+
+# --- the boundary of the integer-numerator layout ----------------------------
+
+
+def to_numerators(values) -> tuple:
+    """(re, im, den): Gaussian rationals as the lists of their real and
+    imaginary numerators over den, the lcm of their denominators (1 for
+    none), so that den > 0 and the gcd of den and every numerator is 1."""
+    values = list(values)
+    den = lcm(*(q.denominator for c in values for q in (c.re, c.im)))
+    return (
+        [c.re.numerator * (den // c.re.denominator) for c in values],
+        [c.im.numerator * (den // c.im.denominator) for c in values],
+        den,
+    )
+
+
+def to_gaussian(re: int, im: int, den: int) -> GaussianRational:
+    """The Gaussian rational (re + im*i) / den, for den > 0."""
+    return GaussianRational._raw(
+        rat(re, den) if re else RAT_ZERO, rat(im, den) if im else RAT_ZERO
+    )
+
+
+def numerator_text(re: int, im: int, den: int) -> str:
+    """The canonical text of (re + im*i)/den, den > 0, e.g. "3/2-1/3*i":
+    each nonzero part in lowest terms.  An int longer than Python's
+    int-to-text limit is a schema error."""
+    parts = []
+    try:
+        for v, unit in ((re, ""), (im, "*i")):
+            if v:
+                g = gcd(v, den)
+                body = f"{v // g}" if g == den else f"{v // g}/{den // g}"
+                parts.append(("+" if parts and v > 0 else "") + body + unit)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        message = f"a coefficient has more digits than the output limit of {limit}"
+        raise SchemaError(message) from exc
+    return "".join(parts) or "0"
 
 
 # --- formal parameters -----------------------------------------------------

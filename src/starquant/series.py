@@ -12,22 +12,21 @@ Knuth, TAOCP vol. 2, 4.7): ``inverse`` from S X = 1, ``inv_sqrt`` from the
 flow 2 S r' = -S' r and ``exp`` from the flow F' = S' F.  Each step is one
 Cauchy sum, :func:`_cauchy`, which also gives the product.
 
-The recurrences run on integers, in the layout of FLINT's ``fmpq_poly``
-(Hart, ICMS 2010).  Each input coefficient is converted once to a triple
-(re, im, den) by :meth:`MultiPoly.numerators` (see :mod:`starquant.poly`
-for the layout), and a Cauchy sum is one call of the shared complex
-product ``poly._complex`` over its products, each scaled to the lcm of
-their denominators, and one ``poly._lowest``, so every triple stays in
-lowest terms.  Each output coefficient is built once by
-:meth:`MultiPoly.from_numerators`.
+The recurrences run on the coefficients' own integer triples (re, im,
+den) (see :mod:`starquant.poly`), with the keys packed once per operation
+by :meth:`MultiPoly.numerators` and unpacked once per output coefficient by
+:meth:`MultiPoly.from_numerators`.  A Cauchy sum is one call of the shared
+complex product ``poly._complex`` over its products, each scaled to the
+lcm of their denominators, and one ``poly._lowest``, so every triple stays
+in lowest terms.
 
-The field width w of the keys comes from a bound on every exponent an
-operation builds.  Coefficient k of ``exp``, ``inv_sqrt`` and ``inverse``
-is a sum of products of at most k coefficients S_1..S_k (times a power
-of mu for ``inverse``), so the order times the coefficients' largest
-exponent bounds it; a product adds the two operands' largest exponents.
-``exp`` can also multiply its result by a second series before leaving
-the integers, which saves the conversion of the exponential and back.
+The field width w of the packed keys comes from a bound on every exponent
+an operation builds.  Coefficient k of ``exp``, ``inv_sqrt`` and
+``inverse`` is a sum of products of at most k coefficients S_1..S_k (times
+a power of mu for ``inverse``), so the order times the coefficients'
+largest exponent bounds it; a product adds the two operands' largest
+exponents.  ``exp`` can also multiply its result by a second series before
+its keys are unpacked.
 """
 
 from __future__ import annotations
@@ -221,7 +220,7 @@ class TruncSeries:
         if self.order == 0:
             raise PreconditionError("cannot differentiate an order-0 series")
         coeffs = tuple(
-            self.coeffs[k + 1].scale_rat(k + 1) for k in range(self.order)
+            self.coeffs[k + 1] * MultiPoly.number(self.n, k + 1) for k in range(self.order)
         )
         return TruncSeries._raw(self.n, self.order - 1, coeffs)
 

@@ -47,41 +47,34 @@ z fields that no step and no collapse touches: the lambda-relation check
 (:func:`starquant.grading.check_lambda_relation`) keeps the index of a
 monomial pair there, so that one state holds every pair.
 
-The state of an order holds no rationals: two maps, ``re`` and ``im``, from
-packed keys to the integer numerators of the real and imaginary parts,
-over one denominator ``den`` for the whole order, the layout of
-:mod:`starquant.poly`, whose private helpers do the complex products, the
-reduction to lowest terms and the sums of orders for this module and the
-series alike.  The kernel (:func:`_entries`) stores its coefficients the
-same way, over the lcm ``D`` of their denominators, so a step multiplies
-Python ints only -- numerator times the two exponents times the kernel
-numerator -- and multiplies ``den`` by ``D`` and, with a coupling, by k
-for the 1/k!.  The collapse sums numerators, and only then is one
-GaussianRational and one unpacked key built per output term
-(:meth:`MultiPoly.from_numerators`).  A product summed over all orders
-(:func:`star`) adds the orders over the last order's denominator.
+The state of an order is a ``MultiPoly``'s own layout with packed keys
+(:mod:`starquant.poly`): integer numerator maps ``re`` and ``im`` over one
+denominator ``den`` for the whole order.  The kernel (:func:`_entries`)
+stores its coefficients the same way, over the lcm ``D`` of their
+denominators, so a step multiplies Python ints only -- numerator times the
+two exponents times the kernel numerator -- and multiplies ``den`` by ``D``
+and, with a coupling, by k for the 1/k!.  Operands enter by
+:meth:`MultiPoly.numerators` and results leave by
+:meth:`MultiPoly.from_numerators`, which only repack the keys; a product
+summed over all orders (:func:`star`) adds the orders over the last
+order's denominator.
 
 The ODE oracle (:func:`ode_star_exponential`) multiplies by one left
 factor H at every order, so it contracts H alone, once, into the operator
-L_H = sum_beta P_beta d^beta (:func:`_left_operator`).  Its steps are the
-kernel's, except that a step raises a derivative count beta_b in the y_b
-field instead of lowering y_b and scaling by it (:func:`_raise_step`);
-order k carries 1/k! and the kernel's denominator as above.  x and w then
-collapse into one n-variable key, grouped by beta.  Applied to a packed
-key e with e >= beta, a term of L_H adds one packed shift, x + w + tail -
-beta, and scales by the falling factorials prod_i e_i!/(e_i - beta_i)!
-(:func:`_apply_step`).  The width holds every field that the build and the
-N applications make: N times B, where B is the largest exponent of H plus
-deg H times the larger of 1 and the kernel's reach.
+L_H = sum_beta P_beta d^beta (:func:`_left_operator`): the kernel's steps,
+except that a step raises a derivative count beta_b in the y_b field
+(:func:`_raise_step`).  Applied to a packed key e with e >= beta, a term of
+L_H adds one packed shift and scales by the falling factorials
+prod_i e_i!/(e_i - beta_i)! (:func:`_apply_step`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, islice
-from math import perm
-from operator import add, mul
+from itertools import count, islice, product
+from math import lcm, perm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
@@ -91,20 +84,12 @@ from .poly import (
     _add_products,
     _complex,
     _lowest,
+    _nonzero,
     _order_sum,
-    common_den,
     key_weights,
     key_width,
-    numerator_parts,
 )
-from .scalars import (
-    EXP_ZERO,
-    GR_ONE,
-    GaussianRational,
-    accumulate,
-    gr,
-    rat,
-)
+from .scalars import GR_ONE, GaussianRational, gr, rat, to_numerators
 from .series import TruncSeries
 
 # scalar i*hbar/4, the exponent coupling of the ordering intertwiner
@@ -282,55 +267,30 @@ def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
     tail: -1 at x_a and at y_b, the term's z exponents starting at
     ``offset`` (None when every entry is constant), and its parameter
     exponents in the tail.  A scalar ``coupling`` multiplies every step
-    once, so each term of lam[a][b] pairs with each coupling term, whose
-    parameter exponents add to the tail and whose coefficient multiplies;
-    steps of one shift are merged.  The products are taken on the integer
-    numerators of the entries and of the coupling
-    (:func:`starquant.poly.numerator_parts`), over the product of their
-    denominators in lowest terms, which is the lcm of the denominators of
-    the steps.
+    once, so it multiplies every entry first.  The numerators are over the
+    lcm of the entries' denominators, which is the lcm of the denominators
+    of the steps.
     """
     width = 3 * n if offset == 2 * n else 2 * n
-    terms = [
-        ((a, b, key), coef)
-        for a in range(n)
-        for b in range(n)
-        for key, coef in lam[a][b].terms.items()
-    ]
-    lden = common_den(c for _, c in terms)
-    if coupling is None:
-        cre, cim, cden = {EXP_ZERO: 1}, {}, 1
-    else:
-        cden = common_den(coupling.terms.values())
-        cre, cim = numerator_parts(coupling.terms.items(), cden)
-    products = [(numerator_parts(terms, lden), (cre, cim), 1)]
-    couple = partial(_couple, n=n, width=width, offset=offset)
-    re, im, den = _lowest(*_complex(couple, products), lden * cden)
+    c = MultiPoly.one(n) if coupling is None else MultiPoly.const(n, coupling)
+    entries = [(a, b, p * c) for a, row in enumerate(lam) for b, p in enumerate(row) if p]
+    den = lcm(*(p.den for _, _, p in entries))
     reach = 0
     parts = []
-    for part in (re, im):
+    for part in ("re", "im"):
         rows: dict = {}
-        for (a, b, shift), c in part.items():
-            reach = max(reach, *shift)
-            rows.setdefault(a, []).append((b, shift, c))
+        for a, b, p in entries:
+            for key, v in getattr(p, part).items():
+                shift = [0] * width
+                if offset is not None:
+                    shift[offset : offset + n] = key[:n]
+                shift[a] -= 1
+                shift[n + b] -= 1
+                shift = (*shift, *key[n:])
+                reach = max(reach, *shift)
+                rows.setdefault(a, []).append((n + b, shift, v * (den // p.den)))
         parts.append(list(rows.items()))
     return _Kernel(width, den, *parts, coupling is not None, reach, {})
-
-
-def _couple(out, left, right, sign, n, width, offset) -> None:
-    """Add sign times the steps of the entry terms ``left`` (keyed by (a,
-    b, key)) coupled with the coupling terms ``right`` (keyed by tail)."""
-    for (a, b, key), p in left.items():
-        shift = [0] * width
-        if offset is not None:
-            shift[offset : offset + n] = key[:n]
-        shift[a] -= 1
-        shift[n + b] -= 1
-        shift = tuple(shift)
-        p *= sign
-        for ctail, q in right.items():
-            step = (a, n + b, shift + tuple(map(add, key[n:], ctail)))
-            out[step] = out.get(step, 0) + p * q
 
 
 def _full_entries(ctx: StarContext, coupling=None) -> _Kernel:
@@ -539,37 +499,34 @@ def intertwine(
     if f.n != K.n:
         raise ValueError("variable count mismatch with ordering matrix")
     n = K.n
-    pairs = [
-        (i, j, K.entries[i][j])
-        for i in range(n)
-        for j in range(n)
-        if K.entries[i][j]
-    ]
-
-    def second_order(p: MultiPoly) -> MultiPoly:
-        acc: dict = {}
-        for exps, coef in p.terms.items():
-            for i, j, kij in pairs:
-                ei = exps[i]
-                if not ei:
-                    continue
-                lowered = list(exps)
-                lowered[i] = ei - 1
-                ej = lowered[j]
-                if not ej:
-                    continue
-                lowered[j] = ej - 1
-                accumulate(acc, tuple(lowered), coef * kij.scale(ei * ej))
-        return MultiPoly._raw(n, acc)
-
-    result = f
-    cur = f
+    kre, kim, kden = to_numerators(v for row in K.entries for v in row)
+    pairs = list(product(range(n), repeat=2))
+    entries = (_nonzero(dict(zip(pairs, kre))), _nonzero(dict(zip(pairs, kim))))
+    result = cur = f
     m = 0
     while cur:
         m += 1
-        cur = second_order(cur).scale(coupling.scale_rat(rat(1, m)))
+        re, im = _complex(_lower_pairs, [((cur.re, cur.im), entries, 1)])
+        cur = MultiPoly._raw(n, *_lowest(re, im, cur.den * kden))
+        cur = cur.scale(coupling.scale_rat(rat(1, m)))
         result = result + cur
     return result
+
+
+def _lower_pairs(out: dict, left: dict, right: dict, sign: int) -> None:
+    """out += sign * sum_ij K_ij d_i d_j left, for a numerator map ``left``
+    keyed by flat keys and the numerators ``right`` of K keyed by (i, j)."""
+    for key, v in left.items():
+        v *= sign
+        for (i, j), c in right.items():
+            lowered = list(key)
+            ei = lowered[i]
+            lowered[i] = ei - 1
+            ej = lowered[j]
+            if ei and ej > 0:
+                lowered[j] = ej - 1
+                k = tuple(lowered)
+                out[k] = out.get(k, 0) + v * c * ei * ej
 
 
 @dataclass(frozen=True)

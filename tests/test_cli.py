@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -687,6 +688,22 @@ def test_degree_cap(monkeypatch, capsys):
     assert code == 2
     capsys.readouterr()
     monkeypatch.delenv("STARQUANT_MAX_DEGREE")
+
+
+@pytest.mark.parametrize("f", [
+    "(z0+z1+z2+z3)^64",
+    "(z0+z1+z2+z3)^16*(z0+z1+z2+z3)^16*(z0+z1+z2+z3)^16*(z0+z1+z2+z3)^16",
+    "z0^16*z1^16*z2^16*z3^16",
+])
+def test_degree_cap_rejects_before_expanding(f, capsys):
+    # the default cap is 16: each product or power above it is refused
+    # before it is multiplied out, so the job fails at once
+    start = time.perf_counter()
+    assert main(["--command", "grade", "--n", "4", "--f", f]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "schema"
 
 
 # --- output limits ---------------------------------------------------------------

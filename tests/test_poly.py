@@ -2,6 +2,8 @@ import random
 from operator import add, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant.errors import PreconditionError
 from starquant.poly import MU, MultiPoly, key_weights, key_width, quadratic_form, unpack_key
@@ -121,10 +123,13 @@ def test_from_json_checks_every_exponent():
 
 
 def test_quadratic_form():
-    A = ((gr(1), gr(2)), (gr(2), gr(-1)))
-    q = quadratic_form(A, 2)
+    # the numerator rows of [[1, 2], [2, -1]] over 1, and of half of it
     z0, z1 = Z2(0), Z2(1)
+    q = quadratic_form(((1, 2), (2, -1)), ((0, 0), (0, 0)), 1)
     assert q == z0 ** 2 - z1 ** 2 + (z0 * z1).scale_rat(rat(4))
+    assert quadratic_form(((1, 2), (2, -1)), ((0, 0), (0, 0)), 2) == q.scale_rat(rat(1, 2))
+    # an antisymmetric imaginary part cancels
+    assert quadratic_form(((1, 0), (0, 0)), ((0, 3), (-3, 0)), 4) == (z0 ** 2).scale_rat(rat(1, 4))
 
 
 def test_text_output():
@@ -328,3 +333,57 @@ def test_kernel_denominator_is_in_lowest_terms():
             for part in ((v * cval).re, (v * cval).im)
         ]
         assert kernel.den == lcm(*dens)
+
+
+# --- canonical fields ---------------------------------------------------------
+
+
+def assert_canonical(p: MultiPoly) -> None:
+    """den > 0, lowest terms, no zero numerator."""
+    from math import gcd
+
+    assert p.den > 0
+    assert gcd(p.den, *p.re.values(), *p.im.values()) == 1
+    assert all(p.re.values()) and all(p.im.values())
+
+
+GAUSS = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=12)),
+)
+
+
+@st.composite
+def polys(draw, n=2):
+    key = st.tuples(
+        *[st.integers(0, 3)] * n, st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)
+    )
+    return MultiPoly(n, draw(st.dictionaries(key, GAUSS, max_size=5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys(), polys(), GAUSS, polys(0), polys(0))
+def test_every_operation_keeps_the_fields_canonical(a, b, c, g, s, t):
+    from starquant.grading import decompose, specialize_mu
+
+    unit = MultiPoly.param("mu", -1, g) if g else MultiPoly.one(0)
+    results = [
+        a, a + b, a - b, a * b, -a, a.derivative(0), a.derivative(1), a.shift([s, t]),
+        a.scale(s), a.scale_gauss(g), a.scale_rat(g.re), unit.inverse(), a ** 2,
+        a.constant_coefficient(), MultiPoly.const(2, s), *decompose(a).components.values(),
+    ]
+    if g:
+        results.append(specialize_mu(a, g))
+    for p in results:
+        assert_canonical(p)
+    # equal values built different ways have equal fields and hashes
+    for x, y in [
+        ((a + b) + c, a + (b + c)),
+        (a * b, b * a),
+        (a - a, MultiPoly.zero(2)),
+        (MultiPoly(2, a.terms), a),
+        (a * (b + c), a * b + a * c),
+    ]:
+        assert (x.den, x.re, x.im) == (y.den, y.re, y.im)
+        assert x == y and hash(x) == hash(y)
