@@ -11,7 +11,9 @@ are summed from their defining series with ``sympy.diff``.  Two-variable
 series with complex coefficients and mu^-1 go through sympy's sparse
 polynomial ring over the Gaussian rationals, through t^6: the product and
 exp (as the power sum of S^m/m!) against sympy's own, inverse and inv_sqrt
-through their defining identities X S = 1 and r^2 S = 1.
+through their defining identities X S = 1 and r^2 S = 1.  The ordering
+intertwiner exp(c sum_ij K_ij d_i d_j) is summed from its power series with
+``sympy.diff``.
 """
 
 import random
@@ -558,3 +560,54 @@ def test_multipoly_arithmetic_matches_sympy():
             assert same(p.shift(offsets), sp.subs(moved, simultaneous=True))
             value = GaussianRational(rat(rng.randint(1, 5), rng.randint(1, 4)), rat(rng.randint(-2, 2), 5))
             assert same(specialize_mu(p, value), sp.subs(mu, sym_gauss(value)))
+
+
+# --- ordering intertwiner ---------------------------------------------------
+
+
+def rand_symmetric(rng, n: int, complex_entries: bool):
+    """A random symmetric n x n matrix over GaussianRational, with complex
+    entries when ``complex_entries``."""
+    rows = [[gr(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            im = rat(rng.randint(-3, 3), rng.randint(1, 5)) if complex_entries else 0
+            rows[i][j] = rows[j][i] = GaussianRational(rat(rng.randint(-4, 4), rng.randint(1, 5)), im)
+    return rows
+
+
+def test_intertwine_matches_sympy():
+    # exp(c D) f = sum_m c^m/m! D^m f with D = sum_ij K_ij d_i d_j, summed
+    # until D^m f vanishes
+    from starquant.star import OrderingK, intertwine
+
+    rng = random.Random(127)
+    params = sympy.symbols(PARAM_NAMES)
+    laurent = MultiPoly(0, {(-1, 0, 0): gr(2, 3), (0, 2, 0): GaussianRational(rat(1, 5), rat(-1, 2))})
+    couplings = [
+        MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 4))),
+        MultiPoly.param("hbar", 1, GaussianRational(0, rat(-1, 4))),
+        laurent,
+    ]
+    for n in (2, 3, 4):
+        zs = sympy.symbols(f"z0:{n}")
+        for case in range(4):
+            K = rand_symmetric(rng, n, complex_entries=case % 2 == 1)
+            f = rand_mixed_poly(rng, n) + rand_mixed_poly(rng, n) * rand_mixed_poly(rng, n)
+            powers = [sym_poly(f, zs, params)]
+            while powers[-1] != 0:
+                powers.append(
+                    sympy.expand(
+                        sum(
+                            sym_gauss(K[i][j]) * sympy.diff(powers[-1], zs[i], zs[j])
+                            for i in range(n)
+                            for j in range(n)
+                            if K[i][j]
+                        )
+                    )
+                )
+            for coupling in couplings:
+                c = sym_poly(coupling, (), params)
+                want = sum(c**m / sympy.factorial(m) * d for m, d in enumerate(powers))
+                got = sym_poly(intertwine(OrderingK(K), f, coupling), zs, params)
+                assert sympy.expand(got - want) == 0
