@@ -10,6 +10,9 @@ by the same cases as this one:
 
 * ``star_n2``, ``star_n4``, ``star_n6``: star products of random
   polynomials under a random constant structure matrix (the contraction);
+* ``intertwine_n4``: ``intertwine`` of a degree-6 polynomial in 4
+  variables under a symmetric K with a complex entry, at the default
+  coupling i*hbar/4;
 * ``oracle_n4_N8``, ``oracle_n2_N12``: ``ode_star_exponential`` of a
   quadratic Hamiltonian, the term-by-term oracle of the closed forms;
 * ``exp_n4_N8``: ``TruncSeries.exp`` of a series with quadratic
@@ -155,7 +158,7 @@ def cases(tiny: bool) -> list:
     from starquant.poly import HALF_MU, MU_INV, MultiPoly
     from starquant.scalars import GaussianRational, rat
     from starquant.series import TruncSeries
-    from starquant.star import StarContext, ode_star_exponential, star
+    from starquant.star import OrderingK, StarContext, intertwine, ode_star_exponential, star
     from starquant.verify import (
         rand_antisym,
         rand_invertible_antisym,
@@ -179,6 +182,14 @@ def cases(tiny: bool) -> list:
             return sum(term_count(star(ctx, f, g)) for f, g in pairs)
 
         out.append((f"star_n{n}", {"n": n, "degree": deg, "products": 8}, run_star))
+    n = 4
+    rng = random.Random(5000)
+    kmat = OrderingK(rand_symmetric(rng, n, allow_imag=True).rows)
+    f = sum((rand_poly(rng, n, 2 if tiny else 6, 24) for _ in range(3)), MultiPoly.zero(n))
+    out.append(
+        (f"intertwine_n{n}", {"n": n, "degree": f.degree()},
+         lambda kmat=kmat, f=f: term_count(intertwine(kmat, f)))
+    )
     for n, order in ((4, 8), (2, 12)):
         if tiny:
             order = 2

@@ -28,13 +28,13 @@ from .grading import (
 )
 from .matrices import (
     SqMatrix,
+    _riccati_report,
     closed_form_vs_oracle,
     closed_star_exponential,
     expand_closed_form,
     riccati_1d,
-    riccati_vs_moyal,
 )
-from .parsing import parse_poly, parse_scalar
+from .parsing import parse_poly
 from .poly import HALF_MU, MultiPoly, TermRows
 from .scalars import GaussianRational
 from .star import OrderingK, StarContext, intertwine, star, star_k_ordered
@@ -147,7 +147,7 @@ def _poly_input(value, n: int, label: str) -> MultiPoly:
 
 def _scalar_input(value, label: str) -> MultiPoly:
     if isinstance(value, str):
-        return parse_scalar(value)
+        return parse_poly(value, 0, max_input_degree())
     # a JSON float is inexact and a bool is no number: neither is taken
     if type(value) is int:
         return MultiPoly.from_rat(value)
@@ -272,7 +272,7 @@ def _run_riccati(job: dict) -> tuple:
     n_order = job["truncation"]
     a, b, c = (_gauss_input(inputs[name], name) for name in "abc")
     g, h = riccati_1d(a, b, c, n_order)
-    report = riccati_vs_moyal(a, b, c, n_order)
+    report = _riccati_report(a, b, c, g, h)
     d = c * c - a * b
     payload = {
         "discriminant": d.text(),

@@ -29,7 +29,7 @@ entries of J without a sweep.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product, zip_longest
 from math import comb
 
 from .errors import PreconditionError
@@ -41,7 +41,7 @@ from .star import (
     _collapse,
     _full_entries,
     _iterated_entries,
-    contract_step,
+    _states,
     star,
 )
 
@@ -226,17 +226,18 @@ def _jacobi_trivector(ctx: StarContext) -> dict:
     keyed by (a, b, c); J is totally antisymmetric, so they determine the
     rest."""
     n, lam = ctx.n, ctx.lam
-    # dlam[b][c][l] = d_l lam^bc, and reach[a] the l with lam^al nonzero
-    dlam = [[[p.derivative(l) for l in range(n)] for p in row] for row in lam]
-    reach = [[l for l in range(n) if row[l]] for row in lam]
+    # dlam[b][c] maps each l that occurs in lam^bc to d_l lam^bc
+    dlam = [
+        [{l: p.derivative(l) for l in range(n) if any(key[l] for key in p.keys())} for p in row]
+        for row in lam
+    ]
     trivector = {}
     for a, b, c in combinations(range(n), 3):
         entry = MultiPoly.zero(n)
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            djk = dlam[j][k]
-            for l in reach[i]:
-                if djk[l]:
-                    entry = entry + lam[i][l] * djk[l]
+            for l, d in dlam[j][k].items():
+                if lam[i][l]:
+                    entry = entry + lam[i][l] * d
         if entry:
             trivector[(a, b, c)] = entry
     return trivector
@@ -294,12 +295,13 @@ def check_lambda_relation(
     starts as one key, f's exponents in the x fields and g's in the y
     fields, packed at one field width above p low bits that hold i (p is
     the bit length of m^2 - 1), with numerator 1 over denominator 1.
-    Each order is one :func:`star.contract_step` per side on the kernels
-    of both forms (bare k-fold contractions, without coupling or 1/k!),
-    and the collapse keeps the low bits, so order k of the two forms is
-    compared for every pair at once; the smallest index whose terms differ
-    is the witness.  The check stops at the first failing order, and
-    passes as soon as both states are empty.
+    Each side iterates the engine's order states (:func:`star._states`) on
+    the kernel of its form (bare k-fold contractions, without coupling or
+    1/k!), and the collapse keeps the low bits, so order k of the two forms
+    is compared for every pair at once; an exhausted side reads as empty,
+    and the smallest index whose terms differ is the witness.  The check
+    stops at the first failing order, and passes once both sides are
+    exhausted.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2 (order 1 can never diverge)")
@@ -317,15 +319,10 @@ def check_lambda_relation(
         ((f + (g << n * w)) << low) + i: 1
         for i, (f, g) in enumerate(product(packed, repeat=2))
     }
-    lre, lim, lden = start, {}, 1
-    rre, rim, rden = start, {}, 1
-    for k in range(1, k_max + 1):
-        lre, lim = contract_step(iterated, w, lre, lim, low)
-        rre, rim = contract_step(full, w, rre, rim, low)
-        if not (lre or lim or rre or rim):
-            break
-        lden *= iterated.den
-        rden *= full.den
+    sides = [_states(kernel, w, start, {}, 1, low) for kernel in (iterated, full)]
+    # an exhausted side reads as empty
+    orders = zip_longest(*sides, fillvalue=({}, {}, 1))
+    for k, ((lre, lim, lden), (rre, rim, rden)) in enumerate(islice(orders, 1, k_max + 1), 1):
         # a/lden == b/rden per key and part, tested as a*rden == b*lden
         # with zero numerators left out
         differ = set()

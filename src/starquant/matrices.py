@@ -710,11 +710,15 @@ def riccati_vs_moyal(
 ) -> CheckReport:
     """Cross-validate the one-variable reduction against the two-variable
     Weyl-context oracle for the quadratic a u^2 + b v^2 + 2c uv."""
-    ctx = StarContext.weyl(1)
-    n = 2
+    return _riccati_report(a, b, c, *riccati_1d(a, b, c, N))
+
+
+def _riccati_report(
+    a: GaussianRational, b: GaussianRational, c: GaussianRational, g: TruncSeries, h: TruncSeries
+) -> CheckReport:
+    """:func:`riccati_vs_moyal` for the series (g, h) = riccati_1d(a, b, c, N)."""
     m = SqMatrix(((a, c), (c, b)))
     h_poly = quadratic_form(m.re, m.im, m.den)
-    oracle = ode_star_exponential(ctx, h_poly, N)
-    g, h = riccati_1d(a, b, c, N)
-    closed = (h.lift(n) * TruncSeries.from_poly(h_poly, N)).exp(g.lift(n))
+    oracle = ode_star_exponential(StarContext.weyl(1), h_poly, g.order)
+    closed = (h.lift(2) * TruncSeries.from_poly(h_poly, g.order)).exp(g.lift(2))
     return _oracle_report(closed, oracle)

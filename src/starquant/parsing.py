@@ -14,12 +14,17 @@ negative powers are accepted exactly when the divisor/base is an invertible
 scalar monomial (an integer, ``i``, or a power of ``mu``).
 A degree cap rejects a product or power above it before multiplying it
 out; only an intermediate that a later sum cancels (``z0^20 - z0^20``) is
-rejected that the cap would let through after expansion.
+rejected that the cap would let through after expansion.  A power of a
+scalar has degree 0, so its growth is bounded apart: a sum of terms takes
+an exponent of at most the cap, and a single term one whose coefficient
+stays below the int-to-text limit (:meth:`_Parser.check_growth`).
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 
 from .errors import SchemaError
 from .poly import MultiPoly
@@ -123,9 +128,33 @@ class _Parser:
         if self.peek()[0] == "-":
             self.next()
             sign = -1
-        exp = sign * self.expect("int")[1]
-        self.check_degree(base.degree() * exp)
-        return base ** exp if exp >= 0 else _scalar_inverse(base) ** (-exp)
+        exp = self.expect("int")[1]
+        self.check_degree(base.degree() * sign * exp)
+        if sign < 0:
+            base = _scalar_inverse(base)
+        self.check_growth(base, exp)
+        return base ** exp
+
+    def check_growth(self, base: MultiPoly, k: int) -> None:
+        """Refuse base^k before computing it if its terms or coefficients
+        could outgrow the caps, which the degree of a scalar base does not
+        see.  A base of several terms takes an exponent of at most the
+        degree cap.  A single term (a + b*i)/d * params has a power with
+        integers below M^k, M = max(|a| + |b|, d), so k * log10(M) must stay
+        below the int-to-text limit: a unit times parameters passes at any
+        k."""
+        keys = base.keys()
+        if len(keys) > 1 and k > self.max_degree:
+            cap = self.max_degree
+            raise SchemaError(f"a power {k} of a sum of terms exceeds the cap {cap}")
+        limit = sys.get_int_max_str_digits()
+        if len(keys) == 1 and limit:
+            (key,) = keys
+            m = max(abs(base.re.get(key, 0)) + abs(base.im.get(key, 0)), base.den)
+            if k * math.log10(m) >= limit:
+                raise SchemaError(
+                    f"a power {k} of a coefficient would pass the output limit of {limit} digits"
+                )
 
     def atom(self) -> MultiPoly:
         tok = self.next()

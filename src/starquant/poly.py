@@ -17,7 +17,7 @@ The integer operations are written once, here, and the contraction engine
 and the series recurrences share them: ``_complex`` adds up m * x * y over
 (x, y, m) products of complex numerator maps and strips the zeros;
 ``_lowest`` divides a triple by the gcd of its denominator and numerators;
-``_order_sum`` adds orders whose denominators divide the last one.  Above
+``_order_sum`` adds orders over the lcm of their denominators.  Above
 them the series, and so the closed forms, and the engine with its ODE
 oracle share nothing.  ``GaussianRational`` appears only at the boundary,
 through the helpers of :mod:`starquant.scalars`: the constructor from a
@@ -577,9 +577,9 @@ def _lowest(re: dict, im: dict, den: int) -> tuple:
 
 def _order_sum(orders: list) -> tuple:
     """(re, im, den): the sum of the triples (re, im, den, ...) of
-    ``orders``, each of whose denominators divides the last one, as
-    numerators over the last denominator."""
-    den = orders[-1][2]
+    ``orders`` as numerators over the lcm of their denominators, which is
+    the last one when each divides the next, as in a contraction."""
+    den = lcm(*(order[2] for order in orders))
     re: dict = {}
     im: dict = {}
     for ore, oim, oden, *_ in orders:

@@ -16,7 +16,7 @@ exponentials which acts as the independent oracle for every closed form in
 The contraction works on exponent vectors over doubled variables: x (the
 left factor) then y (the right factor), each of n variables, then the
 exponents of the formal parameters mu, hbar, tau, as in a ``MultiPoly`` key.
-One step (:func:`contract_step`) lowers x_a and y_b, scales by their
+One step (:func:`_step`) lowers x_a and y_b, scales by their
 exponents and multiplies by a term of the entry L^{ab}: its parameter
 exponents add to the tail and its coefficient multiplies.  Where the
 entry's z exponents go is the only difference between the three
@@ -52,27 +52,35 @@ The state of an order is a ``MultiPoly``'s own layout with packed keys
 denominator ``den`` for the whole order.  The kernel (:func:`_entries`)
 stores its coefficients the same way, over the lcm ``D`` of their
 denominators, so a step multiplies Python ints only -- numerator times the
-two exponents times the kernel numerator -- and multiplies ``den`` by ``D``
-and, with a coupling, by k for the 1/k!.  Operands enter by
+two exponents times the kernel numerator.  One generator advances a state
+order by order (:func:`_states`): it multiplies ``den`` by ``D`` and, with
+a coupling, by k for the 1/k!, and stops on an empty state.  The products
+(:func:`_orders`), the left operator of the ODE oracle and the
+lambda-relation check all iterate it.  Operands enter by
 :meth:`MultiPoly.numerators` and results leave by
 :meth:`MultiPoly.from_numerators`, which only repack the keys; a product
-summed over all orders (:func:`star`) adds the orders over the last
-order's denominator.
+summed over all orders (:func:`star`) adds them over the lcm of their
+denominators.
 
-The ODE oracle (:func:`ode_star_exponential`) multiplies by one left
-factor H at every order, so it contracts H alone, once, into the operator
-L_H = sum_beta P_beta d^beta (:func:`_left_operator`): the kernel's steps,
-except that a step raises a derivative count beta_b in the y_b field
-(:func:`_raise_step`).  Applied to a packed key e with e >= beta, a term of
-L_H adds one packed shift and scales by the falling factorials
-prod_i e_i!/(e_i - beta_i)! (:func:`_apply_step`).
+For a fixed left factor H the star product is a differential operator in
+the right one, L_H = sum_beta P_beta d^beta (:func:`_left_operator`): the
+kernel's steps contract H alone, except that a step raises a derivative
+count beta_b in the y_b field (:func:`_raise_step`).  Applied to a packed
+key e with e >= beta, a term of a left operator adds one packed shift and
+scales by the falling factorials prod_i e_i!/(e_i - beta_i)!
+(:func:`_apply_step`).  One generator runs F_k = L F_(k-1) / k in lowest
+terms (:func:`_exponential`).  The ODE oracle (:func:`ode_star_exponential`)
+takes orders 0..N of it for L = L_H.  The ordering intertwiner
+exp(c sum_ij K_ij d_i d_j) (:func:`intertwine`) is the same exponential of
+a left operator with constant coefficients, beta = e_i + e_j, whose orders
+are summed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, islice, product
+from itertools import combinations_with_replacement, count, islice
 from math import lcm, perm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -84,7 +92,6 @@ from .poly import (
     _add_products,
     _complex,
     _lowest,
-    _nonzero,
     _order_sum,
     key_weights,
     key_width,
@@ -341,22 +348,28 @@ def _step(out: dict, state: dict, rows: list, sign: int, mask: int) -> None:
                     out[k] = out.get(k, 0) + va * eb * c
 
 
-def contract_step(
-    kernel: _Kernel, w: int, re: dict, im: dict, low: int = 0
-) -> tuple:
-    """One derivative-pair contraction step on a state of integer numerators.
+def _states(kernel: _Kernel, w: int, re: dict, im: dict, den: int, low: int = 0, step=_step):
+    """Yield the state of every contraction order, order 0 (the given
+    numerator maps over ``den``) first, as (re, im, den), until a state is
+    empty.
 
-    For every step (a, b, shift) of the kernel (see :func:`_entries`) and
-    every key with positive exponents at positions a and b, differentiate
-    both and multiply by the matrix entry: the derivative factor is the
-    product of the two exponents, and the new key is the old one plus the
-    step's shift, one int add on keys packed at field width w above
-    ``low`` bits, which the step keeps.  ``re`` and ``im`` map keys to the
-    real and imaginary numerators; the result's denominator is the state's
-    times ``kernel.den``.
+    A step (:func:`_step`) runs every step (a, b, shift) of the kernel (see
+    :func:`_entries`) on every key with positive exponents at positions a
+    and b: it differentiates both, so it scales by the two exponents, and
+    multiplies by the matrix entry, whose shift is one int add on keys
+    packed at field width w above ``low`` bits, which it keeps.  Order k's
+    denominator is order k - 1's times ``kernel.den``, and times k when a
+    folded coupling carries 1/k!.  :func:`_left_operator` passes
+    :func:`_raise_step` as ``step``.
     """
-    step = partial(_step, mask=(1 << w) - 1)
-    return _complex(step, [((re, im), _packed(kernel, w, low), 1)])
+    step = partial(step, mask=(1 << w) - 1)
+    rows = _packed(kernel, w, low)
+    for k in count(1):
+        yield re, im, den
+        re, im = _complex(step, [((re, im), rows, 1)])
+        if not re and not im:
+            return
+        den *= kernel.den * k if kernel.factorial else kernel.den
 
 
 def _collapse(n: int, width: int, w: int, state: dict, low: int = 0) -> dict:
@@ -398,19 +411,11 @@ def _orders(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
     fx = f.numerators(w, width)
     gx = g.numerators(w, width, n)
     re, im = _complex(_add_products, [(fx, gx, 1)])
-    den = fx[2] * gx[2]
-    yield _collapse(n, width, w, re), _collapse(n, width, w, im), den, w
-    for k in count(1):
+    for k, (re, im, den) in enumerate(_states(kernel, w, re, im, fx[2] * gx[2])):
         if k > cap:
             raise PreconditionError(
                 f"contraction did not terminate within {cap} steps"
             )
-        re, im = contract_step(kernel, w, re, im)
-        if not re and not im:
-            return
-        den *= kernel.den
-        if kernel.factorial:
-            den *= k
         yield _collapse(n, width, w, re), _collapse(n, width, w, im), den, w
 
 
@@ -421,8 +426,7 @@ def _contraction(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
 
 
 def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPoly:
-    """The sum of all contraction terms of f and g, divided by ``div``:
-    each order's denominator divides the last one's."""
+    """The sum of all contraction terms of f and g, divided by ``div``."""
     orders = list(_orders(kernel, f, g))
     re, im, den = _order_sum(orders)
     return MultiPoly.from_numerators(f.n, re, im, den * div, orders[-1][3])
@@ -493,40 +497,34 @@ def intertwine(
     lowers the degree by 2.  The default coupling is i*hbar/4, the value
     under which the intertwiner converts between the plain product and the
     K-ordered product.
+
+    The exponent is a left operator with constant coefficients (see
+    :func:`_left_operator`): for i <= j, beta = e_i + e_j carries
+    K_ij + K_ji (K_ii once) times each term of the coupling, whose shift
+    lowers z_i and z_j and adds the term's parameter exponents.  Its orders
+    (:func:`_exponential`) are summed once.  Width: at most deg f // 2
+    orders follow f, each adding at most the coupling's largest exponent to
+    the hbar and tau fields, while the z fields only fall.
     """
     if coupling is None:
         coupling = I_HBAR_QUARTER
     if f.n != K.n:
         raise ValueError("variable count mismatch with ordering matrix")
     n = K.n
+    w = key_width(f.max_exponent() + max(f.degree(), 0) // 2 * coupling.max_exponent())
     kre, kim, kden = to_numerators(v for row in K.entries for v in row)
-    pairs = list(product(range(n), repeat=2))
-    entries = (_nonzero(dict(zip(pairs, kre))), _nonzero(dict(zip(pairs, kim))))
-    result = cur = f
-    m = 0
-    while cur:
-        m += 1
-        re, im = _complex(_lower_pairs, [((cur.re, cur.im), entries, 1)])
-        cur = MultiPoly._raw(n, *_lowest(re, im, cur.den * kden))
-        cur = cur.scale(coupling.scale_rat(rat(1, m)))
-        result = result + cur
-    return result
-
-
-def _lower_pairs(out: dict, left: dict, right: dict, sign: int) -> None:
-    """out += sign * sum_ij K_ij d_i d_j left, for a numerator map ``left``
-    keyed by flat keys and the numerators ``right`` of K keyed by (i, j)."""
-    for key, v in left.items():
-        v *= sign
-        for (i, j), c in right.items():
-            lowered = list(key)
-            ei = lowered[i]
-            lowered[i] = ei - 1
-            ej = lowered[j]
-            if ei and ej > 0:
-                lowered[j] = ej - 1
-                k = tuple(lowered)
-                out[k] = out.get(k, 0) + v * c * ei * ej
+    cparts = coupling.numerators(w, n)
+    operator = ([], [], kden * cparts[2])
+    for i, j in combinations_with_replacement(range(n), 2):
+        m = 1 if i == j else 2
+        key = -(1 << w * i) - (1 << w * j)
+        entry = ({key: m * kre[i * n + j]}, {key: m * kim[i * n + j]})
+        beta = [(w * i, 2)] if i == j else [(w * i, 1), (w * j, 1)]
+        for part, terms in zip(operator, _complex(_add_products, [(entry, cparts, 1)])):
+            if terms:
+                part.append((beta, list(terms.items())))
+    re, im, den = _order_sum(list(_exponential(operator, w, *f.numerators(w))))
+    return MultiPoly.from_numerators(n, re, im, den, w)
 
 
 @dataclass(frozen=True)
@@ -587,14 +585,14 @@ def exp_linear_product(
 def _raise_step(out: dict, state: dict, rows: list, sign: int, mask: int) -> None:
     """:func:`_step` with the right factor left symbolic: lower x_a and scale
     by its exponent, but raise the derivative count beta_b in the y_b field
-    (each shift of ``rows`` already carries +2 there)."""
+    (the shift lowers it by 1, so add 2 there)."""
     for key, v in state.items():
         for sa, row in rows:
             ea = key >> sa & mask
             if ea:
                 va = sign * v * ea
-                for shift, c in row:
-                    k = key + shift
+                for sb, shift, c in row:
+                    k = key + shift + (2 << sb)
                     out[k] = out.get(k, 0) + va * c
 
 
@@ -616,20 +614,8 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
     mask = (1 << block) - 1
     fmask = (1 << w) - 1
     top = kernel.width * w
-    rows = [
-        [(sa, [(shift + (2 << sb), c) for sb, shift, c in row]) for sa, row in part]
-        for part in _packed(kernel, w)
-    ]
-    raise_step = partial(_raise_step, mask=fmask)
-    re, im, den = h.numerators(w, kernel.width)
-    orders = []
-    for k in count(1):
-        orders.append((re, im, den))
-        re, im = _complex(raise_step, [((re, im), rows, 1)])
-        if not re and not im:
-            break
-        den *= kernel.den * k if kernel.factorial else kernel.den
-    re, im, den = _order_sum(orders)
+    orders = _states(kernel, w, *h.numerators(w, kernel.width), step=_raise_step)
+    re, im, den = _order_sum(list(orders))
     parts: tuple = ({}, {})
     for out, part in zip(parts, (re, im)):
         for key, v in part.items():
@@ -672,6 +658,21 @@ def _apply_step(out: dict, operator: list, state: dict, sign: int, mask: int) ->
                     out[k] = out.get(k, 0) + m * c
 
 
+def _exponential(operator: tuple, w: int, re: dict, im: dict, den: int):
+    """Yield F_0 = (re, im, den), then F_k = L F_(k-1) / k for the left
+    operator L = ``operator`` (see :func:`_left_operator`) on keys packed at
+    field width w, each as (re, im, den) in lowest terms, until F_k is
+    empty."""
+    lre, lim, lden = operator
+    apply_step = partial(_apply_step, mask=(1 << w) - 1)
+    for k in count(1):
+        yield re, im, den
+        re, im = _complex(apply_step, [((lre, lim), (re, im), 1)])
+        if not re and not im:
+            return
+        re, im, den = _lowest(re, im, den * lden * k)
+
+
 def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     """Term-by-term star-exponential series: F0 = 1, F_{k+1} = H (*) F_k / (k+1).
 
@@ -699,12 +700,6 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     kernel = _full_entries(ctx, ctx.coupling)
     steps = max(H.degree(), 0)
     w = key_width(max(N, 1) * (H.max_exponent() + steps * max(kernel.reach, 1)))
-    lre, lim, lden = _left_operator(kernel, H, w)
-    apply_step = partial(_apply_step, mask=(1 << w) - 1)
-    re, im, den = {0: 1}, {}, 1
-    coeffs = [MultiPoly.one(n)]
-    for k in range(1, N + 1):
-        products = [((lre, lim), (re, im), 1)]
-        re, im, den = _lowest(*_complex(apply_step, products), den * lden * k)
-        coeffs.append(MultiPoly.from_numerators(n, re, im, den, w))
-    return TruncSeries(n, N, coeffs)
+    orders = list(islice(_exponential(_left_operator(kernel, H, w), w, {0: 1}, {}, 1), N + 1))
+    coeffs = [MultiPoly.from_numerators(n, re, im, den, w) for re, im, den in orders]
+    return TruncSeries(n, N, coeffs + [MultiPoly.zero(n)] * (N + 1 - len(coeffs)))

@@ -24,7 +24,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out.read_text())
     names = {
-        "star_n2", "star_n4", "star_n6", "oracle_n4_N2", "oracle_n2_N2", "exp_n4_N2",
+        "star_n2", "star_n4", "star_n6", "intertwine_n4", "oracle_n4_N2", "oracle_n2_N2", "exp_n4_N2",
         "series_mul_n4_N2", "inv_sqrt_N2", "series_inverse_n2_N2", "expand_n4_N2",
         "jacobi_so3_d1", "jacobi_cyclic_n4_d1", "lambda_relation_so3_d1",
         "lambda_relation_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",

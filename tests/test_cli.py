@@ -706,6 +706,30 @@ def test_degree_cap_rejects_before_expanding(f, capsys):
     assert json.loads(captured.err)["kind"] == "schema"
 
 
+@pytest.mark.parametrize("f", ["7^10000000", "7^100000000", "(1+mu)^2000", "(1+mu)^8000"])
+def test_scalar_powers_are_refused_before_computing(f, capsys):
+    # a scalar base has degree 0, which the degree cap does not see: a sum
+    # of terms takes an exponent of at most the cap (16), and a single term
+    # one whose coefficient stays below the int-to-text limit
+    start = time.perf_counter()
+    assert main(["--command", "grade", "--n", "2", "--f", f]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "schema"
+
+
+def test_powers_of_units_pass_any_exponent(capsys):
+    # a unit times parameters keeps its coefficient, so no exponent is too
+    # large; each power prints as its reduced form does
+    for power, reduced in (("i^1000000001", "i"), ("(-i*mu)^-1000001", "i*mu^-1000001")):
+        outputs = []
+        for f in (power, reduced):
+            assert main(["--command", "grade", "--n", "2", "--f", f]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 # --- output limits ---------------------------------------------------------------
 
 

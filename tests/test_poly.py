@@ -297,6 +297,8 @@ def test_lowest_terms_and_order_sums():
     orders = [({1: 1}, {}, 2), ({1: 1}, {1: -2}, 6, "w"), ({}, {2: 5}, 12)]
     assert _order_sum(orders) == ({1: 8}, {1: -4, 2: 5}, 12)
     assert _order_sum([({}, {}, 1), ({}, {}, 4)]) == ({}, {}, 4)
+    # denominators that do not divide the last one: 1/4 + 1/6 = 5/12
+    assert _order_sum([({1: 1}, {}, 4), ({1: 1}, {}, 6)]) == ({1: 5}, {}, 12)
 
 
 def test_kernel_denominator_is_in_lowest_terms():
