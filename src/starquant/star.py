@@ -601,7 +601,7 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
     integer numerators over one denominator, for keys of n z fields packed
     at field width w.
 
-    The orders of h are contracted as by :func:`_orders` with the right
+    The orders of h are contracted by :func:`_states` with the right
     factor left symbolic (:func:`_raise_step`) and summed; then x and w
     collapse into one n-variable key, and the terms are grouped by beta.
     Each part is a list of (beta, terms) with beta as [(field shift,
