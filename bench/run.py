@@ -35,6 +35,9 @@ by the same cases as this one:
 * ``matseries_inverse_n4_N8``, ``matseries_det_n4_N8``: ``MatSeries.inverse``
   and ``MatSeries.det`` of a random 4x4 matrix series with an invertible
   t^0 coefficient;
+* ``matseries_mul_n4_N8``: the product of two random 4x4 matrix series;
+* ``cayley_series_n4_N8``: ``cayley`` of a random 4x4 matrix series X with
+  an invertible 1 + X_0;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix;
 * ``cli_star_poly_n3``, ``cli_star_small``, ``cli_grade``,
   ``cli_riccati_N8``, ``cli_star_exp_n4_N8``, ``cli_ordering``,
@@ -58,9 +61,11 @@ by the same cases as this one:
 
 Each side runs in its own worker subprocess, which imports starquant from
 its source tree (``--before``, and this checkout's ``src`` as "after") and
-times one repeat of a case per request.  The two workers take turns, the
-first one swapped every round, so that a drift of the host's speed, or
-the cost of going second, falls on both sides alike.  A case repeats until
+times one repeat of a case per request.  With ``--before`` a third worker,
+"again", times this checkout's ``src`` too, as an A/A control.  The
+workers take turns in an order reversed every round, so "after" always
+runs between the other two, and a drift of the host's speed, or the cost
+of going first, falls on every side alike.  A case repeats until
 each side has run it ``REPEAT`` times and its repeats total at least
 ``MIN_TOTAL_S``, so that a millisecond case is timed as long as a slow
 one; a side records the median and minimum of its ``time.perf_counter``
@@ -77,7 +82,12 @@ the ratio of their medians per case.  Each round also gives one
 before/after ratio of two repeats run back to back, which a drift of the
 host's speed moves far less than the medians; ``round_ratio`` holds the
 lower quartile, the median and the upper quartile of those ratios per
-case, and the number of rounds.  Without ``--before`` only this tree is
+case, and the number of rounds.  ``aa_round_ratio`` holds the same of the
+again/after ratios, the spread of a ratio between two copies of one tree
+(Kalibera & Jones, "Rigorous benchmarking in reasonable time", ISMM 2013).
+``verdict`` calls a case "faster" (or "slower") only when its round-ratio
+quartiles lie above (below) both 1 and the A/A quartiles, and
+"unresolved" otherwise.  Without ``--before`` only this tree is
 timed.  ``--tiny`` shrinks every case to a smoke test and runs it
 once.  Standard library only.
 """
@@ -154,7 +164,7 @@ def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
     from starquant import cli
     from starquant.grading import check_jacobi, check_lambda_relation
-    from starquant.matrices import MatSeries, expand_closed_form, tanh_series
+    from starquant.matrices import MatSeries, cayley, expand_closed_form, tanh_series
     from starquant.poly import HALF_MU, MU_INV, MultiPoly
     from starquant.scalars import GaussianRational, rat
     from starquant.series import TruncSeries
@@ -295,6 +305,20 @@ def cases(tiny: bool) -> list:
     out.append(
         (f"matseries_det_n{n}_N{order}", {"n": n, "N": order},
          lambda: sum(not c.is_zero() for c in mseries.det().coeffs))
+    )
+    rng = random.Random(4001)
+    mpair = [MatSeries(n, order, [rand_square(rng, n) for _ in range(order + 1)]) for _ in range(2)]
+    out.append(
+        (f"matseries_mul_n{n}_N{order}", {"n": n, "N": order},
+         lambda: sum(not m.is_zero() for m in (mpair[0] * mpair[1]).coeffs))
+    )
+    x0 = rand_square(rng, n)
+    while not (x0.one_like() + x0).det():
+        x0 = rand_square(rng, n)
+    xseries = MatSeries(n, order, [x0] + [rand_square(rng, n) for _ in range(order)])
+    out.append(
+        (f"cayley_series_n{n}_N{order}", {"n": n, "N": order},
+         lambda: sum(not m.is_zero() for m in cayley(xseries).coeffs))
     )
     a = rand_square(rng, n)
     out.append(
@@ -485,11 +509,13 @@ def quartiles(values: list) -> dict:
 
 def measure(sides: dict, tiny: bool) -> tuple:
     """Time every case on each side (label -> source tree), the sides
-    taking turns; returns the run of each side and, with two sides, the
-    before/after ratio of each round per case."""
+    taking turns; returns the run of each side and, with a "before" side,
+    the ratios of each round per case: before/after and, from a second
+    worker on the after tree ("again"), the A/A ratio again/after."""
     hostspeed = _hostspeed()
     workers = {label: _Worker(src, tiny) for label, src in sides.items()}
     try:
+        # reversing the order each round keeps "after" between the other two
         order = list(workers)
         ratios = {}
         runs = {
@@ -519,8 +545,11 @@ def measure(sides: dict, tiny: bool) -> tuple:
                     samples.append(hostspeed.sample())
                     unsampled = 0.0
             samples.append(hostspeed.sample())
-            if len(times) == 2:
-                ratios[name] = list(map(truediv, times["before"], times["after"]))
+            if "before" in times:
+                ratios[name] = {
+                    label: list(map(truediv, times[label], times["after"]))
+                    for label in ("before", "again")
+                }
             for label, ts in times.items():
                 median = statistics.median(ts)
                 runs[label]["cases"][name] = {
@@ -537,6 +566,16 @@ def measure(sides: dict, tiny: bool) -> tuple:
     return runs, ratios
 
 
+def verdict(ratio: dict, aa: dict) -> str:
+    """"faster" or "slower" when the before/after quartiles lie wholly above
+    (below) both 1 and the A/A quartiles, else "unresolved"."""
+    if ratio["q1"] > max(1.0, aa["q3"]):
+        return "faster"
+    if ratio["q3"] < min(1.0, aa["q1"]):
+        return "slower"
+    return "unresolved"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, type=Path, help="BENCH_*.json to write")
@@ -548,24 +587,31 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sides = {"after": ROOT / "src"}
     if args.before is not None:
-        sides = {"before": args.before.resolve(), **sides}
+        sides = {"before": args.before.resolve(), **sides, "again": sides["after"]}
     runs, ratios = measure(sides, args.tiny)
+    runs.pop("again", None)
     data = {"runs": runs}
     if "before" in runs:
         data["speedup"] = {
             name: round(case["median_s"] / runs["after"]["cases"][name]["median_s"], 3)
             for name, case in runs["before"]["cases"].items()
         }
-        data["round_ratio"] = {
-            name: {k: round(v, 3) for k, v in quartiles(r).items()}
-            for name, r in ratios.items()
+        for key, label in (("round_ratio", "before"), ("aa_round_ratio", "again")):
+            data[key] = {
+                name: {k: round(v, 3) for k, v in quartiles(r[label]).items()}
+                for name, r in ratios.items()
+            }
+        data["verdict"] = {
+            name: verdict(data["round_ratio"][name], data["aa_round_ratio"][name])
+            for name in ratios
         }
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps({label: run["cases"] for label, run in runs.items()}, sort_keys=True))
-    if ratios:
-        for name, q in data["round_ratio"].items():
-            print(f"{name}: speedup {data['speedup'][name]}, round ratio "
-                  f"{q['median']} [{q['q1']}, {q['q3']}] over {q['rounds']} rounds")
+    for name in ratios:
+        q, aa = data["round_ratio"][name], data["aa_round_ratio"][name]
+        print(f"{name}: speedup {data['speedup'][name]}, round ratio "
+              f"{q['median']} [{q['q1']}, {q['q3']}] over {q['rounds']} rounds, "
+              f"A/A {aa['median']} [{aa['q1']}, {aa['q3']}]: {data['verdict'][name]}")
     return 0
 
 

@@ -11,11 +11,18 @@ Library for Number Theory", ICMS 2010): integer numerator rows ``re`` and
 ``im`` over one positive denominator ``den``, in lowest terms (the gcd of
 ``den`` and every numerator is 1), so equal matrices have equal fields.
 Sums, products and scalings are integer matrix arithmetic followed by one
-gcd normalisation, and a product skips the imaginary passes of a real side.
-``det`` and ``inverse`` run one fraction-free elimination of the numerators
-(Bareiss, Math. Comp. 22, 1968), over the Gaussian integers Z[i] when ``im``
-is nonzero.  It is the layout of ``MultiPoly`` too, so a phase matrix
-becomes a quadratic form numerator for numerator (:func:`quadratic_form`).
+gcd normalisation.  A Cauchy coefficient sum_j m_j X_j Y_(k-j) over the lcm
+of the denominators is one block product, the block rows [m_1 X_1 | m_2 X_2
+| ...] times the block columns [Y_(k-1); Y_(k-2); ...], one dot product per
+entry, with the imaginary passes of a real side skipped; a product of two
+matrices is its one-pair case.  ``MatSeries.inverse`` forms its left factors
+-M_0^(-1) M_j once, so each order is one block product, and
+``MatSeries.det`` needs only traces, so it sums only the diagonal.
+``SqMatrix.det`` and ``inverse`` run one fraction-free elimination of the
+numerators (Bareiss, Math. Comp. 22, 1968), over the Gaussian integers Z[i]
+when ``im`` is nonzero.  It is the layout of ``MultiPoly`` too, so a phase
+matrix becomes a quadratic form numerator for numerator
+(:func:`quadratic_form`).
 GaussianRational entries enter by the constructor and ``scale`` and leave
 by ``rows``, ``trace`` and ``det``, through the two helpers of
 :mod:`starquant.scalars`.
@@ -23,9 +30,10 @@ by ``rows``, ``trace`` and ``det``, through the two helpers of
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -36,29 +44,21 @@ from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat, to_gaussian, to
 from .series import TruncSeries, _cauchy, _mul, _series
 from .star import StarContext, ode_star_exponential
 
+_RIGHT, _DEN = itemgetter(1), itemgetter(2)
 
+
+@cache
 def _zeros(dim: int) -> tuple:
     return ((0,) * dim,) * dim
 
 
-def _is_zero(rows: tuple) -> bool:
-    return not any(map(any, rows))
-
-
-def _matmul(x: tuple, y: tuple) -> tuple:
-    cols = tuple(zip(*y))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
-
-
 def _lin(x: tuple, a: int, y: tuple, b: int) -> tuple:
     """The integer rows a x + b y."""
-    return tuple(
-        tuple(a * u + b * v for u, v in zip(rx, ry)) for rx, ry in zip(x, y)
-    )
+    return tuple(tuple(a * u + b * v for u, v in zip(rx, ry)) for rx, ry in zip(x, y))
 
 
 def _times(x: tuple, a: int) -> tuple:
-    return tuple(tuple(a * u for u in r) for r in x)
+    return tuple([tuple([a * u for u in r]) for r in x])
 
 
 class _GaussInt:
@@ -127,7 +127,8 @@ def _bareiss(m: list, jordan: bool):
 
 def _normal(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
     """The matrix (re + i im) / den, for den > 0, in lowest terms."""
-    g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+    g = gcd(den, *chain.from_iterable(re))
+    g = g if g == 1 else gcd(g, *chain.from_iterable(im))  # im only while re leaves a factor
     if g != 1:
         den //= g
         re = tuple(tuple(v // g for v in r) for r in re)
@@ -135,53 +136,60 @@ def _normal(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
     return SqMatrix._raw(dim, den, re, im)
 
 
-def _add(x: "SqMatrix", y: "SqMatrix") -> "SqMatrix":
-    """x + y over the lcm of their denominators, with one normalisation."""
+def _add(x: "SqMatrix", y: "SqMatrix", sign: int = 1) -> "SqMatrix":
+    """x + sign * y over the lcm of their denominators, with one
+    normalisation."""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     den = lcm(x.den, y.den)
-    fx, fy = den // x.den, den // y.den
-    real = _is_zero(x.im) and _is_zero(y.im)
+    fx, fy = den // x.den, sign * den // y.den
+    real = x.im == y.im == _zeros(x.dim)
     im = x.im if real else _lin(x.im, fx, y.im, fy)
     return _normal(x.dim, den, _lin(x.re, fx, y.re, fy), im)
 
 
-def _product(x: "SqMatrix", y: "SqMatrix") -> tuple:
-    """The integer rows (re, im) of x * y over x.den * y.den, not
-    normalised; the imaginary passes of a real side are skipped."""
-    if y.dim != x.dim:
-        raise ValueError("dimension mismatch")
-    ar, ai, br, bi = x.re, x.im, y.re, y.im
-    a_real, b_real = _is_zero(ai), _is_zero(bi)
-    re = _matmul(ar, br)
-    if a_real and b_real:
-        return re, ai
-    if a_real:
-        return re, _matmul(ar, bi)
-    if b_real:
-        return re, _matmul(ai, br)
-    return _lin(re, 1, _matmul(ai, bi), -1), _lin(_matmul(ar, bi), 1, _matmul(ai, br), 1)
-
-
-def _mcauchy(a, b, k: int, zero, start: int = 0):
-    """``_cauchy`` for matrix coefficients: the integer products are summed
-    over the lcm of their denominators and normalised once."""
-    pairs = [
-        (a[j], b[k - j])
-        for j in range(start, k + 1)
-        if not (a[j].is_zero() or b[k - j].is_zero())
-    ]
-    if not pairs:
-        return zero
-    den = lcm(*(x.den * y.den for x, y in pairs))
-    re = im = zero.re
+def _blocks(pairs, zero: tuple) -> list:
+    """[den, re, im]: the sum of x * y over the pairs (x, y) of matrices with
+    zero rows ``zero``, over the lcm den of the d = x.den * y.den.  The real
+    part has the passes x.re y.re / d and -x.im y.im / d, the imaginary part
+    x.re y.im / d and x.im y.re / d, each only when both its factors are
+    nonzero.  A part with passes u v / d is the block rows [m_1 u_1 |
+    m_2 u_2 | ...], m = den / d, and the block columns [v_1; v_2; ...]: its
+    entry (i, j) over den is the dot product of row i and column j."""
+    re, im = [], []
     for x, y in pairs:
-        m = den // (x.den * y.den)
-        pre, pim = _product(x, y)
-        re = _lin(re, 1, pre, m)
-        if not _is_zero(pim):
-            im = _lin(im, 1, pim, m)
-    return _normal(zero.dim, den, re, im)
+        xr, xi, yr, yi = x.re != zero, x.im != zero, y.re != zero, y.im != zero
+        d = x.den * y.den
+        if xr and yr:
+            re.append((x.re, y.re, d))
+        if xi and yi:
+            re.append((x.im, y.im, -d))
+        if xr and yi:
+            im.append((x.re, y.im, d))
+        if xi and yr:
+            im.append((x.im, y.re, d))
+    den = lcm(*map(_DEN, re), *map(_DEN, im))
+    blocks = [den]
+    for passes in (re, im):  # a part with no pass stays an empty list
+        if passes:
+            us = [u if d == den else _times(u, den // d) for u, _, d in passes]
+            rows = us[0] if len(us) == 1 else [tuple(chain(*r)) for r in zip(*us)]
+            passes = rows, list(zip(*chain(*map(_RIGHT, passes))))
+        blocks.append(passes)
+    return blocks
+
+
+def _msum(pairs, dim: int) -> "SqMatrix":
+    """The sum of x * y over the pairs (x, y) of dim x dim matrices: one
+    block product per part, row-major and cut into rows, normalised once."""
+    zero = _zeros(dim)
+    den, *parts = _blocks(pairs, zero)
+    re, im = [
+        tuple(zip(*[iter([sum(map(mul, r, c)) for r in part[0] for c in part[1]])] * dim))
+        if part else zero
+        for part in parts
+    ]
+    return _normal(dim, den, re, im)
 
 
 class SqMatrix:
@@ -201,14 +209,13 @@ class SqMatrix:
         self._set(dim, den, *(tuple(zip(*[iter(part)] * dim)) for part in (re, im)))
 
     def _set(self, dim: int, den: int, re: tuple, im: tuple) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        # the slots' own setters, past the immutable __setattr__
+        set_dim, set_den, set_re, set_im = _SETTERS
+        set_dim(self, dim), set_den(self, den), set_re(self, re), set_im(self, im)
 
     @staticmethod
     def _raw(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
-        m = SqMatrix.__new__(SqMatrix)
+        m = object.__new__(SqMatrix)
         m._set(dim, den, re, im)
         return m
 
@@ -249,13 +256,15 @@ class SqMatrix:
         return _add(self, other)
 
     def __sub__(self, other: "SqMatrix") -> "SqMatrix":
-        return _add(self, -other)
+        return _add(self, other, -1)
 
     def __neg__(self) -> "SqMatrix":
         return SqMatrix._raw(self.dim, self.den, _times(self.re, -1), _times(self.im, -1))
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
-        return _normal(self.dim, self.den * other.den, *_product(self, other))
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return _msum(((self, other),), self.dim)
 
     def _scaled(self, cre: int, cim: int, cden: int) -> "SqMatrix":
         """self * (cre + cim*i) / cden for ints, cden > 0."""
@@ -290,14 +299,14 @@ class SqMatrix:
         return self == -self.transpose()
 
     def is_zero(self) -> bool:
-        return _is_zero(self.re) and _is_zero(self.im)
+        return self.re == self.im == _zeros(self.dim)
 
     def _numerators(self, augment: bool) -> list:
         """The numerator rows as lists for ``_bareiss``, with the identity
         appended when ``augment``: ints when real, else ``_GaussInt``s."""
         d = self.dim
         eye = [[int(i == j) for j in range(d)] if augment else [] for i in range(d)]
-        if _is_zero(self.im):
+        if self.im == _zeros(d):
             return [list(r) + e for r, e in zip(self.re, eye)]
         return [
             [_GaussInt(a, b) for a, b in zip(r, i)] + [_GaussInt(v, 0) for v in e]
@@ -343,6 +352,9 @@ class SqMatrix:
 
     def __repr__(self) -> str:
         return f"SqMatrix({self.to_json()})"
+
+
+_SETTERS = [getattr(SqMatrix, slot).__set__ for slot in SqMatrix.__slots__]
 
 
 class MatSeries:
@@ -419,8 +431,8 @@ class MatSeries:
 
     def __mul__(self, other: "MatSeries") -> "MatSeries":
         self._check_compat(other)
-        a, b, zero = self.coeffs, other.coeffs, SqMatrix.zero(self.dim)
-        coeffs = tuple(_mcauchy(a, b, k, zero) for k in range(self.order + 1))
+        a, b = self.coeffs, other.coeffs
+        coeffs = tuple(_msum(zip(a, b[k::-1]), self.dim) for k in range(self.order + 1))
         return MatSeries(self.dim, self.order, coeffs)
 
     def scale(self, c: GaussianRational) -> "MatSeries":
@@ -455,12 +467,13 @@ class MatSeries:
 
     def inverse(self) -> "MatSeries":
         """Multiplicative inverse, from M X = I: X_0 = M_0^(-1) and
-        X_k = -M_0^(-1) sum_{j=1..k} M_j X_{k-j}.  M_0 must be invertible."""
+        X_k = sum_{j=1..k} L_j X_{k-j} with L_j = -M_0^(-1) M_j, each L_j
+        formed once.  M_0 must be invertible."""
         inv0 = self.coeffs[0].inverse()  # raises PreconditionError when singular
-        zero = SqMatrix.zero(self.dim)
+        left = [-inv0 * m for m in self.coeffs[1:]]
         out = [inv0]
-        for k in range(1, self.order + 1):
-            out.append(-(inv0 * _mcauchy(self.coeffs, out, k, zero, 1)))
+        for _ in range(self.order):
+            out.append(_msum(zip(left, out[::-1]), self.dim))
         return MatSeries(self.dim, self.order, tuple(out))
 
     def det(self) -> TruncSeries:
@@ -474,11 +487,13 @@ class MatSeries:
         takes the determinant of a series whose M_0 is the identity.
         """
         t_dm = [m._scaled(k, 0, 1) for k, m in enumerate(self.coeffs)]
-        k_log = (self.inverse() * MatSeries(self.dim, self.order, t_dm)).trace()
-        # the t^0 coefficient of k_log is 0, as that of t M' is
-        log = [
-            c * MultiPoly.number(0, 1, 0, k) if k else c for k, c in enumerate(k_log.coeffs)
-        ]
+        inv = self.inverse().coeffs
+        log = []
+        for k in range(self.order + 1):
+            # k L_k: the diagonal of one block product; L_0 = 0, as (t M')_0 = 0
+            den, *parts = _blocks(zip(inv, t_dm[k::-1]), _zeros(self.dim))
+            re, im = [sum(sum(map(mul, row, col)) for row, col in zip(*part)) for part in parts]
+            log.append(MultiPoly.number(0, re, im, den * max(k, 1)))
         det0 = MultiPoly.from_gaussian(self.coeffs[0].det())
         return TruncSeries(0, self.order, log).exp().scale(det0)
 
@@ -540,10 +555,9 @@ def mat_exp_series(a: SqMatrix, scale: GaussianRational, N: int) -> MatSeries:
 def tanh_series(a: SqMatrix, N: int) -> MatSeries:
     """The series of tanh(a t), generated by its defining flow T' = a(1 - T^2)."""
     dim = a.dim
-    zero = SqMatrix.zero(dim)
-    coeffs = [zero]
+    coeffs = [SqMatrix.zero(dim)]
     for k in range(N):
-        sq = _mcauchy(coeffs, coeffs, k, zero)  # (T^2)_k
+        sq = _msum(zip(coeffs, coeffs[::-1]), dim)  # (T^2)_k
         rhs = (SqMatrix.identity(dim) - sq) if k == 0 else -sq
         coeffs.append((a * rhs)._scaled(1, 0, k + 1))
     return MatSeries(dim, N, coeffs)

@@ -17,7 +17,11 @@ out; only an intermediate that a later sum cancels (``z0^20 - z0^20``) is
 rejected that the cap would let through after expansion.  A power of a
 scalar has degree 0, so its growth is bounded apart: a sum of terms takes
 an exponent of at most the cap, and a single term one whose coefficient
-stays below the int-to-text limit (:meth:`_Parser.check_growth`).
+stays below the int-to-text limit (:meth:`_Parser.check_growth`).  The
+degree cap does not bound term counts, so a product or power is also
+refused before it is multiplied out when a bound on its terms passes
+``MAX_TERMS`` (:func:`_power_terms`), and a product when a bound on its
+integers could pass the int-to-text limit (:meth:`_Parser.check_product`).
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ import sys
 from .errors import SchemaError
 from .poly import MultiPoly
 from .scalars import PARAM_INDEX
+
+# the most terms that the bound of a product or power may reach: the
+# golden, test and benchmark inputs reach at most 969, a degree-16 power of
+# a sum of 5 variables (4845 terms) takes 0.3 s, and one of 7 variables
+# (74613 terms) took 13 s to expand
+MAX_TERMS = 10000
 
 # ASCII only, as in scalars: a digit is 0-9 and a space is ASCII whitespace,
 # so any other character, a non-ASCII digit or space too, is unexpected
@@ -105,10 +115,13 @@ class _Parser:
             if op == "*":
                 d = rhs.degree()
                 self.check_degree(degree + d)
+                self.check_product(value, rhs)
                 value = value * rhs
                 degree = degree + d if value else -1
             else:
-                value = value * _scalar_inverse(rhs)
+                rhs = _scalar_inverse(rhs)
+                self.check_product(value, rhs)
+                value = value * rhs
         return value
 
     def factor(self) -> MultiPoly:
@@ -133,6 +146,12 @@ class _Parser:
         if sign < 0:
             base = _scalar_inverse(base)
         self.check_growth(base, exp)
+        terms = _power_terms(base, exp)
+        if terms > MAX_TERMS:
+            raise SchemaError(
+                f"a power {exp} of {len(base.keys())} terms could have {terms} terms,"
+                f" above the cap {MAX_TERMS}"
+            )
         return base ** exp
 
     def check_growth(self, base: MultiPoly, k: int) -> None:
@@ -155,6 +174,27 @@ class _Parser:
                 raise SchemaError(
                     f"a power {k} of a coefficient would pass the output limit of {limit} digits"
                 )
+
+    def check_product(self, lhs: MultiPoly, rhs: MultiPoly) -> None:
+        """Refuse lhs * rhs before computing it if it could have more than
+        ``MAX_TERMS`` terms, len(lhs) * len(rhs), or integers past the
+        int-to-text limit: each numerator of the product is at most the
+        product of the factors' sums of absolute numerators, and its
+        denominator at most the product of theirs."""
+        # the numerator maps bound the term counts from above at no cost
+        if (len(lhs.re) + len(lhs.im)) * (len(rhs.re) + len(rhs.im)) > MAX_TERMS:
+            terms = len(lhs.keys()) * len(rhs.keys())
+            if terms > MAX_TERMS:
+                raise SchemaError(
+                    f"a product of {len(lhs.keys())} and {len(rhs.keys())} terms could have"
+                    f" {terms} terms, above the cap {MAX_TERMS}"
+                )
+        limit = sys.get_int_max_str_digits()
+        bound = max(_norm(lhs) * _norm(rhs), lhs.den * rhs.den)
+        if limit and bound.bit_length() * math.log10(2) >= limit:
+            raise SchemaError(
+                f"a product of coefficients would pass the output limit of {limit} digits"
+            )
 
     def atom(self) -> MultiPoly:
         tok = self.next()
@@ -181,6 +221,28 @@ class _Parser:
                 )
             return MultiPoly.variable(self.n, j)
         raise SchemaError(f"unknown name {name!r}")
+
+
+def _norm(p: MultiPoly) -> int:
+    """The sum of the absolute numerators of p."""
+    return sum(map(abs, p.re.values())) + sum(map(abs, p.im.values()))
+
+
+def _power_terms(base: MultiPoly, k: int) -> int:
+    """A bound on the terms of base^k: the multisets of k of its terms and,
+    when that passes ``MAX_TERMS``, the smaller count of the monomials of
+    degree at most k * t in the v exponents that vary over its terms, where
+    t is the largest total of a term's exponents above their minimum over
+    the terms (so Laurent powers of mu count too)."""
+    keys = list(base.keys())
+    bound = math.comb(len(keys) + k - 1, k) if keys else 1
+    if bound <= MAX_TERMS:
+        return bound
+    columns = list(zip(*keys))
+    lows = [min(c) for c in columns]
+    t = max(sum(e - low for e, low in zip(key, lows)) for key in keys)
+    v = sum(max(c) > low for c, low in zip(columns, lows))
+    return min(bound, math.comb(v + k * t, v))
 
 
 def _scalar_inverse(p: MultiPoly) -> MultiPoly:

@@ -28,7 +28,8 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         "series_mul_n4_N2", "inv_sqrt_N2", "series_inverse_n2_N2", "expand_n4_N2",
         "jacobi_so3_d1", "jacobi_cyclic_n4_d1", "lambda_relation_so3_d1",
         "lambda_relation_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",
-        "matseries_det_n4_N2", "tanh_n4_N2", "cli_star_poly_n3", "cli_star_small",
+        "matseries_det_n4_N2", "matseries_mul_n4_N2", "cayley_series_n4_N2", "tanh_n4_N2",
+        "cli_star_poly_n3", "cli_star_small",
         "cli_grade", "cli_riccati_N2", "cli_star_exp_n4_N2", "cli_verify_lambda_n3",
         "cli_ordering",
     }
@@ -76,3 +77,26 @@ def test_bench_reports_round_ratios_per_case(tmp_path, capsys):
     assert set(data["round_ratio"]) == set(data["speedup"])
     for q in data["round_ratio"].values():
         assert 0 < q["q1"] <= q["median"] <= q["q3"] and q["rounds"] == 1
+
+
+def test_bench_records_an_aa_control_per_case(tmp_path, capsys):
+    # a second worker on the after tree gives each case an A/A ratio, and a
+    # case is called faster or slower only outside both 1 and that range
+    bench = load_bench()
+    out = tmp_path / "BENCH_smoke.json"
+    src = BENCH.parent.parent / "src"
+    assert bench.main(["--out", str(out), "--before", str(src), "--tiny"]) == 0
+    assert "A/A" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert set(data["runs"]) == {"before", "after"}
+    assert set(data["aa_round_ratio"]) == set(data["verdict"]) == set(data["round_ratio"])
+    for q in data["aa_round_ratio"].values():
+        assert 0 < q["q1"] <= q["median"] <= q["q3"] and q["rounds"] == 1
+    assert set(data["verdict"].values()) <= {"faster", "slower", "unresolved"}
+    aa = {"q1": 0.97, "median": 1.0, "q3": 1.04, "rounds": 40}
+    assert bench.verdict({"q1": 1.05, "median": 1.1, "q3": 1.2}, aa) == "faster"
+    assert bench.verdict({"q1": 1.02, "median": 1.1, "q3": 1.2}, aa) == "unresolved"
+    assert bench.verdict({"q1": 0.8, "median": 0.9, "q3": 0.95}, aa) == "slower"
+    assert bench.verdict({"q1": 0.8, "median": 0.9, "q3": 0.98}, aa) == "unresolved"
+    wide = {"q1": 0.9, "median": 1.0, "q3": 1.1, "rounds": 40}
+    assert bench.verdict({"q1": 1.05, "median": 1.1, "q3": 1.2}, wide) == "unresolved"

@@ -719,6 +719,35 @@ def test_scalar_powers_are_refused_before_computing(f, capsys):
     assert json.loads(captured.err)["kind"] == "schema"
 
 
+@pytest.mark.parametrize("f, message", [
+    pytest.param("(z0+z1+z2+z3+z4+z5+z6)^16", "could have 74613 terms", id="power-n7"),
+    pytest.param("(z0+z1+z2+z3+z4+z5+z6)^8*(z0+z1+z2+z3+z4+z5+z6)^8",
+                 "3003 and 3003 terms could have 9018009", id="product-n7"),
+    pytest.param("*".join(["7^5088"] * 400), "output limit", id="product-chain"),
+    pytest.param("7^5088/7^-5088", "output limit", id="quotient"),
+])
+def test_term_counts_and_product_digits_are_refused_before_computing(f, message, capsys):
+    # the degree cap does not bound terms: a power is bounded by the
+    # monomials of its degree in the variables that occur, a product by
+    # len(lhs) * len(rhs), and a product's integers by its factors' bit
+    # lengths, each before it is multiplied out
+    start = time.perf_counter()
+    assert main(["--command", "grade", "--n", "7", "--f", f]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["kind"] == "schema" and message in error["error"]
+
+
+def test_term_bound_passes_the_powers_below_the_cap(capsys):
+    # 4845 terms, within MAX_TERMS; a sum of Laurent terms in mu is bounded
+    # by its exponent range, and a lone term by 1
+    for f in ("(z0+z1+z2+z3+z4)^16", "(z0+mu^-1+mu)^16", "(2*z0*mu^-3)^16", "0^0"):
+        assert main(["--command", "grade", "--n", "7", "--f", f]) == 0, f
+        capsys.readouterr()
+
+
 def test_powers_of_units_pass_any_exponent(capsys):
     # a unit times parameters keeps its coefficient, so no exponent is too
     # large; each power prints as its reduced form does

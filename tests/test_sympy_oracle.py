@@ -13,7 +13,9 @@ polynomial ring over the Gaussian rationals, through t^6: the product and
 exp (as the power sum of S^m/m!) against sympy's own, inverse and inv_sqrt
 through their defining identities X S = 1 and r^2 S = 1.  The ordering
 intertwiner exp(c sum_ij K_ij d_i d_j) is summed from its power series with
-``sympy.diff``.
+``sympy.diff``.  Matrix series (product, inverse and Cayley transform) are
+matrix polynomials in t over sympy's Gaussian rationals, truncated after
+each product, with the inverse as a Neumann series.
 """
 
 import random
@@ -611,3 +613,82 @@ def test_intertwine_matches_sympy():
                 want = sum(c**m / sympy.factorial(m) * d for m, d in enumerate(powers))
                 got = sym_poly(intertwine(OrderingK(K), f, coupling), zs, params)
                 assert sympy.expand(got - want) == 0
+
+
+# --- matrix series -----------------------------------------------------------
+
+
+def rand_matseries(rng, dim: int, order: int, complex_entries: bool) -> MatSeries:
+    """A random dim x dim matrix series through t^order whose entries have
+    mixed denominators, with about one zero coefficient in three (so zero
+    coefficients sit between nonzero ones) and an invertible t^0
+    coefficient with an invertible 1 + M_0."""
+
+    def entry():
+        im = rat(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7))) if complex_entries else 0
+        return GaussianRational(rat(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 5, 7, 9))), im)
+
+    def matrix():
+        return SqMatrix(tuple(tuple(entry() for _ in range(dim)) for _ in range(dim)))
+
+    one = SqMatrix.identity(dim)
+    m0 = matrix()
+    while not (m0.det() and (one + m0).det()):
+        m0 = matrix()
+    rest = [SqMatrix.zero(dim) if rng.random() < 0.35 else matrix() for _ in range(order)]
+    return MatSeries(dim, order, [m0] + rest)
+
+
+def test_matseries_product_inverse_and_cayley_match_sympy():
+    # matrix polynomials in t over sympy's Gaussian rationals QQ_I, with
+    # each product truncated after t^order; the inverse is the Neumann
+    # series sum_j (-E)^j M_0^(-1) with E = M_0^(-1) (M - M_0)
+    from sympy.polys.matrices import DomainMatrix
+
+    from starquant.matrices import cayley
+
+    ring, tr = sympy.ring("t", sympy.QQ_I)
+    domain = ring.to_domain()
+
+    def poly_matrix(s: MatSeries):
+        return DomainMatrix(
+            [
+                [
+                    sum((ring(sympy.QQ_I.from_sympy(sym_gauss(c.rows[i][j]))) * tr**k
+                         for k, c in enumerate(s.coeffs)), ring(0))
+                    for j in range(s.dim)
+                ]
+                for i in range(s.dim)
+            ],
+            (s.dim, s.dim),
+            domain,
+        )
+
+    def truncated(m, order: int):
+        return m.applyfunc(lambda e: rs_trunc(e, tr, order + 1))
+
+    def inverse(m, order: int):
+        m0 = m.applyfunc(lambda e: ring(e.coeff(1)))
+        inv0 = m0.convert_to(sympy.QQ_I).inv().convert_to(domain)
+        e = truncated(inv0 * (m - m0), order)
+        total = power = DomainMatrix.eye(m.shape[0], domain)
+        for _ in range(order):
+            power = truncated(-power * e, order)
+            total += power
+        return truncated(total * inv0, order)
+
+    def same(ours: MatSeries, m) -> bool:
+        return poly_matrix(ours) == truncated(m, ours.order)
+
+    rng = random.Random(131)
+    for dim, order, complex_entries in [
+        (1, 0, False), (1, 6, True), (2, 1, True), (2, 4, False), (2, 6, True),
+        (3, 2, False), (3, 5, True), (4, 3, True), (4, 4, False), (4, 6, False),
+    ]:
+        a = rand_matseries(rng, dim, order, complex_entries)
+        b = rand_matseries(rng, dim, order, not complex_entries)
+        pa, pb = poly_matrix(a), poly_matrix(b)
+        assert same(a * a, pa * pa) and same(a * b, pa * pb)
+        assert same(a.inverse(), inverse(pa, order))
+        one = DomainMatrix.eye(dim, domain)
+        assert same(cayley(a), (one - pa) * inverse(one + pa, order))
