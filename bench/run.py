@@ -39,6 +39,9 @@ by the same cases as this one:
 * ``cayley_series_n4_N8``: ``cayley`` of a random 4x4 matrix series X with
   an invertible 1 + X_0;
 * ``tanh_n4_N8``: ``tanh_series`` of a random 4x4 matrix;
+* ``cayley_flows_n4_N8``: ``solve_q`` and ``solve_g`` for random 4x4 a
+  and b with an invertible 1 + b, and the three flow residuals of their
+  results, which must vanish;
 * ``cli_star_poly_n3``, ``cli_star_small``, ``cli_grade``,
   ``cli_riccati_N8``, ``cli_star_exp_n4_N8``, ``cli_ordering``,
   ``cli_verify_lambda_n3``: a
@@ -164,7 +167,17 @@ def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
     from starquant import cli
     from starquant.grading import check_jacobi, check_lambda_relation
-    from starquant.matrices import MatSeries, cayley, expand_closed_form, tanh_series
+    from starquant.matrices import (
+        MatSeries,
+        cayley,
+        cayley_flow_residual,
+        expand_closed_form,
+        g_flow_residual,
+        q_flow_residual,
+        solve_g,
+        solve_q,
+        tanh_series,
+    )
     from starquant.poly import HALF_MU, MU_INV, MultiPoly
     from starquant.scalars import GaussianRational, rat
     from starquant.series import TruncSeries
@@ -325,6 +338,19 @@ def cases(tiny: bool) -> list:
         (f"tanh_n{n}_N{order}", {"n": n, "N": order},
          lambda: sum(not m.is_zero() for m in tanh_series(a, order).coeffs))
     )
+    rng = random.Random(4002)
+    a, b = rand_square(rng, n), rand_square(rng, n)
+    while not (b.one_like() + b).det():
+        b = rand_square(rng, n)
+
+    def run_flows():
+        q, g = solve_q(a, b, order), solve_g(a, b, order)
+        residuals = (q_flow_residual(a, q), cayley_flow_residual(a, q), g_flow_residual(a, q, g))
+        if not all(r.is_zero() for r in residuals):
+            raise SystemExit("bench: cayley_flows has a nonzero residual")
+        return sum(not c.is_zero() for c in q.coeffs + g.coeffs)
+
+    out.append((f"cayley_flows_n{n}_N{order}", {"n": n, "N": order}, run_flows))
     # the job files live as long as the thunks that read them
     jobs = tempfile.TemporaryDirectory(prefix="starquant-bench-")
 

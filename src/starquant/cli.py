@@ -21,7 +21,7 @@ from .errors import PreconditionError, SchemaError
 from .grading import (
     check_jacobi,
     check_lambda_relation,
-    decompose,
+    graded_keys,
     graded_terms,
     h0_dim,
     specialize_mu,
@@ -160,13 +160,14 @@ def _scalar_input(value, label: str) -> MultiPoly:
 
 
 def _gauss_input(value, label: str) -> GaussianRational:
-    if isinstance(value, (int,)):
+    # a bool is no number, as in _scalar_input
+    if type(value) is int:
         value = str(value)
     if not isinstance(value, str):
         raise SchemaError(f"{label} must be a scalar string")
     try:
         return GaussianRational.parse(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"bad scalar for {label}: {exc}") from exc
 
 
@@ -252,17 +253,11 @@ def _run_star_exp(job: dict) -> tuple:
     amplitude, phase = closed_star_exponential(lam, a_mat, n_order)
     expansion = expand_closed_form(lam, a_mat, n_order)
     report = closed_form_vs_oracle(lam, a_mat, n_order)
-    table = []
-    for k in range(n_order + 1):
-        comps = decompose(expansion.coeffs[k]).components
-        table.append(
-            [{"degree": d, "mu": w} for (d, w) in sorted(comps)]
-        )
     payload = {
         "amplitude": _series_payload(amplitude),
         "phase_matrix": [m.to_json() for m in phase.coeffs],
         "oracle_check": report.to_json(),
-        "order_table": table,
+        "order_table": [graded_keys(c) for c in expansion.coeffs],
     }
     return payload, 0 if report.passed else 1
 

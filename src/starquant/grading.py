@@ -145,6 +145,15 @@ def decompose(f: MultiPoly) -> GradedElement:
     return GradedElement(f.n, _components(f))
 
 
+def graded_keys(f: MultiPoly) -> list:
+    """The (degree, mu exponent) pairs of the components of
+    ``decompose(f)``, sorted, as [{"degree": d, "mu": w}, ...], read off
+    the keys of f without building the components."""
+    n = f.n
+    pairs = {(sum(key[:n]), key[n + _MU]) for key in f.re.keys() | f.im.keys()}
+    return [{"degree": d, "mu": w} for d, w in sorted(pairs)]
+
+
 def graded_terms(n: int, rows: list) -> dict:
     """``decompose(f).to_json()`` with each component's term list as a
     :class:`TermRows`, from the rows ``f.rows()``.  A component takes the

@@ -18,6 +18,9 @@ entry, with the imaginary passes of a real side skipped; a product of two
 matrices is its one-pair case.  ``MatSeries.inverse`` forms its left factors
 -M_0^(-1) M_j once, so each order is one block product, and
 ``MatSeries.det`` needs only traces, so it sums only the diagonal.
+``MatSeries`` takes its shell from :class:`starquant.series.Series`, and a
+constant ``SqMatrix`` multiplies it on either side with one matrix product
+per coefficient, so no Cayley flow pads a constant into a series.
 ``SqMatrix.det`` and ``inverse`` run one fraction-free elimination of the
 numerators (Bareiss, Math. Comp. 22, 1968), over the Gaussian integers Z[i]
 when ``im`` is nonzero.  It is the layout of ``MultiPoly`` too, so a phase
@@ -37,11 +40,11 @@ from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import PreconditionError
-from .grading import decompose
+from .grading import graded_keys
 from .poly import HALF_MU, MU_INV, MultiPoly, key_width, quadratic_form
 from .reports import CheckReport
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat, to_gaussian, to_numerators
-from .series import TruncSeries, _cauchy, _mul, _series
+from .series import Series, TruncSeries, _cauchy, _mul, _series
 from .star import StarContext, ode_star_exponential
 
 _RIGHT, _DEN = itemgetter(1), itemgetter(2)
@@ -140,7 +143,7 @@ def _add(x: "SqMatrix", y: "SqMatrix", sign: int = 1) -> "SqMatrix":
     """x + sign * y over the lcm of their denominators, with one
     normalisation."""
     if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     den = lcm(x.den, y.den)
     fx, fy = den // x.den, sign * den // y.den
     real = x.im == y.im == _zeros(x.dim)
@@ -262,8 +265,10 @@ class SqMatrix:
         return SqMatrix._raw(self.dim, self.den, _times(self.re, -1), _times(self.im, -1))
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
+        if not isinstance(other, SqMatrix):
+            return NotImplemented
         if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return _msum(((self, other),), self.dim)
 
     def _scaled(self, cre: int, cim: int, cden: int) -> "SqMatrix":
@@ -357,33 +362,20 @@ class SqMatrix:
 _SETTERS = [getattr(SqMatrix, slot).__set__ for slot in SqMatrix.__slots__]
 
 
-class MatSeries:
-    """A matrix-valued power series in t, truncated at order N (inclusive)."""
+class MatSeries(Series):
+    """A matrix-valued power series in t, truncated at order N (inclusive),
+    whose coefficients are ``SqMatrix`` of dimension ``dim``.  A constant
+    matrix multiplies it on either side, one matrix product per
+    coefficient."""
 
-    __slots__ = ("dim", "order", "coeffs")
-
-    def __init__(self, dim: int, order: int, coeffs: Sequence[SqMatrix]):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficient matrices")
-        for m in coeffs:
-            if m.dim != dim:
-                raise ValueError("dimension mismatch in coefficients")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatSeries is immutable")
+    __slots__ = ("dim",)
+    _RING = SqMatrix
+    _SIZE = ("dim", "dimension")
 
     @classmethod
     def from_matrix(cls, m: SqMatrix, order: int) -> "MatSeries":
         z = SqMatrix.zero(m.dim)
-        return cls(m.dim, order, (m,) + (z,) * order)
-
-    @classmethod
-    def zero(cls, dim: int, order: int) -> "MatSeries":
-        return cls.from_matrix(SqMatrix.zero(dim), order)
+        return cls._raw(m.dim, order, (m,) + (z,) * order)
 
     @classmethod
     def identity(cls, dim: int, order: int) -> "MatSeries":
@@ -392,68 +384,29 @@ class MatSeries:
     def one_like(self) -> "MatSeries":
         return MatSeries.identity(self.dim, self.order)
 
-    def _check_compat(self, other: "MatSeries") -> None:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        if self.order != other.order:
-            raise ValueError("truncation order mismatch; re-truncate explicitly")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatSeries):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.coeffs)
-
-    def __add__(self, other: "MatSeries") -> "MatSeries":
-        self._check_compat(other)
-        return MatSeries(
-            self.dim,
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "MatSeries") -> "MatSeries":
-        self._check_compat(other)
-        return MatSeries(
-            self.dim,
-            self.order,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "MatSeries":
-        return MatSeries(self.dim, self.order, tuple(-m for m in self.coeffs))
-
-    def __mul__(self, other: "MatSeries") -> "MatSeries":
+    def __mul__(self, other) -> "MatSeries":
+        if isinstance(other, SqMatrix):
+            return self._map(lambda m: m * other)
         self._check_compat(other)
         a, b = self.coeffs, other.coeffs
-        coeffs = tuple(_msum(zip(a, b[k::-1]), self.dim) for k in range(self.order + 1))
-        return MatSeries(self.dim, self.order, coeffs)
+        return self._raw(
+            self.dim, self.order,
+            tuple(_msum(zip(a, b[k::-1]), self.dim) for k in range(self.order + 1)),
+        )
+
+    def __rmul__(self, other) -> "MatSeries":
+        if not isinstance(other, SqMatrix):
+            return NotImplemented
+        return self._map(other.__mul__)
 
     def scale(self, c: GaussianRational) -> "MatSeries":
-        return MatSeries(self.dim, self.order, tuple(m.scale(c) for m in self.coeffs))
-
-    def matmul_left(self, m: SqMatrix) -> "MatSeries":
-        return MatSeries(self.dim, self.order, tuple(m * c for c in self.coeffs))
-
-    def truncate(self, order: int) -> "MatSeries":
-        if order <= self.order:
-            return MatSeries(self.dim, order, self.coeffs[: order + 1])
-        z = SqMatrix.zero(self.dim)
-        return MatSeries(
-            self.dim, order, self.coeffs + (z,) * (order - self.order)
-        )
+        return self._map(lambda m: m.scale(c))
 
     def dt(self) -> "MatSeries":
         """Derivative d/dt (known through order N-1)."""
         if self.order == 0:
             raise PreconditionError("cannot differentiate an order-0 series")
-        return MatSeries(
+        return self._raw(
             self.dim,
             self.order - 1,
             tuple(self.coeffs[k + 1]._scaled(k + 1, 0, 1) for k in range(self.order)),
@@ -474,7 +427,7 @@ class MatSeries:
         out = [inv0]
         for _ in range(self.order):
             out.append(_msum(zip(left, out[::-1]), self.dim))
-        return MatSeries(self.dim, self.order, tuple(out))
+        return self._raw(self.dim, self.order, tuple(out))
 
     def det(self) -> TruncSeries:
         """Determinant as a scalar series, from Jacobi's formula
@@ -572,47 +525,43 @@ def solve_q(a: SqMatrix, b: SqMatrix, N: int) -> MatSeries:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     cb = cayley(b)  # raises PreconditionError if 1+b singular
-    flow = mat_exp_series(a, gr(-2), N) * MatSeries.from_matrix(cb, N)
-    return inverse_cayley(flow)
+    return inverse_cayley(mat_exp_series(a, gr(-2), N) * cb)
 
 
 def solve_g(a: SqMatrix, b: SqMatrix, N: int) -> TruncSeries:
     """The amplitude g(t) = det^(-1/2)((exp(at)(1+b) + exp(-at)(1-b))/2).
 
-    A scalar series with g(0) = 1 satisfying dg/dt = -(1/2) tr(a q) g.
+    A scalar series with g(0) = 1 satisfying dg/dt = -(1/2) tr(a q) g.  The
+    t^k coefficient of the matrix is a^k/k! for even k and a^k b/k! for odd
+    k, so one exponential gives it.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    one = SqMatrix.identity(a.dim)
-    if not (one + b).det():
+    if not (SqMatrix.identity(a.dim) + b).det():
         raise PreconditionError(
             "1 + b is singular: outside the Cayley transform domain"
         )
-    ep = mat_exp_series(a, GR_ONE, N) * MatSeries.from_matrix(one + b, N)
-    em = mat_exp_series(a, -GR_ONE, N) * MatSeries.from_matrix(one - b, N)
-    m = (ep + em).scale(gr(1, 2))
+    e = mat_exp_series(a, GR_ONE, N).coeffs
+    m = MatSeries(a.dim, N, (c * b if k % 2 else c for k, c in enumerate(e)))
     return m.det().inv_sqrt()
 
 
 def q_flow_residual(a: SqMatrix, q: MatSeries) -> MatSeries:
     """dq/dt - (1+q) a (1-q), truncated to the differentiable range."""
     one = MatSeries.identity(q.dim, q.order)
-    aser = MatSeries.from_matrix(a, q.order)
-    rhs = (one + q) * aser * (one - q)
+    rhs = (one + q) * a * (one - q)
     return q.dt() - rhs.truncate(q.order - 1)
 
 
 def cayley_flow_residual(a: SqMatrix, q: MatSeries) -> MatSeries:
     """d/dt C(q) + 2 a C(q), the linearized form of the phase flow."""
     c = cayley(q)
-    aser = MatSeries.from_matrix(a.scale(gr(2)), q.order)
-    return c.dt() + (aser * c).truncate(q.order - 1)
+    return c.dt() + (a.scale(gr(2)) * c).truncate(q.order - 1)
 
 
 def g_flow_residual(a: SqMatrix, q: MatSeries, g: TruncSeries) -> TruncSeries:
     """dg/dt + (1/2) tr(a q) g."""
-    aq = MatSeries.from_matrix(a, q.order) * q
-    rhs = (aq.trace() * g).scale_rat(rat(1, 2))
+    rhs = ((a * q).trace() * g).scale_rat(rat(1, 2))
     return g.dt() + rhs.truncate(g.order - 1)
 
 
@@ -642,10 +591,7 @@ def closed_star_exponential(lam: SqMatrix, a_mat: SqMatrix, N: int) -> tuple:
         raise ValueError("dimension mismatch")
     a = lam * a_mat
     zero = SqMatrix.zero(lam.dim)
-    amplitude = solve_g(a, zero, N)
-    q = solve_q(a, zero, N)
-    phase = q.matmul_left(lam.inverse())
-    return amplitude, phase
+    return solve_g(a, zero, N), lam.inverse() * solve_q(a, zero, N)
 
 
 def expand_closed_form(lam: SqMatrix, a_mat: SqMatrix, N: int) -> TruncSeries:
@@ -671,8 +617,7 @@ def _oracle_report(closed: TruncSeries, oracle: TruncSeries) -> CheckReport:
     k = first_divergence(closed, oracle)
     if k is None:
         return CheckReport(passed=True)
-    diff = decompose(closed.coeffs[k] - oracle.coeffs[k])
-    components = [{"degree": d, "mu": w} for d, w in sorted(diff.components)]
+    components = graded_keys(closed.coeffs[k] - oracle.coeffs[k])
     return CheckReport(
         passed=False, first_divergence_order=k, witness={"components": components}
     )

@@ -149,8 +149,8 @@ class GaussianRational:
         optional signs, plus the shorthands "i" and "-i"; a and b are
         ASCII digits and "/b" is optional.  ASCII whitespace is skipped
         anywhere, as in polynomials; any other space is malformed.  Decimal
-        points, exponents and underscores are rejected with a ValueError,
-        and a non-string with a TypeError.
+        points, exponents, underscores and a zero denominator are rejected
+        with a ValueError, and a non-string with a TypeError.
         """
         if not isinstance(s, str):
             raise TypeError(f"a scalar must be a string, got {type(s).__name__}")
@@ -195,12 +195,15 @@ _SPACE = re.compile(r"\s+", re.ASCII)
 
 
 def _rational(text: str, scalar: str):
-    """The rational "a" or "a/b" of ASCII digits, and nothing else."""
+    """The rational "a" or "a/b" of ASCII digits with b > 0, and nothing
+    else."""
     m = _RATIONAL.fullmatch(text)
     if not m:
         raise ValueError(f"malformed rational {text!r} in scalar {scalar!r}")
-    num, den = m.groups()
-    return rat(int(num), int(den) if den else 1)
+    den = int(m[2] or 1)
+    if not den:
+        raise ValueError(f"zero denominator in scalar {scalar!r}")
+    return rat(int(m[1]), den)
 
 
 GR_ZERO = GaussianRational(0, 0)

@@ -6,6 +6,12 @@ exact modulo t^(N+1).  Binary operations require both operands to carry the
 same order and variable count; re-truncation is always explicit via
 :meth:`truncate`.
 
+:class:`Series` is the shell that ``TruncSeries`` shares with
+``matrices.MatSeries``: immutability, the size and order check, ``==``,
+``hash``, ``is_zero``, ``truncate``, ``+``, ``-`` and ``_map``, the one
+per-coefficient map.  A subclass names its coefficient ring and size and
+keeps its products, solvers and constructors.
+
 The solvers compute coefficient k from the coefficients below k, by the
 O(N^2) recurrence of a defining equation (Brent & Kung, J. ACM 25(4), 1978;
 Knuth, TAOCP vol. 2, 4.7): ``inverse`` from S X = 1, ``inv_sqrt`` from the
@@ -32,6 +38,7 @@ its keys are unpacked.
 from __future__ import annotations
 
 from math import lcm
+from operator import add, neg, sub
 
 from .errors import PreconditionError
 from .poly import MultiPoly, _add_products, _complex, _lowest, key_width
@@ -76,39 +83,111 @@ def _reach(coeffs) -> int:
     return max(c.max_exponent() for c in coeffs)
 
 
-class TruncSeries:
-    __slots__ = ("n", "order", "coeffs")
+class Series:
+    """The shell of a truncated power series c_0 + c_1 t + ... + c_N t^N,
+    immutable, whose coefficients are all of one ring and one size.
 
-    def __init__(self, n: int, order: int, coeffs):
+    A subclass names its coefficient ring ``_RING`` and ``_SIZE``, the
+    (slot, name) of the size that the series shares with its coefficients
+    (a ``MultiPoly`` in ``n`` variables, a ``SqMatrix`` of dimension
+    ``dim``); the ring gives the zero coefficient of a size, ``zero(size)``.
+    """
+
+    __slots__ = ("order", "coeffs")
+    _RING: type
+    _SIZE: tuple
+
+    def __init__(self, size: int, order: int, coeffs):
         coeffs = tuple(coeffs)
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
+        slot, label = self._SIZE
         for c in coeffs:
-            if not isinstance(c, MultiPoly) or c.n != n:
-                raise ValueError("coefficients must be MultiPoly in n variables")
-        object.__setattr__(self, "n", n)
+            if not isinstance(c, self._RING) or getattr(c, slot) != size:
+                raise ValueError(
+                    f"coefficients must be {self._RING.__name__} with {label} {size}"
+                )
+        object.__setattr__(self, slot, size)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _raw(n: int, order: int, coeffs: tuple) -> "TruncSeries":
-        s = TruncSeries.__new__(TruncSeries)
-        object.__setattr__(s, "n", n)
+    @classmethod
+    def _raw(cls, size: int, order: int, coeffs: tuple):
+        s = object.__new__(cls)
+        object.__setattr__(s, cls._SIZE[0], size)
         object.__setattr__(s, "order", order)
         object.__setattr__(s, "coeffs", coeffs)
         return s
 
-    # -- constructors ---------------------------------------------------
+    def _size(self) -> int:
+        return getattr(self, self._SIZE[0])
+
+    def _map(self, f, *others):
+        """The series of f(c_k, ...) over the coefficients of self and of
+        each of the coefficient tuples ``others``."""
+        return self._raw(self._size(), self.order, tuple(map(f, self.coeffs, *others)))
 
     @classmethod
-    def zero(cls, n: int, order: int) -> "TruncSeries":
-        z = MultiPoly.zero(n)
-        return cls._raw(n, order, (z,) * (order + 1))
+    def zero(cls, size: int, order: int):
+        return cls._raw(size, order, (cls._RING.zero(size),) * (order + 1))
+
+    def _check_compat(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
+        size, other_size = self._size(), other._size()
+        if size != other_size:
+            raise ValueError(f"{self._SIZE[1]} mismatch: {size} vs {other_size}")
+        if self.order != other.order:
+            raise ValueError(
+                f"truncation order mismatch: {self.order} vs {other.order}; "
+                "re-truncate explicitly"
+            )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._size(), self.order, self.coeffs) == (
+            other._size(), other.order, other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._size(), self.order, self.coeffs))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def truncate(self, order: int):
+        """Explicitly drop (or zero-pad) to the given order."""
+        size, coeffs = self._size(), self.coeffs[: order + 1]
+        if order > self.order:
+            coeffs += (self._RING.zero(size),) * (order - self.order)
+        return self._raw(size, order, coeffs)
+
+    def __add__(self, other):
+        self._check_compat(other)
+        return self._map(add, other.coeffs)
+
+    def __sub__(self, other):
+        self._check_compat(other)
+        return self._map(sub, other.coeffs)
+
+    def __neg__(self):
+        return self._map(neg)
+
+
+class TruncSeries(Series):
+    """A series in t whose coefficients are MultiPoly in ``n`` variables."""
+
+    __slots__ = ("n",)
+    _RING = MultiPoly
+    _SIZE = ("n", "variable count")
+
+    # -- constructors ---------------------------------------------------
 
     @classmethod
     def one(cls, n: int, order: int) -> "TruncSeries":
@@ -129,41 +208,6 @@ class TruncSeries:
             coeffs[k] = p
         return cls._raw(p.n, order, tuple(coeffs))
 
-    # -- structure ------------------------------------------------------
-
-    def _check_compat(self, other: "TruncSeries") -> None:
-        if self.n != other.n:
-            raise ValueError(f"variable count mismatch: {self.n} vs {other.n}")
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation order mismatch: {self.order} vs {other.order}; "
-                "re-truncate explicitly"
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.order, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        """Explicitly drop (or zero-pad) to the given order."""
-        if order <= self.order:
-            return TruncSeries._raw(self.n, order, self.coeffs[: order + 1])
-        z = MultiPoly.zero(self.n)
-        return TruncSeries._raw(
-            self.n, order, self.coeffs + (z,) * (order - self.order)
-        )
-
     def lift(self, n: int) -> "TruncSeries":
         """Re-embed a scalar (0-variable) series into n variables."""
         if self.n == n:
@@ -174,25 +218,6 @@ class TruncSeries:
         return TruncSeries._raw(n, self.order, coeffs)
 
     # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_compat(other)
-        return TruncSeries._raw(
-            self.n,
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries._raw(self.n, self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_compat(other)
-        return TruncSeries._raw(
-            self.n,
-            self.order,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compat(other)
@@ -206,14 +231,10 @@ class TruncSeries:
 
     def scale(self, coef: MultiPoly) -> "TruncSeries":
         """Multiply by a scalar (a 0-variable MultiPoly)."""
-        return TruncSeries._raw(
-            self.n, self.order, tuple(c.scale(coef) for c in self.coeffs)
-        )
+        return self._map(lambda c: c.scale(coef))
 
     def scale_rat(self, r) -> "TruncSeries":
-        return TruncSeries._raw(
-            self.n, self.order, tuple(c.scale_rat(r) for c in self.coeffs)
-        )
+        return self._map(lambda c: c.scale_rat(r))
 
     def dt(self) -> "TruncSeries":
         """Derivative d/dt; the result is only known through order N-1."""

@@ -536,6 +536,28 @@ def test_non_ascii_digits_and_spaces_exit_2(text, tmp_path, capsys):
     assert "unexpected character" in _schema_exit(argv, capsys)
 
 
+def test_zero_denominators_exit_2_naming_the_scalar(tmp_path, capsys):
+    # a JSON term list of f, of a lambda entry and of the coupling, and a
+    # scalar field: each is malformed input, never a precondition (exit 3)
+    terms = [{"exps": [1, 0], "coef": {"params": {}, "value": "2+1/0*i"}}]
+    f = star_job()
+    f["inputs"]["f"] = terms
+    entry = star_job()
+    entry["context"]["lambda"][0][1] = terms
+    coupling = star_job()
+    coupling["context"]["coupling"] = [{"params": {"mu": 1}, "value": "2+1/0*i"}]
+    riccati = {"command": "riccati", "inputs": {"a": "2+1/0*i", "b": "1", "c": "0"}}
+    for job in (f, entry, coupling, riccati):
+        assert "zero denominator in scalar '2+1/0*i'" in _job_exit(job, tmp_path, capsys)
+
+
+def test_json_booleans_are_no_scalars(tmp_path, capsys):
+    job = {"command": "riccati", "inputs": {"a": True, "b": "1", "c": "0"}}
+    assert _job_exit(job, tmp_path, capsys) == "a must be a scalar string"
+    job = {"command": "star-exp", "inputs": {"lambda": [[False]], "A": [["1"]]}}
+    assert _job_exit(job, tmp_path, capsys) == "lambda must be a scalar string"
+
+
 def test_scalars_skip_the_ascii_whitespace_of_polynomials(capsys):
     # a scalar field skips the whitespace the tokenizer skips, and only that
     def riccati(a):

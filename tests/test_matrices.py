@@ -29,6 +29,7 @@ from starquant.poly import HBAR, MU_INV, MultiPoly
 from starquant.scalars import GR_ONE, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 from starquant.verify import (
+    rand_gauss,
     rand_invertible_antisym,
     rand_square,
     rand_symmetric,
@@ -213,6 +214,88 @@ def test_mat_series_inverse_and_det():
                 a, b = entry_series(m, 0, 0), entry_series(m, 0, 1)
                 c, d = entry_series(m, 1, 0), entry_series(m, 1, 1)
                 assert m.det() == a * d - b * c
+
+
+# --- the series shell and constant products ---------------------------------
+
+
+def rand_matrix(rng, dim: int, complex_entries: bool) -> SqMatrix:
+    """A random matrix, real or with complex entries, and the zero matrix
+    one time in four."""
+    if rng.random() < 0.25:
+        return SqMatrix.zero(dim)
+    rows = [[rand_gauss(rng, complex_entries) for _ in range(dim)] for _ in range(dim)]
+    return SqMatrix(rows)
+
+
+def rand_mat_series(rng, dim: int, order: int, complex_entries: bool) -> MatSeries:
+    coeffs = [rand_matrix(rng, dim, complex_entries) for _ in range(order + 1)]
+    return MatSeries(dim, order, coeffs)
+
+
+def test_constant_matrix_times_series_is_the_padded_product():
+    rng = random.Random(71)
+    for dim in (1, 2, 3, 4):
+        for order in range(7):
+            for complex_entries in (False, True):
+                m = rand_matrix(rng, dim, complex_entries)
+                s = rand_mat_series(rng, dim, order, complex_entries)
+                padded = MatSeries.from_matrix(m, order)
+                assert m * s == padded * s
+                assert s * m == s * padded
+    # a constant of another dimension is a mismatch; a non-matrix is no factor
+    s = MatSeries.identity(2, 3)
+    for op in (lambda x, y: x * y, lambda x, y: y * x):
+        with pytest.raises(ValueError, match="dimension mismatch: "):
+            op(s, SqMatrix.identity(3))
+        with pytest.raises(TypeError):
+            op(s, 2)
+    with pytest.raises(TypeError):
+        s + TruncSeries.one(0, 3)
+
+
+def test_mat_series_mismatch_errors_name_the_sizes():
+    s = MatSeries.identity(2, 3)
+    for op in (MatSeries.__add__, MatSeries.__sub__, MatSeries.__mul__):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 4"):
+            op(s, MatSeries.identity(4, 3))
+        with pytest.raises(ValueError, match="truncation order mismatch: 3 vs 5"):
+            op(s, MatSeries.identity(2, 5))
+
+
+def test_mat_series_truncate_slices_and_pads():
+    rng = random.Random(72)
+    s = rand_mat_series(rng, 3, 4, True)
+    for order in range(8):
+        padding = [SqMatrix.zero(3)] * (order - 4)
+        assert s.truncate(order) == MatSeries(3, order, list(s.coeffs[: order + 1]) + padding)
+
+
+def test_series_of_either_ring_never_equal():
+    for order in (0, 2):
+        scalar, matrix = TruncSeries.zero(1, order), MatSeries.zero(1, order)
+        assert scalar != matrix and matrix != scalar
+        assert not scalar == matrix and not matrix == scalar
+        assert len({scalar, matrix}) == 2
+    assert MatSeries.zero(2, 3) == MatSeries.from_matrix(SqMatrix.zero(2), 3)
+    assert -MatSeries.identity(2, 3) + MatSeries.identity(2, 3) == MatSeries.zero(2, 3)
+
+
+def test_solve_g_matches_two_exponentials():
+    # (exp(at)(1+b) + exp(-at)(1-b))/2, built from two padded products
+    rng = random.Random(74)
+    for dim in (1, 2, 3, 4):
+        for _ in range(2):
+            a = rand_matrix(rng, dim, True)
+            one = SqMatrix.identity(dim)
+            b = rand_matrix(rng, dim, True)
+            while not (one + b).det():
+                b = rand_matrix(rng, dim, True)
+            order = 6 - dim // 2
+            ep = mat_exp_series(a, GR_ONE, order) * MatSeries.from_matrix(one + b, order)
+            em = mat_exp_series(a, -GR_ONE, order) * MatSeries.from_matrix(one - b, order)
+            expected = (ep + em).scale(gr(1, 2)).det().inv_sqrt()
+            assert solve_g(a, b, order) == expected
 
 
 def test_mat_series_det_needs_invertible_constant_term():

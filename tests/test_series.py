@@ -235,6 +235,35 @@ def test_order_mismatch_is_an_error():
         TruncSeries.one(0, 4) * TruncSeries.one(0, 5)
 
 
+def test_mismatch_errors_name_the_sizes():
+    s = TruncSeries.one(1, 4)
+    for op in (TruncSeries.__add__, TruncSeries.__sub__, TruncSeries.__mul__):
+        with pytest.raises(ValueError, match="variable count mismatch: 1 vs 2"):
+            op(s, TruncSeries.one(2, 4))
+        with pytest.raises(ValueError, match="truncation order mismatch: 4 vs 5"):
+            op(s, TruncSeries.one(1, 5))
+
+
+def test_truncate_slices_and_pads():
+    rng = random.Random(75)
+    s = rand_scalar_series(rng, 4, None).lift(2)
+    for order in range(8):
+        padding = [MultiPoly.zero(2)] * (order - 4)
+        assert s.truncate(order) == TruncSeries(2, order, list(s.coeffs[: order + 1]) + padding)
+
+
+def test_the_shell_keeps_series_immutable_and_checked():
+    s = TruncSeries.one(1, 2)
+    with pytest.raises(AttributeError, match="TruncSeries is immutable"):
+        s.order = 3
+    with pytest.raises(ValueError, match="need 3 coefficients"):
+        TruncSeries(1, 2, s.coeffs[:2])
+    with pytest.raises(ValueError, match="MultiPoly with variable count 2"):
+        TruncSeries(2, 2, s.coeffs)
+    assert (s - s).is_zero() and (-s + s).is_zero() and not s.is_zero()
+    assert s == TruncSeries(1, 2, s.coeffs) and hash(s) == hash(TruncSeries(1, 2, s.coeffs))
+
+
 def test_dt_and_lift():
     s = TruncSeries.t_term(MultiPoly.one(0), 2, N)  # t^2
     d = s.dt()
