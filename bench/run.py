@@ -24,6 +24,9 @@ by the same cases as this one:
   variables with a constant t^0 coefficient;
 * ``expand_n4_N8``: ``expand_closed_form``, the closed-form star
   exponential expanded in t (amplitude, phase, ``exp`` and the product);
+* ``closed_form_n4_N8``: ``closed_star_exponential`` alone, the amplitude
+  and phase series, for a random 4x4 lambda with a real and with a complex
+  symmetric A;
 * ``jacobi_so3_d3``, ``jacobi_cyclic_n4_d3``: ``check_jacobi`` at
   ``d_max`` 3 on the bracket {z_i, z_(i+1)} = z_(i+2), indices mod n: the
   rotation algebra so(3) at n = 3, which passes, and a non-Poisson bracket
@@ -171,6 +174,7 @@ def cases(tiny: bool) -> list:
         MatSeries,
         cayley,
         cayley_flow_residual,
+        closed_star_exponential,
         expand_closed_form,
         g_flow_residual,
         q_flow_residual,
@@ -273,6 +277,18 @@ def cases(tiny: bool) -> list:
          lambda lam=lam, a_mat=a_mat, order=order:
          term_count(expand_closed_form(lam, a_mat, order).coeffs[-1]))
     )
+    rng = random.Random(3005)
+    lam = rand_invertible_antisym(rng, n)
+    a_mats = [rand_symmetric(rng, n, allow_imag=imag) for imag in (False, True)]
+
+    def run_closed_form(lam=lam, order=order):
+        count = 0
+        for a_mat in a_mats:
+            amplitude, phase = closed_star_exponential(lam, a_mat, order)
+            count += sum(not c.is_zero() for c in amplitude.coeffs + phase.coeffs)
+        return count
+
+    out.append((f"closed_form_n{n}_N{order}", {"n": n, "N": order}, run_closed_form))
     d_max = 1 if tiny else 3
     for name, n, passes in (("so3", 3, True), ("cyclic_n4", 4, False)):
         # {z_i, z_(i+1)} = z_(i+2), indices mod n: so(3) at n = 3

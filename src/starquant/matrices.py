@@ -6,6 +6,10 @@ quadratic flow of the phase matrix, and the one-variable Riccati reduction.
 The closed forms are cross-checked against the term-by-term star-exponential
 recursion from :mod:`starquant.star`.
 
+The closed star exponential takes its phase from the tanh flow and its
+amplitude from the trace of a q by Jacobi's formula; the Cayley round trip
+``solve_q``/``solve_g`` serves initial data b != 0 and the flow checks.
+
 A ``SqMatrix`` has the layout of FLINT's ``fmpq_mat`` (Hart, "FLINT: Fast
 Library for Number Theory", ICMS 2010): integer numerator rows ``re`` and
 ``im`` over one positive denominator ``den``, in lowest terms (the gcd of
@@ -141,9 +145,14 @@ def _normal(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
 
 def _add(x: "SqMatrix", y: "SqMatrix", sign: int = 1) -> "SqMatrix":
     """x + sign * y over the lcm of their denominators, with one
-    normalisation."""
+    normalisation.  A zero operand gives the other, or its negative, as it
+    stands: both are in lowest terms already."""
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    if y.is_zero():
+        return x
+    if x.is_zero():
+        return y if sign == 1 else -y
     den = lcm(x.den, y.den)
     fx, fy = den // x.den, sign * den // y.den
     real = x.im == y.im == _zeros(x.dim)
@@ -458,14 +467,18 @@ class MatSeries(Series):
 
 
 def cayley(x):
-    """The Cayley transform (1 - X)(1 + X)^(-1) for a matrix or matrix series."""
+    """The Cayley transform (1 - X)(1 + X)^(-1) for a matrix or matrix series.
+
+    Since 1 - X = 2 - (1 + X), it is 2(1 + X)^(-1) - 1: one inverse and no
+    product."""
     one = x.one_like()
     try:
-        return (one - x) * (one + x).inverse()
+        inv = (one + x).inverse()
     except PreconditionError as exc:
         raise PreconditionError(
             "1 + X is singular: outside the Cayley transform domain"
         ) from exc
+    return inv + inv - one
 
 
 # the Cayley transform is an involution, so it is its own inverse
@@ -580,6 +593,12 @@ def closed_star_exponential(lam: SqMatrix, a_mat: SqMatrix, N: int) -> tuple:
 
     such that amplitude * exp((1/mu) Q(t)[Z]) solves the star-exponential
     flow with initial value 1.
+
+    Both come from their defining flows with q(0) = 0.  The phase flow
+    q' = (1 + q) a (1 - q), a = lam A, is then the tanh flow, so
+    q = ``tanh_series(a, N)``.  By Jacobi's formula
+    (log det cosh(ta))' = tr(a tanh(ta)), so the amplitude is exp(L) with
+    L_0 = 0 and L_k = -tr((a q)_(k-1)) / (2k).
     """
     if not lam.is_antisymmetric():
         raise PreconditionError("lambda must be antisymmetric")
@@ -590,8 +609,12 @@ def closed_star_exponential(lam: SqMatrix, a_mat: SqMatrix, N: int) -> tuple:
     if lam.dim != a_mat.dim:
         raise ValueError("dimension mismatch")
     a = lam * a_mat
-    zero = SqMatrix.zero(lam.dim)
-    return solve_g(a, zero, N), lam.inverse() * solve_q(a, zero, N)
+    q = tanh_series(a, N)
+    traces = [(a * m)._trace() for m in q.coeffs[:-1]]  # tr((a q)_(k-1)), k = 1..N
+    log = [MultiPoly.zero(0)] + [
+        MultiPoly.number(0, -re, -im, 2 * k * den) for k, (re, im, den) in enumerate(traces, 1)
+    ]
+    return TruncSeries(0, N, log).exp(), lam.inverse() * q
 
 
 def expand_closed_form(lam: SqMatrix, a_mat: SqMatrix, N: int) -> TruncSeries:

@@ -25,7 +25,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
     data = json.loads(out.read_text())
     names = {
         "star_n2", "star_n4", "star_n6", "intertwine_n4", "oracle_n4_N2", "oracle_n2_N2", "exp_n4_N2",
-        "series_mul_n4_N2", "inv_sqrt_N2", "series_inverse_n2_N2", "expand_n4_N2",
+        "series_mul_n4_N2", "inv_sqrt_N2", "series_inverse_n2_N2", "expand_n4_N2", "closed_form_n4_N2",
         "jacobi_so3_d1", "jacobi_cyclic_n4_d1", "lambda_relation_so3_d1",
         "lambda_relation_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",
         "matseries_det_n4_N2", "matseries_mul_n4_N2", "cayley_series_n4_N2", "tanh_n4_N2",

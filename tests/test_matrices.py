@@ -70,6 +70,56 @@ def test_cayley_singular_raises():
         cayley(bad)
 
 
+def test_cayley_is_the_written_out_product():
+    # 2(1 + X)^(-1) - 1 against (1 - X)(1 + X)^(-1), for matrices and series
+    rng = random.Random(81)
+    for complex_entries in (False, True):
+        for dim in (1, 2, 3, 4):
+            for _ in range(4):
+                x = rand_matrix(rng, dim, complex_entries)
+                one = x.one_like()
+                if (one + x).det():
+                    assert_same(cayley(x), (one - x) * (one + x).inverse())
+        for order in (0, 3, 6):
+            x = rand_mat_series(rng, 4, order, complex_entries)
+            while not (SqMatrix.identity(4) + x.coeffs[0]).det():
+                x = rand_mat_series(rng, 4, order, complex_entries)
+            one = x.one_like()
+            assert cayley(x) == (one - x) * (one + x).inverse()
+
+
+def test_cayley_of_a_series_outside_the_domain_raises():
+    # 1 + X_0 singular, whatever the higher coefficients
+    x0 = SqMatrix(((gr(-1), gr(0)), (gr(0), gr(3))))
+    x = MatSeries(2, 3, [x0, SqMatrix.identity(2), x0, SqMatrix.zero(2)])
+    with pytest.raises(
+        PreconditionError, match=r"^1 \+ X is singular: outside the Cayley transform domain$"
+    ):
+        cayley(x)
+
+
+def test_sum_with_a_zero_operand_has_the_fields_of_the_entry_sum():
+    # the shortcut of a zero operand against sums of the entries, rebuilt
+    # into lowest terms by the constructor; == compares den, re and im
+    rng = random.Random(82)
+    for dim in (1, 2, 3):
+        zero = SqMatrix.zero(dim)
+        for complex_entries in (False, True):
+            for _ in range(3):
+                y = rand_matrix(rng, dim, complex_entries)
+                for x in (y, zero):
+                    cases = ((x, zero, 1), (x, zero, -1), (zero, x, 1), (zero, x, -1))
+                    for left, right, sign in cases:
+                        got = left + right if sign == 1 else left - right
+                        want = SqMatrix([
+                            [u + v if sign == 1 else u - v for u, v in zip(ru, rv)]
+                            for ru, rv in zip(left.rows, right.rows)
+                        ])
+                        assert_same(got, want)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        SqMatrix.identity(2) + SqMatrix.zero(3)
+
+
 def test_check_sp_pair():
     lam = std_lam2()
     assert check_sp_pair(lam, SqMatrix.zero(2)) == {
@@ -406,6 +456,22 @@ def test_amplitude_squared_times_det_is_one():
             mat_exp_series(a, GR_ONE, N) + mat_exp_series(a, -GR_ONE, N)
         ).scale(half)
         assert amp * amp * cosh.det() == TruncSeries.one(0, N)
+
+
+def test_closed_form_is_the_cayley_route_at_b_zero():
+    # the tanh and trace flows against solve_g and solve_q with b = 0
+    rng = random.Random(83)
+    for n in (2, 4, 6):
+        for order in (8, 12):
+            for complex_entries in (False, True):
+                lam = rand_invertible_antisym(rng, n)
+                a_mat = rand_symmetric(rng, n, allow_imag=complex_entries)
+                if complex_entries:
+                    lam = lam.scale(GaussianRational(rat(1, 2), rat(1)))
+                a, zero = lam * a_mat, SqMatrix.zero(n)
+                assert closed_star_exponential(lam, a_mat, order) == (
+                    solve_g(a, zero, order), lam.inverse() * solve_q(a, zero, order)
+                )
 
 
 def test_closed_form_matches_oracle():
