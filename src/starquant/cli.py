@@ -389,23 +389,11 @@ def _run(job: dict) -> tuple:
     return envelope, code, job["output_path"]
 
 
-def _data(value):
-    """``value`` with each TermRows in it replaced by its list."""
-    kind = type(value)
-    if kind is TermRows:
-        return value.to_json()
-    if kind is dict:
-        return {k: _data(v) for k, v in value.items()}
-    if kind is list:
-        return [_data(v) for v in value]
-    return value
-
-
 def run_job(job: dict) -> tuple:
     """(envelope, exit code, output path) of a job; the envelope is the
-    JSON data that ``main`` prints."""
+    JSON data that ``main`` prints, read back from its text."""
     envelope, code, out_path = _run(job)
-    return _data(envelope), code, out_path
+    return json.loads(json_text(envelope)), code, out_path
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -87,13 +87,9 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:  # common case: both real
-            return GaussianRational._raw(self.re + other.re, RAT_ZERO)
         return GaussianRational._raw(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational._raw(self.re - other.re, RAT_ZERO)
         return GaussianRational._raw(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
@@ -102,22 +98,16 @@ class GaussianRational:
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         a, b = self.re, self.im
         c, d = other.re, other.im
-        if not b and not d:  # common case: both real
-            return GaussianRational._raw(a * c, RAT_ZERO)
         return GaussianRational._raw(a * c - b * d, a * d + b * c)
 
     def scale(self, r) -> "GaussianRational":
         """Multiply by a plain rational (or int)."""
-        if not self.im:
-            return GaussianRational._raw(self.re * r, RAT_ZERO)
         return GaussianRational._raw(self.re * r, self.im * r)
 
     def inverse(self) -> "GaussianRational":
         a, b = self.re, self.im
         if not a and not b:
             raise ZeroDivisionError("inverse of zero")
-        if not b:
-            return GaussianRational._raw(1 / a, RAT_ZERO)
         n = a * a + b * b
         return GaussianRational._raw(a / n, -b / n)
 

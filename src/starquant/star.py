@@ -41,9 +41,10 @@ row.  The collapse to n-variable keys adds the masked groups of fields
 (x + y, or x + y + w) and moves the tail down.  The width w is not fixed:
 each contraction takes it from a bound on every field it can build, the
 two operands' largest exponents plus the step cap (the degrees plus 4)
-times the kernel's largest shift (:func:`_orders`), and the kernel packs
-its steps once per width.  A state may also carry ``low`` bits below the
-z fields that no step and no collapse touches: the lambda-relation check
+times the kernel's largest shift (:func:`_orders`), and each run of the
+kernel (:func:`_states`) packs its steps for that width.  A state may
+also carry ``low`` bits below the z fields that no step and no collapse
+touches: the lambda-relation check
 (:func:`starquant.grading.check_lambda_relation`) keeps the index of a
 monomial pair there, so that one state holds every pair.
 
@@ -252,8 +253,9 @@ class _Kernel(NamedTuple):
     is a list of (a, [(n + b, shift, numerator), ...]) (see
     :func:`_entries`).  ``factorial`` is True when a coupling is folded in,
     so that order k also carries 1/k!.  ``reach`` is the largest exponent a
-    shift adds to any field, and ``packed`` caches the steps packed for
-    each field width (see :func:`_packed`).
+    shift adds to any field.  The steps are packed for a field width by
+    each run of :func:`_states`, since every kernel is built for one
+    product, exponential or check and run once.
     """
 
     width: int
@@ -262,7 +264,6 @@ class _Kernel(NamedTuple):
     im: list
     factorial: bool
     reach: int
-    packed: dict
 
 
 def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
@@ -297,7 +298,7 @@ def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
                 reach = max(reach, *shift)
                 rows.setdefault(a, []).append((n + b, shift, v * (den // p.den)))
         parts.append(list(rows.items()))
-    return _Kernel(width, den, *parts, coupling is not None, reach, {})
+    return _Kernel(width, den, *parts, coupling is not None, reach)
 
 
 def _full_entries(ctx: StarContext, coupling=None) -> _Kernel:
@@ -310,28 +311,6 @@ def _full_entries(ctx: StarContext, coupling=None) -> _Kernel:
 def _iterated_entries(ctx: StarContext) -> _Kernel:
     """:func:`_entries` of the iterated form of ``ctx``."""
     return _entries(ctx.n, ctx.lam, ctx.n)
-
-
-def _packed(kernel: _Kernel, w: int, low: int = 0) -> tuple:
-    """The real and imaginary rows of ``kernel`` for state keys packed at
-    field width w above ``low`` bits that no step touches: (a * w + low,
-    [(b * w + low, shift, numerator), ...]) per row a, each shift one
-    packed int with its low bits 0.  Built once per (w, low) and kept in
-    ``kernel.packed``."""
-    rows = kernel.packed.get((w, low))
-    if rows is None:
-        weights = key_weights(kernel.width, w)
-        rows = kernel.packed[w, low] = tuple(
-            [
-                (
-                    a * w + low,
-                    [(b * w + low, sum(map(mul, s, weights)) << low, c) for b, s, c in row],
-                )
-                for a, row in part
-            ]
-            for part in (kernel.re, kernel.im)
-        )
-    return rows
 
 
 def _step(out: dict, state: dict, rows: list, sign: int, mask: int) -> None:
@@ -357,13 +336,25 @@ def _states(kernel: _Kernel, w: int, re: dict, im: dict, den: int, low: int = 0,
     :func:`_entries`) on every key with positive exponents at positions a
     and b: it differentiates both, so it scales by the two exponents, and
     multiplies by the matrix entry, whose shift is one int add on keys
-    packed at field width w above ``low`` bits, which it keeps.  Order k's
-    denominator is order k - 1's times ``kernel.den``, and times k when a
-    folded coupling carries 1/k!.  :func:`_left_operator` passes
-    :func:`_raise_step` as ``step``.
+    packed at field width w above ``low`` bits, which it keeps.  The
+    kernel's rows are packed for w and ``low`` first: (a * w + low,
+    [(b * w + low, shift, numerator), ...]) per row a, each shift one
+    packed int with its low bits 0.  Order k's denominator is order k - 1's
+    times ``kernel.den``, and times k when a folded coupling carries 1/k!.
+    :func:`_left_operator` passes :func:`_raise_step` as ``step``.
     """
     step = partial(step, mask=(1 << w) - 1)
-    rows = _packed(kernel, w, low)
+    weights = key_weights(kernel.width, w)
+    rows = [
+        [
+            (
+                a * w + low,
+                [(b * w + low, sum(map(mul, s, weights)) << low, c) for b, s, c in row],
+            )
+            for a, row in part
+        ]
+        for part in (kernel.re, kernel.im)
+    ]
     for k in count(1):
         yield re, im, den
         re, im = _complex(step, [((re, im), rows, 1)])
@@ -425,11 +416,11 @@ def _contraction(kernel: _Kernel, f: MultiPoly, g: MultiPoly):
         yield MultiPoly.from_numerators(f.n, re, im, den, w)
 
 
-def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly, div: int = 1) -> MultiPoly:
-    """The sum of all contraction terms of f and g, divided by ``div``."""
+def _star(kernel: _Kernel, f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """The sum of all contraction terms of f and g."""
     orders = list(_orders(kernel, f, g))
     re, im, den = _order_sum(orders)
-    return MultiPoly.from_numerators(f.n, re, im, den * div, orders[-1][3])
+    return MultiPoly.from_numerators(f.n, re, im, den, orders[-1][3])
 
 
 def star_terms(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> list:
@@ -538,11 +529,6 @@ class LinearExpFactor:
     covector: tuple
     scale: MultiPoly
     sign: int
-
-    def text(self) -> str:
-        vec = ", ".join(v.text() for v in self.covector)
-        sgn = "+" if self.sign >= 0 else "-"
-        return f"exp({sgn}({self.scale.text()})*<({vec}), u>/(i*hbar))"
 
 
 def exp_linear_product(

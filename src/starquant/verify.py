@@ -237,14 +237,14 @@ def jacobi_by_brackets(ctx: StarContext, d_max: int) -> CheckReport:
 def ode_by_products(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     """The series ``star.ode_star_exponential`` must give, by one star
     product per order: F0 = 1 and F_{k+1} = H (*) F_k / (k+1), each product
-    contracted afresh by the engine, where ``ode_star_exponential`` builds
-    the left operator of H once.  Only the tests call it: it is their
-    oracle.
+    contracted afresh by the engine from one kernel, which is packed again
+    for every product, where ``ode_star_exponential`` builds the left
+    operator of H once.  Only the tests call it: it is their oracle.
     """
     kernel = _full_entries(ctx, ctx.coupling)
     coeffs = [MultiPoly.one(ctx.n)]
     for k in range(N):
-        coeffs.append(_star(kernel, H, coeffs[-1], k + 1))
+        coeffs.append(_star(kernel, H, coeffs[-1]).scale_rat(rat(1, k + 1)))
     return TruncSeries(ctx.n, N, coeffs)
 
 
