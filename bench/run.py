@@ -168,7 +168,8 @@ def quadratic(multipoly, rows):
 
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
-    from starquant import cli
+    # OrderingK from the top level, where every tree exports it
+    from starquant import OrderingK, cli
     from starquant.grading import check_jacobi, check_lambda_relation
     from starquant.matrices import (
         MatSeries,
@@ -185,7 +186,7 @@ def cases(tiny: bool) -> list:
     from starquant.poly import HALF_MU, MU_INV, MultiPoly
     from starquant.scalars import GaussianRational, rat
     from starquant.series import TruncSeries
-    from starquant.star import OrderingK, StarContext, intertwine, ode_star_exponential, star
+    from starquant.star import StarContext, intertwine, ode_star_exponential, star
     from starquant.verify import (
         rand_antisym,
         rand_invertible_antisym,

@@ -19,6 +19,7 @@ from .grading import (
 )
 from .matrices import (
     MatSeries,
+    OrderingK,
     SqMatrix,
     cayley,
     check_sp_pair,
@@ -38,7 +39,6 @@ from .reports import CheckReport
 from .scalars import GaussianRational, gr, rat
 from .series import TruncSeries
 from .star import (
-    OrderingK,
     StarContext,
     exp_linear_product,
     intertwine,

@@ -27,6 +27,7 @@ from .grading import (
     specialize_mu,
 )
 from .matrices import (
+    OrderingK,
     SqMatrix,
     _riccati_report,
     closed_form_vs_oracle,
@@ -37,7 +38,7 @@ from .matrices import (
 from .parsing import parse_poly
 from .poly import HALF_MU, MultiPoly, TermRows
 from .scalars import GaussianRational
-from .star import OrderingK, StarContext, intertwine, star, star_k_ordered
+from .star import StarContext, intertwine, star, star_k_ordered
 from .verify import SUITES, run_suite
 
 # The one schema of the job fields.  Each command maps to whether it reads a
@@ -281,7 +282,7 @@ def _run_riccati(job: dict) -> tuple:
 def _run_ordering(job: dict) -> tuple:
     inputs = job["inputs"]
     kmat = OrderingK(_matrix_input(inputs["K"], "K"))
-    n = kmat.n
+    n = kmat.dim
     if n % 2:
         raise SchemaError("ordering matrices act on an even number of variables")
     f = _poly_input(inputs["f"], n, "f")

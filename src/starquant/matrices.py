@@ -32,7 +32,9 @@ matrix becomes a quadratic form numerator for numerator
 (:func:`quadratic_form`).
 GaussianRational entries enter by the constructor and ``scale`` and leave
 by ``rows``, ``trace`` and ``det``, through the two helpers of
-:mod:`starquant.scalars`.
+:mod:`starquant.scalars`; ``to_json`` writes each entry's text from its
+numerators.  The ordering matrix K of :mod:`starquant.star` is an
+``OrderingK``: a ``SqMatrix`` that checks its symmetry when it is built.
 """
 
 from __future__ import annotations
@@ -47,9 +49,18 @@ from .errors import PreconditionError
 from .grading import graded_keys
 from .poly import HALF_MU, MU_INV, MultiPoly, key_width, quadratic_form
 from .reports import CheckReport
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat, to_gaussian, to_numerators
+from .scalars import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    gr,
+    numerator_text,
+    rat,
+    to_gaussian,
+    to_numerators,
+)
 from .series import Series, TruncSeries, _cauchy, _mul, _series
-from .star import StarContext, ode_star_exponential
+from .star import StarContext, _block, ode_star_exponential
 
 _RIGHT, _DEN = itemgetter(1), itemgetter(2)
 
@@ -232,7 +243,7 @@ class SqMatrix:
         return m
 
     def __setattr__(self, name, value):
-        raise AttributeError("SqMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def rows(self) -> tuple:
@@ -356,7 +367,8 @@ class SqMatrix:
         return _normal(d, abs(p), tuple(tuple(s * x for x in r[d:]) for r in m), _zeros(d))
 
     def to_json(self) -> list:
-        return [[v.text() for v in row] for row in self.rows]
+        rows = zip(self.re, self.im)
+        return [[numerator_text(a, b, self.den) for a, b in zip(*row)] for row in rows]
 
     @classmethod
     def from_json(cls, data) -> "SqMatrix":
@@ -365,10 +377,37 @@ class SqMatrix:
         )
 
     def __repr__(self) -> str:
-        return f"SqMatrix({self.to_json()})"
+        return f"{type(self).__name__}({self.to_json()})"
 
 
 _SETTERS = [getattr(SqMatrix, slot).__set__ for slot in SqMatrix.__slots__]
+
+
+class OrderingK(SqMatrix):
+    """A constant symmetric ordering matrix: a ``SqMatrix`` equal to its
+    transpose, checked when it is built."""
+
+    __slots__ = ()
+
+    def __init__(self, rows: Sequence[Sequence[GaussianRational]]):
+        super().__init__(rows)
+        if not self.is_symmetric():
+            raise PreconditionError("ordering matrix must be symmetric")
+
+    @classmethod
+    def weyl(cls, n: int) -> "OrderingK":
+        """K = 0 on n variables (Weyl ordering)."""
+        return cls(((GR_ZERO,) * n,) * n)
+
+    @classmethod
+    def normal(cls, m: int) -> "OrderingK":
+        """K0 = [[0, I], [I, 0]] on 2m variables (normal ordering)."""
+        return cls(_block(m, 1, 1))
+
+    @classmethod
+    def antinormal(cls, m: int) -> "OrderingK":
+        """-K0 (anti-normal ordering)."""
+        return cls(_block(m, -1, -1))
 
 
 class MatSeries(Series):
@@ -519,13 +558,17 @@ def mat_exp_series(a: SqMatrix, scale: GaussianRational, N: int) -> MatSeries:
 
 
 def tanh_series(a: SqMatrix, N: int) -> MatSeries:
-    """The series of tanh(a t), generated by its defining flow T' = a(1 - T^2)."""
+    """The series of tanh(a t), generated by its defining flow T' = a(1 - T^2).
+
+    tanh is odd, so T_k and (T^2)_(k-1) vanish at every even k: T_1 = a,
+    and at odd k >= 3, k T_k = -a (T^2)_(k-1), whose pairs T_j T_(k-1-j)
+    have odd j."""
     dim = a.dim
-    coeffs = [SqMatrix.zero(dim)]
-    for k in range(N):
-        sq = _msum(zip(coeffs, coeffs[::-1]), dim)  # (T^2)_k
-        rhs = (SqMatrix.identity(dim) - sq) if k == 0 else -sq
-        coeffs.append((a * rhs)._scaled(1, 0, k + 1))
+    zero = SqMatrix.zero(dim)
+    coeffs = [zero, a][: N + 1]
+    for k in range(2, N + 1):
+        sq = ((coeffs[j], coeffs[k - 1 - j]) for j in range(1, k - 1, 2))  # (T^2)_(k-1)
+        coeffs.append((a * _msum(sq, dim))._scaled(-1, 0, k) if k % 2 else zero)
     return MatSeries(dim, N, coeffs)
 
 

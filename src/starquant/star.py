@@ -84,7 +84,7 @@ from functools import partial
 from itertools import combinations_with_replacement, count, islice
 from math import lcm, perm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .poly import (
@@ -97,80 +97,28 @@ from .poly import (
     key_weights,
     key_width,
 )
-from .scalars import GR_ONE, GaussianRational, gr, rat, to_numerators
+from .scalars import GaussianRational, gr, rat
 from .series import TruncSeries
+
+if TYPE_CHECKING:  # matrices imports this module
+    from .matrices import OrderingK
 
 # scalar i*hbar/4, the exponent coupling of the ordering intertwiner
 I_HBAR_QUARTER = MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 4)))
 
 
+def _block(m: int, upper: int, lower: int) -> tuple:
+    """The 2m x 2m block matrix [[0, upper I], [lower I, 0]] of GaussianRational."""
+    n = 2 * m
+    return tuple(
+        tuple(gr(upper if j == m + i else lower if i == m + j else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
 def standard_j(m: int) -> tuple:
     """The 2m x 2m block matrix [[0, -I], [I, 0]] over GaussianRational."""
-    n = 2 * m
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < m and j == m + i:
-                row.append(-GR_ONE)
-            elif i >= m and j == i - m:
-                row.append(GR_ONE)
-            else:
-                row.append(gr(0))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-class OrderingK:
-    """A constant symmetric ordering matrix over GaussianRational."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[GaussianRational]]):
-        rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("ordering matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise PreconditionError("ordering matrix must be symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderingK is immutable")
-
-    @classmethod
-    def weyl(cls, n: int) -> "OrderingK":
-        zero = gr(0)
-        return cls(tuple((zero,) * n for _ in range(n)))
-
-    @classmethod
-    def normal(cls, m: int) -> "OrderingK":
-        """K0 = [[0, I], [I, 0]] on 2m variables (normal ordering)."""
-        n = 2 * m
-        rows = []
-        for i in range(n):
-            row = [gr(0)] * n
-            if i < m:
-                row[m + i] = GR_ONE
-            else:
-                row[i - m] = GR_ONE
-            rows.append(tuple(row))
-        return cls(rows)
-
-    @classmethod
-    def antinormal(cls, m: int) -> "OrderingK":
-        """-K0 (anti-normal ordering)."""
-        k0 = cls.normal(m)
-        return cls(tuple(tuple(-v for v in row) for row in k0.entries))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrderingK):
-            return NotImplemented
-        return self.entries == other.entries
+    return _block(m, -1, 1)
 
 
 class StarContext:
@@ -461,21 +409,20 @@ def star_k_ordered(
     """The K-ordered product: the contracted expansion with matrix lam + K.
 
     Requires a constant structure matrix and a symmetric K of matching size.
+    Each entry of K enters lam + K as the constant of its integer numerators
+    over K's one denominator.
     """
     if not ctx.constant_lambda:
         raise PreconditionError("K-ordered products require a constant lambda")
-    if K.n != ctx.n:
+    if K.dim != ctx.n:
         raise ValueError("ordering matrix size mismatch")
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("variable count mismatch with context")
     n = ctx.n
-    mixed = tuple(
-        tuple(
-            ctx.lam[a][b] + MultiPoly.from_gaussian(K.entries[a][b], n)
-            for b in range(n)
-        )
-        for a in range(n)
-    )
+    mixed = [
+        [p + MultiPoly.number(n, re, im, K.den) for p, re, im in zip(*row)]
+        for row in zip(ctx.lam, K.re, K.im)
+    ]
     return _star(_entries(n, mixed, None, ctx.coupling), f, g)
 
 
@@ -492,24 +439,25 @@ def intertwine(
     The exponent is a left operator with constant coefficients (see
     :func:`_left_operator`): for i <= j, beta = e_i + e_j carries
     K_ij + K_ji (K_ii once) times each term of the coupling, whose shift
-    lowers z_i and z_j and adds the term's parameter exponents.  Its orders
-    (:func:`_exponential`) are summed once.  Width: at most deg f // 2
-    orders follow f, each adding at most the coupling's largest exponent to
-    the hbar and tau fields, while the z fields only fall.
+    lowers z_i and z_j and adds the term's parameter exponents; the
+    coefficients are K's integer numerators times the coupling's, over the
+    product of their denominators.  Its orders (:func:`_exponential`) are
+    summed once.  Width: at most deg f // 2 orders follow f, each adding at
+    most the coupling's largest exponent to the hbar and tau fields, while
+    the z fields only fall.
     """
     if coupling is None:
         coupling = I_HBAR_QUARTER
-    if f.n != K.n:
+    n = K.dim
+    if f.n != n:
         raise ValueError("variable count mismatch with ordering matrix")
-    n = K.n
     w = key_width(f.max_exponent() + max(f.degree(), 0) // 2 * coupling.max_exponent())
-    kre, kim, kden = to_numerators(v for row in K.entries for v in row)
     cparts = coupling.numerators(w, n)
-    operator = ([], [], kden * cparts[2])
+    operator = ([], [], K.den * cparts[2])
     for i, j in combinations_with_replacement(range(n), 2):
         m = 1 if i == j else 2
         key = -(1 << w * i) - (1 << w * j)
-        entry = ({key: m * kre[i * n + j]}, {key: m * kim[i * n + j]})
+        entry = ({key: m * K.re[i][j]}, {key: m * K.im[i][j]})
         beta = [(w * i, 2)] if i == j else [(w * i, 1), (w * j, 1)]
         for part, terms in zip(operator, _complex(_add_products, [(entry, cparts, 1)])):
             if terms:
@@ -549,10 +497,11 @@ def exp_linear_product(
         raise PreconditionError("linear-exponential products require constant lambda")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if len(a) != ctx.n or K.n != ctx.n or f.n != ctx.n:
+    if len(a) != ctx.n or K.dim != ctx.n or f.n != ctx.n:
         raise ValueError("dimension mismatch")
     jmat = ctx.scalar_entries()
     sign = 1 if side == "left" else -1
+    k = K if sign == 1 else -K  # sign * K
     half_s = s.scale_rat(rat(1, 2))
     offsets = []
     for b in range(ctx.n):
@@ -560,7 +509,7 @@ def exp_linear_product(
         for al in range(ctx.n):
             if not a[al]:
                 continue
-            m_ab = jmat[al][b] + MultiPoly.from_gaussian(K.entries[al][b].scale(sign))
+            m_ab = jmat[al][b] + MultiPoly.number(0, k.re[al][b], k.im[al][b], k.den)
             acc = acc + m_ab.scale_gauss(a[al])
         offsets.append(acc * half_s)
     shifted = f.shift(offsets)

@@ -24,6 +24,7 @@ from .grading import (
     star_graded,
 )
 from .matrices import (
+    OrderingK,
     SqMatrix,
     cayley,
     cayley_flow_residual,
@@ -43,7 +44,6 @@ from .reports import CheckReport
 from .scalars import EXP_ZERO, GR_ZERO, GaussianRational, accumulate, gr, rat
 from .series import TruncSeries
 from .star import (
-    OrderingK,
     StarContext,
     _full_entries,
     _star,

@@ -228,6 +228,16 @@ def malformed_jobs():
         with_f_coef([1, 0], []),
         star_with(inputs={"f": [{"exps": [1, 0], "coef": 5}], "g": "z1"}),
         star_with(inputs={"f": [{"exps": [1, 0], "coef": {"value": 5}}], "g": "z1"}),
+        # a JSON term list above the degree cap, a matrix A that is empty, no
+        # list or has a row that is no list, an unknown command, and an
+        # output path that is no string
+        with_f_coef([17, 0], {}),
+        *(
+            {"command": "star-exp", "inputs": {"lambda": swap, "A": a}}
+            for a in ([], "x", [["1", "0"], "x"])
+        ),
+        {"command": "nope"},
+        {"command": "riccati", "output_path": 3},
     ]
 
 
@@ -368,6 +378,20 @@ def test_main_exit_codes(capsys, tmp_path):
     )
     assert code == 3
     capsys.readouterr()
+    # K is checked before f is parsed: an asymmetric K exits 3 even when f is
+    # malformed
+    code = main(["--command", "ordering", "--K", '[["0","2"],["1","0"]]', "--f", "z0^^"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {
+        "error": "ordering matrix must be symmetric", "kind": "precondition"
+    }
+    # a directory or a missing file as the job file: exit 2
+    for path in (tmp_path, tmp_path / "missing.json"):
+        assert main(["--job", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("cannot read job file")
     # verification failure: exit 1
     code = main(
         [
@@ -409,6 +433,13 @@ def test_main_exit_codes(capsys, tmp_path):
         str(out),
     ]
     assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    # --out fills a job file's output path too
+    path = tmp_path / "riccati.json"
+    path.write_text(json.dumps({"command": "riccati", "inputs": {"c": "1"}}))
+    out.unlink()
+    assert main(["--job", str(path), "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert out.read_text() == printed
 
@@ -664,6 +695,15 @@ def test_job_file(tmp_path, capsys):
     assert main(["--job", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["star"]["text"] == "z0*z1 + 1/2*mu"
+    # an integer coupling prints the bytes of its text
+    printed = []
+    for coupling in (2, "2"):
+        job = star_job()
+        job["context"]["coupling"] = coupling
+        path.write_text(json.dumps(job))
+        assert main(["--job", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_star_with_wide_exponents(monkeypatch, capsys):
@@ -689,7 +729,7 @@ def test_star_with_wide_exponents(monkeypatch, capsys):
         assert star_out == {"text": want.text(), "terms": want.to_json()}
 
 
-def test_degree_cap(monkeypatch, capsys):
+def test_degree_cap(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("STARQUANT_MAX_DEGREE", "3")
     code = main(
         [
@@ -710,6 +750,12 @@ def test_degree_cap(monkeypatch, capsys):
     assert code == 2
     capsys.readouterr()
     monkeypatch.delenv("STARQUANT_MAX_DEGREE")
+    # a JSON term list is held to the default cap of 16 as well
+    job = star_job()
+    job["inputs"]["f"] = [{"exps": [17, 0], "coef": {"params": {}, "value": "1"}}]
+    assert _job_exit(job, tmp_path, capsys) == (
+        "f has degree 17 above the cap 16 (raise STARQUANT_MAX_DEGREE to override)"
+    )
 
 
 @pytest.mark.parametrize("f", [

@@ -404,6 +404,8 @@ def test_exp_cayley_tanh_identity():
     for n in (2, 3):
         a = rand_square(rng, n)
         assert mat_exp_series(a, gr(2), N) == cayley(-tanh_series(a, N))
+        # N = 0 keeps only tanh(0) = 0
+        assert tanh_series(a, 0) == MatSeries(n, 0, [SqMatrix.zero(n)])
 
 
 # --- closed-form star exponential -------------------------------------------
@@ -617,3 +619,9 @@ def test_oracle_report_names_the_differing_component():
 def test_matrix_json_roundtrip():
     m = SqMatrix(((gr(1, 2), gr(-3)), (gr(0), GR_ONE)))
     assert SqMatrix.from_json(m.to_json()) == m
+    # each entry's text reduces its real and imaginary parts on their own
+    c = SqMatrix(
+        ((GaussianRational(rat(1, 6), rat(-3, 4)), gr(2, 3)), (gr(0), GaussianRational(0, 1)))
+    )
+    assert c.to_json() == [["1/6-3/4*i", "2/3"], ["0", "1*i"]]
+    assert c.to_json() == [[v.text() for v in row] for row in c.rows]

@@ -4,11 +4,11 @@ from math import factorial, perm
 import pytest
 
 from starquant.errors import PreconditionError
+from starquant.matrices import OrderingK, SqMatrix
 from starquant.poly import HALF_MU, HBAR, I_HBAR_HALF, MU, MU_INV, TAU, MultiPoly
 from starquant.scalars import EXP_ZERO, GR_I, GR_ONE, PARAM_INDEX, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 from starquant.star import (
-    OrderingK,
     StarContext,
     exp_linear_product,
     intertwine,
@@ -99,8 +99,13 @@ def test_k_ordered_preconditions():
     poly_ctx = StarContext(2, ((zero, z0), (-z0, zero)), HALF_MU)
     with pytest.raises(PreconditionError):
         star_k_ordered(poly_ctx, OrderingK.weyl(2), z0, z0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="ordering matrix must be symmetric"):
         OrderingK(((gr(0), gr(1)), (gr(2), gr(0))))
+    k0 = OrderingK.normal(1)
+    with pytest.raises(AttributeError, match="OrderingK is immutable"):
+        k0.den = 2
+    with pytest.raises(AttributeError, match="OrderingK is immutable"):
+        k0.entries = ()
 
 
 def test_intertwine_examples():
@@ -363,7 +368,7 @@ def test_k_ordered_complex_k_matches_pairing_product():
         )
     )
     mixed = tuple(
-        tuple(standard_j(1)[a][b] + k.entries[a][b] for b in range(2)) for a in range(2)
+        tuple(standard_j(1)[a][b] + k.rows[a][b] for b in range(2)) for a in range(2)
     )
     pairs = coupled_pairs(mixed, I_HBAR_HALF)
     f = gpoly(2, {(3, 0): ("1/2", "1/3"), (1, 2): ("-2/5", 0), (0, 1): (0, "3/7")})
@@ -509,6 +514,22 @@ def test_standard_j_shape():
     assert j[0][2] == -GaussianRational(1)
     assert j[2][0] == GaussianRational(1)
     assert all(not j[i][i] for i in range(4))
+    # the ordering matrices K0 = [[0, I], [I, 0]], -K0 and 0 are SqMatrix
+    for m in (1, 2, 3):
+        n = 2 * m
+        k0 = [[gr(0)] * n for _ in range(n)]
+        for i in range(m):
+            k0[i][m + i] = k0[m + i][i] = gr(1)
+        minus_k0 = [[-v for v in row] for row in k0]
+        zero = [[gr(0)] * n for _ in range(n)]
+        for k, rows in (
+            (OrderingK.normal(m), k0),
+            (OrderingK.antinormal(m), minus_k0),
+            (OrderingK.weyl(n), zero),
+        ):
+            assert isinstance(k, SqMatrix) and type(k) is OrderingK
+            assert k.rows == tuple(map(tuple, rows))
+            assert k == SqMatrix(rows)
 
 
 # --- exponents wider than one byte per packed key field ----------------------

@@ -581,7 +581,8 @@ def rand_symmetric(rng, n: int, complex_entries: bool):
 def test_intertwine_matches_sympy():
     # exp(c D) f = sum_m c^m/m! D^m f with D = sum_ij K_ij d_i d_j, summed
     # until D^m f vanishes
-    from starquant.star import OrderingK, intertwine
+    from starquant.matrices import OrderingK
+    from starquant.star import intertwine
 
     rng = random.Random(127)
     params = sympy.symbols(PARAM_NAMES)
