@@ -45,6 +45,11 @@ by the same cases as this one:
 * ``cayley_flows_n4_N8``: ``solve_q`` and ``solve_g`` for random 4x4 a
   and b with an invertible 1 + b, and the three flow residuals of their
   results, which must vanish;
+* ``parse_texts``: ``parse_poly`` on the texts of 64 small jobs in the
+  shape of the benchmark's ``small-jobs`` inputs: per job, the n x n
+  lambda entries (rationals such as "-3/2"), the coupling "mu/2" and two
+  sums of three terms such as "(2/3)*i*mu*z0*z1^2", with n in 2, 3, 4, 6;
+  its term count is the number of terms parsed;
 * ``cli_star_poly_n3``, ``cli_star_small``, ``cli_grade``,
   ``cli_riccati_N8``, ``cli_star_exp_n4_N8``, ``cli_ordering``,
   ``cli_verify_lambda_n3``: a
@@ -112,6 +117,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from math import comb
 from operator import truediv
 from pathlib import Path
@@ -166,6 +172,27 @@ def quadratic(multipoly, rows):
     return total
 
 
+def term_sum_text(rng, n: int, degree: int, terms: int) -> str:
+    """A sum of ``terms`` terms, each a parenthesised rational, i one time
+    in five, a power of mu from -1 to 2 and a monomial of degree at most
+    ``degree`` (the first exactly), as the benchmark's job generator
+    writes polynomials."""
+    pieces = []
+    for t in range(terms):
+        exps = [0] * n
+        for _ in range(degree if t == 0 else rng.randint(0, degree)):
+            exps[rng.randrange(n)] += 1
+        factors = [f"({Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) or 1})"]
+        if rng.random() < 0.2:
+            factors.append("i")
+        k = rng.choice((-1, 0, 0, 1, 2))
+        if k:
+            factors.append("mu" if k == 1 else f"mu^{k}")
+        factors += [f"z{j}" if e == 1 else f"z{j}^{e}" for j, e in enumerate(exps) if e]
+        pieces.append("*".join(factors))
+    return " + ".join(pieces)
+
+
 def cases(tiny: bool) -> list:
     """(name, sizes, thunk) for every case; a thunk returns its term count."""
     # OrderingK from the top level, where every tree exports it
@@ -183,6 +210,7 @@ def cases(tiny: bool) -> list:
         solve_q,
         tanh_series,
     )
+    from starquant.parsing import parse_poly
     from starquant.poly import HALF_MU, MU_INV, MultiPoly
     from starquant.scalars import GaussianRational, rat
     from starquant.series import TruncSeries
@@ -368,6 +396,19 @@ def cases(tiny: bool) -> list:
         return sum(not c.is_zero() for c in q.coeffs + g.coeffs)
 
     out.append((f"cayley_flows_n{n}_N{order}", {"n": n, "N": order}, run_flows))
+    rng = random.Random(6000)
+    texts = []
+    for _ in range(4 if tiny else 64):
+        n = rng.choice((2, 3, 4, 6))
+        texts += [
+            (str(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))), n) for _ in range(n * n)
+        ]
+        texts.append(("mu/2", 0))
+        texts += [(term_sum_text(rng, n, 3, 3), n) for _ in range(2)]
+    out.append(
+        ("parse_texts", {"texts": len(texts)},
+         lambda: sum(term_count(parse_poly(text, n, 16)) for text, n in texts))
+    )
     # the job files live as long as the thunks that read them
     jobs = tempfile.TemporaryDirectory(prefix="starquant-bench-")
 

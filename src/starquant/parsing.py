@@ -8,20 +8,36 @@ Grammar (ASCII whitespace between tokens is ignored)::
     power  := atom ('^' ('-')? INT)?
     atom   := INT | NAME | '(' expr ')'
 
-Names: ``z0``..``z{n-1}`` (variables), ``mu``, ``hbar``, ``tau``, ``i``.
+Names: ``z0``..``z{n-1}`` (variables, with no leading zero in the index),
+``mu``, ``hbar``, ``tau``, ``i``.
 Rational literals appear as divisions of integers ("3/2"); division and
 negative powers are accepted exactly when the divisor/base is an invertible
 scalar monomial (an integer, ``i``, or a power of ``mu``).
+
+Most of what the parser reads is one term: an atom, and any product,
+quotient or power of single terms, is the tuple ``(key, re, im, den)`` of
+one flat exponent key of length n + 3 and the integers of (re + im*i)/den in
+lowest terms, the layout of one term of a :class:`MultiPoly`.  A product of
+terms adds their keys and multiplies their Gaussian integers, a power
+multiplies the key and raises the integers by repeated squaring, and a
+quotient inverts the divisor's integers and negates its key; each ends in
+one gcd.  A term becomes a ``MultiPoly`` (``MultiPoly._term``) only where
+``expr`` adds it to another, where it multiplies a sum, and as the result;
+a sum whose result has at most one term becomes a term again, so a
+parenthesised product such as ``(2/3)*mu*z0`` builds no polynomial.
+``MultiPoly`` products and powers are left to the sums of two or more
+terms.
+
 A degree cap rejects a product or power above it before multiplying it
 out; only an intermediate that a later sum cancels (``z0^20 - z0^20``) is
 rejected that the cap would let through after expansion.  A power of a
 scalar has degree 0, so its growth is bounded apart: a sum of terms takes
 an exponent of at most the cap, and a single term one whose coefficient
-stays below the int-to-text limit (:meth:`_Parser.check_growth`).  The
-degree cap does not bound term counts, so a product or power is also
-refused before it is multiplied out when a bound on its terms passes
-``MAX_TERMS`` (:func:`_power_terms`), and a product when a bound on its
-integers could pass the int-to-text limit (:meth:`_Parser.check_product`).
+stays below the int-to-text limit (:meth:`_Parser.power`).  The degree cap
+does not bound term counts, so a product or power of sums is also refused
+before it is multiplied out when a bound on its terms passes ``MAX_TERMS``
+(:func:`_power_terms`), and a product when a bound on its integers could
+pass the int-to-text limit (:meth:`_Parser.check_digits`).
 """
 
 from __future__ import annotations
@@ -29,9 +45,11 @@ from __future__ import annotations
 import math
 import re
 import sys
+from functools import cache
+from operator import add
 
-from .errors import SchemaError
-from .poly import MultiPoly
+from .errors import PreconditionError, SchemaError
+from .poly import NPARAM, MultiPoly, _checked_key
 from .scalars import PARAM_INDEX
 
 # the most terms that the bound of a product or power may reach: the
@@ -43,27 +61,42 @@ MAX_TERMS = 10000
 # ASCII only, as in scalars: a digit is 0-9 and a space is ASCII whitespace,
 # so any other character, a non-ASCII digit or space too, is unexpected
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S))", re.ASCII)
+_OPERATORS = frozenset("+-*/^()")
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of ``text``: an int, a name, an operator character, and
+    None at the end."""
+    # each match is one token after optional whitespace, so the matches
+    # cover the text up to its trailing whitespace
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:  # only whitespace is left
-            break
-        pos = m.end()
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
+    for digits, name, ch in _TOKEN.findall(text):
+        if digits:
+            tokens.append(int(digits))
+        elif name:
+            tokens.append(name)
+        elif ch in _OPERATORS:
+            tokens.append(ch)
         else:
-            ch = m.group(3)
-            if ch not in "+-*/^()":
-                raise SchemaError(f"unexpected character {ch!r} in expression")
-            tokens.append((ch, ch))
-    tokens.append(("end", None))
+            raise SchemaError(f"unexpected character {ch!r} in expression")
+    tokens.append(None)
     return tokens
+
+
+@cache
+def _unit_key(n: int, position: int) -> tuple:
+    """The key of length n + 3 with exponent 1 at ``position``."""
+    key = [0] * (n + NPARAM)
+    key[position] = 1
+    return tuple(key)
+
+
+def _reduced(key: tuple, re: int, im: int, den: int) -> tuple:
+    """The term (re + im*i)/den, den > 0, in lowest terms."""
+    g = math.gcd(re, im, den)
+    if g == 1:
+        return key, re, im, den
+    return key, re // g, im // g, den // g
 
 
 class _Parser:
@@ -72,115 +105,81 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.max_degree = max_degree
+        self.zero_key = (0,) * (n + NPARAM)
 
     def check_degree(self, degree: int) -> None:
         if degree > self.max_degree:
             cap = self.max_degree
             raise SchemaError(f"a product or power of degree {degree} exceeds the cap {cap}")
 
+    def degree(self, value) -> int:
+        """The total degree in z of a term or polynomial; -1 for zero."""
+        if type(value) is not tuple:
+            return value.degree()
+        return sum(value[0][:self.n]) if value[1] or value[2] else -1
+
+    def poly(self, value) -> MultiPoly:
+        """A term or polynomial as a MultiPoly."""
+        return MultiPoly._term(self.n, *value) if type(value) is tuple else value
+
     def peek(self):
         return self.tokens[self.pos]
 
     def next(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise SchemaError(f"expected {kind!r}, found {tok[1]!r}")
-        return tok
+        return self.tokens[self.pos - 1]
 
     def parse(self) -> MultiPoly:
         value = self.expr()
-        if self.peek()[0] != "end":
-            raise SchemaError(f"trailing input at {self.peek()[1]!r}")
-        return value
+        if self.peek() is not None:
+            raise SchemaError(f"trailing input at {self.peek()!r}")
+        return self.poly(value)
 
-    def expr(self) -> MultiPoly:
+    def expr(self):
         value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        if self.peek() in ("+", "-"):
+            value = self.poly(value)
+            while self.peek() in ("+", "-"):
+                op = self.next()
+                rhs = self.poly(self.term())
+                value = value + rhs if op == "+" else value - rhs
+        if type(value) is tuple:
+            return value
+        keys = value.keys()
+        if len(keys) > 1:
+            return value
+        # at most one term: the sum is a term again
+        key = next(iter(keys), self.zero_key)
+        return key, value.re.get(key, 0), value.im.get(key, 0), value.den
 
-    def term(self) -> MultiPoly:
+    def term(self):
         value = self.factor()
-        degree = value.degree()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+        if self.peek() not in ("*", "/"):
+            return value
+        degree = self.degree(value)
+        while self.peek() in ("*", "/"):
+            op = self.next()
             rhs = self.factor()
             if op == "*":
-                d = rhs.degree()
+                d = self.degree(rhs)
                 self.check_degree(degree + d)
-                self.check_product(value, rhs)
-                value = value * rhs
-                degree = degree + d if value else -1
+                value = self.product(value, rhs)
+                # a product is zero exactly when a factor is
+                degree = degree + d if degree >= 0 and d >= 0 else -1
             else:
-                rhs = _scalar_inverse(rhs)
-                self.check_product(value, rhs)
-                value = value * rhs
+                value = self.product(value, self.inverse(rhs))
         return value
 
-    def factor(self) -> MultiPoly:
-        kind = self.peek()[0]
-        if kind in ("+", "-"):
-            op = self.next()[0]
-            value = self.factor()
-            return value if op == "+" else -value
-        return self.power()
-
-    def power(self) -> MultiPoly:
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
-        self.next()
-        sign = 1
-        if self.peek()[0] == "-":
-            self.next()
-            sign = -1
-        exp = self.expect("int")[1]
-        self.check_degree(base.degree() * sign * exp)
-        if sign < 0:
-            base = _scalar_inverse(base)
-        self.check_growth(base, exp)
-        terms = _power_terms(base, exp)
-        if terms > MAX_TERMS:
-            raise SchemaError(
-                f"a power {exp} of {len(base.keys())} terms could have {terms} terms,"
-                f" above the cap {MAX_TERMS}"
-            )
-        return base ** exp
-
-    def check_growth(self, base: MultiPoly, k: int) -> None:
-        """Refuse base^k before computing it if its terms or coefficients
-        could outgrow the caps, which the degree of a scalar base does not
-        see.  A base of several terms takes an exponent of at most the
-        degree cap.  A single term (a + b*i)/d * params has a power with
-        integers below M^k, M = max(|a| + |b|, d), so k * log10(M) must stay
-        below the int-to-text limit: a unit times parameters passes at any
-        k."""
-        keys = base.keys()
-        if len(keys) > 1 and k > self.max_degree:
-            cap = self.max_degree
-            raise SchemaError(f"a power {k} of a sum of terms exceeds the cap {cap}")
-        limit = sys.get_int_max_str_digits()
-        if len(keys) == 1 and limit:
-            (key,) = keys
-            m = max(abs(base.re.get(key, 0)) + abs(base.im.get(key, 0)), base.den)
-            if k * math.log10(m) >= limit:
-                raise SchemaError(
-                    f"a power {k} of a coefficient would pass the output limit of {limit} digits"
-                )
-
-    def check_product(self, lhs: MultiPoly, rhs: MultiPoly) -> None:
-        """Refuse lhs * rhs before computing it if it could have more than
-        ``MAX_TERMS`` terms, len(lhs) * len(rhs), or integers past the
-        int-to-text limit: each numerator of the product is at most the
-        product of the factors' sums of absolute numerators, and its
-        denominator at most the product of theirs."""
+    def product(self, lhs, rhs):
+        """lhs * rhs, refused first if its terms or integers could pass the
+        caps: a product of two terms adds their keys and multiplies their
+        Gaussian integers."""
+        if type(lhs) is tuple and type(rhs) is tuple:
+            key, a, b, d = lhs
+            rkey, c, e, f = rhs
+            self.check_digits((abs(a) + abs(b)) * (abs(c) + abs(e)), d * f)
+            return _reduced(tuple(map(add, key, rkey)), a * c - b * e, a * e + b * c, d * f)
+        lhs, rhs = self.poly(lhs), self.poly(rhs)
         # the numerator maps bound the term counts from above at no cost
         if (len(lhs.re) + len(lhs.im)) * (len(rhs.re) + len(rhs.im)) > MAX_TERMS:
             terms = len(lhs.keys()) * len(rhs.keys())
@@ -189,38 +188,134 @@ class _Parser:
                     f"a product of {len(lhs.keys())} and {len(rhs.keys())} terms could have"
                     f" {terms} terms, above the cap {MAX_TERMS}"
                 )
+        self.check_digits(_norm(lhs) * _norm(rhs), lhs.den * rhs.den)
+        return lhs * rhs
+
+    def check_digits(self, norms: int, dens: int) -> None:
+        """Refuse a product whose integers could pass the int-to-text limit:
+        each numerator of the product is at most ``norms``, the product of
+        the factors' sums of absolute numerators, and its denominator at
+        most ``dens``, the product of theirs."""
         limit = sys.get_int_max_str_digits()
-        bound = max(_norm(lhs) * _norm(rhs), lhs.den * rhs.den)
-        if limit and bound.bit_length() * math.log10(2) >= limit:
+        if limit and max(norms, dens).bit_length() * math.log10(2) >= limit:
             raise SchemaError(
                 f"a product of coefficients would pass the output limit of {limit} digits"
             )
 
-    def atom(self) -> MultiPoly:
-        tok = self.next()
-        if tok[0] == "int":
-            return MultiPoly.number(self.n, tok[1])
-        if tok[0] == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        if tok[0] == "name":
-            return self.name_value(tok[1])
-        raise SchemaError(f"unexpected token {tok[1]!r}")
+    def inverse(self, value, k: int = 1) -> tuple:
+        """1/value for a nonzero term without z.  The inverted key is
+        checked at its k-th power, so that a refusal names the exponent of
+        value^-k."""
+        if type(value) is not tuple:
+            # a sum of two or more terms
+            if value.is_constant():
+                raise PreconditionError("only monomial scalars are invertible")
+            raise SchemaError("division requires an invertible scalar divisor")
+        key, a, b, d = value
+        if not (a or b):
+            raise ZeroDivisionError("inverse of zero scalar")
+        if any(key[:self.n]):
+            raise SchemaError("division requires an invertible scalar divisor")
+        _checked_key(self.n, [-e * k for e in key])
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        return _reduced(tuple([-e for e in key]), d * a, -d * b, a * a + b * b)
 
-    def name_value(self, name: str) -> MultiPoly:
-        if name == "i":
-            return MultiPoly.number(self.n, 0, 1)
-        if name in PARAM_INDEX:
-            return MultiPoly.const(self.n, MultiPoly.param(name))
-        if name.startswith("z") and name[1:].isdigit():
-            j = int(name[1:])
-            if j >= self.n:
+    def factor(self):
+        if self.peek() in ("+", "-"):
+            op = self.next()
+            value = self.factor()
+            if op == "+":
+                return value
+            if type(value) is tuple:
+                key, a, b, d = value
+                return key, -a, -b, d
+            return -value
+        return self.power()
+
+    def power(self):
+        """A power, refused first if its growth could outgrow the caps,
+        which the degree of a scalar base does not see.  A base of several
+        terms takes an exponent of at most the degree cap and a term count
+        bound by :func:`_power_terms`.  A single term (a + b*i)/d * params
+        has a power with integers below M^k, M = max(|a| + |b|, d), so
+        k * log10(M) must stay below the int-to-text limit: a unit times
+        parameters passes at any k."""
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.next()
+        sign = 1
+        if self.peek() == "-":
+            self.next()
+            sign = -1
+        exp = self.next()
+        if type(exp) is not int:
+            raise SchemaError(f"expected 'int', found {exp!r}")
+        self.check_degree(self.degree(base) * sign * exp)
+        if sign < 0:
+            # an exponent -0 is refused where -1 is
+            base = self.inverse(base, max(exp, 1))
+        if type(base) is tuple:
+            key, a, b, d = base
+            limit = sys.get_int_max_str_digits()
+            if limit and exp * math.log10(max(abs(a) + abs(b), d)) >= limit:
                 raise SchemaError(
-                    f"variable {name!r} out of range for {self.n} variables"
+                    f"a power {exp} of a coefficient would pass the output limit of {limit} digits"
                 )
-            return MultiPoly.variable(self.n, j)
+            a, b = _gaussian_power(a, b, exp)
+            return _reduced(tuple([e * exp for e in key]), a, b, d ** exp)
+        if exp > self.max_degree:
+            cap = self.max_degree
+            raise SchemaError(f"a power {exp} of a sum of terms exceeds the cap {cap}")
+        terms = _power_terms(base, exp)
+        if terms > MAX_TERMS:
+            raise SchemaError(
+                f"a power {exp} of {len(base.keys())} terms could have {terms} terms,"
+                f" above the cap {MAX_TERMS}"
+            )
+        # a nonzero power of a sum of terms is one again
+        return base ** exp if exp else (self.zero_key, 1, 0, 1)
+
+    def atom(self):
+        tok = self.next()
+        if type(tok) is int:
+            return self.zero_key, tok, 0, 1
+        if tok == "(":
+            value = self.expr()
+            if self.next() != ")":
+                raise SchemaError(f"expected ')', found {self.tokens[self.pos - 1]!r}")
+            return value
+        if tok is not None and tok not in _OPERATORS:
+            return self.name_value(tok)
+        raise SchemaError(f"unexpected token {tok!r}")
+
+    def name_value(self, name: str) -> tuple:
+        n = self.n
+        if name == "i":
+            return self.zero_key, 0, 1, 1
+        if name in PARAM_INDEX:
+            return _unit_key(n, n + PARAM_INDEX[name]), 1, 0, 1
+        index = name[1:]
+        if name[0] == "z" and index.isdigit() and (index == "0" or index[0] != "0"):
+            j = int(index)
+            if j >= n:
+                raise SchemaError(f"variable {name!r} out of range for {n} variables")
+            return _unit_key(n, j), 1, 0, 1
         raise SchemaError(f"unknown name {name!r}")
+
+
+def _gaussian_power(a: int, b: int, k: int) -> tuple:
+    """(re, im) of (a + b*i)^k, k >= 0, by repeated squaring."""
+    if not b:
+        return a ** k, 0
+    re, im = 1, 0
+    while k:
+        if k & 1:
+            re, im = re * a - im * b, re * b + im * a
+        k >>= 1
+        if k:
+            a, b = a * a - b * b, 2 * a * b
+    return re, im
 
 
 def _norm(p: MultiPoly) -> int:
@@ -235,7 +330,7 @@ def _power_terms(base: MultiPoly, k: int) -> int:
     t is the largest total of a term's exponents above their minimum over
     the terms (so Laurent powers of mu count too)."""
     keys = list(base.keys())
-    bound = math.comb(len(keys) + k - 1, k) if keys else 1
+    bound = math.comb(len(keys) + k - 1, k)
     if bound <= MAX_TERMS:
         return bound
     columns = list(zip(*keys))
@@ -243,12 +338,6 @@ def _power_terms(base: MultiPoly, k: int) -> int:
     t = max(sum(e - low for e, low in zip(key, lows)) for key in keys)
     v = sum(max(c) > low for c, low in zip(columns, lows))
     return min(bound, math.comb(v + k * t, v))
-
-
-def _scalar_inverse(p: MultiPoly) -> MultiPoly:
-    if not p.is_constant():
-        raise SchemaError("division requires an invertible scalar divisor")
-    return p.inverse()
 
 
 def parse_poly(text: str, n: int, max_degree: float = float("inf")) -> MultiPoly:

@@ -32,7 +32,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         "cayley_flows_n4_N2",
         "cli_star_poly_n3", "cli_star_small",
         "cli_grade", "cli_riccati_N2", "cli_star_exp_n4_N2", "cli_verify_lambda_n3",
-        "cli_ordering",
+        "cli_ordering", "parse_texts",
     }
     assert set(data["runs"]) == {"before", "after"}
     for label in ("before", "after"):

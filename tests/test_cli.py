@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import hypothesis
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,196 @@ def test_ascii_whitespace_parses_anywhere():
     assert parse_poly("\tz0\t*\tz1\t", 2) == z0 * z1
     assert parse_poly("\n z0 +\n1\n", 2) == z0 + one
     assert parse_scalar(" mu / 2 ") == HALF_MU
+
+
+def _n2(re, im=0, den=1, mu=0):
+    """The constant (re + im*i)/den * mu^mu in two variables."""
+    return MultiPoly.const(2, MultiPoly.param("mu", mu, GaussianRational(rat(re, den), rat(im, den))))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0^0", _n2(1)),
+    ("z0^0", _n2(1)),
+    ("2^-1", _n2(1, den=2)),
+    ("(2*i)^-3", _n2(0, 1, 8)),
+    ("mu^-2*z0", _n2(1, mu=-2) * MultiPoly.variable(2, 0)),
+    ("-(-z0)", MultiPoly.variable(2, 0)),
+    ("(z0)^2", MultiPoly.variable(2, 0) * MultiPoly.variable(2, 0)),
+    ("((3/4))", _n2(3, den=4)),
+    ("(z0 - z0 + 2)^5", _n2(32)),
+    (" \t(2/3)*mu*z0^2*z1\n ", _n2(2, den=3, mu=1) * MultiPoly.monomial(2, (2, 1))),
+])
+def test_parse_edge_values(text, want):
+    assert parse_poly(text, 2) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0^-1", "cannot evaluate expression '0^-1': inverse of zero scalar"),
+    ("1/(0*mu)", "cannot evaluate expression '1/(0*mu)': inverse of zero scalar"),
+    ("(1/0)", "cannot evaluate expression '(1/0)': inverse of zero scalar"),
+    ("1/hbar", "cannot evaluate expression '1/hbar': parameter 'hbar' is not invertible;"
+     " exponent -1 rejected"),
+    ("hbar^-1", "cannot evaluate expression 'hbar^-1': parameter 'hbar' is not invertible;"
+     " exponent -1 rejected"),
+    ("z0/z1", "division requires an invertible scalar divisor"),
+    ("7^6000", "a power 6000 of a coefficient would pass the output limit of 4300 digits"),
+    ("7^5088*7^5088", "a product of coefficients would pass the output limit of 4300 digits"),
+    ("٣*z0", "unexpected character '٣' in expression"),
+])
+def test_parse_edge_refusals(text, message, capsys):
+    # each exits 2 with its own message, through the grade command
+    argv = ["--command", "grade", "--n", "2", "--f", text]
+    assert _schema_exit(argv, capsys) == message
+
+
+def test_variable_index_has_no_leading_zero(capsys):
+    # z01 is no name for z1, nor z007 for z7
+    for name in ("z01", "z007", "z00"):
+        argv = ["--command", "grade", "--n", "8", "--f", f"{name} + 1"]
+        assert _schema_exit(argv, capsys) == f"unknown name {name!r}"
+    assert parse_poly("z0 + z7 + z10", 11) == sum(
+        (MultiPoly.variable(11, j) for j in (0, 7, 10)), MultiPoly.zero(11)
+    )
+
+
+def test_negative_power_refusal_names_its_exponent(capsys):
+    # the refusal names the exponent of the power, as that of a quotient does
+    for text, e in (("tau^-2*z0", -2), ("1/tau^2", -2), ("(hbar*mu)^-3", -3), ("hbar^-1", -1)):
+        argv = ["--command", "grade", "--n", "2", "--f", text]
+        assert _schema_exit(argv, capsys).endswith(f"is not invertible; exponent {e} rejected")
+
+
+def test_parser_builds_single_terms_without_polynomial_products(monkeypatch):
+    # a product and a power of single terms multiply keys and integers: no
+    # MultiPoly product or power is formed
+    want = _n2(2, den=3, mu=1) * MultiPoly.monomial(2, (2, 1))
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        method = getattr(MultiPoly, name)
+
+        def wrapped(self, other, method=method, name=name):
+            calls.append(name)
+            return method(self, other)
+
+        monkeypatch.setattr(MultiPoly, name, wrapped)
+    assert parse_poly("(2/3)*mu*z0^2*z1", 2) == want
+    assert calls == []
+    # a sum of two terms is a MultiPoly, raised and multiplied as one
+    parse_poly("(z0 + 1)^2*z1", 2)
+    assert calls[0] == "__pow__" and calls[-1] == "__mul__"
+
+
+# expression trees of the parser's grammar, each node as its text would parse:
+# ("sum", term, [(op, term)...]), ("prod", factor, [(op, factor)...]),
+# ("sign", op, factor), ("pow", atom, negative, k), ("int", k), ("name", s)
+# and ("paren", sum)
+def _expr_trees():
+    def grow(inner):
+        atoms = st.one_of(
+            st.integers(0, 9).map(lambda k: ("int", k)),
+            st.sampled_from(["i", "mu", "hbar", "tau", "z0", "z1"]).map(lambda s: ("name", s)),
+            inner.map(lambda e: ("paren", e)),
+        )
+        powers = st.one_of(
+            atoms, st.tuples(st.just("pow"), atoms, st.booleans(), st.integers(0, 3))
+        )
+        factors = st.one_of(
+            powers,
+            st.tuples(st.just("sign"), st.sampled_from("+-"), powers),
+            st.tuples(st.just("sign"), st.sampled_from("+-"),
+                      st.tuples(st.just("sign"), st.just("-"), powers)),
+        )
+        terms = st.tuples(
+            st.just("prod"), factors, st.lists(st.tuples(st.sampled_from("*/"), factors), max_size=3)
+        )
+        return st.tuples(
+            st.just("sum"), terms, st.lists(st.tuples(st.sampled_from("+-"), terms), max_size=2)
+        )
+
+    leaf = st.tuples(
+        st.just("sum"),
+        st.tuples(st.just("prod"), st.integers(0, 9).map(lambda k: ("int", k)), st.just([])),
+        st.just([]),
+    )
+    return st.recursive(leaf, grow, max_leaves=6)
+
+
+def _tree_text(node) -> str:
+    kind = node[0]
+    if kind in ("sum", "prod"):
+        return _tree_text(node[1]) + "".join(f" {op} {_tree_text(x)}" for op, x in node[2])
+    if kind == "sign":
+        return node[1] + _tree_text(node[2])
+    if kind == "pow":
+        return f"{_tree_text(node[1])}^{'-' if node[2] else ''}{node[3]}"
+    if kind == "paren":
+        return f"({_tree_text(node[1])})"
+    return str(node[1])
+
+
+class _Refused(Exception):
+    pass
+
+
+def _ring_inverse(p: MultiPoly) -> MultiPoly:
+    if not p.is_constant():
+        raise _Refused("division by a polynomial")
+    return p.inverse()
+
+
+def _tree_value(node, n: int) -> MultiPoly:
+    """The value of a tree by MultiPoly ring operations alone."""
+    kind = node[0]
+    if kind == "int":
+        return MultiPoly.number(n, node[1])
+    if kind == "name":
+        name = node[1]
+        if name == "i":
+            return MultiPoly.number(n, 0, 1)
+        if name.startswith("z"):
+            return MultiPoly.variable(n, int(name[1:]))
+        return MultiPoly.const(n, MultiPoly.param(name))
+    if kind == "paren":
+        return _tree_value(node[1], n)
+    if kind == "sign":
+        value = _tree_value(node[2], n)
+        return -value if node[1] == "-" else value
+    if kind == "pow":
+        base = _tree_value(node[1], n)
+        if node[2]:
+            base = _ring_inverse(base)
+        # a power whose expansion is beyond this test's budget is not drawn
+        hypothesis.assume(math.comb(len(base.keys()) + node[3], node[3]) <= 500)
+        return base ** node[3]
+    value = _tree_value(node[1], n)
+    for op, x in node[2]:
+        rhs = _tree_value(x, n)
+        if op == "+":
+            value = value + rhs
+        elif op == "-":
+            value = value - rhs
+        else:
+            if op == "/":
+                rhs = _ring_inverse(rhs)
+            hypothesis.assume(len(value.keys()) * len(rhs.keys()) <= 500)
+            value = value * rhs
+    return value
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_expr_trees())
+def test_parse_poly_agrees_with_ring_operations(tree):
+    # the parser and a walk of the same tree through MultiPoly's ring
+    # operations give the same value, or both refuse it
+    text = _tree_text(tree)
+    try:
+        want = _tree_value(tree, 2)
+    except (ZeroDivisionError, ValueError, _Refused):
+        with pytest.raises(SchemaError):
+            parse_poly(text, 2)
+        return
+    assert parse_poly(text, 2) == want, text
 
 
 def test_text_parse_roundtrip():
