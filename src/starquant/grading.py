@@ -35,7 +35,7 @@ from math import comb
 from .errors import PreconditionError
 from .poly import MultiPoly, TermRows, _lowest, grlex_key, key_width
 from .reports import CheckReport
-from .scalars import PARAM_INDEX, GaussianRational, accumulate
+from .scalars import PARAM_INDEX, GaussianRational
 from .star import (
     StarContext,
     _collapse,
@@ -105,9 +105,10 @@ class GradedElement:
     @classmethod
     def from_json(cls, n: int, data: dict) -> "GradedElement":
         comps = {}
+        zero = MultiPoly.zero(n)
         for entry in data["components"]:
             key = (int(entry["degree"]), int(entry["mu"]))
-            accumulate(comps, key, MultiPoly.from_json(n, entry["poly"]))
+            comps[key] = comps.get(key, zero) + MultiPoly.from_json(n, entry["poly"])
         return cls(n, comps)
 
     def __repr__(self) -> str:

@@ -745,5 +745,6 @@ def _riccati_report(
     m = SqMatrix(((a, c), (c, b)))
     h_poly = quadratic_form(m.re, m.im, m.den)
     oracle = ode_star_exponential(StarContext.weyl(1), h_poly, g.order)
-    closed = (h.lift(2) * TruncSeries.from_poly(h_poly, g.order)).exp(g.lift(2))
+    # exp(h(t) H) g(t): the exponent's coefficient k is h_k H
+    closed = TruncSeries(2, g.order, (h_poly.scale(c) for c in h.coeffs)).exp(g.lift(2))
     return _oracle_report(closed, oracle)

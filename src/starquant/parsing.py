@@ -252,9 +252,8 @@ class _Parser:
         if type(exp) is not int:
             raise SchemaError(f"expected 'int', found {exp!r}")
         self.check_degree(self.degree(base) * sign * exp)
-        if sign < 0:
-            # an exponent -0 is refused where -1 is
-            base = self.inverse(base, max(exp, 1))
+        if sign < 0 and exp:
+            base = self.inverse(base, exp)
         if type(base) is tuple:
             key, a, b, d = base
             limit = sys.get_int_max_str_digits()

@@ -59,13 +59,14 @@ from .errors import PreconditionError
 from .scalars import (
     EXP_ZERO,
     GR_ONE,
+    GR_ZERO,
     INVERTIBLE_PARAMS,
     PARAM_INDEX,
     PARAM_NAMES,
     GaussianRational,
-    accumulate,
     gr,
     numerator_text,
+    power,
     rat,
     to_gaussian,
     to_numerators,
@@ -294,17 +295,7 @@ class MultiPoly:
         return MultiPoly._term(self.n, inv_key, d * a, -d * b, a * a + b * b)
 
     def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = MultiPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self.inverse() if k < 0 else self, abs(k), MultiPoly.one(self.n))
 
     # -- calculus --------------------------------------------------------
 
@@ -424,7 +415,7 @@ class MultiPoly:
             if any(type(e) is not int for e in key):
                 raise TypeError(f"exponents must be integers, got {key}")
             key = _checked_key(n, key)
-            accumulate(acc, key, GaussianRational.parse(entry["value"]))
+            acc[key] = acc.get(key, GR_ZERO) + GaussianRational.parse(entry["value"])
         return cls(n, acc)
 
 
@@ -621,14 +612,12 @@ def key_weights(
 @cache
 def _unpack_fields(n: int, w: int) -> tuple:
     """(shift, mask) per position of an (n + 3)-key packed by
-    ``key_weights(n, w)``: the position is ``key >> shift & mask``; the mask
-    of the top field is -1, which keeps its sign."""
-    mask = (1 << w) - 1
-    fields = [(w * i, mask) for i in range(n)] + [None] * NPARAM
-    for place, k in enumerate(_TAIL_FIELDS):
-        top = place == NPARAM - 1
-        fields[n + k] = (w * (n + place), -1 if top else mask)
-    return tuple(fields)
+    ``key_weights(n, w)``: the position is ``key >> shift & mask``.  The
+    shift is the log of the position's weight; the mask is 2^w - 1, and -1
+    for the largest weight, the top field (mu), which keeps its sign."""
+    weights = key_weights(n, w)
+    top, mask = max(weights), (1 << w) - 1
+    return tuple((v.bit_length() - 1, -1 if v == top else mask) for v in weights)
 
 
 def unpack_key(key: int, n: int, w: int) -> tuple:

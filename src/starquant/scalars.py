@@ -33,22 +33,17 @@ RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
 
 
-def accumulate(acc: dict, key, value) -> None:
-    """acc[key] += value for a sparse map that stores no zero values.
-
-    A missing key counts as zero; a zero ``value`` is never inserted and a
-    key whose sum cancels to zero is deleted.
-    """
-    prev = acc.get(key)
-    if prev is None:
-        if value:
-            acc[key] = value
-    else:
-        tot = prev + value
-        if tot:
-            acc[key] = tot
-        else:
-            del acc[key]
+def power(x, k: int, one):
+    """x**k for k >= 0 by repeated squaring, with ``one`` the unit of x's
+    ring: the one loop of ``GaussianRational`` and ``MultiPoly`` powers."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
 
 
 class GaussianRational:
@@ -115,16 +110,7 @@ class GaussianRational:
         return self * other.inverse()
 
     def __pow__(self, k: int) -> "GaussianRational":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self.inverse() if k < 0 else self, abs(k), GR_ONE)
 
     def text(self) -> str:
         """Canonical text form: "a/b" and "a/b*i" summands, e.g. "3/2-1/3*i"."""
@@ -138,12 +124,15 @@ class GaussianRational:
         Accepts sums of "a/b" and "a/b*i" (or "a/bi") summands, each with
         optional signs, plus the shorthands "i" and "-i"; a and b are
         ASCII digits and "/b" is optional.  ASCII whitespace is skipped
-        anywhere, as in polynomials; any other space is malformed.  Decimal
+        between tokens, as in polynomials, so it ends a number: digits
+        split by it are malformed, and so is any other space.  Decimal
         points, exponents, underscores and a zero denominator are rejected
         with a ValueError, and a non-string with a TypeError.
         """
         if not isinstance(s, str):
             raise TypeError(f"a scalar must be a string, got {type(s).__name__}")
+        if _SPLIT_DIGITS.search(s):
+            raise ValueError(f"whitespace between digits in scalar {s!r}")
         s = _SPACE.sub("", s)
         if not s:
             raise ValueError("empty scalar string")
@@ -182,6 +171,8 @@ class GaussianRational:
 _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 # the whitespace of the polynomial tokenizer: space, \t, \n, \r, \f, \v
 _SPACE = re.compile(r"\s+", re.ASCII)
+# digits that this whitespace splits into two numbers, as the tokenizer would
+_SPLIT_DIGITS = re.compile(r"[0-9]\s+[0-9]", re.ASCII)
 
 
 def _rational(text: str, scalar: str):

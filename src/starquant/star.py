@@ -141,12 +141,8 @@ class StarContext:
             for p in row:
                 if not isinstance(p, MultiPoly) or p.n != n:
                     raise ValueError("lambda entries must be MultiPoly in n variables")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != -rows[j][i]:
-                    raise PreconditionError(
-                        "lambda must be antisymmetric as a matrix of polynomials"
-                    )
+        if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)):
+            raise PreconditionError("lambda must be antisymmetric as a matrix of polynomials")
         if not coupling:
             raise PreconditionError("coupling must be nonzero")
         if coupling.n != 0:

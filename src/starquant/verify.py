@@ -41,7 +41,7 @@ from .matrices import (
 )
 from .poly import HALF_MU, MultiPoly, grlex_key
 from .reports import CheckReport
-from .scalars import EXP_ZERO, GR_ZERO, GaussianRational, accumulate, gr, rat
+from .scalars import EXP_ZERO, GR_ZERO, GaussianRational, gr, rat
 from .series import TruncSeries
 from .star import (
     StarContext,
@@ -89,7 +89,8 @@ def rand_poly(
         exps = [0] * n
         for _ in range(deg):
             exps[rng.randrange(n)] += 1
-        accumulate(terms, tuple(exps) + EXP_ZERO, rand_gauss(rng))
+        key = tuple(exps) + EXP_ZERO
+        terms[key] = terms.get(key, GR_ZERO) + rand_gauss(rng)
     return MultiPoly(n, terms)
 
 

@@ -94,6 +94,12 @@ def _n2(re, im=0, den=1, mu=0):
     ("((3/4))", _n2(3, den=4)),
     ("(z0 - z0 + 2)^5", _n2(32)),
     (" \t(2/3)*mu*z0^2*z1\n ", _n2(2, den=3, mu=1) * MultiPoly.monomial(2, (2, 1))),
+    # x^-0 is x^0, also where x has no inverse
+    ("hbar^-0", _n2(1)),
+    ("z0^-0", _n2(1)),
+    ("0^-0", _n2(1)),
+    ("(z0+1)^-0", _n2(1)),
+    ("mu^-0*z0", MultiPoly.variable(2, 0)),
 ])
 def test_parse_edge_values(text, want):
     assert parse_poly(text, 2) == want
@@ -232,7 +238,7 @@ def _tree_value(node, n: int) -> MultiPoly:
         return -value if node[1] == "-" else value
     if kind == "pow":
         base = _tree_value(node[1], n)
-        if node[2]:
+        if node[2] and node[3]:
             base = _ring_inverse(base)
         # a power whose expansion is beyond this test's budget is not drawn
         hypothesis.assume(math.comb(len(base.keys()) + node[3], node[3]) <= 500)
@@ -793,6 +799,16 @@ def test_scalars_skip_the_ascii_whitespace_of_polynomials(capsys):
         assert capsys.readouterr().out == want
     # a no-break space is no whitespace of the grammar
     assert "malformed rational" in _schema_exit(riccati("1\u00a0/2"), capsys)
+    # whitespace ends a number, as in a polynomial: digits split by it are
+    # no one number
+    for text in ("1 2", "1 2/3", "1/2 3", "1\t2*i", "3/4+1\n0*i"):
+        assert _schema_exit(riccati(text), capsys) == (
+            f"bad scalar for a: whitespace between digits in scalar {text!r}"
+        )
+        with pytest.raises(SchemaError, match="trailing input"):
+            parse_poly(text, 0)
+    for text, want in ((" 3/4*i ", GaussianRational(0, rat(3, 4))), ("- 1", GaussianRational(-1))):
+        assert GaussianRational.parse(text) == want
 
 
 def test_variable_cap(tmp_path, capsys):

@@ -146,6 +146,13 @@ def test_graded_json_roundtrip():
     z0 = MultiPoly.variable(2, 0)
     ge = decompose(z0 ** 2 + z0.scale(MU))
     assert GradedElement.from_json(2, ge.to_json()) == ge
+    # two entries of one (degree, mu) sum; entries that cancel leave none
+    data = ge.to_json()
+    data["components"] += data["components"]
+    assert GradedElement.from_json(2, data) == decompose((z0 ** 2 + z0.scale(MU)).scale_rat(2))
+    negated = decompose(-(z0 ** 2 + z0.scale(MU))).to_json()
+    data["components"] = ge.to_json()["components"] + negated["components"]
+    assert GradedElement.from_json(2, data).is_zero()
 
 
 def test_check_jacobi():

@@ -120,6 +120,12 @@ def test_from_json_checks_every_exponent():
         MultiPoly.from_json(2, [entry([-1, 0], {}, "0")])
     mu_inv = [entry([1, 0], {"mu": -1}, "1"), entry([1, 0], {"mu": -1}, "-1")]
     assert MultiPoly.from_json(2, mu_inv).is_zero()
+    # entries of one key sum, and two that cancel leave the other terms
+    twice = [entry([1, 0], {"mu": 1}, "1/2"), entry([1, 0], {"mu": 1}, "1/3+i")]
+    assert MultiPoly.from_json(2, twice) == Z2(0).scale(MU.scale_gauss(GaussianRational(rat(5, 6), 1)))
+    cancel = [entry([1, 0], {}, "2"), entry([0, 1], {}, "i"), entry([1, 0], {}, "-2")]
+    assert MultiPoly.from_json(2, cancel) == Z2(1).scale_gauss(GaussianRational(0, 1))
+    assert MultiPoly.from_json(0, [{"params": {}, "value": "1"}] * 3) == MultiPoly.from_rat(3)
 
 
 def test_quadratic_form():
@@ -226,6 +232,17 @@ def test_packed_keys_round_trip_with_negative_mu():
             wide = pack(key, n, w, 2 * n, n)
             assert wide >> (w * n) & ((1 << (w * n)) - 1) == pack(key[:n] + (0, 0, 0), n, w)
             assert wide >> (w * 2 * n) == pack((0,) * n + key[n:], n, w) >> (w * n)
+    # every field at its extremes, for every small n and w
+    for n in range(6):
+        for w in range(1, 10):
+            top = (1 << w) - 1
+            for key in (
+                (top,) * n + (-(1 << w), top, top),
+                tuple(rng.randint(0, top) for _ in range(n)) + (rng.randint(-top, -1), 0, top),
+                (0,) * n + (-1, 0, 0),
+                tuple(rng.randint(0, top) for _ in range(n)) + (top, rng.randint(0, top), 0),
+            ):
+                assert unpack_key(pack(key, n, w), n, w) == key
     # one bit too narrow reads a different key
     key = (4, 0, -1, 4, 0)
     w = key_width(4)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from starquant.errors import PreconditionError
 from starquant.grading import specialize_mu
-from starquant.poly import HBAR, MU, MU_INV, MultiPoly
+from starquant.poly import HALF_MU, HBAR, MU, MU_INV, MultiPoly
 from starquant.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr, rat
 
 PS_ONE = MultiPoly.one(0)
@@ -96,6 +96,23 @@ def test_pow_including_negative():
     assert a ** 3 == a * a * a
     assert a ** -2 == (a * a).inverse()
     assert a ** 0 == GR_ONE
+    # one repeated-squaring loop serves GaussianRational and MultiPoly
+    x = MultiPoly.variable(2, 0) + MultiPoly.const(2, MU) - MultiPoly.number(2, 1, 1, 2)
+    for value, one in ((GaussianRational(rat(2, 3), rat(-1, 5)), GR_ONE), (x, MultiPoly.one(2))):
+        want = one
+        for k in range(10):
+            assert value ** k == want
+            want = want * value
+    # zero to the power 0 is 1, and a negative power of zero has no value
+    assert GR_ZERO ** 0 == GR_ONE
+    assert MultiPoly.zero(2) ** 0 == MultiPoly.one(2)
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+        GR_ZERO ** -1
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero scalar$"):
+        MultiPoly.zero(2) ** -2
+    # a Laurent power: (mu/2)^-3 = 8 mu^-3
+    assert HALF_MU ** -3 == MultiPoly.param("mu", -3, gr(8))
+    assert HALF_MU ** -3 * HALF_MU ** 3 == PS_ONE
 
 
 def test_param_scalar_ring_axioms_random_triples():

@@ -501,6 +501,18 @@ def test_context_validation():
     zero = MultiPoly.zero(2)
     with pytest.raises(PreconditionError):
         StarContext(2, ((zero, z0), (z0, zero)), HALF_MU)  # not antisymmetric
+    message = "^lambda must be antisymmetric as a matrix of polynomials$"
+    one, z1 = MultiPoly.one(2), MultiPoly.variable(2, 1)
+    with pytest.raises(PreconditionError, match=message):
+        StarContext(2, ((zero, one), (-one, z1)), HALF_MU)  # a nonzero diagonal entry
+    z3 = MultiPoly.zero(3)
+    rows = [[z3] * 3 for _ in range(3)]
+    rows[0][2], rows[2][0] = MultiPoly.one(3), -MultiPoly.one(3)
+    rows[1][2], rows[2][1] = MultiPoly.variable(3, 0), MultiPoly.variable(3, 1)
+    with pytest.raises(PreconditionError, match=message):
+        StarContext(3, rows, HALF_MU)  # wrong only below the diagonal
+    rows[2][1] = -MultiPoly.variable(3, 0)
+    assert StarContext(3, rows, HALF_MU).lam[2][1] == -MultiPoly.variable(3, 0)
     with pytest.raises(PreconditionError):
         StarContext.constant(
             ((gr(0), gr(1)), (gr(-1), gr(0))), MultiPoly.from_rat(0)
