@@ -19,9 +19,9 @@ from math import comb
 
 from .errors import PreconditionError, SchemaError
 from .grading import (
+    _graded_packed_keys,
     check_jacobi,
     check_lambda_relation,
-    graded_keys,
     graded_terms,
     h0_dim,
     specialize_mu,
@@ -29,10 +29,10 @@ from .grading import (
 from .matrices import (
     OrderingK,
     SqMatrix,
+    _expansion,
     _riccati_report,
     closed_form_vs_oracle,
     closed_star_exponential,
-    expand_closed_form,
     riccati_1d,
 )
 from .parsing import parse_poly
@@ -252,13 +252,13 @@ def _run_star_exp(job: dict) -> tuple:
     if a_mat.dim != lam.dim:
         raise SchemaError("A must have the size of lambda")
     amplitude, phase = closed_star_exponential(lam, a_mat, n_order)
-    expansion = expand_closed_form(lam, a_mat, n_order)
+    triples, w = _expansion(lam, a_mat, n_order)
     report = closed_form_vs_oracle(lam, a_mat, n_order)
     payload = {
         "amplitude": _series_payload(amplitude),
         "phase_matrix": [m.to_json() for m in phase.coeffs],
         "oracle_check": report.to_json(),
-        "order_table": [graded_keys(c) for c in expansion.coeffs],
+        "order_table": [_graded_packed_keys(lam.dim, x, w) for x in triples],
     }
     return payload, 0 if report.passed else 1
 

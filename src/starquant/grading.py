@@ -33,9 +33,10 @@ from itertools import combinations, islice, product, zip_longest
 from math import comb
 
 from .errors import PreconditionError
-from .poly import MultiPoly, TermRows, _lowest, grlex_key, key_width
+from .parsing import _gaussian_power
+from .poly import MultiPoly, TermRows, _lowest, _nonzero, _unpack_fields, grlex_key, key_width
 from .reports import CheckReport
-from .scalars import PARAM_INDEX, GaussianRational
+from .scalars import PARAM_INDEX, GaussianRational, to_numerators
 from .star import (
     StarContext,
     _collapse,
@@ -155,6 +156,21 @@ def graded_keys(f: MultiPoly) -> list:
     return [{"degree": d, "mu": w} for d, w in sorted(pairs)]
 
 
+def _graded_packed_keys(n: int, triple: tuple, w: int) -> list:
+    """:func:`graded_keys` of the polynomial in n variables whose numerator
+    triple (re, im, den) is keyed at field width w (see
+    :func:`starquant.poly.key_weights`): the degree is the sum of the z
+    fields, and the mu exponent is the signed top field."""
+    fields = _unpack_fields(n, w)
+    z, (mu_shift, mu_mask) = fields[:n], fields[n + _MU]
+    pairs = {
+        (sum([key >> s & m for s, m in z]), key >> mu_shift & mu_mask)
+        for part in triple[:2]
+        for key in part
+    }
+    return [{"degree": d, "mu": e} for d, e in sorted(pairs)]
+
+
 def graded_terms(n: int, rows: list) -> dict:
     """``decompose(f).to_json()`` with each component's term list as a
     :class:`TermRows`, from the rows ``f.rows()``.  A component takes the
@@ -179,14 +195,40 @@ def h0_dim(n: int, m: int) -> int:
 
 
 def specialize_mu(f: MultiPoly, value: GaussianRational) -> MultiPoly:
-    """Substitute mu -> value (a nonzero scalar), collapsing mu exponents."""
+    """Substitute mu -> value (a nonzero scalar), collapsing mu exponents.
+
+    In one pass over the numerators: with value = p/d for a Gaussian
+    integer p and d > 0, and N = |p|^2, v^e is p^e/d^e for e >= 0 and
+    d^|e| conj(p)^|e| / N^|e| for e < 0.  Over the one denominator
+    D = d^hi N^-lo, for the largest and smallest exponents hi >= 0 >= lo,
+    each v^e has the Gaussian-integer numerator q^|e| d^(hi - e)
+    N^(min(e, 0) - lo), q = p or conj(p).  Each term is multiplied by the
+    numerator of its exponent and moved to the key with mu cleared, and
+    the sum is reduced once.
+    """
     if not value:
         raise PreconditionError("mu is invertible; cannot specialize to zero")
-    v = MultiPoly.from_gaussian(value, f.n)
-    out = MultiPoly.zero(f.n)
-    for (_, e), part in _components(f).items():
-        out = out + (part * v ** e if e else part)
-    return out
+    n, re, im = f.n, f.re, f.im
+    mu = n + _MU
+    exps = {key[mu] for key in f.keys()}
+    lo, hi = min(exps | {0}), max(exps | {0})
+    (a,), (b,), d = to_numerators((value,))
+    norm = a * a + b * b
+    scales = {}
+    for e in exps:
+        x, y = _gaussian_power(a, b if e >= 0 else -b, abs(e))
+        m = d ** (hi - e) * norm ** (min(e, 0) - lo)
+        scales[e] = x * m, y * m
+    out_re: dict = {}
+    out_im: dict = {}
+    for key in f.keys():
+        x, y = scales[key[mu]]
+        r, i = re.get(key, 0), im.get(key, 0)
+        k = key[:mu] + (0,) + key[mu + 1 :]
+        out_re[k] = out_re.get(k, 0) + r * x - i * y
+        out_im[k] = out_im.get(k, 0) + r * y + i * x
+    den = f.den * d ** hi * norm ** -lo
+    return MultiPoly._raw(n, *_lowest(_nonzero(out_re), _nonzero(out_im), den))
 
 
 def star_graded(ctx: StarContext, f: GradedElement, g: GradedElement) -> GradedElement:

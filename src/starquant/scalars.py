@@ -125,14 +125,18 @@ class GaussianRational:
         optional signs, plus the shorthands "i" and "-i"; a and b are
         ASCII digits and "/b" is optional.  ASCII whitespace is skipped
         between tokens, as in polynomials, so it ends a number: digits
-        split by it are malformed, and so is any other space.  Decimal
-        points, exponents, underscores and a zero denominator are rejected
-        with a ValueError, and a non-string with a TypeError.
+        split by it are malformed, so is a number split by it from its
+        "i" suffix ("2 i", "1/2 i"; "2 * i" is a product), and so is any
+        other space.  Decimal points, exponents, underscores and a zero
+        denominator are rejected with a ValueError, and a non-string with
+        a TypeError.
         """
         if not isinstance(s, str):
             raise TypeError(f"a scalar must be a string, got {type(s).__name__}")
-        if _SPLIT_DIGITS.search(s):
-            raise ValueError(f"whitespace between digits in scalar {s!r}")
+        split = _SPLIT_NUMBER.search(s)
+        if split:
+            what = "a number and its i" if split[1] == "i" else "digits"
+            raise ValueError(f"whitespace between {what} in scalar {s!r}")
         s = _SPACE.sub("", s)
         if not s:
             raise ValueError("empty scalar string")
@@ -171,8 +175,9 @@ class GaussianRational:
 _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 # the whitespace of the polynomial tokenizer: space, \t, \n, \r, \f, \v
 _SPACE = re.compile(r"\s+", re.ASCII)
-# digits that this whitespace splits into two numbers, as the tokenizer would
-_SPLIT_DIGITS = re.compile(r"[0-9]\s+[0-9]", re.ASCII)
+# a number that this whitespace ends, as the tokenizer would, before more
+# digits or its i suffix
+_SPLIT_NUMBER = re.compile(r"[0-9]\s+([0-9i])", re.ASCII)
 
 
 def _rational(text: str, scalar: str):

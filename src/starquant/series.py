@@ -21,7 +21,11 @@ Cauchy sum, :func:`_cauchy`, which also gives the product.
 The recurrences run on the coefficients' own integer triples (re, im,
 den) (see :mod:`starquant.poly`), with the keys packed once per operation
 by :meth:`MultiPoly.numerators` and unpacked once per output coefficient by
-:meth:`MultiPoly.from_numerators`.  A Cauchy sum is one call of the shared
+:meth:`MultiPoly.from_numerators`, in :func:`_series`.  The one exception
+is ``TruncSeries._exp_triples``, the exponential before that unpacking:
+the oracle checks of :mod:`starquant.matrices` compare the closed forms'
+expansions with the oracle on packed keys, the ``star-exp`` command grades
+its expansion on them, and only an order that differs is unpacked.  A Cauchy sum is one call of the shared
 complex product ``poly._complex`` over its products, each scaled to the
 lcm of their denominators, and one ``poly._lowest``, so every triple stays
 in lowest terms.
@@ -303,6 +307,13 @@ class TruncSeries(Series):
         With a ``factor`` of the same order and variable count, the result
         is exp(S) * factor, multiplied before the coefficients of exp(S)
         leave the integer layout."""
+        return _series(self.n, *self._exp_triples(factor))
+
+    def _exp_triples(self, factor: "TruncSeries | None" = None) -> tuple:
+        """(triples, w): :meth:`exp` as the numerator triples of its
+        coefficients, in lowest terms and keyed at field width w, before
+        they are unpacked.  Every field of every key is below 2^w (only mu,
+        on top, may be negative)."""
         if not self.coeffs[0].is_zero():
             raise PreconditionError("exp requires a zero t^0 coefficient")
         bound = self.order * _reach(self.coeffs)
@@ -318,7 +329,7 @@ class TruncSeries(Series):
         if factor is not None:
             b = [c.numerators(w) for c in factor.coeffs]
             out = [_cauchy(out, b, k) for k in range(self.order + 1)]
-        return _series(self.n, out, w)
+        return out, w
 
     def __repr__(self) -> str:
         body = " + ".join(

@@ -66,9 +66,11 @@ denominators.
 For a fixed left factor H the star product is a differential operator in
 the right one, L_H = sum_beta P_beta d^beta (:func:`_left_operator`): the
 kernel's steps contract H alone, except that a step raises a derivative
-count beta_b in the y_b field (:func:`_raise_step`).  Applied to a packed
-key e with e >= beta, a term of a left operator adds one packed shift and
-scales by the falling factorials prod_i e_i!/(e_i - beta_i)!
+count beta_b in the y_b field (:func:`_raise_step`).  Each order builds
+the derivative map d^beta F of its state once per beta of the operator:
+the keys e >= beta, scaled by the falling factorials prod_i e_i!/(e_i -
+beta_i)!, each map from one with a count less (:func:`_derivatives`).  A
+term of P_beta then adds one packed shift to every key of that map
 (:func:`_apply_step`).  One generator runs F_k = L F_(k-1) / k in lowest
 terms (:func:`_exponential`).  The ODE oracle (:func:`ode_star_exponential`)
 takes orders 0..N of it for L = L_H.  The ordering intertwiner
@@ -82,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, count, islice
-from math import lcm, perm
+from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -454,7 +456,7 @@ def intertwine(
         m = 1 if i == j else 2
         key = -(1 << w * i) - (1 << w * j)
         entry = ({key: m * K.re[i][j]}, {key: m * K.im[i][j]})
-        beta = [(w * i, 2)] if i == j else [(w * i, 1), (w * j, 1)]
+        beta = ((w * i, 2),) if i == j else ((w * i, 1), (w * j, 1))
         for part, terms in zip(operator, _complex(_add_products, [(entry, cparts, 1)])):
             if terms:
                 part.append((beta, list(terms.items())))
@@ -535,10 +537,11 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
     The orders of h are contracted by :func:`_states` with the right
     factor left symbolic (:func:`_raise_step`) and summed; then x and w
     collapse into one n-variable key, and the terms are grouped by beta.
-    Each part is a list of (beta, terms) with beta as [(field shift,
-    count), ...] for its nonzero counts and terms as [(shift, numerator),
-    ...], each shift the packed x + w + tail - beta.  w must hold every
-    field of every key built (see :func:`ode_star_exponential`).
+    Each part is a list of (beta, terms) with beta as ((field shift,
+    count), ...) for its nonzero counts, in field order, and terms as
+    [(shift, numerator), ...], each shift the packed x + w + tail - beta.
+    w must hold every field of every key built (see
+    :func:`ode_star_exponential`).
     """
     n = h.n
     block = n * w
@@ -564,41 +567,77 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
                 groups.setdefault(beta, []).append((shift, v))
         operator.append(
             [
-                ([(w * i, b) for i in range(n) if (b := beta >> w * i & fmask)], terms)
+                (tuple((w * i, b) for i in range(n) if (b := beta >> w * i & fmask)), terms)
                 for beta, terms in groups.items()
             ]
         )
     return (*operator, den)
 
 
-def _apply_step(out: dict, operator: list, state: dict, sign: int, mask: int) -> None:
+def _derivative_plan(betas) -> list:
+    """The order in which :func:`_derivatives` builds the derivative maps
+    of ``betas`` (see :func:`_left_operator`): (beta, parent, field shift,
+    b) per map, where beta is its parent with one more count in its last
+    field, which the parent has b times; every parent comes before its
+    children, and beta = () is the state itself."""
+    plan: dict = {}
+
+    def add(beta: tuple) -> None:
+        if beta and beta not in plan:
+            *head, (s, b) = beta
+            parent = (*head, (s, b - 1)) if b > 1 else tuple(head)
+            add(parent)
+            plan[beta] = (parent, s, b - 1)
+
+    for beta in betas:
+        add(beta)
+    return [(beta, *step) for beta, step in plan.items()]
+
+
+def _derivatives(state: dict, plan: list, mask: int) -> dict:
+    """{beta: d^beta state} for each beta of ``plan`` (see
+    :func:`_derivative_plan`), each map keyed by the keys e >= beta of
+    ``state`` with the value v * prod_i e_i!/(e_i - beta_i)!, and built
+    from its parent's map: e!/(e - b - 1)! = e!/(e - b)! * (e - b), for
+    e > b."""
+    maps = {(): state}
+    for beta, parent, s, b in plan:
+        maps[beta] = {
+            key: v * (e - b) for key, v in maps[parent].items() if (e := key >> s & mask) > b
+        }
+    return maps
+
+
+def _apply_step(out: dict, operator: list, derivatives: dict, sign: int) -> None:
     """out += sign * L(state) for one part of a left operator (see
-    :func:`_left_operator`): a key e with e >= beta gets each term's shift
-    added, times the falling factorials e_i!/(e_i - beta_i)!."""
-    for key, v in state.items():
-        for beta, terms in operator:
-            m = sign * v
-            for s, b in beta:
-                e = key >> s & mask
-                if e < b:
-                    break
-                m *= perm(e, b)
-            else:
-                for shift, c in terms:
+    :func:`_left_operator`), given the derivative maps of the state
+    (:func:`_derivatives`): each term of P_beta adds its shift to every key
+    of the map of beta, and its coefficient multiplies the value."""
+    for beta, terms in operator:
+        derivative = derivatives[beta]
+        if derivative:
+            for shift, c in terms:
+                c *= sign
+                for key, v in derivative.items():
                     k = key + shift
-                    out[k] = out.get(k, 0) + m * c
+                    out[k] = out.get(k, 0) + v * c
 
 
 def _exponential(operator: tuple, w: int, re: dict, im: dict, den: int):
     """Yield F_0 = (re, im, den), then F_k = L F_(k-1) / k for the left
     operator L = ``operator`` (see :func:`_left_operator`) on keys packed at
     field width w, each as (re, im, den) in lowest terms, until F_k is
-    empty."""
+    empty.  Each order builds the derivative maps of F_(k-1) that L needs
+    once per part, in the order planned once for L
+    (:func:`_derivative_plan`, :func:`_derivatives`), and every term of L
+    runs over one of them (:func:`_apply_step`)."""
     lre, lim, lden = operator
-    apply_step = partial(_apply_step, mask=(1 << w) - 1)
+    plan = _derivative_plan({beta for part in (lre, lim) for beta, _ in part})
+    mask = (1 << w) - 1
     for k in count(1):
         yield re, im, den
-        re, im = _complex(apply_step, [((lre, lim), (re, im), 1)])
+        derivatives = [_derivatives(part, plan, mask) if part else {} for part in (re, im)]
+        re, im = _complex(_apply_step, [((lre, lim), derivatives, 1)])
         if not re and not im:
             return
         re, im, den = _lowest(re, im, den * lden * k)
@@ -613,9 +652,12 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     d^beta F (Bayen, Flato, Fronsdal, Lichnerowicz & Sternheimer, Ann.
     Phys. 111, 1978), so that operator L_H is built once from the engine's
     kernel (:func:`_left_operator`) and applied at every order, on integer
-    numerators in lowest terms.  It has at most deg H + 1 orders, for a
-    constant or a polynomial lambda alike, because the fully contracted
-    kernel never differentiates the entries.
+    numerators in lowest terms: each order forms every derivative map
+    d^beta F_k that L_H needs once (:func:`_derivatives`), and each term of
+    each P_beta is one pass over its map.  It has at most deg H + 1 orders,
+    for a constant or a polynomial lambda alike, because the fully
+    contracted kernel never differentiates the entries.  The orders are
+    returned unpacked, as polynomials.
 
     Width: a step lowers x, so at most deg H steps run, each adding 1 to
     one beta field and at most the kernel's reach to the w and tail

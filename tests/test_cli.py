@@ -811,6 +811,25 @@ def test_scalars_skip_the_ascii_whitespace_of_polynomials(capsys):
         assert GaussianRational.parse(text) == want
 
 
+def test_scalars_refuse_whitespace_between_a_number_and_its_i(capsys):
+    # whitespace ends the number, so the i after it is no suffix of it
+    def riccati(a):
+        return ["--command", "riccati", "--a", a, "--b", "1", "--c", "0"]
+
+    for text in ("2 i", "1/2 i", "3/4\ti", "1+2\n*i-4 i"):
+        assert _schema_exit(riccati(text), capsys) == (
+            f"bad scalar for a: whitespace between a number and its i in scalar {text!r}"
+        )
+    for text in ("2 i", "1/2 i"):
+        with pytest.raises(SchemaError, match="trailing input"):
+            parse_poly(text, 0)
+    assert main(riccati("2*i")) == 0
+    want = capsys.readouterr().out
+    for text in ("2i", "2 * i", " 2 *i"):
+        assert main(riccati(text)) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_variable_cap(tmp_path, capsys):
     # one above the cap on n and on the rows of lambda, A and K exits 2 before
     # any matrix of that size is built; the zero lambda would be accepted

@@ -8,14 +8,18 @@ from starquant.errors import PreconditionError
 from starquant.parsing import parse_poly
 from starquant.grading import (
     GradedElement,
+    _components,
+    _graded_packed_keys,
     check_jacobi,
     check_lambda_relation,
     decompose,
+    graded_keys,
     h0_dim,
     monomials_upto,
     specialize_mu,
     star_graded,
 )
+from starquant.matrices import SqMatrix, _expansion, expand_closed_form
 from starquant.poly import HALF_MU, MU, MU_INV, MultiPoly
 from starquant.scalars import GR_ONE, GR_ZERO, GaussianRational, gr, rat
 from starquant.star import StarContext, iterated_terms, star, star_terms
@@ -24,8 +28,10 @@ from starquant.verify import (
     _so3_context,
     jacobi_by_brackets,
     rand_antisym,
+    rand_invertible_antisym,
     rand_nonzero_gauss,
     rand_poly,
+    rand_symmetric,
 )
 
 
@@ -117,6 +123,43 @@ def test_specialize_mu_is_homomorphism():
         assert specialize_mu(star(ctx, f, g), value) == star(
             spec_ctx, specialize_mu(f, value), specialize_mu(g, value)
         )
+
+
+def _specialize_by_components(f: MultiPoly, value: GaussianRational) -> MultiPoly:
+    """The component route to specialize_mu, kept as its reference: each
+    (degree, mu) component times value ** e as a polynomial, summed."""
+    v = MultiPoly.from_gaussian(value, f.n)
+    out = MultiPoly.zero(f.n)
+    for (_, e), part in _components(f).items():
+        out = out + (part * v ** e if e else part)
+    return out
+
+
+def test_specialize_mu_matches_the_component_route():
+    rng = random.Random(83)
+    for trial in range(300):
+        n = rng.choice((1, 2, 3))
+        f = MultiPoly.zero(n)
+        for _ in range(rng.randint(0, 3)):
+            f = f + rand_poly(rng, n).scale(MultiPoly.param("mu", rng.randint(-2, 2)))
+        # complex values, and a real one in every fourth trial
+        im = 0 if trial % 4 == 0 else rat(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+        re = rat(rng.choice((-2, -1, 0, 1, 3)) if im else rng.choice((-2, 1, 3)), rng.randint(1, 3))
+        value = GaussianRational(re, im)
+        assert specialize_mu(f, value) == _specialize_by_components(f, value)
+
+
+def test_packed_order_table_matches_the_decoded_expansion():
+    rng = random.Random(89)
+    i_eye = GaussianRational(0, 1)
+    for n in (2, 4):
+        lam = rand_invertible_antisym(rng, n)
+        real = rand_symmetric(rng, n)
+        for a_mat in (real, real + SqMatrix.identity(n).scale(i_eye)):
+            triples, w = _expansion(lam, a_mat, 6)
+            tables = [_graded_packed_keys(n, x, w) for x in triples]
+            assert tables == [graded_keys(c) for c in expand_closed_form(lam, a_mat, 6).coeffs]
+            assert any(entry["mu"] < 0 for table in tables for entry in table)
 
 
 def test_star_graded():

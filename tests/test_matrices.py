@@ -7,6 +7,7 @@ from starquant.errors import PreconditionError
 from starquant.matrices import (
     MatSeries,
     SqMatrix,
+    _expansion,
     _oracle_report,
     cayley,
     cayley_flow_residual,
@@ -25,9 +26,9 @@ from starquant.matrices import (
     solve_q,
     tanh_series,
 )
-from starquant.poly import HBAR, MU_INV, MultiPoly
+from starquant.poly import HBAR, MU_INV, MultiPoly, key_width
 from starquant.scalars import GR_ONE, GaussianRational, gr, rat
-from starquant.series import TruncSeries
+from starquant.series import TruncSeries, _series
 from starquant.verify import (
     rand_gauss,
     rand_invertible_antisym,
@@ -601,19 +602,46 @@ def test_first_divergence_reporting():
     assert first_divergence(s1, s2) == 3
 
 
+def packed(series: TruncSeries) -> tuple:
+    """(triples, w): the closed side of ``_oracle_report`` for a series, at
+    the least width that holds every field of its keys."""
+    w = key_width(max(c.max_exponent() for c in series.coeffs))
+    return [c.numerators(w) for c in series.coeffs], w
+
+
 def test_oracle_report_names_the_differing_component():
     closed = expand_closed_form(std_lam2(), SqMatrix.identity(2), 4)
-    passed = _oracle_report(closed, closed)
+    passed = _oracle_report(packed(closed), closed)
     assert passed.passed and passed.witness is None
     # perturb one (degree, mu) component at t^3: z0^2/mu has degree 2, mu^-1
     z0 = MultiPoly.variable(2, 0)
     bump = TruncSeries.t_term((z0 * z0).scale(MU_INV + HBAR), 3, 4)
-    rep = _oracle_report(closed + bump, closed)
+    rep = _oracle_report(packed(closed + bump), closed)
     assert not rep.passed and rep.first_divergence_order == 3
     assert rep.witness == {
         "components": [{"degree": 2, "mu": -1}, {"degree": 2, "mu": 0}]
     }
-    assert _oracle_report(closed, closed + bump).witness == rep.witness
+    assert _oracle_report(packed(closed), closed + bump).witness == rep.witness
+
+
+def test_oracle_report_refuses_an_oracle_order_that_aliases_when_packed():
+    lam, a_mat = std_lam2(), SqMatrix.identity(2)
+    triples, w = _expansion(lam, a_mat, 4)
+    oracle = expand_closed_form(lam, a_mat, 4)
+    assert oracle == _series(2, triples, w)
+    assert _oracle_report((triples, w), oracle).passed
+    # order 1 is (z0^2 + z1^2)/mu; z0^(2^w) z1 packs at w as z1^2 does,
+    # because the z0 field carries into the z1 field
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    alias = (z0 * z0 + z0 ** (1 << w) * z1).scale(MU_INV)
+    assert alias != oracle.coeffs[1] and alias.numerators(w) == triples[1]
+    coeffs = list(oracle.coeffs)
+    coeffs[1] = alias
+    rep = _oracle_report((triples, w), TruncSeries(2, 4, coeffs))
+    assert not rep.passed and rep.first_divergence_order == 1
+    assert rep.witness == {
+        "components": [{"degree": 2, "mu": -1}, {"degree": (1 << w) + 1, "mu": -1}]
+    }
 
 
 def test_matrix_json_roundtrip():
