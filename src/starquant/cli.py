@@ -35,7 +35,7 @@ from .matrices import (
     closed_star_exponential,
     riccati_1d,
 )
-from .parsing import parse_poly
+from .parsing import parse_gaussian, parse_poly
 from .poly import HALF_MU, MultiPoly, TermRows
 from .scalars import GaussianRational
 from .star import StarContext, intertwine, star, star_k_ordered
@@ -167,7 +167,7 @@ def _gauss_input(value, label: str) -> GaussianRational:
     if not isinstance(value, str):
         raise SchemaError(f"{label} must be a scalar string")
     try:
-        return GaussianRational.parse(value)
+        return parse_gaussian(value)
     except ValueError as exc:
         raise SchemaError(f"bad scalar for {label}: {exc}") from exc
 

@@ -47,6 +47,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .grading import graded_keys
+from .parsing import parse_gaussian
 from .poly import HALF_MU, MU_INV, MultiPoly, key_width, quadratic_form
 from .reports import CheckReport
 from .scalars import (
@@ -372,9 +373,7 @@ class SqMatrix:
 
     @classmethod
     def from_json(cls, data) -> "SqMatrix":
-        return cls(
-            tuple(tuple(GaussianRational.parse(v) for v in row) for row in data)
-        )
+        return cls(tuple(tuple(parse_gaussian(v) for v in row) for row in data))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json()})"
@@ -676,13 +675,6 @@ def _expansion(lam: SqMatrix, a_mat: SqMatrix, N: int) -> tuple:
 def expand_closed_form(lam: SqMatrix, a_mat: SqMatrix, N: int) -> TruncSeries:
     """Expand amplitude * exp((1/mu) Q(t)[Z]) into a polynomial t-series."""
     return _series(lam.dim, *_expansion(lam, a_mat, N))
-
-
-def first_divergence(s1: TruncSeries, s2: TruncSeries) -> int | None:
-    for k in range(min(s1.order, s2.order) + 1):
-        if s1.coeffs[k] != s2.coeffs[k]:
-            return k
-    return None
 
 
 def _oracle_report(closed: tuple, oracle: TruncSeries) -> CheckReport:

@@ -1,4 +1,14 @@
-"""Small recursive-descent parser for human-readable polynomial expressions.
+"""Small recursive-descent parser for human-readable polynomial expressions:
+the one grammar of every polynomial and scalar text of the package.
+
+:func:`parse_poly` reads the polynomials, the ``lambda`` entries of a
+context and its ``coupling``.  :func:`parse_gaussian` reads every Gaussian
+scalar field: the ``lambda`` and ``A`` entries of ``star-exp``, the ``K``
+entries of ``ordering``, ``a``, ``b`` and ``c`` of ``riccati``, ``mu``,
+and the ``value`` of every JSON term list.  A scalar field takes any
+expression without variables that reduces to one term without
+parameters, so ``2*3``, ``i/2`` and ``(1+i)^2`` are scalars, ``mu`` is
+none, and neither is ``2i``: a number and its ``i`` take a ``*``.
 
 Grammar (ASCII whitespace between tokens is ignored)::
 
@@ -50,7 +60,7 @@ from operator import add
 
 from .errors import PreconditionError, SchemaError
 from .poly import NPARAM, MultiPoly, _checked_key
-from .scalars import PARAM_INDEX
+from .scalars import PARAM_INDEX, GaussianRational, to_gaussian
 
 # the most terms that the bound of a product or power may reach: the
 # golden, test and benchmark inputs reach at most 969, a degree-16 power of
@@ -129,11 +139,13 @@ class _Parser:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def parse(self) -> MultiPoly:
+    def parse(self):
+        """The value of the whole text: a term, or a MultiPoly of two or
+        more terms."""
         value = self.expr()
         if self.peek() is not None:
             raise SchemaError(f"trailing input at {self.peek()!r}")
-        return self.poly(value)
+        return value
 
     def expr(self):
         value = self.term()
@@ -339,13 +351,10 @@ def _power_terms(base: MultiPoly, k: int) -> int:
     return min(bound, math.comb(v + k * t, v))
 
 
-def parse_poly(text: str, n: int, max_degree: float = float("inf")) -> MultiPoly:
-    """Parse a polynomial expression in variables z0..z{n-1}, with no
-    product or power of degree above ``max_degree``.
-
-    Expressions that cannot be represented (division by zero, inverses of
-    non-invertible parameters) are input errors, not math errors.
-    """
+def _evaluate(text: str, n: int, max_degree: float):
+    """The value of ``text`` as :meth:`_Parser.parse` gives it.  Expressions
+    that cannot be represented (division by zero, inverses of non-invertible
+    parameters) are input errors, not math errors."""
     try:
         return _Parser(text, n, max_degree).parse()
     except SchemaError:
@@ -354,6 +363,22 @@ def parse_poly(text: str, n: int, max_degree: float = float("inf")) -> MultiPoly
         raise SchemaError(f"cannot evaluate expression {text!r}: {exc}") from exc
 
 
-def parse_scalar(text: str) -> MultiPoly:
-    """Parse a scalar expression (no z variables): a 0-variable MultiPoly."""
-    return parse_poly(text, 0)
+def parse_poly(text: str, n: int, max_degree: float = float("inf")) -> MultiPoly:
+    """Parse a polynomial expression in variables z0..z{n-1}, with no
+    product or power of degree above ``max_degree``; at n = 0 a scalar in
+    the parameters, such as the coupling."""
+    value = _evaluate(text, n, max_degree)
+    return MultiPoly._term(n, *value) if type(value) is tuple else value
+
+
+def parse_gaussian(text: str) -> GaussianRational:
+    """Parse the text of a Gaussian scalar field: an expression with no
+    variable whose value is one term without parameters (``mu/mu`` is 1,
+    ``0*mu`` is refused).  A non-string raises TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"a scalar must be a string, got {type(text).__name__}")
+    value = _evaluate(text, 0, float("inf"))
+    # a sum left with two or more terms has a parameter in one of them
+    if type(value) is not tuple or any(value[0]):
+        raise SchemaError("a scalar field takes no parameter")
+    return to_gaussian(*value[1:])

@@ -398,7 +398,10 @@ class MultiPoly:
     def from_json(cls, n: int, data: Iterable[dict]) -> "MultiPoly":
         """Inverse of :meth:`to_json`.  Every exponent is checked, also on
         entries that are zero or cancel; a malformed entry, or an exponent
-        that is not an int (a bool, a float or a string), raises TypeError."""
+        that is not an int (a bool, a float or a string), raises TypeError.
+        Each "value" is read by :func:`starquant.parsing.parse_gaussian`."""
+        from .parsing import parse_gaussian
+
         acc: dict = {}
         for item in data:
             entry = item["coef"] if n else item
@@ -415,7 +418,7 @@ class MultiPoly:
             if any(type(e) is not int for e in key):
                 raise TypeError(f"exponents must be integers, got {key}")
             key = _checked_key(n, key)
-            acc[key] = acc.get(key, GR_ZERO) + GaussianRational.parse(entry["value"])
+            acc[key] = acc.get(key, GR_ZERO) + parse_gaussian(entry["value"])
         return cls(n, acc)
 
 

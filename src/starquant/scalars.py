@@ -15,11 +15,15 @@ Rationals are ``fractions.Fraction``: ``rat`` is the class itself, so
 every value is in lowest terms with a positive denominator, and ``str`` of
 one that outgrows Python's int-to-text limit raises, which
 :meth:`GaussianRational.text` turns into a schema error.
+
+This module reads no text: :meth:`GaussianRational.text` writes the
+canonical form "3/2-1/3*i", and every scalar text of the package, that form
+included, is read by the one expression grammar,
+:func:`starquant.parsing.parse_gaussian`.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,6 +34,7 @@ from .errors import SchemaError
 rat = Fraction
 
 RAT_ZERO = rat(0)
+# perfbench names the rational backend by its type
 RAT_ONE = rat(1)
 
 
@@ -117,79 +122,8 @@ class GaussianRational:
         (re,), (im,), den = to_numerators((self,))
         return numerator_text(re, im, den)
 
-    @classmethod
-    def parse(cls, s: str) -> "GaussianRational":
-        """Parse the canonical text form produced by :meth:`text`.
-
-        Accepts sums of "a/b" and "a/b*i" (or "a/bi") summands, each with
-        optional signs, plus the shorthands "i" and "-i"; a and b are
-        ASCII digits and "/b" is optional.  ASCII whitespace is skipped
-        between tokens, as in polynomials, so it ends a number: digits
-        split by it are malformed, so is a number split by it from its
-        "i" suffix ("2 i", "1/2 i"; "2 * i" is a product), and so is any
-        other space.  Decimal points, exponents, underscores and a zero
-        denominator are rejected with a ValueError, and a non-string with
-        a TypeError.
-        """
-        if not isinstance(s, str):
-            raise TypeError(f"a scalar must be a string, got {type(s).__name__}")
-        split = _SPLIT_NUMBER.search(s)
-        if split:
-            what = "a number and its i" if split[1] == "i" else "digits"
-            raise ValueError(f"whitespace between {what} in scalar {s!r}")
-        s = _SPACE.sub("", s)
-        if not s:
-            raise ValueError("empty scalar string")
-        # split into signed summands
-        chunks: list[str] = []
-        start = 0
-        for idx in range(1, len(s)):
-            if s[idx] in "+-" and s[idx - 1] not in "+-*/^":
-                chunks.append(s[start:idx])
-                start = idx
-        chunks.append(s[start:])
-        re_acc = RAT_ZERO
-        im_acc = RAT_ZERO
-        for chunk in chunks:
-            sign = RAT_ONE
-            while chunk and chunk[0] in "+-":
-                if chunk[0] == "-":
-                    sign = -sign
-                chunk = chunk[1:]
-            if not chunk:
-                raise ValueError(f"dangling sign in scalar {s!r}")
-            if chunk == "i":
-                im_acc += sign
-            elif chunk.endswith("*i"):
-                im_acc += sign * _rational(chunk[:-2], s)
-            elif chunk.endswith("i"):
-                im_acc += sign * _rational(chunk[:-1], s)
-            else:
-                re_acc += sign * _rational(chunk, s)
-        return cls._raw(re_acc, im_acc)
-
     def __repr__(self) -> str:
         return f"GaussianRational({self.text()!r})"
-
-
-_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-# the whitespace of the polynomial tokenizer: space, \t, \n, \r, \f, \v
-_SPACE = re.compile(r"\s+", re.ASCII)
-# a number that this whitespace ends, as the tokenizer would, before more
-# digits or its i suffix
-_SPLIT_NUMBER = re.compile(r"[0-9]\s+([0-9i])", re.ASCII)
-
-
-def _rational(text: str, scalar: str):
-    """The rational "a" or "a/b" of ASCII digits with b > 0, and nothing
-    else."""
-    m = _RATIONAL.fullmatch(text)
-    if not m:
-        raise ValueError(f"malformed rational {text!r} in scalar {scalar!r}")
-    den = int(m[2] or 1)
-    if not den:
-        raise ValueError(f"zero denominator in scalar {scalar!r}")
-    return rat(int(m[1]), den)
 
 
 GR_ZERO = GaussianRational(0, 0)

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from starquant.cli import (
 )
 from starquant.errors import SchemaError
 from starquant.grading import decompose, graded_terms
-from starquant.parsing import parse_poly, parse_scalar
+from starquant.parsing import parse_gaussian, parse_poly
 from starquant.poly import HALF_MU, I_HBAR_HALF, MU, MultiPoly, TermRows
 from starquant.scalars import GaussianRational, rat
 
@@ -42,14 +43,14 @@ def test_parse_poly_basic():
 
 
 def test_parse_scalar_forms():
-    assert parse_scalar("mu/2") == HALF_MU
-    assert parse_scalar("i*hbar/2") == I_HBAR_HALF
-    assert parse_scalar("3/2-1/3*i") == MultiPoly.from_gaussian(
+    assert parse_poly("mu/2", 0) == HALF_MU
+    assert parse_poly("i*hbar/2", 0) == I_HBAR_HALF
+    assert parse_poly("3/2-1/3*i", 0) == MultiPoly.from_gaussian(
         GaussianRational(rat(3, 2), rat(-1, 3))
     )
-    assert parse_scalar("mu^-1") == MU.inverse()
-    assert parse_scalar("1/mu") == MU.inverse()
-    assert parse_scalar("i^2") == MultiPoly.from_rat(-1)
+    assert parse_poly("mu^-1", 0) == MU.inverse()
+    assert parse_poly("1/mu", 0) == MU.inverse()
+    assert parse_poly("i^2", 0) == MultiPoly.from_rat(-1)
 
 
 def test_parse_errors():
@@ -75,7 +76,7 @@ def test_ascii_whitespace_parses_anywhere():
     assert parse_poly("z0 + 1 ", 2) == z0 + one
     assert parse_poly("\tz0\t*\tz1\t", 2) == z0 * z1
     assert parse_poly("\n z0 +\n1\n", 2) == z0 + one
-    assert parse_scalar(" mu / 2 ") == HALF_MU
+    assert parse_poly(" mu / 2 ", 0) == HALF_MU
 
 
 def _n2(re, im=0, den=1, mu=0):
@@ -165,11 +166,11 @@ def test_parser_builds_single_terms_without_polynomial_products(monkeypatch):
 # ("sum", term, [(op, term)...]), ("prod", factor, [(op, factor)...]),
 # ("sign", op, factor), ("pow", atom, negative, k), ("int", k), ("name", s)
 # and ("paren", sum)
-def _expr_trees():
+def _expr_trees(names=("i", "mu", "hbar", "tau", "z0", "z1")):
     def grow(inner):
         atoms = st.one_of(
             st.integers(0, 9).map(lambda k: ("int", k)),
-            st.sampled_from(["i", "mu", "hbar", "tau", "z0", "z1"]).map(lambda s: ("name", s)),
+            st.sampled_from(names).map(lambda s: ("name", s)),
             inner.map(lambda e: ("paren", e)),
         )
         powers = st.one_of(
@@ -272,6 +273,45 @@ def test_parse_poly_agrees_with_ring_operations(tree):
             parse_poly(text, 2)
         return
     assert parse_poly(text, 2) == want, text
+
+
+_RING_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _gaussian_value(node) -> GaussianRational:
+    """The value of a tree without parameters or variables by
+    GaussianRational ring operations alone."""
+    kind = node[0]
+    if kind == "int":
+        return GaussianRational(node[1])
+    if kind == "name":
+        return GaussianRational(0, 1)
+    if kind == "paren":
+        return _gaussian_value(node[1])
+    if kind == "sign":
+        value = _gaussian_value(node[2])
+        return -value if node[1] == "-" else value
+    if kind == "pow":
+        return _gaussian_value(node[1]) ** (-node[3] if node[2] else node[3])
+    value = _gaussian_value(node[1])
+    for op, x in node[2]:
+        value = _RING_OPS[op](value, _gaussian_value(x))
+    return value
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_expr_trees(names=("i",)))
+def test_parse_gaussian_agrees_with_ring_operations(tree):
+    # a scalar field and a walk of the same tree through GaussianRational's
+    # ring operations give the same value, or both refuse it
+    text = _tree_text(tree)
+    try:
+        want = _gaussian_value(tree)
+    except ZeroDivisionError:
+        with pytest.raises(SchemaError, match="inverse of zero scalar"):
+            parse_gaussian(text)
+        return
+    assert parse_gaussian(text) == want, text
 
 
 def test_text_parse_roundtrip():
@@ -777,7 +817,9 @@ def test_zero_denominators_exit_2_naming_the_scalar(tmp_path, capsys):
     coupling["context"]["coupling"] = [{"params": {"mu": 1}, "value": "2+1/0*i"}]
     riccati = {"command": "riccati", "inputs": {"a": "2+1/0*i", "b": "1", "c": "0"}}
     for job in (f, entry, coupling, riccati):
-        assert "zero denominator in scalar '2+1/0*i'" in _job_exit(job, tmp_path, capsys)
+        assert "cannot evaluate expression '2+1/0*i': inverse of zero scalar" in _job_exit(
+            job, tmp_path, capsys
+        )
 
 
 def test_json_booleans_are_no_scalars(tmp_path, capsys):
@@ -798,17 +840,18 @@ def test_scalars_skip_the_ascii_whitespace_of_polynomials(capsys):
         assert main(riccati(text)) == 0
         assert capsys.readouterr().out == want
     # a no-break space is no whitespace of the grammar
-    assert "malformed rational" in _schema_exit(riccati("1\u00a0/2"), capsys)
+    assert _schema_exit(riccati("1\u00a0/2"), capsys) == (
+        "bad scalar for a: unexpected character '\\xa0' in expression"
+    )
     # whitespace ends a number, as in a polynomial: digits split by it are
     # no one number
-    for text in ("1 2", "1 2/3", "1/2 3", "1\t2*i", "3/4+1\n0*i"):
-        assert _schema_exit(riccati(text), capsys) == (
-            f"bad scalar for a: whitespace between digits in scalar {text!r}"
-        )
+    split = (("1 2", 2), ("1 2/3", 2), ("1/2 3", 3), ("1\t2*i", 2), ("3/4+1\n0*i", 0))
+    for text, token in split:
+        assert _schema_exit(riccati(text), capsys) == f"bad scalar for a: trailing input at {token}"
         with pytest.raises(SchemaError, match="trailing input"):
             parse_poly(text, 0)
     for text, want in ((" 3/4*i ", GaussianRational(0, rat(3, 4))), ("- 1", GaussianRational(-1))):
-        assert GaussianRational.parse(text) == want
+        assert parse_gaussian(text) == want
 
 
 def test_scalars_refuse_whitespace_between_a_number_and_its_i(capsys):
@@ -817,15 +860,15 @@ def test_scalars_refuse_whitespace_between_a_number_and_its_i(capsys):
         return ["--command", "riccati", "--a", a, "--b", "1", "--c", "0"]
 
     for text in ("2 i", "1/2 i", "3/4\ti", "1+2\n*i-4 i"):
-        assert _schema_exit(riccati(text), capsys) == (
-            f"bad scalar for a: whitespace between a number and its i in scalar {text!r}"
-        )
+        assert _schema_exit(riccati(text), capsys) == "bad scalar for a: trailing input at 'i'"
     for text in ("2 i", "1/2 i"):
         with pytest.raises(SchemaError, match="trailing input"):
             parse_poly(text, 0)
+    # nor is an i written against its number: "2i" takes a "*" too
+    assert _schema_exit(riccati("2i"), capsys) == "bad scalar for a: trailing input at 'i'"
     assert main(riccati("2*i")) == 0
     want = capsys.readouterr().out
-    for text in ("2i", "2 * i", " 2 *i"):
+    for text in ("2 * i", " 2 *i"):
         assert main(riccati(text)) == 0
         assert capsys.readouterr().out == want
 
@@ -950,7 +993,7 @@ def test_star_with_wide_exponents(monkeypatch, capsys):
                 "--coupling", coupling, "--f", f_text, "--g", g_text]
         assert main(argv) == 0
         star_out = json.loads(capsys.readouterr().out)["result"]["star"]
-        c = parse_scalar(coupling)
+        c = parse_poly(coupling, 0)
         pairs = [(0, 1, c), (1, 0, -c)]
         want = pairing_product(pairs, parse_poly(f_text, 2), parse_poly(g_text, 2))
         assert star_out == {"text": want.text(), "terms": want.to_json()}

@@ -51,8 +51,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from starquant.cli import main, max_input_degree
+from starquant.parsing import parse_gaussian
 from starquant.poly import MultiPoly
-from starquant.scalars import GaussianRational
 from starquant.verify import SUITES
 
 VALID_SCALARS = ("0", "1", "-2", "1/3", "-5/7", "i", "2/3*i", "1/2+i", "-i", 3, -1)
@@ -93,7 +93,7 @@ def matrix(draw, n: int, shape: str, entries):
 def _negated(v):
     """-v for a valid scalar; anything else is returned as it is."""
     if isinstance(v, str) and v in VALID_SCALARS:
-        return (-GaussianRational.parse(v)).text()
+        return (-parse_gaussian(v)).text()
     if isinstance(v, int) and not isinstance(v, bool):
         return -v
     return v

@@ -15,7 +15,6 @@ from starquant.matrices import (
     closed_form_vs_oracle,
     closed_star_exponential,
     expand_closed_form,
-    first_divergence,
     g_flow_residual,
     inverse_cayley,
     mat_exp_series,
@@ -593,13 +592,6 @@ def test_riccati_vs_moyal_examples():
     for coef in (c.constant_coefficient() for c in g.coeffs):
         for value in coef.terms.values():
             assert not value.im
-
-
-def test_first_divergence_reporting():
-    s1 = TruncSeries.one(0, 4)
-    s2 = TruncSeries.one(0, 4) + TruncSeries.t_term(MultiPoly.one(0), 3, 4)
-    assert first_divergence(s1, s1) is None
-    assert first_divergence(s1, s2) == 3
 
 
 def packed(series: TruncSeries) -> tuple:

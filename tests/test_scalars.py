@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from starquant.errors import PreconditionError
+from starquant.errors import PreconditionError, SchemaError
 from starquant.grading import specialize_mu
+from starquant.parsing import parse_gaussian
 from starquant.poly import HALF_MU, HBAR, MU, MU_INV, MultiPoly
 from starquant.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr, rat
 
@@ -28,7 +29,7 @@ def test_rationals_are_fractions():
     # one backend: every rational is a fractions.Fraction
     assert type(rat(1)) is fractions.Fraction
     assert type(rat(3, 6)) is fractions.Fraction and rat(3, 6) == rat(1, 2)
-    assert type(GaussianRational.parse("3/2-1/3*i").im) is fractions.Fraction
+    assert type(parse_gaussian("3/2-1/3*i").im) is fractions.Fraction
 
 
 @given(gaussians, gaussians, gaussians)
@@ -45,7 +46,7 @@ def test_inverse_and_text_roundtrip(a):
     if a:
         assert a * a.inverse() == GR_ONE
         assert (GR_ONE / a) * a == GR_ONE
-    assert GaussianRational.parse(a.text()) == a
+    assert parse_gaussian(a.text()) == a
 
 
 @given(small_rats(), small_rats(), st.one_of(small_rats(), st.integers(-5, 5)))
@@ -73,22 +74,25 @@ def test_division_by_zero_raises():
 
 
 def test_parse_forms():
-    assert GaussianRational.parse("3/2-1/3*i").text() == "3/2-1/3*i"
-    assert GaussianRational.parse("i") == GR_I
-    assert GaussianRational.parse("-i") == -GR_I
-    assert GaussianRational.parse("0") == GR_ZERO
-    assert GaussianRational.parse("-5/10") == gr(-1, 2)
-    assert GaussianRational.parse("2i") == GaussianRational.parse("2*i")
-    assert GaussianRational.parse("--3+-1/3*i").text() == "3-1/3*i"
+    assert parse_gaussian("3/2-1/3*i").text() == "3/2-1/3*i"
+    assert parse_gaussian("i") == GR_I
+    assert parse_gaussian("-i") == -GR_I
+    assert parse_gaussian("0") == GR_ZERO
+    assert parse_gaussian("-5/10") == gr(-1, 2)
+    assert parse_gaussian("2*i") == GaussianRational(0, 2)
+    assert parse_gaussian("--3+-1/3*i").text() == "3-1/3*i"
+    # a number and its i take a "*": "2i" is no product
+    with pytest.raises(SchemaError, match="trailing input at 'i'"):
+        parse_gaussian("2i")
 
 
 @pytest.mark.parametrize(
     "text", ["2.5", "1_000", "1e999", "1e-5", "1/2.0", "2.5*i", "1_0i", "inf", "½", "٣"]
 )
 def test_parse_rejects_non_canonical_numbers(text):
-    # only signs, ASCII digits, one optional "/digits" and the i forms
+    # only signs, ASCII digits, the operators and the name i
     with pytest.raises(ValueError):
-        GaussianRational.parse(text)
+        parse_gaussian(text)
 
 
 def test_pow_including_negative():
