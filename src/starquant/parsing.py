@@ -8,7 +8,9 @@ entries of ``ordering``, ``a``, ``b`` and ``c`` of ``riccati``, ``mu``,
 and the ``value`` of every JSON term list.  A scalar field takes any
 expression without variables that reduces to one term without
 parameters, so ``2*3``, ``i/2`` and ``(1+i)^2`` are scalars, ``mu`` is
-none, and neither is ``2i``: a number and its ``i`` take a ``*``.
+none, and neither is ``2i``: a number and its ``i`` take a ``*``.  It
+reads at degree cap 0: a sum left with two or more terms has a parameter,
+so a power of one is refused before it is expanded.
 
 Grammar (ASCII whitespace between tokens is ignored)::
 
@@ -109,6 +111,11 @@ def _reduced(key: tuple, re: int, im: int, den: int) -> tuple:
     return key, re // g, im // g, den // g
 
 
+def _poly(n: int, value) -> MultiPoly:
+    """A term or polynomial of the parser as a MultiPoly in n variables."""
+    return MultiPoly._term(n, *value) if type(value) is tuple else value
+
+
 class _Parser:
     def __init__(self, text: str, n: int, max_degree: float):
         self.tokens = _tokenize(text)
@@ -128,10 +135,6 @@ class _Parser:
             return value.degree()
         return sum(value[0][:self.n]) if value[1] or value[2] else -1
 
-    def poly(self, value) -> MultiPoly:
-        """A term or polynomial as a MultiPoly."""
-        return MultiPoly._term(self.n, *value) if type(value) is tuple else value
-
     def peek(self):
         return self.tokens[self.pos]
 
@@ -150,10 +153,10 @@ class _Parser:
     def expr(self):
         value = self.term()
         if self.peek() in ("+", "-"):
-            value = self.poly(value)
+            value = _poly(self.n, value)
             while self.peek() in ("+", "-"):
                 op = self.next()
-                rhs = self.poly(self.term())
+                rhs = _poly(self.n, self.term())
                 value = value + rhs if op == "+" else value - rhs
         if type(value) is tuple:
             return value
@@ -191,7 +194,7 @@ class _Parser:
             rkey, c, e, f = rhs
             self.check_digits((abs(a) + abs(b)) * (abs(c) + abs(e)), d * f)
             return _reduced(tuple(map(add, key, rkey)), a * c - b * e, a * e + b * c, d * f)
-        lhs, rhs = self.poly(lhs), self.poly(rhs)
+        lhs, rhs = _poly(self.n, lhs), _poly(self.n, rhs)
         # the numerator maps bound the term counts from above at no cost
         if (len(lhs.re) + len(lhs.im)) * (len(rhs.re) + len(rhs.im)) > MAX_TERMS:
             terms = len(lhs.keys()) * len(rhs.keys())
@@ -263,9 +266,9 @@ class _Parser:
         exp = self.next()
         if type(exp) is not int:
             raise SchemaError(f"expected 'int', found {exp!r}")
-        self.check_degree(self.degree(base) * sign * exp)
         if sign < 0 and exp:
             base = self.inverse(base, exp)
+        self.check_degree(self.degree(base) * exp)
         if type(base) is tuple:
             key, a, b, d = base
             limit = sys.get_int_max_str_digits()
@@ -367,18 +370,18 @@ def parse_poly(text: str, n: int, max_degree: float = float("inf")) -> MultiPoly
     """Parse a polynomial expression in variables z0..z{n-1}, with no
     product or power of degree above ``max_degree``; at n = 0 a scalar in
     the parameters, such as the coupling."""
-    value = _evaluate(text, n, max_degree)
-    return MultiPoly._term(n, *value) if type(value) is tuple else value
+    return _poly(n, _evaluate(text, n, max_degree))
 
 
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse the text of a Gaussian scalar field: an expression with no
-    variable whose value is one term without parameters (``mu/mu`` is 1,
-    ``0*mu`` is refused).  A non-string raises TypeError."""
+    variable whose value is one term without parameters (``mu/mu`` is 1
+    and ``0*mu`` is 0).  A non-string raises TypeError."""
     if not isinstance(text, str):
         raise TypeError(f"a scalar must be a string, got {type(text).__name__}")
-    value = _evaluate(text, 0, float("inf"))
-    # a sum left with two or more terms has a parameter in one of them
-    if type(value) is not tuple or any(value[0]):
+    # a sum left with two or more terms has a parameter in one of them, so
+    # degree cap 0 refuses a power of one before expanding it
+    value = _evaluate(text, 0, 0)
+    if type(value) is not tuple or (any(value[0]) and (value[1] or value[2])):
         raise SchemaError("a scalar field takes no parameter")
     return to_gaussian(*value[1:])

@@ -35,6 +35,7 @@ VALUES = [
     ("1/(1+i)", "1/2-1/2*i"),
     ("mu/mu", "1"),
     ("mu-mu", "0"),
+    ("0*mu", "0"),
 ]
 
 # texts that every scalar field refuses, with the reader's message
@@ -47,12 +48,14 @@ REFUSALS = [
     ("1e3", "trailing input at 'e3'"),
     ("1.5", "unexpected character '.' in expression"),
     ("1/0", "cannot evaluate expression '1/0': inverse of zero scalar"),
+    ("0^-1", "cannot evaluate expression '0^-1': inverse of zero scalar"),
     ("1+", "unexpected token None"),
     ("", "unexpected token None"),
     ("1 2", "trailing input at 2"),
     ("2 i", "trailing input at 'i'"),
     ("mu", "a scalar field takes no parameter"),
-    ("0*mu", "a scalar field takes no parameter"),
+    # refused by the degree cap 0 before the power is expanded
+    ("(1+mu)^9999", "a power 9999 of a sum of terms exceeds the cap 0"),
     ("1/(1+mu)", "cannot evaluate expression '1/(1+mu)': only monomial scalars are invertible"),
     ("1\u00a02", "unexpected character '\\xa0' in expression"),
 ]
