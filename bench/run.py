@@ -35,9 +35,12 @@ by the same cases as this one:
   ``check_lambda_relation`` at ``k_max`` 4 and ``d_max`` 3 on the same two
   brackets; both entries are linear, so both fail at order 2;
 * ``matmul_n4``: all 256 products of 16 random 4x4 ``SqMatrix``;
+* ``matmul_complex_n4``: the same with complex entries;
 * ``matseries_inverse_n4_N8``, ``matseries_det_n4_N8``: ``MatSeries.inverse``
   and ``MatSeries.det`` of a random 4x4 matrix series with an invertible
   t^0 coefficient;
+* ``matseries_inverse_unit_n4_N8``: ``MatSeries.inverse`` of a random 4x4
+  matrix series whose t^0 coefficient is the identity;
 * ``matseries_mul_n4_N8``: the product of two random 4x4 matrix series;
 * ``cayley_series_n4_N8``: ``cayley`` of a random 4x4 matrix series X with
   an invertible 1 + X_0;
@@ -200,6 +203,7 @@ def cases(tiny: bool) -> list:
     from starquant.grading import check_jacobi, check_lambda_relation
     from starquant.matrices import (
         MatSeries,
+        SqMatrix,
         cayley,
         cayley_flow_residual,
         closed_star_exponential,
@@ -217,6 +221,7 @@ def cases(tiny: bool) -> list:
     from starquant.star import StarContext, intertwine, ode_star_exponential, star
     from starquant.verify import (
         rand_antisym,
+        rand_gauss,
         rand_invertible_antisym,
         rand_poly,
         rand_square,
@@ -396,6 +401,23 @@ def cases(tiny: bool) -> list:
         return sum(not c.is_zero() for c in q.coeffs + g.coeffs)
 
     out.append((f"cayley_flows_n{n}_N{order}", {"n": n, "N": order}, run_flows))
+    rng = random.Random(4003)
+    useries = MatSeries(
+        n, order, [SqMatrix.identity(n)] + [rand_square(rng, n) for _ in range(order)]
+    )
+    out.append(
+        (f"matseries_inverse_unit_n{n}_N{order}", {"n": n, "N": order},
+         lambda: sum(not m.is_zero() for m in useries.inverse().coeffs))
+    )
+    rng = random.Random(4004)
+    cmats = [
+        SqMatrix([[rand_gauss(rng) for _ in range(n)] for _ in range(n)])
+        for _ in range(4 if tiny else 16)
+    ]
+    out.append(
+        (f"matmul_complex_n{n}", {"n": n, "products": len(cmats) ** 2},
+         lambda: sum(not (x * y).is_zero() for x in cmats for y in cmats))
+    )
     rng = random.Random(6000)
     texts = []
     for _ in range(4 if tiny else 64):

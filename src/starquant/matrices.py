@@ -15,12 +15,17 @@ Library for Number Theory", ICMS 2010): integer numerator rows ``re`` and
 ``im`` over one positive denominator ``den``, in lowest terms (the gcd of
 ``den`` and every numerator is 1), so equal matrices have equal fields.
 Sums, products and scalings are integer matrix arithmetic followed by one
-gcd normalisation.  A Cauchy coefficient sum_j m_j X_j Y_(k-j) over the lcm
-of the denominators is one block product, the block rows [m_1 X_1 | m_2 X_2
-| ...] times the block columns [Y_(k-1); Y_(k-2); ...], one dot product per
-entry, with the imaginary passes of a real side skipped; a product of two
-matrices is its one-pair case.  ``MatSeries.inverse`` forms its left factors
--M_0^(-1) M_j once, so each order is one block product, and
+gcd normalisation.  A real operand pays nothing for its zero ``im``: the
+normalisation takes no gcd over it and divides none of it, and negation
+and a real scaling return it as it stands.  A Cauchy coefficient
+sum_j m_j X_j Y_(k-j) over the lcm of the denominators is one block
+product, the block rows [m_1 X_1 | m_2 X_2 | ...] times the block columns
+[Y_(k-1); Y_(k-2); ...], one dot product per entry, with the imaginary
+passes of a real side skipped; a product of two matrices is its one-pair
+case.  ``MatSeries.inverse`` forms its left factors -M_0^(-1) M_j once, so
+each order is one block product; when M_0 is the identity, as in
+``cayley`` of a series with X_0 = 0 and in the determinant of
+``solve_g``, they are -M_j, with no matrix inverse and no product.
 ``MatSeries.det`` needs only traces, so it sums only the diagonal.
 ``MatSeries`` takes its shell from :class:`starquant.series.Series`, and a
 constant ``SqMatrix`` multiplies it on either side with one matrix product
@@ -47,7 +52,6 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .grading import graded_keys
-from .parsing import parse_gaussian
 from .poly import HALF_MU, MU_INV, MultiPoly, key_width, quadratic_form
 from .reports import CheckReport
 from .scalars import (
@@ -73,7 +77,7 @@ def _zeros(dim: int) -> tuple:
 
 def _lin(x: tuple, a: int, y: tuple, b: int) -> tuple:
     """The integer rows a x + b y."""
-    return tuple(tuple(a * u + b * v for u, v in zip(rx, ry)) for rx, ry in zip(x, y))
+    return tuple([tuple([a * u + b * v for u, v in zip(rx, ry)]) for rx, ry in zip(x, y)])
 
 
 def _times(x: tuple, a: int) -> tuple:
@@ -145,13 +149,17 @@ def _bareiss(m: list, jordan: bool):
 
 
 def _normal(dim: int, den: int, re: tuple, im: tuple) -> "SqMatrix":
-    """The matrix (re + i im) / den, for den > 0, in lowest terms."""
+    """The matrix (re + i im) / den, for den > 0, in lowest terms.  A zero
+    ``im`` takes no gcd and no division: it stays as it stands."""
+    real = im == _zeros(dim)
     g = gcd(den, *chain.from_iterable(re))
-    g = g if g == 1 else gcd(g, *chain.from_iterable(im))  # im only while re leaves a factor
+    if g != 1 and not real:  # im only while re leaves a factor
+        g = gcd(g, *chain.from_iterable(im))
     if g != 1:
         den //= g
-        re = tuple(tuple(v // g for v in r) for r in re)
-        im = tuple(tuple(v // g for v in r) for r in im)
+        re = tuple([tuple([v // g for v in r]) for r in re])
+        if not real:
+            im = tuple([tuple([v // g for v in r]) for r in im])
     return SqMatrix._raw(dim, den, re, im)
 
 
@@ -283,7 +291,8 @@ class SqMatrix:
         return _add(self, other, -1)
 
     def __neg__(self) -> "SqMatrix":
-        return SqMatrix._raw(self.dim, self.den, _times(self.re, -1), _times(self.im, -1))
+        im = self.im if self.im == _zeros(self.dim) else _times(self.im, -1)
+        return SqMatrix._raw(self.dim, self.den, _times(self.re, -1), im)
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
         if not isinstance(other, SqMatrix):
@@ -298,7 +307,7 @@ class SqMatrix:
         if cim:
             re, im = _lin(re, cre, im, -cim), _lin(re, cim, im, cre)
         else:
-            re, im = _times(re, cre), _times(im, cre)
+            re, im = _times(re, cre), im if im == _zeros(self.dim) else _times(im, cre)
         return _normal(self.dim, self.den * cden, re, im)
 
     def scale(self, c: GaussianRational) -> "SqMatrix":
@@ -370,10 +379,6 @@ class SqMatrix:
     def to_json(self) -> list:
         rows = zip(self.re, self.im)
         return [[numerator_text(a, b, self.den) for a, b in zip(*row)] for row in rows]
-
-    @classmethod
-    def from_json(cls, data) -> "SqMatrix":
-        return cls(tuple(tuple(parse_gaussian(v) for v in row) for row in data))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json()})"
@@ -468,9 +473,14 @@ class MatSeries(Series):
     def inverse(self) -> "MatSeries":
         """Multiplicative inverse, from M X = I: X_0 = M_0^(-1) and
         X_k = sum_{j=1..k} L_j X_{k-j} with L_j = -M_0^(-1) M_j, each L_j
-        formed once.  M_0 must be invertible."""
-        inv0 = self.coeffs[0].inverse()  # raises PreconditionError when singular
-        left = [-inv0 * m for m in self.coeffs[1:]]
+        formed once.  M_0 must be invertible.  When M_0 is the identity,
+        X_0 = I and L_j = -M_j, with no matrix inverse and no product."""
+        m0, rest = self.coeffs[0], self.coeffs[1:]
+        if m0 == SqMatrix.identity(self.dim):
+            inv0, left = m0, [-m for m in rest]
+        else:
+            inv0 = m0.inverse()  # raises PreconditionError when singular
+            left = [-inv0 * m for m in rest]
         out = [inv0]
         for _ in range(self.order):
             out.append(_msum(zip(left, out[::-1]), self.dim))
@@ -544,12 +554,12 @@ def check_sp_pair(lam: SqMatrix, x: SqMatrix) -> dict:
 
 
 def mat_exp_series(a: SqMatrix, scale: GaussianRational, N: int) -> MatSeries:
-    """The series of exp(scale * a * t) through t^N."""
-    coeffs = [SqMatrix.identity(a.dim)]
-    cur = SqMatrix.identity(a.dim)
+    """The series of exp(scale * a * t) through t^N: the identity, then the
+    powers of scale * a, each over k!."""
     sa = a.scale(scale)
-    fact = 1
-    for k in range(1, N + 1):
+    coeffs = [SqMatrix.identity(a.dim), sa][: N + 1]
+    cur, fact = sa, 1
+    for k in range(2, N + 1):
         cur = cur * sa
         fact *= k
         coeffs.append(cur._scaled(1, 0, fact))

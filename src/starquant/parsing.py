@@ -95,6 +95,12 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _shown(tok) -> str:
+    """A token as an error message names it: the None that ends the tokens
+    is the end of input."""
+    return "end of input" if tok is None else repr(tok)
+
+
 @cache
 def _unit_key(n: int, position: int) -> tuple:
     """The key of length n + 3 with exponent 1 at ``position``."""
@@ -265,7 +271,7 @@ class _Parser:
             sign = -1
         exp = self.next()
         if type(exp) is not int:
-            raise SchemaError(f"expected 'int', found {exp!r}")
+            raise SchemaError(f"expected 'int', found {_shown(exp)}")
         if sign < 0 and exp:
             base = self.inverse(base, exp)
         self.check_degree(self.degree(base) * exp)
@@ -296,10 +302,13 @@ class _Parser:
             return self.zero_key, tok, 0, 1
         if tok == "(":
             value = self.expr()
-            if self.next() != ")":
-                raise SchemaError(f"expected ')', found {self.tokens[self.pos - 1]!r}")
+            close = self.next()
+            if close != ")":
+                raise SchemaError(f"expected ')', found {_shown(close)}")
             return value
-        if tok is not None and tok not in _OPERATORS:
+        if tok is None:
+            raise SchemaError("unexpected end of input")
+        if tok not in _OPERATORS:
             return self.name_value(tok)
         raise SchemaError(f"unexpected token {tok!r}")
 

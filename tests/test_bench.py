@@ -29,7 +29,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         "jacobi_so3_d1", "jacobi_cyclic_n4_d1", "lambda_relation_so3_d1",
         "lambda_relation_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",
         "matseries_det_n4_N2", "matseries_mul_n4_N2", "cayley_series_n4_N2", "tanh_n4_N2",
-        "cayley_flows_n4_N2",
+        "cayley_flows_n4_N2", "matseries_inverse_unit_n4_N2", "matmul_complex_n4",
         "cli_star_poly_n3", "cli_star_small",
         "cli_grade", "cli_riccati_N2", "cli_star_exp_n4_N2", "cli_verify_lambda_n3",
         "cli_ordering", "parse_texts",

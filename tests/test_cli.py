@@ -18,6 +18,7 @@ from starquant.cli import (
     MAX_VARIABLES,
     SCHEMA,
     _build_argparser,
+    _matrix_input,
     json_text,
     main,
     run_job,
@@ -499,7 +500,7 @@ def test_run_star_exp_job():
     from starquant.matrices import SqMatrix
 
     for entry in result["phase_matrix"]:
-        SqMatrix.from_json(entry)
+        assert SqMatrix(_matrix_input(entry, "phase_matrix")).to_json() == entry
     for coeff in result["amplitude"]:
         assert MultiPoly.from_json(0, coeff["terms"]).text() == coeff["text"]
 

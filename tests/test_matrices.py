@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from starquant import cli
 from starquant.errors import PreconditionError
 from starquant.matrices import (
     MatSeries,
@@ -152,17 +153,23 @@ def assert_same(x: SqMatrix, y: SqMatrix) -> None:
 
 def test_same_matrix_by_different_routes():
     rng = random.Random(21)
-    for n in (1, 2, 3, 4):
-        a = rand_square(rng, n)
-        b = rand_square(rng, n)
-        while not b.det():
-            b = rand_square(rng, n)
-        assert_same((a * b) * b.inverse(), a)
-        assert_same(b.inverse() * (b * a), a)
-        assert_same((a + b) - b, a)
-        assert_same(a - a, SqMatrix.zero(n))
-        assert_same(SqMatrix(a.rows), a)
-        assert_same(a.scale(gr(3, 7)).scale(gr(7, 3)), a)
+    i = GaussianRational(0, 1)
+    # real matrices, then complex ones
+    for draw in (rand_square, lambda rng, n: rand_matrix(rng, n, True)):
+        for n in (1, 2, 3, 4):
+            a = draw(rng, n)
+            b = draw(rng, n)
+            while not b.det():
+                b = draw(rng, n)
+            assert_same((a * b) * b.inverse(), a)
+            assert_same(b.inverse() * (b * a), a)
+            assert_same((a + b) - b, a)
+            assert_same(a - a, SqMatrix.zero(n))
+            assert_same(SqMatrix(a.rows), a)
+            assert_same(a.scale(gr(3, 7)).scale(gr(7, 3)), a)
+            assert_same(-(-a), a)
+            assert_same(-a, a.scale(gr(-1)))
+            assert_same(a.scale(i).scale(-i), a)
     for op in (SqMatrix.__add__, SqMatrix.__sub__, SqMatrix.__mul__):
         with pytest.raises(ValueError, match="dimension mismatch"):
             op(SqMatrix.identity(2), SqMatrix.identity(3))
@@ -264,6 +271,21 @@ def test_mat_series_inverse_and_det():
                 a, b = entry_series(m, 0, 0), entry_series(m, 0, 1)
                 c, d = entry_series(m, 1, 0), entry_series(m, 1, 1)
                 assert m.det() == a * d - b * c
+    # M_0 = I inverts without M_0^(-1), and 2M, whose M_0 = 2I, does not:
+    # both routes, with real and with complex M_j
+    for complex_entries in (False, True):
+        for order in (0, N):
+            for dim in (2, 3):
+                rest = [rand_matrix(rng, dim, complex_entries) for _ in range(order)]
+                m = MatSeries(dim, order, [SqMatrix.identity(dim)] + rest)
+                one = MatSeries.identity(dim, order)
+                assert m * m.inverse() == one
+                assert m.inverse() * m == one
+                assert m.scale(gr(2)).inverse().scale(gr(2)) == m.inverse()
+                if dim == 2:
+                    a, b = entry_series(m, 0, 0), entry_series(m, 0, 1)
+                    c, d = entry_series(m, 1, 0), entry_series(m, 1, 1)
+                    assert m.det() == a * d - b * c
 
 
 # --- the series shell and constant products ---------------------------------
@@ -638,7 +660,7 @@ def test_oracle_report_refuses_an_oracle_order_that_aliases_when_packed():
 
 def test_matrix_json_roundtrip():
     m = SqMatrix(((gr(1, 2), gr(-3)), (gr(0), GR_ONE)))
-    assert SqMatrix.from_json(m.to_json()) == m
+    assert SqMatrix(cli._matrix_input(m.to_json(), "m")) == m
     # each entry's text reduces its real and imaginary parts on their own
     c = SqMatrix(
         ((GaussianRational(rat(1, 6), rat(-3, 4)), gr(2, 3)), (gr(0), GaussianRational(0, 1)))

@@ -49,8 +49,10 @@ REFUSALS = [
     ("1.5", "unexpected character '.' in expression"),
     ("1/0", "cannot evaluate expression '1/0': inverse of zero scalar"),
     ("0^-1", "cannot evaluate expression '0^-1': inverse of zero scalar"),
-    ("1+", "unexpected token None"),
-    ("", "unexpected token None"),
+    ("1+", "unexpected end of input"),
+    ("", "unexpected end of input"),
+    ("(1", "expected ')', found end of input"),
+    ("2^", "expected 'int', found end of input"),
     ("1 2", "trailing input at 2"),
     ("2 i", "trailing input at 'i'"),
     ("mu", "a scalar field takes no parameter"),
