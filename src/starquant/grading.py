@@ -33,10 +33,9 @@ from itertools import combinations, islice, product, zip_longest
 from math import comb
 
 from .errors import PreconditionError
-from .parsing import _gaussian_power
 from .poly import MultiPoly, TermRows, _lowest, _nonzero, _unpack_fields, grlex_key, key_width
 from .reports import CheckReport
-from .scalars import PARAM_INDEX, GaussianRational, to_numerators
+from .scalars import PARAM_INDEX, GaussianRational, _gaussian_power, to_numerators
 from .star import (
     StarContext,
     _collapse,

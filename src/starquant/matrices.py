@@ -58,6 +58,7 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    _GaussInt,
     gr,
     numerator_text,
     rat,
@@ -82,34 +83,6 @@ def _lin(x: tuple, a: int, y: tuple, b: int) -> tuple:
 
 def _times(x: tuple, a: int) -> tuple:
     return tuple([tuple([a * u for u in r]) for r in x])
-
-
-class _GaussInt:
-    """An exact Gaussian integer re + im*i: an entry of the elimination over
-    Z[i].  ``//`` is exact division."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __mul__(self, o: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __sub__(self, o: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.re - o.re, self.im - o.im)
-
-    def __floordiv__(self, o) -> "_GaussInt":
-        if isinstance(o, int):
-            return _GaussInt(self.re // o, self.im // o)
-        n = o.re * o.re + o.im * o.im
-        return _GaussInt(
-            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
-        )
 
 
 def _bareiss(m: list, jordan: bool):

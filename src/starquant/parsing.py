@@ -48,8 +48,10 @@ an exponent of at most the cap, and a single term one whose coefficient
 stays below the int-to-text limit (:meth:`_Parser.power`).  The degree cap
 does not bound term counts, so a product or power of sums is also refused
 before it is multiplied out when a bound on its terms passes ``MAX_TERMS``
-(:func:`_power_terms`), and a product when a bound on its integers could
-pass the int-to-text limit (:meth:`_Parser.check_digits`).
+(:func:`_power_terms`), a product when the pairs of terms that the
+products of sums of the text multiply pass ``MAX_TERMS`` in all, and a
+product when a bound on its integers could pass the int-to-text limit
+(:meth:`_Parser.check_digits`).
 """
 
 from __future__ import annotations
@@ -62,12 +64,14 @@ from operator import add
 
 from .errors import PreconditionError, SchemaError
 from .poly import NPARAM, MultiPoly, _checked_key
-from .scalars import PARAM_INDEX, GaussianRational, to_gaussian
+from .scalars import PARAM_INDEX, GaussianRational, _gaussian_power, to_gaussian
 
-# the most terms that the bound of a product or power may reach: the
-# golden, test and benchmark inputs reach at most 969, a degree-16 power of
-# a sum of 5 variables (4845 terms) takes 0.3 s, and one of 7 variables
-# (74613 terms) took 13 s to expand
+# the most terms that the bound of a product or power may reach, and the
+# most pairs of terms that the products of sums of one text may multiply:
+# the golden, test and benchmark inputs reach at most 969 terms (and the
+# golden and benchmark texts 3 pairs), a degree-16 power of a sum of 5
+# variables (4845 terms) takes 0.3 s, and one of 7 variables (74613 terms)
+# took 13 s to expand
 MAX_TERMS = 10000
 
 # ASCII only, as in scalars: a digit is 0-9 and a space is ASCII whitespace,
@@ -129,6 +133,8 @@ class _Parser:
         self.n = n
         self.max_degree = max_degree
         self.zero_key = (0,) * (n + NPARAM)
+        # the pairs of terms multiplied so far by products of sums
+        self.pairs = 0
 
     def check_degree(self, degree: int) -> None:
         if degree > self.max_degree:
@@ -194,21 +200,29 @@ class _Parser:
     def product(self, lhs, rhs):
         """lhs * rhs, refused first if its terms or integers could pass the
         caps: a product of two terms adds their keys and multiplies their
-        Gaussian integers."""
+        Gaussian integers.  A product of sums multiplies every pair of
+        their terms, and the pairs of all such products of one text are
+        capped together, so that a chain of products, nested or not, costs
+        at most ``MAX_TERMS`` pairs."""
         if type(lhs) is tuple and type(rhs) is tuple:
             key, a, b, d = lhs
             rkey, c, e, f = rhs
             self.check_digits((abs(a) + abs(b)) * (abs(c) + abs(e)), d * f)
             return _reduced(tuple(map(add, key, rkey)), a * c - b * e, a * e + b * c, d * f)
         lhs, rhs = _poly(self.n, lhs), _poly(self.n, rhs)
-        # the numerator maps bound the term counts from above at no cost
-        if (len(lhs.re) + len(lhs.im)) * (len(rhs.re) + len(rhs.im)) > MAX_TERMS:
-            terms = len(lhs.keys()) * len(rhs.keys())
-            if terms > MAX_TERMS:
-                raise SchemaError(
-                    f"a product of {len(lhs.keys())} and {len(rhs.keys())} terms could have"
-                    f" {terms} terms, above the cap {MAX_TERMS}"
-                )
+        left, right = len(lhs.keys()), len(rhs.keys())
+        terms = left * right
+        if terms > MAX_TERMS:
+            raise SchemaError(
+                f"a product of {left} and {right} terms could have {terms} terms,"
+                f" above the cap {MAX_TERMS}"
+            )
+        self.pairs += terms
+        if self.pairs > MAX_TERMS:
+            raise SchemaError(
+                f"the products of sums in one text multiply {self.pairs} pairs of terms,"
+                f" above the cap {MAX_TERMS}"
+            )
         self.check_digits(_norm(lhs) * _norm(rhs), lhs.den * rhs.den)
         return lhs * rhs
 
@@ -325,20 +339,6 @@ class _Parser:
                 raise SchemaError(f"variable {name!r} out of range for {n} variables")
             return _unit_key(n, j), 1, 0, 1
         raise SchemaError(f"unknown name {name!r}")
-
-
-def _gaussian_power(a: int, b: int, k: int) -> tuple:
-    """(re, im) of (a + b*i)^k, k >= 0, by repeated squaring."""
-    if not b:
-        return a ** k, 0
-    re, im = 1, 0
-    while k:
-        if k & 1:
-            re, im = re * a - im * b, re * b + im * a
-        k >>= 1
-        if k:
-            a, b = a * a - b * b, 2 * a * b
-    return re, im
 
 
 def _norm(p: MultiPoly) -> int:

@@ -16,6 +16,11 @@ every value is in lowest terms with a positive denominator, and ``str`` of
 one that outgrows Python's int-to-text limit raises, which
 :meth:`GaussianRational.text` turns into a schema error.
 
+Integer arithmetic over Z[i] lives here too: ``_GaussInt`` is the one
+Gaussian-integer type, and :func:`power` the one repeated-squaring loop,
+which :func:`_gaussian_power` runs for the integers of a parsed term and
+of a specialized mu.
+
 This module reads no text: :meth:`GaussianRational.text` writes the
 canonical form "3/2-1/3*i", and every scalar text of the package, that form
 included, is read by the one expression grammar,
@@ -40,7 +45,8 @@ RAT_ONE = rat(1)
 
 def power(x, k: int, one):
     """x**k for k >= 0 by repeated squaring, with ``one`` the unit of x's
-    ring: the one loop of ``GaussianRational`` and ``MultiPoly`` powers."""
+    ring: the one loop of ``GaussianRational``, ``MultiPoly`` and
+    Gaussian-integer powers."""
     out = one
     while k:
         if k & 1:
@@ -49,6 +55,43 @@ def power(x, k: int, one):
         if k:
             x = x * x
     return out
+
+
+class _GaussInt:
+    """An exact Gaussian integer re + im*i: an entry of the elimination over
+    Z[i] in :mod:`starquant.matrices`, and the base of a complex
+    :func:`_gaussian_power`.  ``//`` is exact division."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __mul__(self, o: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __sub__(self, o: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re - o.re, self.im - o.im)
+
+    def __floordiv__(self, o) -> "_GaussInt":
+        if isinstance(o, int):
+            return _GaussInt(self.re // o, self.im // o)
+        n = o.re * o.re + o.im * o.im
+        return _GaussInt(
+            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
+        )
+
+
+def _gaussian_power(a: int, b: int, k: int) -> tuple:
+    """(re, im) of (a + b*i)^k for ints a, b and k >= 0."""
+    if not b:
+        return a ** k, 0
+    out = power(_GaussInt(a, b), k, _GaussInt(1, 0))
+    return out.re, out.im
 
 
 class GaussianRational:

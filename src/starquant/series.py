@@ -35,8 +35,8 @@ an operation builds.  Coefficient k of ``exp``, ``inv_sqrt`` and
 ``inverse`` is a sum of products of at most k coefficients S_1..S_k (times
 a power of mu for ``inverse``), so the order times the coefficients'
 largest exponent bounds it; a product adds the two operands' largest
-exponents.  ``exp`` can also multiply its result by a second series before
-its keys are unpacked.
+exponents.  ``_exp_triples`` can also multiply the exponential by a second
+series before its keys are unpacked.
 """
 
 from __future__ import annotations
@@ -300,20 +300,18 @@ class TruncSeries(Series):
             out.append(_cauchy(s, out, k, 1, weights, 2 * k))
         return _series(self.n, out, w)
 
-    def exp(self, factor: "TruncSeries | None" = None) -> "TruncSeries":
+    def exp(self) -> "TruncSeries":
         """Series exponential of a series S with S_0 = 0, from the flow
-        F' = S' F: k F_k = sum_{j=1..k} j S_j F_{k-j}.
-
-        With a ``factor`` of the same order and variable count, the result
-        is exp(S) * factor, multiplied before the coefficients of exp(S)
-        leave the integer layout."""
-        return _series(self.n, *self._exp_triples(factor))
+        F' = S' F: k F_k = sum_{j=1..k} j S_j F_{k-j}."""
+        return _series(self.n, *self._exp_triples())
 
     def _exp_triples(self, factor: "TruncSeries | None" = None) -> tuple:
         """(triples, w): :meth:`exp` as the numerator triples of its
         coefficients, in lowest terms and keyed at field width w, before
         they are unpacked.  Every field of every key is below 2^w (only mu,
-        on top, may be negative)."""
+        on top, may be negative).  With a ``factor`` of the same order and
+        variable count, the triples are those of exp(S) * factor,
+        multiplied before they leave the integer layout."""
         if not self.coeffs[0].is_zero():
             raise PreconditionError("exp requires a zero t^0 coefficient")
         bound = self.order * _reach(self.coeffs)

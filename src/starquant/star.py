@@ -66,22 +66,22 @@ denominators.
 For a fixed left factor H the star product is a differential operator in
 the right one, L_H = sum_beta P_beta d^beta (:func:`_left_operator`): the
 kernel's steps contract H alone, except that a step raises a derivative
-count beta_b in the y_b field (:func:`_raise_step`).  Each order builds
-the derivative map d^beta F of its state once per beta of the operator:
-the keys e >= beta, scaled by the falling factorials prod_i e_i!/(e_i -
-beta_i)!, each map from one with a count less (:func:`_derivatives`).  A
-term of P_beta then adds one packed shift to every key of that map
-(:func:`_apply_step`).  One generator runs F_k = L F_(k-1) / k in lowest
-terms (:func:`_exponential`).  The ODE oracle (:func:`ode_star_exponential`)
-takes orders 0..N of it for L = L_H.  The ordering intertwiner
-exp(c sum_ij K_ij d_i d_j) (:func:`intertwine`) is the same exponential of
-a left operator with constant coefficients, beta = e_i + e_j, whose orders
-are summed once.
+count beta_b in the y_b field (:func:`_raise_step`).  beta stays the
+packed y block it is read as, n fields at the state's width.  Each order
+builds the derivative map d^beta F of its state on first use, once per
+beta of the operator: the keys e >= beta, scaled by the falling factorials
+prod_i e_i!/(e_i - beta_i)!, each map from the one with a count less in
+beta's top field (:class:`_Derivatives`).  A term of P_beta then adds one
+packed shift to every key of that map (:func:`_apply_step`).  One
+generator runs F_k = L F_(k-1) / k in lowest terms (:func:`_exponential`).
+The ODE oracle (:func:`ode_star_exponential`) takes orders 0..N of it for
+L = L_H.  The ordering intertwiner exp(c sum_ij K_ij d_i d_j)
+(:func:`intertwine`) is the same exponential of a left operator with
+constant coefficients, beta = e_i + e_j, whose orders are summed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, count, islice
 from math import lcm
@@ -174,9 +174,9 @@ class StarContext:
         return cls(n, rows, coupling)
 
     @classmethod
-    def weyl(cls, m: int, coupling: MultiPoly = I_HBAR_HALF) -> "StarContext":
+    def weyl(cls, m: int) -> "StarContext":
         """The 2m-variable Weyl context: lambda = [[0,-I],[I,0]], coupling i*hbar/2."""
-        return cls.constant(standard_j(m), coupling)
+        return cls.constant(standard_j(m), I_HBAR_HALF)
 
     def scalar_entries(self) -> tuple:
         """Constant lambda as a matrix of scalars (requires constant_lambda)."""
@@ -435,28 +435,28 @@ def intertwine(
     K-ordered product.
 
     The exponent is a left operator with constant coefficients (see
-    :func:`_left_operator`): for i <= j, beta = e_i + e_j carries
-    K_ij + K_ji (K_ii once) times each term of the coupling, whose shift
-    lowers z_i and z_j and adds the term's parameter exponents; the
-    coefficients are K's integer numerators times the coupling's, over the
-    product of their denominators.  Its orders (:func:`_exponential`) are
-    summed once.  Width: at most deg f // 2 orders follow f, each adding at
-    most the coupling's largest exponent to the hbar and tau fields, while
-    the z fields only fall.
+    :func:`_left_operator`): for i <= j, the packed beta = e_i + e_j
+    carries K_ij + K_ji (K_ii once) times each term of the coupling, whose
+    shift -beta lowers z_i and z_j and adds the term's parameter exponents;
+    the coefficients are K's integer numerators times the coupling's, over
+    the product of their denominators.  Its orders (:func:`_exponential`)
+    are summed once.  Width: at most deg f // 2 orders follow f, each
+    adding at most the coupling's largest exponent to the hbar and tau
+    fields, while the z fields only fall; and beta = 2 e_i needs a field
+    that holds 2.
     """
     if coupling is None:
         coupling = I_HBAR_QUARTER
     n = K.dim
     if f.n != n:
         raise ValueError("variable count mismatch with ordering matrix")
-    w = key_width(f.max_exponent() + max(f.degree(), 0) // 2 * coupling.max_exponent())
+    w = key_width(max(f.max_exponent() + max(f.degree(), 0) // 2 * coupling.max_exponent(), 2))
     cparts = coupling.numerators(w, n)
     operator = ([], [], K.den * cparts[2])
     for i, j in combinations_with_replacement(range(n), 2):
         m = 1 if i == j else 2
-        key = -(1 << w * i) - (1 << w * j)
-        entry = ({key: m * K.re[i][j]}, {key: m * K.im[i][j]})
-        beta = ((w * i, 2),) if i == j else ((w * i, 1), (w * j, 1))
+        beta = (1 << w * i) + (1 << w * j)
+        entry = ({-beta: m * K.re[i][j]}, {-beta: m * K.im[i][j]})
         for part, terms in zip(operator, _complex(_add_products, [(entry, cparts, 1)])):
             if terms:
                 part.append((beta, list(terms.items())))
@@ -464,8 +464,7 @@ def intertwine(
     return MultiPoly.from_numerators(n, re, im, den, w)
 
 
-@dataclass(frozen=True)
-class LinearExpFactor:
+class LinearExpFactor(NamedTuple):
     """Symbolic prefactor exp(sign * s * <a, u> / (i*hbar)).
 
     Only the data (covector, scalar, sign) is carried; the exponential is
@@ -537,16 +536,14 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
     The orders of h are contracted by :func:`_states` with the right
     factor left symbolic (:func:`_raise_step`) and summed; then x and w
     collapse into one n-variable key, and the terms are grouped by beta.
-    Each part is a list of (beta, terms) with beta as ((field shift,
-    count), ...) for its nonzero counts, in field order, and terms as
-    [(shift, numerator), ...], each shift the packed x + w + tail - beta.
-    w must hold every field of every key built (see
-    :func:`ode_star_exponential`).
+    Each part is a list of (beta, terms) with beta the packed y block of
+    derivative counts and terms as [(shift, numerator), ...], each shift
+    the packed x + w + tail - beta.  w must hold every field of every key
+    built (see :func:`ode_star_exponential`).
     """
     n = h.n
     block = n * w
     mask = (1 << block) - 1
-    fmask = (1 << w) - 1
     top = kernel.width * w
     orders = _states(kernel, w, *h.numerators(w, kernel.width), step=_raise_step)
     re, im, den = _order_sum(list(orders))
@@ -565,53 +562,40 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
         for (beta, shift), v in part.items():
             if v:
                 groups.setdefault(beta, []).append((shift, v))
-        operator.append(
-            [
-                (tuple((w * i, b) for i in range(n) if (b := beta >> w * i & fmask)), terms)
-                for beta, terms in groups.items()
-            ]
-        )
+        operator.append(list(groups.items()))
     return (*operator, den)
 
 
-def _derivative_plan(betas) -> list:
-    """The order in which :func:`_derivatives` builds the derivative maps
-    of ``betas`` (see :func:`_left_operator`): (beta, parent, field shift,
-    b) per map, where beta is its parent with one more count in its last
-    field, which the parent has b times; every parent comes before its
-    children, and beta = () is the state itself."""
-    plan: dict = {}
+class _Derivatives(dict):
+    """{beta: d^beta F} for one numerator map F on keys packed at field
+    width w, each map built on first use: beta = 0 is F itself, and any
+    other beta (packed like a key, see :func:`_left_operator`) is built
+    from the map with one count less in its top field, at shift s with
+    count b + 1 there.  d^beta F holds the keys e >= beta of F with the
+    value v * prod_i e_i!/(e_i - beta_i)!, and e!/(e - b - 1)! =
+    e!/(e - b)! * (e - b) for e > b."""
 
-    def add(beta: tuple) -> None:
-        if beta and beta not in plan:
-            *head, (s, b) = beta
-            parent = (*head, (s, b - 1)) if b > 1 else tuple(head)
-            add(parent)
-            plan[beta] = (parent, s, b - 1)
+    __slots__ = ("w",)
 
-    for beta in betas:
-        add(beta)
-    return [(beta, *step) for beta, step in plan.items()]
+    def __init__(self, state: dict, w: int):
+        super().__init__({0: state})
+        self.w = w
 
-
-def _derivatives(state: dict, plan: list, mask: int) -> dict:
-    """{beta: d^beta state} for each beta of ``plan`` (see
-    :func:`_derivative_plan`), each map keyed by the keys e >= beta of
-    ``state`` with the value v * prod_i e_i!/(e_i - beta_i)!, and built
-    from its parent's map: e!/(e - b - 1)! = e!/(e - b)! * (e - b), for
-    e > b."""
-    maps = {(): state}
-    for beta, parent, s, b in plan:
-        maps[beta] = {
-            key: v * (e - b) for key, v in maps[parent].items() if (e := key >> s & mask) > b
+    def __missing__(self, beta: int) -> dict:
+        w = self.w
+        s = (beta.bit_length() - 1) // w * w
+        b = (beta >> s) - 1
+        mask = (1 << w) - 1
+        self[beta] = out = {
+            key: v * (e - b) for key, v in self[beta - (1 << s)].items() if (e := key >> s & mask) > b
         }
-    return maps
+        return out
 
 
 def _apply_step(out: dict, operator: list, derivatives: dict, sign: int) -> None:
     """out += sign * L(state) for one part of a left operator (see
     :func:`_left_operator`), given the derivative maps of the state
-    (:func:`_derivatives`): each term of P_beta adds its shift to every key
+    (:class:`_Derivatives`): each term of P_beta adds its shift to every key
     of the map of beta, and its coefficient multiplies the value."""
     for beta, terms in operator:
         derivative = derivatives[beta]
@@ -628,15 +612,12 @@ def _exponential(operator: tuple, w: int, re: dict, im: dict, den: int):
     operator L = ``operator`` (see :func:`_left_operator`) on keys packed at
     field width w, each as (re, im, den) in lowest terms, until F_k is
     empty.  Each order builds the derivative maps of F_(k-1) that L needs
-    once per part, in the order planned once for L
-    (:func:`_derivative_plan`, :func:`_derivatives`), and every term of L
-    runs over one of them (:func:`_apply_step`)."""
+    on first use, once per part (:class:`_Derivatives`), and every term of
+    L runs over one of them (:func:`_apply_step`)."""
     lre, lim, lden = operator
-    plan = _derivative_plan({beta for part in (lre, lim) for beta, _ in part})
-    mask = (1 << w) - 1
     for k in count(1):
         yield re, im, den
-        derivatives = [_derivatives(part, plan, mask) if part else {} for part in (re, im)]
+        derivatives = [_Derivatives(part, w) if part else {} for part in (re, im)]
         re, im = _complex(_apply_step, [((lre, lim), derivatives, 1)])
         if not re and not im:
             return
@@ -653,11 +634,12 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     Phys. 111, 1978), so that operator L_H is built once from the engine's
     kernel (:func:`_left_operator`) and applied at every order, on integer
     numerators in lowest terms: each order forms every derivative map
-    d^beta F_k that L_H needs once (:func:`_derivatives`), and each term of
-    each P_beta is one pass over its map.  It has at most deg H + 1 orders,
-    for a constant or a polynomial lambda alike, because the fully
-    contracted kernel never differentiates the entries.  The orders are
-    returned unpacked, as polynomials.
+    d^beta F_k that L_H needs once, on first use, for beta packed like a
+    key (:class:`_Derivatives`), and each term of each P_beta is one pass
+    over its map.  It has at most deg H + 1 orders, for a constant or a
+    polynomial lambda alike, because the fully contracted kernel never
+    differentiates the entries.  The orders are returned unpacked, as
+    polynomials.
 
     Width: a step lowers x, so at most deg H steps run, each adding 1 to
     one beta field and at most the kernel's reach to the w and tail

@@ -10,7 +10,6 @@ these functions.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .grading import (
@@ -39,14 +38,11 @@ from .matrices import (
     solve_q,
     tanh_series,
 )
-from .poly import HALF_MU, MultiPoly, grlex_key
-from .reports import CheckReport
+from .poly import HALF_MU, MultiPoly
 from .scalars import EXP_ZERO, GR_ZERO, GaussianRational, gr, rat
 from .series import TruncSeries
 from .star import (
     StarContext,
-    _full_entries,
-    _star,
     intertwine,
     standard_j,
     star,
@@ -183,72 +179,6 @@ def ordering_line_pairs(line: str, m: int) -> list:
     return pairs
 
 
-# --- independent Jacobi sweep by nested brackets -----------------------------
-
-
-def poisson_bracket(ctx: StarContext, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """{f, g} = sum_ab lambda^ab d_a f d_b g."""
-    acc = MultiPoly.zero(ctx.n)
-    for a in range(ctx.n):
-        df = f.derivative(a)
-        if df.is_zero():
-            continue
-        for b in range(ctx.n):
-            entry = ctx.lam[a][b]
-            if entry.is_zero():
-                continue
-            dg = g.derivative(b)
-            if dg.is_zero():
-                continue
-            acc = acc + entry * df * dg
-    return acc
-
-
-def jacobi_by_brackets(ctx: StarContext, d_max: int) -> CheckReport:
-    """The report ``grading.check_jacobi`` must give, from nested brackets.
-
-    Sweeps the unordered triples of monomials of degree <= d_max in grlex
-    order and computes the cyclic sum {f, {g, h}} + {g, {h, f}} + {h, {f, g}}
-    directly, sharing nothing with the trivector that ``check_jacobi``
-    evaluates.  Only the tests call it: it is their oracle.
-    """
-    exps = sorted(
-        (e for e in product(range(d_max + 1), repeat=ctx.n) if sum(e) <= d_max),
-        key=grlex_key,
-    )
-    monos = [MultiPoly.monomial(ctx.n, e) for e in exps]
-    for f, g, h in combinations_with_replacement(monos, 3):
-        jac = (
-            poisson_bracket(ctx, f, poisson_bracket(ctx, g, h))
-            + poisson_bracket(ctx, g, poisson_bracket(ctx, h, f))
-            + poisson_bracket(ctx, h, poisson_bracket(ctx, f, g))
-        )
-        if not jac.is_zero():
-            return CheckReport(
-                passed=False,
-                witness={"f": f.text(), "g": g.text(), "h": h.text()},
-                detail="cyclic Jacobi sum is nonzero",
-            )
-    return CheckReport(passed=True)
-
-
-# --- the star-exponential recursion by one product per order -----------------
-
-
-def ode_by_products(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
-    """The series ``star.ode_star_exponential`` must give, by one star
-    product per order: F0 = 1 and F_{k+1} = H (*) F_k / (k+1), each product
-    contracted afresh by the engine from one kernel, which is packed again
-    for every product, where ``ode_star_exponential`` builds the left
-    operator of H once.  Only the tests call it: it is their oracle.
-    """
-    kernel = _full_entries(ctx, ctx.coupling)
-    coeffs = [MultiPoly.one(ctx.n)]
-    for k in range(N):
-        coeffs.append(_star(kernel, H, coeffs[-1]).scale_rat(rat(1, k + 1)))
-    return TruncSeries(ctx.n, N, coeffs)
-
-
 # --- suites ------------------------------------------------------------------
 
 
@@ -325,8 +255,9 @@ def suite_intertwiner(seed: int = 42, cases: int = 50, ordering_pairs: int = 12)
     return results
 
 
-def suite_cayley(seed: int = 42, cases: int = 20, order: int = 8) -> list:
+def suite_cayley(seed: int = 42, cases: int = 20) -> list:
     rng = random.Random(seed)
+    order = 8
     results = []
     for idx in range(cases):
         n = 2 if idx % 2 else 4
@@ -370,7 +301,8 @@ def suite_cayley(seed: int = 42, cases: int = 20, order: int = 8) -> list:
     return results
 
 
-def suite_riccati(order: int = 8) -> list:
+def suite_riccati() -> list:
+    order = 8
     results = []
     values = (gr(0), gr(1), gr(-1), gr(2))
     for a in values:
@@ -473,8 +405,9 @@ def _cyclic_bad_context() -> StarContext:
     return StarContext(3, lam, HALF_MU)
 
 
-def suite_jacobi(seed: int = 42, cases: int = 6, d_max: int = 3) -> list:
+def suite_jacobi(seed: int = 42, cases: int = 6) -> list:
     rng = random.Random(seed)
+    d_max = 3
     results = []
     for idx in range(cases):
         n = rng.choice((2, 3))
@@ -494,10 +427,9 @@ def suite_jacobi(seed: int = 42, cases: int = 6, d_max: int = 3) -> list:
     return results
 
 
-def suite_lambda_relation(
-    seed: int = 42, cases: int = 6, k_max: int = 4, d_max: int = 4
-) -> list:
+def suite_lambda_relation(seed: int = 42, cases: int = 6) -> list:
     rng = random.Random(seed)
+    k_max = d_max = 4
     results = []
     for idx in range(cases):
         n = rng.choice((2, 3))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from starquant import cli
 from starquant.cli import (
     CONTEXT_FIELDS,
     MAX_SWEEP_MONOMIALS,
@@ -119,6 +120,8 @@ def test_parse_edge_values(text, want):
     ("7^6000", "a power 6000 of a coefficient would pass the output limit of 4300 digits"),
     ("7^5088*7^5088", "a product of coefficients would pass the output limit of 4300 digits"),
     ("٣*z0", "unexpected character '٣' in expression"),
+    ("*z0", "unexpected token '*'"),
+    (")", "unexpected token ')'"),
 ])
 def test_parse_edge_refusals(text, message, capsys):
     # each exits 2 with its own message, through the grade command
@@ -683,6 +686,21 @@ def test_main_exit_codes(capsys, tmp_path):
     assert out.read_text() == printed
 
 
+def test_division_by_zero_in_a_command_exits_3(monkeypatch, capsys):
+    # a ZeroDivisionError that no reader turned into a schema error is a
+    # precondition error
+    def divide(job):
+        raise ZeroDivisionError("inverse of zero")
+
+    monkeypatch.setitem(cli._HANDLERS, "riccati", divide)
+    assert main(["--command", "riccati", "--c", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "division by zero: inverse of zero", "kind": "precondition"
+    }
+
+
 def test_main_twice_in_one_process_matches_fresh_processes(tmp_path, capsys):
     # the argparse parser is built once per process and reused by every call
     flags = ["--command", "riccati", "--a", "1", "--b", "2", "--c", "-1", "--N", "4"]
@@ -1020,6 +1038,9 @@ def test_degree_cap(monkeypatch, capsys, tmp_path):
     )
     assert code == 2
     capsys.readouterr()
+    monkeypatch.setenv("STARQUANT_MAX_DEGREE", "abc")
+    argv = ["--command", "grade", "--n", "2", "--f", "z0"]
+    assert _schema_exit(argv, capsys) == "STARQUANT_MAX_DEGREE must be an integer, got 'abc'"
     monkeypatch.delenv("STARQUANT_MAX_DEGREE")
     # a JSON term list is held to the default cap of 16 as well
     job = star_job()
@@ -1077,6 +1098,19 @@ def test_term_counts_and_product_digits_are_refused_before_computing(f, message,
     assert captured.out == ""
     error = json.loads(captured.err)
     assert error["kind"] == "schema" and message in error["error"]
+
+
+def test_products_of_sums_are_capped_per_text_in_the_coupling(capsys):
+    # a chain of products of sums grows with the square of its length,
+    # nested or not; the coupling, read at n = 0, refuses it at once
+    message = "the products of sums in one text multiply {} pairs of terms, above the cap 10000"
+    for factor, pairs in (("(1+mu)", 10098), ("((1+mu)*1)", 10096)):
+        coupling = "*".join([factor] * 2000)
+        argv = ["--command", "star", "--n", "2", "--lambda", '[["0","1"],["-1","0"]]',
+                "--coupling", coupling, "--f", "z0", "--g", "z1"]
+        start = time.perf_counter()
+        assert _schema_exit(argv, capsys) == message.format(pairs)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_term_bound_passes_the_powers_below_the_cap(capsys):

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
+from oracles import jacobi_by_brackets
 
 from starquant.errors import PreconditionError
 from starquant.parsing import parse_poly
@@ -26,7 +27,6 @@ from starquant.star import StarContext, iterated_terms, star, star_terms
 from starquant.verify import (
     _cyclic_bad_context,
     _so3_context,
-    jacobi_by_brackets,
     rand_antisym,
     rand_invertible_antisym,
     rand_nonzero_gauss,
@@ -103,6 +103,13 @@ def test_specialize_mu_examples():
     assert specialize_mu(g, gr(5)) == g  # no mu present
     h = (z0 ** 2).scale(MU_INV)
     assert specialize_mu(h, gr(2)) == (z0 ** 2).scale_rat(rat(1, 2))
+    # a complex value and negative mu exponents: v^e for e = -3, -1, 0, 2
+    v = GaussianRational(rat(2, 5), rat(-3, 5))
+    c = GaussianRational(rat(-1, 3), rat(1, 2))
+    parts = [(z0, -3, GR_ONE), (MultiPoly.one(2), -1, c), (z1, 0, c), (z0 * z1, 2, gr(3))]
+    p = sum((m.scale(MultiPoly.param("mu", e, g)) for m, e, g in parts), MultiPoly.zero(2))
+    want = sum((m.scale_gauss(g * v ** e) for m, e, g in parts), MultiPoly.zero(2))
+    assert specialize_mu(p, v) == want
     with pytest.raises(PreconditionError):
         specialize_mu(f, GR_ZERO)
 

@@ -60,6 +60,14 @@ REFUSALS = [
     ("(1+mu)^9999", "a power 9999 of a sum of terms exceeds the cap 0"),
     ("1/(1+mu)", "cannot evaluate expression '1/(1+mu)': only monomial scalars are invertible"),
     ("1\u00a02", "unexpected character '\\xa0' in expression"),
+    # refused by the cap on the pairs of terms that the products of sums of
+    # one text multiply, nested or not
+    pytest.param("*".join(["(1+mu)"] * 2000),
+                 "the products of sums in one text multiply 10098 pairs of terms,"
+                 " above the cap 10000", id="chain-of-2000-sums"),
+    pytest.param("*".join(["((1+mu)*1)"] * 2000),
+                 "the products of sums in one text multiply 10096 pairs of terms,"
+                 " above the cap 10000", id="nested-chain-of-2000-sums"),
 ]
 
 

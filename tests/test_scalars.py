@@ -8,7 +8,7 @@ from starquant.errors import PreconditionError, SchemaError
 from starquant.grading import specialize_mu
 from starquant.parsing import parse_gaussian
 from starquant.poly import HALF_MU, HBAR, MU, MU_INV, MultiPoly
-from starquant.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr, rat
+from starquant.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, _gaussian_power, gr, rat
 
 PS_ONE = MultiPoly.one(0)
 PS_ZERO = MultiPoly.zero(0)
@@ -93,6 +93,15 @@ def test_parse_rejects_non_canonical_numbers(text):
     # only signs, ASCII digits, the operators and the name i
     with pytest.raises(ValueError):
         parse_gaussian(text)
+
+
+def test_gaussian_integer_power_matches_repeated_products():
+    # (a + b*i)^k on ints, real and complex, against k products
+    for a, b in ((3, 0), (-2, 0), (0, 1), (3, -2), (-5, 7), (1, 1), (0, -4)):
+        re, im = 1, 0
+        for k in range(10):
+            assert _gaussian_power(a, b, k) == (re, im)
+            re, im = re * a - im * b, re * b + im * a
 
 
 def test_pow_including_negative():

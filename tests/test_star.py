@@ -2,6 +2,7 @@ import random
 from math import factorial, perm
 
 import pytest
+from oracles import ode_by_products, poisson_bracket
 
 from starquant.errors import PreconditionError
 from starquant.matrices import OrderingK, SqMatrix
@@ -20,13 +21,7 @@ from starquant.star import (
     star_k_ordered,
     star_terms,
 )
-from starquant.verify import (
-    ode_by_products,
-    pairing_product,
-    poisson_bracket,
-    rand_antisym,
-    rand_poly,
-)
+from starquant.verify import pairing_product, rand_antisym, rand_poly
 
 
 def simple_ctx() -> StarContext:
@@ -685,3 +680,19 @@ def test_ode_star_exponential_with_wide_z_fields():
         got = ode_star_exponential(ctx, h, 4)
         assert got == ode_by_products(ctx, h, 4)
         assert got.coeffs[4].max_exponent() == 280
+
+
+def test_ode_star_exponential_with_second_derivatives_in_two_fields():
+    # H of degree 4 with z0^2 z1^2: its left operator has d^beta with
+    # beta = (2, 2), so each derivative map is built from a map that is
+    # itself built from one, through both fields
+    z = zvars(3)
+    lam = antisym(3, {(0, 1): GaussianRational(rat(1, 3), rat(-1, 2)), (1, 2): gr(2, 5)})
+    h = (
+        (z[0] ** 2 * z[1] ** 2).scale(MU_INV)
+        + (z[1] ** 2 * z[2] ** 2).scale_gauss(GaussianRational(rat(-1, 7), rat(1, 3)))
+        + z[0] * z[1] * z[2]
+    )
+    for coupling in (HALF_MU, I_HBAR_HALF):
+        ctx = StarContext.constant(lam, coupling)
+        assert ode_star_exponential(ctx, h, 3) == ode_by_products(ctx, h, 3)

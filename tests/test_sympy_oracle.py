@@ -578,42 +578,63 @@ def rand_symmetric(rng, n: int, complex_entries: bool):
     return rows
 
 
-def test_intertwine_matches_sympy():
+INTERTWINER_COUPLINGS = [
+    MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 4))),
+    MultiPoly.param("hbar", 1, GaussianRational(0, rat(-1, 4))),
+    MultiPoly(0, {(-1, 0, 0): gr(2, 3), (0, 2, 0): GaussianRational(rat(1, 5), rat(-1, 2))}),
+]
+
+
+def assert_intertwine_matches_sympy(K, f: MultiPoly) -> None:
     # exp(c D) f = sum_m c^m/m! D^m f with D = sum_ij K_ij d_i d_j, summed
-    # until D^m f vanishes
+    # until D^m f vanishes, for each coupling c
     from starquant.matrices import OrderingK
     from starquant.star import intertwine
 
-    rng = random.Random(127)
+    n = f.n
     params = sympy.symbols(PARAM_NAMES)
-    laurent = MultiPoly(0, {(-1, 0, 0): gr(2, 3), (0, 2, 0): GaussianRational(rat(1, 5), rat(-1, 2))})
-    couplings = [
-        MultiPoly.param("hbar", 1, GaussianRational(0, rat(1, 4))),
-        MultiPoly.param("hbar", 1, GaussianRational(0, rat(-1, 4))),
-        laurent,
-    ]
+    zs = sympy.symbols(f"z0:{n}")
+    powers = [sym_poly(f, zs, params)]
+    while powers[-1] != 0:
+        powers.append(
+            sympy.expand(
+                sum(
+                    sym_gauss(K[i][j]) * sympy.diff(powers[-1], zs[i], zs[j])
+                    for i in range(n)
+                    for j in range(n)
+                    if K[i][j]
+                )
+            )
+        )
+    for coupling in INTERTWINER_COUPLINGS:
+        c = sym_poly(coupling, (), params)
+        want = sum(c**m / sympy.factorial(m) * d for m, d in enumerate(powers))
+        got = sym_poly(intertwine(OrderingK(K), f, coupling), zs, params)
+        assert sympy.expand(got - want) == 0
+
+
+def test_intertwine_matches_sympy():
+    rng = random.Random(127)
     for n in (2, 3, 4):
-        zs = sympy.symbols(f"z0:{n}")
         for case in range(4):
             K = rand_symmetric(rng, n, complex_entries=case % 2 == 1)
             f = rand_mixed_poly(rng, n) + rand_mixed_poly(rng, n) * rand_mixed_poly(rng, n)
-            powers = [sym_poly(f, zs, params)]
-            while powers[-1] != 0:
-                powers.append(
-                    sympy.expand(
-                        sum(
-                            sym_gauss(K[i][j]) * sympy.diff(powers[-1], zs[i], zs[j])
-                            for i in range(n)
-                            for j in range(n)
-                            if K[i][j]
-                        )
-                    )
-                )
-            for coupling in couplings:
-                c = sym_poly(coupling, (), params)
-                want = sum(c**m / sympy.factorial(m) * d for m, d in enumerate(powers))
-                got = sym_poly(intertwine(OrderingK(K), f, coupling), zs, params)
-                assert sympy.expand(got - want) == 0
+            assert_intertwine_matches_sympy(K, f)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intertwine_of_linear_and_bilinear_f_matches_sympy(n):
+    # a K with a nonzero diagonal, so that the exponent has d_i d_i; a
+    # linear f has exponents of at most 1, and D f = 0, while z0 z1 has one
+    # order of D, a constant
+    rng = random.Random(131 + n)
+    K = rand_symmetric(rng, n, complex_entries=True)
+    for i in range(n):
+        K[i][i] = GaussianRational(rat(i + 1, 3), rat(-1, i + 2))
+    z = [MultiPoly.variable(n, j) for j in range(n)]
+    linear = sum((v.scale_rat(rat(j + 2, 5)) for j, v in enumerate(z)), MultiPoly.one(n))
+    for f in (linear, z[0], z[0] * z[1], z[0] * z[1] + linear):
+        assert_intertwine_matches_sympy(K, f)
 
 
 # --- matrix series -----------------------------------------------------------
