@@ -126,18 +126,26 @@ def _fields(data, fields: dict, where: str) -> dict:
     return {**defaults, **data}
 
 
-def _poly_input(value, n: int, label: str) -> MultiPoly:
-    """A polynomial of degree at most the cap, as is each product it parses."""
+def _poly_input(value, label: str, n: int = 0) -> MultiPoly:
+    """A polynomial in n variables, at n = 0 a scalar in the parameters
+    such as the coupling, of degree at most the cap, as is each product it
+    parses.  A JSON int reads as its decimal text."""
     cap = max_input_degree()
+    # a bool is no number and a JSON float is inexact: neither is taken
+    if type(value) is int:
+        value = str(value)
     if isinstance(value, str):
-        p = parse_poly(value, n, cap)
+        try:
+            p = parse_poly(value, n, cap)
+        except ValueError as exc:
+            raise SchemaError(f"bad polynomial for {label}: {exc}") from exc
     elif isinstance(value, list):
         try:
             p = MultiPoly.from_json(n, value)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed polynomial JSON for {label}: {exc}") from exc
     else:
-        raise SchemaError(f"{label} must be an expression string or a JSON term list")
+        raise SchemaError(f"{label} must be an expression string, an integer or a JSON term list")
     if p.degree() > cap:
         raise SchemaError(
             f"{label} has degree {p.degree()} above the cap {cap} "
@@ -146,22 +154,10 @@ def _poly_input(value, n: int, label: str) -> MultiPoly:
     return p
 
 
-def _scalar_input(value, label: str) -> MultiPoly:
-    if isinstance(value, str):
-        return parse_poly(value, 0, max_input_degree())
-    # a JSON float is inexact and a bool is no number: neither is taken
-    if type(value) is int:
-        return MultiPoly.from_rat(value)
-    if isinstance(value, list):
-        try:
-            return MultiPoly.from_json(0, value)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed scalar JSON for {label}: {exc}") from exc
-    raise SchemaError(f"{label} must be a string, an integer or a JSON scalar list")
-
-
-def _gauss_input(value, label: str) -> GaussianRational:
-    # a bool is no number, as in _scalar_input
+def _gauss_input(value, label: str, n: int = 0) -> GaussianRational:
+    """A Gaussian scalar; n is the variable count that a matrix gives its
+    entry reader, and a scalar has none."""
+    # a bool is no number, as in _poly_input
     if type(value) is int:
         value = str(value)
     if not isinstance(value, str):
@@ -172,45 +168,28 @@ def _gauss_input(value, label: str) -> GaussianRational:
         raise SchemaError(f"bad scalar for {label}: {exc}") from exc
 
 
-def _matrix_input(value, label: str) -> tuple:
-    """A non-empty square matrix of scalars, as GaussianRational rows."""
+def _matrix_input(value, label: str, entry=_gauss_input, n: int | None = None) -> tuple:
+    """A non-empty n x n matrix, n its number of rows by default, whose
+    rows are tuples of ``entry(v, label, n)``.  The whole shape is checked
+    before any entry is read."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{label} must be a non-empty matrix (list of rows)")
     if len(value) > MAX_VARIABLES:
         raise SchemaError(f"{label} must have at most {MAX_VARIABLES} rows")
-    rows = []
-    for row in value:
-        if not isinstance(row, list):
-            raise SchemaError(f"{label} rows must be lists")
-        rows.append(tuple(_gauss_input(v, label) for v in row))
-    if any(len(row) != len(rows) for row in rows):
-        raise SchemaError(f"{label}: matrix must be square")
-    return tuple(rows)
-
-
-def _lambda_input(data, n: int | None = None) -> tuple:
-    """An n x n matrix of polynomials; n defaults to the number of rows."""
-    if not isinstance(data, list) or not data:
-        raise SchemaError("lambda must be a non-empty n x n matrix")
+    if not all(isinstance(row, list) for row in value):
+        raise SchemaError(f"{label} rows must be lists")
     if n is None:
-        n = len(data)
-        if n > MAX_VARIABLES:
-            raise SchemaError(f"lambda must have at most {MAX_VARIABLES} rows")
-    if len(data) != n or any(
-        not isinstance(row, list) or len(row) != n for row in data
-    ):
-        raise SchemaError(f"lambda must be an n x n matrix with n = {n}")
-    return tuple(
-        tuple(_poly_input(v, n, "lambda entry") for v in row) for row in data
-    )
+        n = len(value)
+    if len(value) != n or any(len(row) != n for row in value):
+        raise SchemaError(f"{label} must be a {n} x {n} matrix")
+    return tuple(tuple(entry(v, label, n) for v in row) for row in value)
 
 
 def _context_input(data) -> StarContext:
     data = _fields(data, CONTEXT_FIELDS, "context")
     n = data["n"]
-    rows = _lambda_input(data["lambda"], n)
-    coupling = _scalar_input(data["coupling"], "coupling")
-    return StarContext(n, rows, coupling)
+    rows = _matrix_input(data["lambda"], "lambda", _poly_input, n)
+    return StarContext(n, rows, _poly_input(data["coupling"], "coupling"))
 
 
 def _poly_payload(p: MultiPoly) -> dict:
@@ -230,8 +209,8 @@ def _series_payload(series) -> list:
 def _run_star(job: dict) -> tuple:
     ctx = _context_input(job["context"])
     inputs = job["inputs"]
-    f = _poly_input(inputs["f"], ctx.n, "f")
-    g = _poly_input(inputs["g"], ctx.n, "g")
+    f = _poly_input(inputs["f"], "f", ctx.n)
+    g = _poly_input(inputs["g"], "g", ctx.n)
     result = star(ctx, f, g)
     product = _poly_payload(result)
     payload = {
@@ -285,9 +264,9 @@ def _run_ordering(job: dict) -> tuple:
     n = kmat.dim
     if n % 2:
         raise SchemaError("ordering matrices act on an even number of variables")
-    f = _poly_input(inputs["f"], n, "f")
+    f = _poly_input(inputs["f"], "f", n)
     payload = {"intertwined_f": _poly_payload(intertwine(kmat, f))}
-    g = _poly_input(inputs["g"], n, "g") if "g" in inputs else None
+    g = _poly_input(inputs["g"], "g", n) if "g" in inputs else None
     context = job["context"]
     # a context is checked even when no g is there to use it
     ctx = StarContext.weyl(n // 2) if context is None else _context_input(context)
@@ -303,7 +282,7 @@ def _run_grade(job: dict) -> tuple:
     n = _context_input(job["context"]).n
     if n < 2:
         raise SchemaError("grade requires context n >= 2 (projective dimension n - 1)")
-    f = _poly_input(inputs["f"], n, "f")
+    f = _poly_input(inputs["f"], "f", n)
     if "mu" in inputs:
         f = specialize_mu(f, _gauss_input(inputs["mu"], "mu"))
     graded = graded_terms(n, f.rows())
@@ -326,7 +305,7 @@ def _run_verify(job: dict) -> tuple:
     if "lambda" in inputs:
         if suite not in ("jacobi", "lambda-relation"):
             raise SchemaError("an explicit lambda is only used by the validator suites")
-        rows = _lambda_input(inputs["lambda"], inputs.get("n"))
+        rows = _matrix_input(inputs["lambda"], "lambda", _poly_input, inputs.get("n"))
         ctx = StarContext(len(rows), rows, HALF_MU)
         if suite == "jacobi":
             report = check_jacobi(ctx, inputs["d_max"])
@@ -473,7 +452,8 @@ def json_text(value, indent: str = "\n") -> str:
 def _json_flag(raw: str, label: str):
     try:
         return json.loads(raw)
-    except ValueError as exc:  # bad JSON, or an int past the digit limit
+    # bad JSON, an int past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"--{label} must be valid JSON: {exc}") from exc
 
 
@@ -512,7 +492,8 @@ def main(argv=None) -> int:
                     job = json.load(fh)
             except OSError as exc:
                 raise SchemaError(f"cannot read job file: {exc}") from exc
-            except ValueError as exc:  # also bad UTF-8 and over-long ints
+            # also bad UTF-8, over-long ints and nesting past the recursion limit
+            except (ValueError, RecursionError) as exc:
                 raise SchemaError(f"job file is not valid JSON: {exc}") from exc
             if args.out and isinstance(job, dict) and "output_path" not in job:
                 job["output_path"] = args.out

@@ -424,9 +424,6 @@ class MatSeries(Series):
             return NotImplemented
         return self._map(other.__mul__)
 
-    def scale(self, c: GaussianRational) -> "MatSeries":
-        return self._map(lambda m: m.scale(c))
-
     def dt(self) -> "MatSeries":
         """Derivative d/dt (known through order N-1)."""
         if self.order == 0:

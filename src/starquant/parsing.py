@@ -366,12 +366,13 @@ def _power_terms(base: MultiPoly, k: int) -> int:
 def _evaluate(text: str, n: int, max_degree: float):
     """The value of ``text`` as :meth:`_Parser.parse` gives it.  Expressions
     that cannot be represented (division by zero, inverses of non-invertible
-    parameters) are input errors, not math errors."""
+    parameters, nesting past the recursion limit) are input errors, not
+    math errors."""
     try:
         return _Parser(text, n, max_degree).parse()
     except SchemaError:
         raise
-    except (ZeroDivisionError, ValueError) as exc:
+    except (ZeroDivisionError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot evaluate expression {text!r}: {exc}") from exc
 
 

@@ -183,6 +183,11 @@ class Series:
     def __neg__(self):
         return self._map(neg)
 
+    def scale(self, coef):
+        """Multiply by a scalar: a 0-variable MultiPoly for a TruncSeries,
+        a GaussianRational for a MatSeries."""
+        return self._map(lambda c: c.scale(coef))
+
 
 class TruncSeries(Series):
     """A series in t whose coefficients are MultiPoly in ``n`` variables."""
@@ -232,10 +237,6 @@ class TruncSeries(Series):
         return _series(
             self.n, (_cauchy(a, b, k) for k in range(self.order + 1)), w
         )
-
-    def scale(self, coef: MultiPoly) -> "TruncSeries":
-        """Multiply by a scalar (a 0-variable MultiPoly)."""
-        return self._map(lambda c: c.scale(coef))
 
     def scale_rat(self, r) -> "TruncSeries":
         return self._map(lambda c: c.scale_rat(r))

@@ -25,6 +25,7 @@ from .grading import (
 from .matrices import (
     OrderingK,
     SqMatrix,
+    _riccati_report,
     cayley,
     cayley_flow_residual,
     check_sp_pair,
@@ -33,7 +34,6 @@ from .matrices import (
     mat_exp_series,
     q_flow_residual,
     riccati_1d,
-    riccati_vs_moyal,
     solve_g,
     solve_q,
     tanh_series,
@@ -90,14 +90,20 @@ def rand_poly(
     return MultiPoly(n, terms)
 
 
-def rand_antisym(rng: random.Random, n: int) -> SqMatrix:
+def _triangle(rng: random.Random, n: int, antisym: bool, allow_imag: bool = False) -> SqMatrix:
+    """A symmetric or antisymmetric matrix of one rand_gauss draw per entry
+    (i, j) on and above the diagonal, row by row; above it only when
+    antisymmetric, where the diagonal is zero."""
     rows = [[GR_ZERO] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1, n):
-            v = rand_gauss(rng, allow_imag=False)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return SqMatrix(tuple(tuple(r) for r in rows))
+        for j in range(i + antisym, n):
+            v = rand_gauss(rng, allow_imag)
+            rows[i][j], rows[j][i] = v, -v if antisym else v
+    return SqMatrix(tuple(map(tuple, rows)))
+
+
+def rand_antisym(rng: random.Random, n: int) -> SqMatrix:
+    return _triangle(rng, n, True)
 
 
 def rand_invertible_antisym(rng: random.Random, n: int) -> SqMatrix:
@@ -108,13 +114,7 @@ def rand_invertible_antisym(rng: random.Random, n: int) -> SqMatrix:
 
 
 def rand_symmetric(rng: random.Random, n: int, allow_imag: bool = False) -> SqMatrix:
-    rows = [[GR_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = rand_gauss(rng, allow_imag=allow_imag)
-            rows[i][j] = v
-            rows[j][i] = v
-    return SqMatrix(tuple(tuple(r) for r in rows))
+    return _triangle(rng, n, False, allow_imag)
 
 
 def rand_square(rng: random.Random, n: int) -> SqMatrix:
@@ -308,7 +308,8 @@ def suite_riccati() -> list:
     for a in values:
         for b in values:
             for c in values:
-                rep = riccati_vs_moyal(a, b, c, order)
+                g, h = riccati_1d(a, b, c, order)
+                rep = _riccati_report(a, b, c, g, h)
                 name = f"riccati a={a.text()} b={b.text()} c={c.text()}"
                 detail = (
                     ""
@@ -316,9 +317,7 @@ def suite_riccati() -> list:
                     else f"first divergence at t^{rep.first_divergence_order}"
                 )
                 results.append(_case(name, rep.passed, detail))
-                d = c * c - a * b
-                if not d:
-                    g, h = riccati_1d(a, b, c, order)
+                if not c * c - a * b:
                     h_ok = h == TruncSeries.t_term(MultiPoly.one(0), 1, order)
                     g_ok = g == TruncSeries.one(0, order)
                     results.append(
@@ -383,26 +382,26 @@ def suite_grading(seed: int = 42, cases: int = 50) -> list:
     return results
 
 
+# the entries (0, 1), (0, 2) and (1, 2) of two linear lambdas on n = 3, each
+# a variable index and its sign: the rotation algebra, and a cyclic
+# candidate that fails the Jacobi rule
+_LINEAR_UPPER = {"so3": ((2, 1), (1, -1), (0, 1)), "cyclic": ((2, 1), (0, 1), (1, 1))}
+
+
+def _linear_context(name: str) -> StarContext:
+    rows = [[MultiPoly.zero(3)] * 3 for _ in range(3)]
+    for (i, j), (var, sign) in zip(((0, 1), (0, 2), (1, 2)), _LINEAR_UPPER[name]):
+        z = MultiPoly.variable(3, var)
+        rows[i][j], rows[j][i] = (z, -z) if sign > 0 else (-z, z)
+    return StarContext(3, tuple(map(tuple, rows)), HALF_MU)
+
+
 def _so3_context() -> StarContext:
-    z = [MultiPoly.variable(3, j) for j in range(3)]
-    zero = MultiPoly.zero(3)
-    lam = (
-        (zero, z[2], -z[1]),
-        (-z[2], zero, z[0]),
-        (z[1], -z[0], zero),
-    )
-    return StarContext(3, lam, HALF_MU)
+    return _linear_context("so3")
 
 
 def _cyclic_bad_context() -> StarContext:
-    z = [MultiPoly.variable(3, j) for j in range(3)]
-    zero = MultiPoly.zero(3)
-    lam = (
-        (zero, z[2], z[0]),
-        (-z[2], zero, z[1]),
-        (-z[0], -z[1], zero),
-    )
-    return StarContext(3, lam, HALF_MU)
+    return _linear_context("cyclic")
 
 
 def suite_jacobi(seed: int = 42, cases: int = 6) -> list:

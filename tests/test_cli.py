@@ -126,14 +126,14 @@ def test_parse_edge_values(text, want):
 def test_parse_edge_refusals(text, message, capsys):
     # each exits 2 with its own message, through the grade command
     argv = ["--command", "grade", "--n", "2", "--f", text]
-    assert _schema_exit(argv, capsys) == message
+    assert _schema_exit(argv, capsys) == "bad polynomial for f: " + message
 
 
 def test_variable_index_has_no_leading_zero(capsys):
     # z01 is no name for z1, nor z007 for z7
     for name in ("z01", "z007", "z00"):
         argv = ["--command", "grade", "--n", "8", "--f", f"{name} + 1"]
-        assert _schema_exit(argv, capsys) == f"unknown name {name!r}"
+        assert _schema_exit(argv, capsys) == f"bad polynomial for f: unknown name {name!r}"
     assert parse_poly("z0 + z7 + z10", 11) == sum(
         (MultiPoly.variable(11, j) for j in (0, 7, 10)), MultiPoly.zero(11)
     )
@@ -793,7 +793,118 @@ def test_non_square_ordering_matrix_exits_2(capsys):
     assert main(["--command", "ordering", "--K", '[["0","1"],["1"]]', "--f", "z0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err) == {"error": "K: matrix must be square", "kind": "schema"}
+    assert json.loads(captured.err) == {"error": "K must be a 2 x 2 matrix", "kind": "schema"}
+
+
+# --- field readers ---------------------------------------------------------------
+
+_BAD_TERMS = [{"exps": [1, 0], "coef": {"params": {"nu": 1}, "value": "1"}}]
+
+
+def _field_job(field: str, value) -> dict:
+    """A job that is accepted as it stands, with ``value`` put in ``field``."""
+    if field in ("f", "g", "mu"):
+        job = star_job()
+        job["inputs"][field] = value
+    elif field == "coupling":
+        job = star_job()
+        job["context"]["coupling"] = value
+    elif field == "context lambda":
+        job = star_job()
+        job["context"]["lambda"][0][1] = value
+    elif field == "verify lambda":
+        lam = [["0", value], ["-z0", "0"]]
+        job = {"command": "verify", "inputs": {"suite": "jacobi", "lambda": lam}}
+    elif field == "a":
+        job = {"command": "riccati", "inputs": {"a": value, "b": "1", "c": "0"}}
+    elif field in ("star-exp lambda", "A"):
+        matrices = {"lambda": [["0", "1"], ["-1", "0"]], "A": [["1", "0"], ["0", "1"]]}
+        matrices[field.split()[-1]][0][1] = value
+        job = {"command": "star-exp", "inputs": matrices}
+    else:
+        job = {"command": "ordering", "inputs": {"K": [["0", value], [value, "0"]], "f": "z0"}}
+    return job
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("f", "z0^^", "bad polynomial for f: expected 'int', found '^'"),
+    ("f", _BAD_TERMS, "malformed polynomial JSON for f: unknown parameter 'nu'"),
+    ("g", "z0^^", "bad polynomial for g: expected 'int', found '^'"),
+    ("g", _BAD_TERMS, "malformed polynomial JSON for g: unknown parameter 'nu'"),
+    ("coupling", "z0", "bad polynomial for coupling: variable 'z0' out of range for 0 variables"),
+    ("coupling", [{"params": {"nu": 1}, "value": "1"}],
+     "malformed polynomial JSON for coupling: unknown parameter 'nu'"),
+    ("context lambda", "z0^^", "bad polynomial for lambda: expected 'int', found '^'"),
+    ("context lambda", _BAD_TERMS, "malformed polynomial JSON for lambda: unknown parameter 'nu'"),
+    ("verify lambda", "z2", "bad polynomial for lambda: variable 'z2' out of range for 2 variables"),
+    ("verify lambda", _BAD_TERMS, "malformed polynomial JSON for lambda: unknown parameter 'nu'"),
+    ("mu", "z0", "bad scalar for mu: variable 'z0' out of range for 0 variables"),
+    ("a", "mu", "bad scalar for a: a scalar field takes no parameter"),
+    ("star-exp lambda", "x", "bad scalar for lambda: unknown name 'x'"),
+    ("A", "1/0", "bad scalar for A: cannot evaluate expression '1/0': inverse of zero scalar"),
+    ("K", "2^", "bad scalar for K: expected 'int', found end of input"),
+])
+def test_each_refusal_names_its_field(field, value, message, tmp_path, capsys):
+    assert _job_exit(_field_job(field, value), tmp_path, capsys) == message
+
+
+def test_matrix_shape_is_checked_before_any_entry(monkeypatch, tmp_path, capsys):
+    # a 100000-entry row is refused by its length, before any entry parses
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_gaussian(text)
+
+    monkeypatch.setattr(cli, "parse_gaussian", counted)
+    wide = {"command": "ordering", "inputs": {"K": [["0"] * 100000], "f": "z0"}}
+    assert _job_exit(wide, tmp_path, capsys) == "K must be a 1 x 1 matrix"
+    assert calls == []
+    assert run_job(_field_job("K", "1"))[1] == 0
+    assert calls == ["0", "1", "1", "0"]
+
+
+@pytest.mark.parametrize("field, number, text", [
+    ("f", 3, "3"),
+    ("coupling", -2, "-2"),
+    ("lambda", [[0, 5], [-5, 0]], [["0", "5"], ["-5", "0"]]),
+])
+def test_json_ints_read_as_their_text(field, number, text, tmp_path, capsys):
+    # a JSON int in a polynomial field prints what its decimal text does
+    outputs = []
+    for value in (number, text):
+        job = star_job()
+        (job["inputs"] if field == "f" else job["context"])[field] = value
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        assert main(["--job", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("route", ["parens", "minus", "job-file", "flag"])
+def test_deep_nesting_exits_2(route, tmp_path, capsys):
+    # each reader of text or JSON turns the recursion limit into a schema
+    # error: about 200 parentheses in --f, 1000 leading signs in a riccati
+    # a from a job file, and 100000 nested arrays in a job file or a flag
+    path = tmp_path / "job.json"
+    star = ["--command", "star", "--n", "2", "--lambda", '[["0","1"],["-1","0"]]',
+            "--coupling", "mu/2", "--g", "z1"]
+    if route == "parens":
+        argv = star + ["--f", "(" * 200 + "z0" + ")" * 200]
+    elif route == "minus":
+        path.write_text(json.dumps(_field_job("a", "-" * 1000 + "1")))
+        argv = ["--job", str(path)]
+    elif route == "job-file":
+        path.write_text("[" * 100000 + "]" * 100000)
+        argv = ["--job", str(path)]
+    else:
+        argv = ["--command", "ordering", "--K", "[" * 100000 + "]" * 100000, "--f", "z0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["kind"] == "schema"
 
 
 def _job_exit(job, tmp_path, capsys) -> str:
@@ -1103,7 +1214,10 @@ def test_term_counts_and_product_digits_are_refused_before_computing(f, message,
 def test_products_of_sums_are_capped_per_text_in_the_coupling(capsys):
     # a chain of products of sums grows with the square of its length,
     # nested or not; the coupling, read at n = 0, refuses it at once
-    message = "the products of sums in one text multiply {} pairs of terms, above the cap 10000"
+    message = (
+        "bad polynomial for coupling: "
+        "the products of sums in one text multiply {} pairs of terms, above the cap 10000"
+    )
     for factor, pairs in (("(1+mu)", 10098), ("((1+mu)*1)", 10096)):
         coupling = "*".join([factor] * 2000)
         argv = ["--command", "star", "--n", "2", "--lambda", '[["0","1"],["-1","0"]]',

@@ -30,6 +30,7 @@ from starquant.poly import HBAR, MU_INV, MultiPoly, key_width
 from starquant.scalars import GR_ONE, GaussianRational, gr, rat
 from starquant.series import TruncSeries, _series
 from starquant.verify import (
+    rand_antisym,
     rand_gauss,
     rand_invertible_antisym,
     rand_square,
@@ -41,6 +42,35 @@ N = 8
 
 def std_lam2() -> SqMatrix:
     return SqMatrix(((gr(0), gr(1)), (gr(-1), gr(0))))
+
+
+# --- suite generators -------------------------------------------------------
+
+
+def _upper(m: SqMatrix, sign: int) -> list:
+    """The texts of the entries on and above the diagonal of m (above it
+    when sign is -1), checked against those below: m[j][i] = sign * m[i][j]."""
+    n, rows = m.dim, m.rows
+    assert all(rows[j][i] == rows[i][j].scale(sign) for i in range(n) for j in range(n))
+    return [rows[i][j].text() for i in range(n) for j in range(i + (sign < 0), n)]
+
+
+@pytest.mark.parametrize("seed, want", [
+    (3, [["-2", "-1/3", "2"], ["1", "1", "-1", "-2/3", "1/3", "0"],
+         ["2-2/3*i", "-3", "1", "-3/2", "2/3", "0"], ["2/3", "-1", "-3", "-2/3", "-1", "2/3"]]),
+    (11, [["0", "0", "-2/3"], ["2", "-1", "-1", "-3", "1/3", "0"],
+          ["3", "1-2*i", "-1/3", "-2", "0", "0"], ["0", "1", "-1", "1/2", "-3", "1"]]),
+])
+def test_triangle_draws_are_pinned(seed, want):
+    # the suites and the benchmark draw their matrices in this (i, j) order
+    rng = random.Random(seed)
+    got = [
+        _upper(rand_antisym(rng, 3), -1),
+        _upper(rand_symmetric(rng, 3), 1),
+        _upper(rand_symmetric(rng, 3, allow_imag=True), 1),
+        _upper(rand_invertible_antisym(rng, 4), -1),
+    ]
+    assert got == want
 
 
 # --- Cayley transform -------------------------------------------------------
