@@ -48,19 +48,25 @@ by the same cases as this one:
 * ``cayley_flows_n4_N8``: ``solve_q`` and ``solve_g`` for random 4x4 a
   and b with an invertible 1 + b, and the three flow residuals of their
   results, which must vanish;
+* ``context_n6``: a ``StarContext`` built from the parsed rows of a
+  6 x 6 constant lambda, then ``star`` of two constants under it, so that
+  its time is mostly the antisymmetry check and the kernel build; its term
+  count is the product's;
 * ``parse_texts``: ``parse_poly`` on the texts of 64 small jobs in the
   shape of the benchmark's ``small-jobs`` inputs: per job, the n x n
   lambda entries (rationals such as "-3/2"), the coupling "mu/2" and two
   sums of three terms such as "(2/3)*i*mu*z0*z1^2", with n in 2, 3, 4, 6;
   its term count is the number of terms parsed;
-* ``cli_star_poly_n3``, ``cli_star_small``, ``cli_grade``,
+* ``cli_star_poly_n3``, ``cli_star_small``, ``cli_star_n6``, ``cli_grade``,
   ``cli_riccati_N8``, ``cli_star_exp_n4_N8``, ``cli_ordering``,
   ``cli_verify_lambda_n3``: a
   fixed job file run end to end through ``cli.main(["--job", FILE])``
   with stdout captured (argparse, the schema checks, the handler and the
   JSON output): a ``star`` job under the so(3) structure matrix with f and
   g of degrees 5 and 6; a millisecond ``star`` job in two variables with
-  mixed parameters and ``mu`` specialized; a ``grade`` job in three
+  mixed parameters and ``mu`` specialized; a millisecond ``star`` job in
+  the shape of the benchmark's ``star6`` jobs, under the lambda of
+  ``context_n6``, whose entry texts repeat; a ``grade`` job in three
   variables with mu powers of both signs; a ``riccati`` job at
   truncation 8; a ``star-exp`` job on a 4x4 structure matrix at
   truncation 8 (closed form, expansion and ODE oracle); an ``ordering``
@@ -99,11 +105,15 @@ lower quartile, the median and the upper quartile of those ratios per
 case, and the number of rounds.  ``aa_round_ratio`` holds the same of the
 again/after ratios, the spread of a ratio between two copies of one tree
 (Kalibera & Jones, "Rigorous benchmarking in reasonable time", ISMM 2013).
-``verdict`` calls a case "faster" (or "slower") only when its round-ratio
-quartiles lie above (below) both 1 and the A/A quartiles, and
-"unresolved" otherwise.  Without ``--before`` only this tree is
-timed.  ``--tiny`` shrinks every case to a smoke test and runs it
-once.  Standard library only.
+With ``--before`` the whole measurement runs twice, with new workers for
+every side each time, since a per-process effect (hash seed, memory
+layout) can move one worker's times as a whole: ``rerun`` holds the
+second run's ``round_ratio`` and ``aa_round_ratio``.  One run calls a
+case "faster" (or "slower") only when its round-ratio quartiles lie above
+(below) both 1 and the A/A quartiles; ``verdict`` gives a case that word
+only when both runs give it, and "unresolved" otherwise.  Without
+``--before`` only this tree is timed, once.  ``--tiny`` shrinks every
+case to a smoke test and runs it once.  Standard library only.
 """
 
 from __future__ import annotations
@@ -431,6 +441,23 @@ def cases(tiny: bool) -> list:
         ("parse_texts", {"texts": len(texts)},
          lambda: sum(term_count(parse_poly(text, n, 16)) for text, n in texts))
     )
+    # a context built from parsed 6 x 6 rows and used once: the antisymmetry
+    # check and the kernel build, with a product of two constants after them
+    n = 6
+    rng = random.Random(7000)
+    lam_texts = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+            lam_texts[i][j], lam_texts[j][i] = str(v), str(-v)
+    lam_rows = [[parse_poly(text, n, 16) for text in row] for row in lam_texts]
+    constants = [MultiPoly.from_gaussian(GaussianRational(rat(2, 3), rat(-1)), n),
+                 MultiPoly.from_gaussian(GaussianRational(rat(5), rat(1, 7)), n)]
+
+    def run_context(n=n, rows=lam_rows):
+        return term_count(star(StarContext(n, rows, HALF_MU), *constants))
+
+    out.append((f"context_n{n}", {"n": n}, run_context))
     # the job files live as long as the thunks that read them
     jobs = tempfile.TemporaryDirectory(prefix="starquant-bench-")
 
@@ -478,6 +505,21 @@ def cases(tiny: bool) -> list:
     out.append(
         ("cli_star_small", {"n": 2},
          cli_case("star_small", job, lambda result: sum(
+             len(result[name]["terms"]) for name in ("star", "specialized"))))
+    )
+    # the shape of the benchmark's star6 jobs: the 6 x 6 lambda of
+    # context_n6, whose zeros and rationals repeat, two sums of three terms
+    # of degree 2, and mu specialized
+    job = {
+        "command": "star",
+        "context": {"n": 6, "lambda": lam_texts, "coupling": "mu/2"},
+        "inputs": {
+            "f": term_sum_text(rng, 6, 2, 3), "g": term_sum_text(rng, 6, 2, 3), "mu": "3/2",
+        },
+    }
+    out.append(
+        ("cli_star_n6", {"n": 6},
+         cli_case("star_n6", job, lambda result: sum(
              len(result[name]["terms"]) for name in ("star", "specialized"))))
     )
     f = "mu^-1*z0^2 + z1 + hbar*z1 + mu*z0*z2 - tau*mu^2*z2^3"
@@ -672,6 +714,19 @@ def measure(sides: dict, tiny: bool) -> tuple:
     return runs, ratios
 
 
+def ratio_quartiles(ratios: dict) -> dict:
+    """The quartiles of one run's round ratios per case, rounded: the
+    before/after ones under "round_ratio", the A/A ones under
+    "aa_round_ratio"."""
+    return {
+        key: {
+            name: {k: round(v, 3) for k, v in quartiles(r[label]).items()}
+            for name, r in ratios.items()
+        }
+        for key, label in (("round_ratio", "before"), ("aa_round_ratio", "again"))
+    }
+
+
 def verdict(ratio: dict, aa: dict) -> str:
     """"faster" or "slower" when the before/after quartiles lie wholly above
     (below) both 1 and the A/A quartiles, else "unresolved"."""
@@ -680,6 +735,12 @@ def verdict(ratio: dict, aa: dict) -> str:
     if ratio["q3"] < min(1.0, aa["q1"]):
         return "slower"
     return "unresolved"
+
+
+def agreed(first: str, second: str) -> str:
+    """The verdict of two runs: theirs when they give the same, else
+    "unresolved"."""
+    return first if first == second else "unresolved"
 
 
 def main(argv=None) -> int:
@@ -702,22 +763,24 @@ def main(argv=None) -> int:
             name: round(case["median_s"] / runs["after"]["cases"][name]["median_s"], 3)
             for name, case in runs["before"]["cases"].items()
         }
-        for key, label in (("round_ratio", "before"), ("aa_round_ratio", "again")):
-            data[key] = {
-                name: {k: round(v, 3) for k, v in quartiles(r[label]).items()}
-                for name, r in ratios.items()
-            }
+        data.update(ratio_quartiles(ratios))
+        data["rerun"] = ratio_quartiles(measure(sides, args.tiny)[1])
         data["verdict"] = {
-            name: verdict(data["round_ratio"][name], data["aa_round_ratio"][name])
+            name: agreed(*(
+                verdict(r["round_ratio"][name], r["aa_round_ratio"][name])
+                for r in (data, data["rerun"])
+            ))
             for name in ratios
         }
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps({label: run["cases"] for label, run in runs.items()}, sort_keys=True))
     for name in ratios:
-        q, aa = data["round_ratio"][name], data["aa_round_ratio"][name]
-        print(f"{name}: speedup {data['speedup'][name]}, round ratio "
-              f"{q['median']} [{q['q1']}, {q['q3']}] over {q['rounds']} rounds, "
-              f"A/A {aa['median']} [{aa['q1']}, {aa['q3']}]: {data['verdict'][name]}")
+        line = [f"{name}: speedup {data['speedup'][name]}"]
+        for r in (data, data["rerun"]):
+            q, aa = r["round_ratio"][name], r["aa_round_ratio"][name]
+            line.append(f"round ratio {q['median']} [{q['q1']}, {q['q3']}] over "
+                        f"{q['rounds']} rounds, A/A {aa['median']} [{aa['q1']}, {aa['q3']}]")
+        print(", ".join(line) + f": {data['verdict'][name]}")
     return 0
 
 

@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from contextvars import ContextVar
 from math import comb
 
 from .errors import PreconditionError, SchemaError
@@ -80,15 +81,34 @@ def max_input_degree() -> int:
         raise SchemaError(f"STARQUANT_MAX_DEGREE must be an integer, got {raw!r}") from exc
 
 
+# the degree cap of the running job: _run sets an empty list for the job
+# and resets it after, and the job's first use of the cap appends the one
+# value read; a context variable, not an argument, because the readers
+# and the bounds of _fields that use it sit below handlers of one argument
+_JOB_CAP: ContextVar = ContextVar("job_cap")
+
+
+def _degree_cap() -> int:
+    """The degree cap, read from the environment once per job, at its
+    first use, so that a job that reads no polynomial never reads it;
+    outside a job, on every call."""
+    held = _JOB_CAP.get(None)
+    if held is None:
+        return max_input_degree()
+    if not held:
+        held.append(max_input_degree())
+    return held[0]
+
+
 # the integer fields, in a job, its context or its inputs: (minimum, maximum),
-# where max_input_degree stands for the degree cap at the time of the check
+# where _degree_cap stands for the degree cap of the job
 _INT_BOUNDS = {
     "truncation": (1, MAX_TRUNCATION),
     "seed": (None, None),
     "cases": (1, MAX_CASES),
     "n": (1, MAX_VARIABLES),
-    "d_max": (0, max_input_degree),
-    "k_max": (2, max_input_degree),
+    "d_max": (0, _degree_cap),
+    "k_max": (2, _degree_cap),
 }
 
 
@@ -130,7 +150,7 @@ def _poly_input(value, label: str, n: int = 0) -> MultiPoly:
     """A polynomial in n variables, at n = 0 a scalar in the parameters
     such as the coupling, of degree at most the cap, as is each product it
     parses.  A JSON int reads as its decimal text."""
-    cap = max_input_degree()
+    cap = _degree_cap()
     # a bool is no number and a JSON float is inexact: neither is taken
     if type(value) is int:
         value = str(value)
@@ -171,7 +191,10 @@ def _gauss_input(value, label: str, n: int = 0) -> GaussianRational:
 def _matrix_input(value, label: str, entry=_gauss_input, n: int | None = None) -> tuple:
     """A non-empty n x n matrix, n its number of rows by default, whose
     rows are tuples of ``entry(v, label, n)``.  The whole shape is checked
-    before any entry is read."""
+    before any entry is read.  Each distinct text is read once, in
+    row-major order, and its value kept for this call only; an entry that
+    is no string (an int, a term list, or a bool, which hashes like 1) is
+    read every time, so the first bad entry is the one refused."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{label} must be a non-empty matrix (list of rows)")
     if len(value) > MAX_VARIABLES:
@@ -182,7 +205,16 @@ def _matrix_input(value, label: str, entry=_gauss_input, n: int | None = None) -
         n = len(value)
     if len(value) != n or any(len(row) != n for row in value):
         raise SchemaError(f"{label} must be a {n} x {n} matrix")
-    return tuple(tuple(entry(v, label, n) for v in row) for row in value)
+    read: dict = {}
+
+    def value_of(v):
+        if type(v) is not str:
+            return entry(v, label, n)
+        if v not in read:
+            read[v] = entry(v, label, n)
+        return read[v]
+
+    return tuple(tuple(map(value_of, row)) for row in value)
 
 
 def _context_input(data) -> StarContext:
@@ -363,8 +395,12 @@ def validate_job(job: dict) -> dict:
 def _run(job: dict) -> tuple:
     """(envelope, exit code, output path) of a job, with each term list in
     the envelope a TermRows, which ``json_text`` prints."""
-    job = validate_job(job)
-    payload, code = _HANDLERS[job["command"]](job)
+    token = _JOB_CAP.set([])
+    try:
+        job = validate_job(job)
+        payload, code = _HANDLERS[job["command"]](job)
+    finally:
+        _JOB_CAP.reset(token)
     envelope = {"command": job["command"], "result": payload}
     return envelope, code, job["output_path"]
 

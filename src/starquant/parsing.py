@@ -74,6 +74,10 @@ from .scalars import PARAM_INDEX, GaussianRational, _gaussian_power, to_gaussian
 # took 13 s to expand
 MAX_TERMS = 10000
 
+# the most characters of a text that a refusal quotes: the texts of the
+# pinned refusals are short, and 1000 parentheses would repeat 2 KB
+QUOTE_LIMIT = 60
+
 # ASCII only, as in scalars: a digit is 0-9 and a space is ASCII whitespace,
 # so any other character, a non-ASCII digit or space too, is unexpected
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S))", re.ASCII)
@@ -363,6 +367,14 @@ def _power_terms(base: MultiPoly, k: int) -> int:
     return min(bound, math.comb(v + k * t, v))
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a refusal quotes it: whole up to ``QUOTE_LIMIT``
+    characters, else its prefix of that length followed by ``...``."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}..."
+
+
 def _evaluate(text: str, n: int, max_degree: float):
     """The value of ``text`` as :meth:`_Parser.parse` gives it.  Expressions
     that cannot be represented (division by zero, inverses of non-invertible
@@ -373,7 +385,7 @@ def _evaluate(text: str, n: int, max_degree: float):
     except SchemaError:
         raise
     except (ZeroDivisionError, ValueError, RecursionError) as exc:
-        raise SchemaError(f"cannot evaluate expression {text!r}: {exc}") from exc
+        raise SchemaError(f"cannot evaluate expression {_quoted(text)}: {exc}") from exc
 
 
 def parse_poly(text: str, n: int, max_degree: float = float("inf")) -> MultiPoly:

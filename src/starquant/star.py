@@ -53,11 +53,13 @@ The state of an order is a ``MultiPoly``'s own layout with packed keys
 denominator ``den`` for the whole order.  The kernel (:func:`_entries`)
 stores its coefficients the same way, over the lcm ``D`` of their
 denominators, so a step multiplies Python ints only -- numerator times the
-two exponents times the kernel numerator.  One generator advances a state
-order by order (:func:`_states`): it multiplies ``den`` by ``D`` and, with
-a coupling, by k for the 1/k!, and stops on an empty state.  The products
-(:func:`_orders`), the left operator of the ODE oracle and the
-lambda-relation check all iterate it.  Operands enter by
+two exponents times the kernel numerator.  It is built from one numerator
+map of all the matrix's entries, keyed by (a, b, *key), with one product
+by the coupling and one reduction to lowest terms.  One generator
+advances a state order by order (:func:`_states`): it multiplies ``den``
+by ``D`` and, with a coupling, by k for the 1/k!, and stops on an empty
+state.  The products (:func:`_orders`), the left operator of the ODE
+oracle and the lambda-relation check all iterate it.  Operands enter by
 :meth:`MultiPoly.numerators` and results leave by
 :meth:`MultiPoly.from_numerators`, which only repack the keys; a product
 summed over all orders (:func:`star`) adds them over the lcm of their
@@ -92,6 +94,7 @@ from .errors import PreconditionError
 from .poly import (
     I_HBAR_HALF,
     MultiPoly,
+    _add_key_products,
     _add_products,
     _complex,
     _lowest,
@@ -123,6 +126,15 @@ def standard_j(m: int) -> tuple:
     return _block(m, -1, 1)
 
 
+def _negated(p: MultiPoly, q: MultiPoly) -> bool:
+    """Whether p = -q, read on the canonical fields: the same denominator
+    and negated numerator maps, so a diagonal entry passes only when zero."""
+    return p.den == q.den and all(
+        len(x) == len(y) and all(y.get(key) == -v for key, v in x.items())
+        for x, y in ((p.re, q.re), (p.im, q.im))
+    )
+
+
 class StarContext:
     """The quantization datum: variable count, structure matrix, coupling.
 
@@ -143,7 +155,7 @@ class StarContext:
             for p in row:
                 if not isinstance(p, MultiPoly) or p.n != n:
                     raise ValueError("lambda entries must be MultiPoly in n variables")
-        if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)):
+        if not all(_negated(rows[i][j], rows[j][i]) for i in range(n) for j in range(i, n)):
             raise PreconditionError("lambda must be antisymmetric as a matrix of polynomials")
         if not coupling:
             raise PreconditionError("coupling must be nonzero")
@@ -197,11 +209,13 @@ class _Kernel(NamedTuple):
     ``im`` hold the real and imaginary parts of the steps as integer
     numerators over the common denominator ``den``, grouped by row: each
     is a list of (a, [(n + b, shift, numerator), ...]) (see
-    :func:`_entries`).  ``factorial`` is True when a coupling is folded in,
-    so that order k also carries 1/k!.  ``reach`` is the largest exponent a
-    shift adds to any field.  The steps are packed for a field width by
-    each run of :func:`_states`, since every kernel is built for one
-    product, exponential or check and run once.
+    :func:`_entries`); the order of the rows, and of the steps within a
+    row, is that of the built map and means nothing.  ``factorial`` is
+    True when a coupling is folded in, so that order k also carries 1/k!.
+    ``reach`` is the largest exponent a shift adds to any field.  The steps
+    are packed for a field width by each run of :func:`_states`, since
+    every kernel is built for one product, exponential or check and run
+    once.
     """
 
     width: int
@@ -221,28 +235,40 @@ def _entries(n: int, lam, offset: int | None, coupling=None) -> _Kernel:
     tail: -1 at x_a and at y_b, the term's z exponents starting at
     ``offset`` (None when every entry is constant), and its parameter
     exponents in the tail.  A scalar ``coupling`` multiplies every step
-    once, so it multiplies every entry first.  The numerators are over the
-    lcm of the entries' denominators, which is the lcm of the denominators
-    of the steps.
+    once, so it multiplies every entry first.  Every entry goes into one
+    numerator map keyed by (a, b, *key) over the lcm of the entries'
+    denominators, which one product folds the coupling into; in lowest
+    terms its denominator is the lcm of the denominators of the steps.
     """
     width = 3 * n if offset == 2 * n else 2 * n
-    c = MultiPoly.one(n) if coupling is None else MultiPoly.const(n, coupling)
-    entries = [(a, b, p * c) for a, row in enumerate(lam) for b, p in enumerate(row) if p]
+    entries = [(a, b, p) for a, row in enumerate(lam) for b, p in enumerate(row) if p]
     den = lcm(*(p.den for _, _, p in entries))
+    re: dict = {}
+    im: dict = {}
+    for a, b, p in entries:
+        m = den // p.den
+        for out, part in ((re, p.re), (im, p.im)):
+            for key, v in part.items():
+                out[(a, b, *key)] = v * m
+    if coupling is not None:
+        pad = (0,) * (n + 2)
+        c = [{pad + tail: v for tail, v in part.items()} for part in (coupling.re, coupling.im)]
+        re, im = _complex(_add_key_products, [((re, im), c, 1)])
+        den *= coupling.den
+    re, im, den = _lowest(re, im, den)
     reach = 0
     parts = []
-    for part in ("re", "im"):
+    for part in (re, im):
         rows: dict = {}
-        for a, b, p in entries:
-            for key, v in getattr(p, part).items():
-                shift = [0] * width
-                if offset is not None:
-                    shift[offset : offset + n] = key[:n]
-                shift[a] -= 1
-                shift[n + b] -= 1
-                shift = (*shift, *key[n:])
-                reach = max(reach, *shift)
-                rows.setdefault(a, []).append((n + b, shift, v * (den // p.den)))
+        for (a, b, *key), v in part.items():
+            shift = [0] * width
+            if offset is not None:
+                shift[offset : offset + n] = key[:n]
+            shift[a] -= 1
+            shift[n + b] -= 1
+            shift = (*shift, *key[n:])
+            reach = max(reach, *shift)
+            rows.setdefault(a, []).append((n + b, shift, v))
         parts.append(list(rows.items()))
     return _Kernel(width, den, *parts, coupling is not None, reach)
 

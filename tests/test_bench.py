@@ -30,7 +30,7 @@ def test_bench_writes_labelled_runs(tmp_path, capsys):
         "lambda_relation_cyclic_n4_d1", "matmul_n4", "matseries_inverse_n4_N2",
         "matseries_det_n4_N2", "matseries_mul_n4_N2", "cayley_series_n4_N2", "tanh_n4_N2",
         "cayley_flows_n4_N2", "matseries_inverse_unit_n4_N2", "matmul_complex_n4",
-        "cli_star_poly_n3", "cli_star_small",
+        "cli_star_poly_n3", "cli_star_small", "cli_star_n6", "context_n6",
         "cli_grade", "cli_riccati_N2", "cli_star_exp_n4_N2", "cli_verify_lambda_n3",
         "cli_ordering", "parse_texts",
     }
@@ -91,6 +91,10 @@ def test_bench_records_an_aa_control_per_case(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert set(data["runs"]) == {"before", "after"}
     assert set(data["aa_round_ratio"]) == set(data["verdict"]) == set(data["round_ratio"])
+    # the second run, with new workers, keeps its quartiles next to the first's
+    assert set(data["rerun"]) == {"round_ratio", "aa_round_ratio"}
+    for key, quartiles in data["rerun"].items():
+        assert set(quartiles) == set(data[key])
     for q in data["aa_round_ratio"].values():
         assert 0 < q["q1"] <= q["median"] <= q["q3"] and q["rounds"] == 1
     assert set(data["verdict"].values()) <= {"faster", "slower", "unresolved"}
@@ -101,3 +105,12 @@ def test_bench_records_an_aa_control_per_case(tmp_path, capsys):
     assert bench.verdict({"q1": 0.8, "median": 0.9, "q3": 0.98}, aa) == "unresolved"
     wide = {"q1": 0.9, "median": 1.0, "q3": 1.1, "rounds": 40}
     assert bench.verdict({"q1": 1.05, "median": 1.1, "q3": 1.2}, wide) == "unresolved"
+
+
+def test_verdict_needs_both_runs_to_agree():
+    bench = load_bench()
+    assert bench.agreed("faster", "faster") == "faster"
+    assert bench.agreed("slower", "slower") == "slower"
+    assert bench.agreed("slower", "unresolved") == "unresolved"
+    assert bench.agreed("faster", "slower") == "unresolved"
+    assert bench.agreed("unresolved", "unresolved") == "unresolved"

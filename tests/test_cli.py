@@ -861,7 +861,41 @@ def test_matrix_shape_is_checked_before_any_entry(monkeypatch, tmp_path, capsys)
     assert _job_exit(wide, tmp_path, capsys) == "K must be a 1 x 1 matrix"
     assert calls == []
     assert run_job(_field_job("K", "1"))[1] == 0
-    assert calls == ["0", "1", "1", "0"]
+    assert calls == ["0", "1"]
+
+
+@pytest.mark.parametrize("field, matrix, message", [
+    ("K", [[1, "1"], ["1", True]], "K must be a scalar string"),
+    ("lambda", [["0", 1], ["1", True]],
+     "lambda must be an expression string, an integer or a JSON term list"),
+    ("K", [["1", "2^"], ["1/0", "2^"]], "bad scalar for K: expected 'int', found end of input"),
+    ("lambda", [["0", "z0^^"], ["1/0", "z0^^"]],
+     "bad polynomial for lambda: expected 'int', found '^'"),
+])
+def test_matrix_refuses_its_first_bad_entry(field, matrix, message, tmp_path, capsys):
+    # a JSON true is refused although it equals 1, and of two bad texts the
+    # first in row-major order is the one named, also when it repeats
+    if field == "K":
+        job = {"command": "ordering", "inputs": {"K": matrix, "f": "z0"}}
+    else:
+        job = star_job()
+        job["context"]["lambda"] = matrix
+    assert _job_exit(job, tmp_path, capsys) == message
+
+
+def test_matrix_term_list_entries_read_as_their_text(tmp_path, capsys):
+    # a term-list entry, which no text stands for, still parses
+    one = [{"exps": [0, 0], "coef": {"params": {}, "value": "1"}}]
+    minus_one = [{"exps": [0, 0], "coef": {"params": {}, "value": "-1"}}]
+    outputs = []
+    for lam in ([["0", one], [minus_one, "0"]], [["0", "1"], ["-1", "0"]]):
+        job = star_job()
+        job["context"]["lambda"] = lam
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        assert main(["--job", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("field, number, text", [
@@ -905,6 +939,21 @@ def test_deep_nesting_exits_2(route, tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["kind"] == "schema"
+
+
+def test_long_text_is_quoted_by_its_prefix(capsys):
+    # 1000 parentheses in --f: one short JSON line that quotes the start
+    star = ["--command", "star", "--n", "2", "--lambda", '[["0","1"],["-1","0"]]',
+            "--coupling", "mu/2", "--g", "z1"]
+    assert main(star + ["--f", "(" * 1000 + "z0" + ")" * 1000]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and len(lines[0].encode()) <= 300
+    error = json.loads(lines[0])
+    assert error["kind"] == "schema"
+    assert error["error"].startswith(
+        "bad polynomial for f: cannot evaluate expression '" + "(" * 60 + "'...: "
+    )
 
 
 def _job_exit(job, tmp_path, capsys) -> str:
@@ -1127,6 +1176,37 @@ def test_star_with_wide_exponents(monkeypatch, capsys):
         pairs = [(0, 1, c), (1, 0, -c)]
         want = pairing_product(pairs, parse_poly(f_text, 2), parse_poly(g_text, 2))
         assert star_out == {"text": want.text(), "terms": want.to_json()}
+
+
+def test_degree_cap_is_read_once_per_job(monkeypatch, capsys):
+    # one environment read for the 16 lambda entries, the coupling, f and
+    # g of an n = 4 star job, and for the d_max and k_max bounds and the
+    # lambda entries of a lambda-relation job; none for a riccati job
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            if key == "STARQUANT_MAX_DEGREE":
+                reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(os, "environ", Environ(os.environ))
+    lam = [["0", "1", "-2", "1/2"], ["-1", "0", "3", "0"],
+           ["2", "-3", "0", "1"], ["-1/2", "0", "-1", "0"]]
+    argv = ["--command", "star", "--n", "4", "--lambda", json.dumps(lam),
+            "--coupling", "mu/2", "--f", "z0*z1", "--g", "z2*z3"]
+    assert main(argv) == 0
+    assert len(reads) == 1
+    so3 = [["0", "z2", "-z1"], ["-z2", "0", "z0"], ["z1", "-z0", "0"]]
+    job = {"command": "verify", "inputs": {"suite": "lambda-relation", "lambda": so3,
+                                           "d_max": 1, "k_max": 2}}
+    assert run_job(job)[1] == 0
+    assert len(reads) == 2
+    # the patched environ is a copy, which monkeypatch drops afterwards
+    os.environ["STARQUANT_MAX_DEGREE"] = "x"
+    assert main(["--command", "riccati", "--a", "1", "--b", "1", "--c", "0"]) == 0
+    assert len(reads) == 2
+    capsys.readouterr()
 
 
 def test_degree_cap(monkeypatch, capsys, tmp_path):

@@ -68,6 +68,12 @@ REFUSALS = [
     pytest.param("*".join(["((1+mu)*1)"] * 2000),
                  "the products of sums in one text multiply 10096 pairs of terms,"
                  " above the cap 10000", id="nested-chain-of-2000-sums"),
+    # a refusal quotes a text of up to 60 characters whole, a longer one by
+    # its first 60 and "..."
+    pytest.param("1/0" + " " * 57, "cannot evaluate expression '1/0" + " " * 57 + "':"
+                 " inverse of zero scalar", id="quoted-60-characters"),
+    pytest.param("1/0" + " " * 58, "cannot evaluate expression '1/0" + " " * 57 + "'...:"
+                 " inverse of zero scalar", id="quoted-prefix-of-61-characters"),
 ]
 
 

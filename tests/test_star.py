@@ -1,16 +1,18 @@
 import random
-from math import factorial, perm
+from math import factorial, lcm, perm
 
 import pytest
 from oracles import ode_by_products, poisson_bracket
 
 from starquant.errors import PreconditionError
 from starquant.matrices import OrderingK, SqMatrix
+from starquant.parsing import parse_poly
 from starquant.poly import HALF_MU, HBAR, I_HBAR_HALF, MU, MU_INV, TAU, MultiPoly
 from starquant.scalars import EXP_ZERO, GR_I, GR_ONE, PARAM_INDEX, GaussianRational, gr, rat
 from starquant.series import TruncSeries
 from starquant.star import (
     StarContext,
+    _entries,
     exp_linear_product,
     intertwine,
     iterated_terms,
@@ -696,3 +698,99 @@ def test_ode_star_exponential_with_second_derivatives_in_two_fields():
     for coupling in (HALF_MU, I_HBAR_HALF):
         ctx = StarContext.constant(lam, coupling)
         assert ode_star_exponential(ctx, h, 3) == ode_by_products(ctx, h, 3)
+
+
+# --- the contraction kernel against one product per entry ----------------
+
+
+def per_entry_kernel(n, lam, offset, coupling):
+    """(den, width, factorial, reach, {row a: sorted steps}) of the kernel
+    built one entry at a time: each nonzero entry times the coupling as a
+    MultiPoly product, its numerators over the lcm of the products'
+    denominators."""
+    width = 3 * n if offset == 2 * n else 2 * n
+    c = MultiPoly.one(n) if coupling is None else MultiPoly.const(n, coupling)
+    entries = [(a, b, p * c) for a, row in enumerate(lam) for b, p in enumerate(row) if p]
+    den = lcm(*(p.den for _, _, p in entries))
+    reach = 0
+    parts = []
+    for part in ("re", "im"):
+        rows: dict = {}
+        for a, b, p in entries:
+            for key, v in getattr(p, part).items():
+                shift = [0] * width
+                if offset is not None:
+                    shift[offset : offset + n] = key[:n]
+                shift[a] -= 1
+                shift[n + b] -= 1
+                shift = (*shift, *key[n:])
+                reach = max(reach, *shift)
+                rows.setdefault(a, []).append((n + b, shift, v * (den // p.den)))
+        parts.append({a: sorted(steps) for a, steps in rows.items()})
+    return den, width, coupling is not None, reach, parts
+
+
+def kernel_fields(kernel):
+    """The same fields of a built kernel, with each row's steps sorted."""
+    parts = [{a: sorted(steps) for a, steps in part} for part in (kernel.re, kernel.im)]
+    return kernel.den, kernel.width, kernel.factorial, kernel.reach, parts
+
+
+def random_entry(rng, n, constant) -> MultiPoly:
+    """A complex entry with parameters: constant, or of degree at most 2."""
+    p = rand_poly(rng, n, 0 if constant else 2, 3)
+    for param in (MU, MU_INV, HBAR, TAU):
+        if rng.random() < 0.3:
+            p = p + rand_poly(rng, n, 0 if constant else 1, 2).scale(param)
+    return p
+
+
+KERNEL_COUPLINGS = ["mu/2", "i*hbar/2", "mu/2 + i*hbar/3", "(2/3 - i)*mu^-1 + tau", None]
+
+
+@pytest.mark.parametrize("coupling", KERNEL_COUPLINGS)
+def test_kernel_equals_the_per_entry_construction(coupling):
+    # den, reach and the steps of every row, in any order, for constant and
+    # polynomial contexts with complex entries, fully contracted and
+    # iterated; None is the coupling of the iterated and lambda-relation
+    # kernels
+    rng = random.Random(3200 + KERNEL_COUPLINGS.index(coupling))
+    c = None if coupling is None else parse_poly(coupling, 0)
+    for case in range(60):
+        n = rng.randint(1, 5)
+        constant = case % 2 == 0
+        zero = MultiPoly.zero(n)
+        lam = [[zero] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < 0.8:
+                    p = random_entry(rng, n, constant)
+                    lam[a][b], lam[b][a] = p, -p
+        ctx = StarContext(n, lam, HALF_MU)
+        offsets = [None] if ctx.constant_lambda else [n, 2 * n]
+        for offset in offsets:
+            kernel = _entries(n, ctx.lam, offset, c)
+            assert kernel_fields(kernel) == per_entry_kernel(n, ctx.lam, offset, c)
+
+
+def test_antisymmetry_near_misses_are_refused():
+    # p = -q needs the same den and negated numerator maps
+    z0, z1 = zvars(2)
+    zero = MultiPoly.zero(2)
+    half, third = gr(1, 2), gr(1, 3)
+    near_misses = [
+        (z0.scale_gauss(half), -z0.scale_gauss(third)),  # equal numerators, other dens
+        (z0 + z1, -z0),  # one extra term
+        (z0.scale_gauss(GaussianRational(rat(1), rat(1))),
+         -z0.scale_gauss(GaussianRational(rat(1), rat(-1)))),  # flipped imaginary part
+        (z0.scale(MU), z0.scale(MU)),  # not negated
+    ]
+    message = "^lambda must be antisymmetric as a matrix of polynomials$"
+    for p, q in near_misses:
+        with pytest.raises(PreconditionError, match=message):
+            StarContext(2, ((zero, p), (q, zero)), HALF_MU)
+    for diagonal in (z0.scale_gauss(GR_I), MultiPoly.const(2, MU), z1.scale_gauss(third)):
+        with pytest.raises(PreconditionError, match=message):
+            StarContext(2, ((diagonal, z0), (-z0, zero)), HALF_MU)
+    p = (z0 + z1.scale(MU_INV)).scale_gauss(GaussianRational(rat(2, 3), rat(-1, 5)))
+    assert StarContext(2, ((zero, p), (-p, zero)), HALF_MU).lam[1][0] == -p
