@@ -83,12 +83,15 @@ Each side runs in its own worker subprocess, which imports starquant from
 its source tree (``--before``, and this checkout's ``src`` as "after") and
 times one repeat of a case per request.  With ``--before`` a third worker,
 "again", times this checkout's ``src`` too, as an A/A control.  The
-workers take turns in an order reversed every round, so "after" always
-runs between the other two, and a drift of the host's speed, or the cost
-of going first, falls on every side alike.  A case repeats until
-each side has run it ``REPEAT`` times and its repeats total at least
-``MIN_TOTAL_S``, so that a millisecond case is timed as long as a slow
-one; a side records the median and minimum of its ``time.perf_counter``
+workers take turns in the orders of ``ROUNDS``, one order per round, in
+turn: every order of the three sides once, so that each side runs first,
+second and last equally often, chained so that no side runs two repeats
+back to back, also from the last order to the first.  A drift of
+the host's speed, or the cost of a position, then falls on every side
+alike.  A case repeats until each side has run it ``REPEAT`` times and its
+repeats total at least ``MIN_TOTAL_S``, so that a millisecond case is
+timed as long as a slow one, and on to the end of the orders of
+``ROUNDS``; a side records the median and minimum of its ``time.perf_counter``
 wall times, the repeat count and the number of terms of its result.  A
 check's term count is the number of monomials it sweeps, and a matrix
 case's the number of nonzero matrices or series coefficients it returns.
@@ -143,6 +146,16 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 40
 # the least total time of a case's repeats, in seconds
 MIN_TOTAL_S = 0.5
+# the turn orders of the sides, one per round, taken in turn; without
+# "before" and "again" each is ("after",)
+ROUNDS = (
+    ("before", "after", "again"),
+    ("after", "before", "again"),
+    ("before", "again", "after"),
+    ("again", "after", "before"),
+    ("after", "again", "before"),
+    ("again", "before", "after"),
+)
 
 
 def _hostspeed():
@@ -662,16 +675,15 @@ def measure(sides: dict, tiny: bool) -> tuple:
     worker on the after tree ("again"), the A/A ratio again/after."""
     hostspeed = _hostspeed()
     workers = {label: _Worker(src, tiny) for label, src in sides.items()}
+    orders = [[label for label in order if label in workers] for order in ROUNDS]
     try:
-        # reversing the order each round keeps "after" between the other two
-        order = list(workers)
         ratios = {}
         runs = {
             label: {**{k: v for k, v in w.info.items() if k != "sizes"}, "cases": {}}
             for label, w in workers.items()
         }
         for name, sizes in workers["after"].info["sizes"].items():
-            times = {label: [] for label in order}
+            times = {label: [] for label in workers}
             terms = {}
             samples = [hostspeed.sample()]
             unsampled = 0.0
@@ -682,13 +694,14 @@ def measure(sides: dict, tiny: bool) -> tuple:
                     for ts in times.values()
                 )
 
-            while pending():
-                for label in order:
+            rounds = 0
+            while pending() or not tiny and rounds % len(orders):
+                for label in orders[rounds % len(orders)]:
                     result = workers[label].run(name)
                     times[label].append(result["s"])
                     terms[label] = result["terms"]
                     unsampled += result["s"]
-                order.reverse()
+                rounds += 1
                 if unsampled >= MIN_TOTAL_S / REPEAT:
                     samples.append(hostspeed.sample())
                     unsampled = 0.0

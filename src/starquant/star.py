@@ -77,7 +77,10 @@ beta's top field (:class:`_Derivatives`).  A term of P_beta then adds one
 packed shift to every key of that map (:func:`_apply_step`).  One
 generator runs F_k = L F_(k-1) / k in lowest terms (:func:`_exponential`).
 The ODE oracle (:func:`ode_star_exponential`) takes orders 0..N of it for
-L = L_H.  The ordering intertwiner exp(c sum_ij K_ij d_i d_j)
+L = L_H.  On a constant lambda it keeps only the even contraction orders
+of H in L_H: the k-th order is odd in its two factors, B_k(g, f) =
+(-1)^k B_k(f, g), and every F_k commutes with H, so the odd orders of
+H (*) F_k sum to zero.  The ordering intertwiner exp(c sum_ij K_ij d_i d_j)
 (:func:`intertwine`) is the same exponential of a left operator with
 constant coefficients, beta = e_i + e_j, whose orders are summed once.
 """
@@ -554,14 +557,19 @@ def _raise_step(out: dict, state: dict, rows: list, sign: int, mask: int) -> Non
                     out[k] = out.get(k, 0) + va * c
 
 
-def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
+def _left_operator(kernel: _Kernel, h: MultiPoly, w: int, even: bool) -> tuple:
     """(re, im, den): the left star operator F -> h (*) F of the kernel, as
     integer numerators over one denominator, for keys of n z fields packed
     at field width w.
 
     The orders of h are contracted by :func:`_states` with the right
-    factor left symbolic (:func:`_raise_step`) and summed; then x and w
-    collapse into one n-variable key, and the terms are grouped by beta.
+    factor left symbolic (:func:`_raise_step`) and summed, only the even
+    ones when ``even``; then x and w collapse into one n-variable key, and
+    the terms are grouped by beta, whose weight is the order.  ``even``
+    needs a constant matrix and an F that commutes with h: the k-th order
+    is odd in its factors, B_k(F, h) = (-1)^k B_k(h, F), as swapping a_i
+    and b_i in its k entries negates each, so h (*) F - F (*) h is twice
+    the odd orders of h (*) F.
     Each part is a list of (beta, terms) with beta the packed y block of
     derivative counts and terms as [(shift, numerator), ...], each shift
     the packed x + w + tail - beta.  w must hold every field of every key
@@ -572,7 +580,7 @@ def _left_operator(kernel: _Kernel, h: MultiPoly, w: int) -> tuple:
     mask = (1 << block) - 1
     top = kernel.width * w
     orders = _states(kernel, w, *h.numerators(w, kernel.width), step=_raise_step)
-    re, im, den = _order_sum(list(orders))
+    re, im, den = _order_sum(list(islice(orders, 0, None, 2) if even else orders))
     parts: tuple = ({}, {})
     for out, part in zip(parts, (re, im)):
         for key, v in part.items():
@@ -667,6 +675,13 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     differentiates the entries.  The orders are returned unpacked, as
     polynomials.
 
+    On a constant lambda L_H keeps only the even orders of H.  The k-th
+    order is odd in its factors, B_k(F, H) = (-1)^k B_k(H, F), since
+    lambda is antisymmetric; the product is associative, so every F_k, a
+    star polynomial in H, commutes with H, and H (*) F_k - F_k (*) H =
+    2 sum_(k odd) B_k(H, F_k) = 0.  A polynomial lambda's fully contracted
+    product is not associative, so it keeps every order.
+
     Width: a step lowers x, so at most deg H steps run, each adding 1 to
     one beta field and at most the kernel's reach to the w and tail
     fields; every field that builds L_H is at most B = H.max_exponent() +
@@ -681,6 +696,7 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     kernel = _full_entries(ctx, ctx.coupling)
     steps = max(H.degree(), 0)
     w = key_width(max(N, 1) * (H.max_exponent() + steps * max(kernel.reach, 1)))
-    orders = list(islice(_exponential(_left_operator(kernel, H, w), w, {0: 1}, {}, 1), N + 1))
+    operator = _left_operator(kernel, H, w, ctx.constant_lambda)
+    orders = list(islice(_exponential(operator, w, {0: 1}, {}, 1), N + 1))
     coeffs = [MultiPoly.from_numerators(n, re, im, den, w) for re, im, den in orders]
     return TruncSeries(n, N, coeffs + [MultiPoly.zero(n)] * (N + 1 - len(coeffs)))

@@ -114,3 +114,48 @@ def test_verdict_needs_both_runs_to_agree():
     assert bench.agreed("slower", "unresolved") == "unresolved"
     assert bench.agreed("faster", "slower") == "unresolved"
     assert bench.agreed("unresolved", "unresolved") == "unresolved"
+
+
+def test_each_side_takes_each_position_equally_often(monkeypatch):
+    # fake workers log the turns of one case: its rounds run to the end of
+    # the orders, each side runs first, second and last equally often, and
+    # no side runs two repeats back to back
+    bench = load_bench()
+    turns = []
+
+    class Worker:
+        info = {"sizes": {"case": {}}}
+
+        def __init__(self, src, tiny):
+            self.label = src
+
+        def run(self, name):
+            turns.append(self.label)
+            return {"s": 0.001, "terms": 1}
+
+        def close(self):
+            pass
+
+    class HostSpeed:
+        sample = staticmethod(lambda: 1.0)
+        factor = staticmethod(lambda samples: 1.0)
+
+    monkeypatch.setattr(bench, "_Worker", Worker)
+    monkeypatch.setattr(bench, "_hostspeed", HostSpeed)
+    labels = ("before", "after", "again")
+    runs, ratios = bench.measure({label: label for label in labels}, tiny=False)
+    period = len(bench.ROUNDS)
+    rounds = [turns[i : i + 3] for i in range(0, len(turns), 3)]
+    assert len(rounds) >= bench.REPEAT and len(rounds) % period == 0
+    assert all(sorted(r) == sorted(labels) for r in rounds)
+    for position in range(3):
+        seen = [r[position] for r in rounds]
+        assert all(seen.count(label) == len(rounds) // 3 for label in labels)
+    assert all(a != b for a, b in zip(turns, turns[1:]))
+    assert rounds[-1][-1] != rounds[0][0]
+    assert len(ratios["case"]["before"]) == len(rounds)
+    assert runs["after"]["cases"]["case"]["repeat"] == len(rounds)
+    # one side alone runs the same number of rounds
+    turns.clear()
+    bench.measure({"after": "after"}, tiny=False)
+    assert turns == ["after"] * len(rounds)

@@ -33,6 +33,7 @@ from starquant.verify import (
     rand_antisym,
     rand_gauss,
     rand_invertible_antisym,
+    rand_rat,
     rand_square,
     rand_symmetric,
 )
@@ -535,6 +536,41 @@ def test_closed_form_matches_oracle():
         SqMatrix(((gr(2), gr(1, 2)), (gr(1, 2), gr(-1)))),
     ):
         assert closed_form_vs_oracle(lam, a_mat, N).passed
+
+
+def complex_gauss(rng) -> GaussianRational:
+    """A Gaussian rational whose imaginary part is nonzero."""
+    return GaussianRational(rand_rat(rng), rat(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+
+
+def complex_triangle(rng, n: int, antisym: bool) -> SqMatrix:
+    """An antisymmetric (invertible) or symmetric matrix whose entries on
+    and above the diagonal are complex, the diagonal zero when antisymmetric."""
+    while True:
+        rows = [[gr(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + antisym, n):
+                v = complex_gauss(rng)
+                rows[i][j], rows[j][i] = v, -v if antisym else v
+        m = SqMatrix(rows)
+        if not antisym or m.det():
+            return m
+
+
+@pytest.mark.parametrize("n, order", [(2, 8), (4, 6)])
+def test_closed_form_matches_oracle_on_complex_lambda_and_a(n, order):
+    # a = lam A is complex, so the log-amplitude's traces have imaginary
+    # parts that the closed form must negate with their real parts
+    rng = random.Random(90 + n)
+    lam, a_mat = complex_triangle(rng, n, True), complex_triangle(rng, n, False)
+    assert closed_form_vs_oracle(lam, a_mat, order).passed
+
+
+def test_riccati_vs_moyal_on_complex_coefficients():
+    rng = random.Random(97)
+    for _ in range(4):
+        a, b, c = (complex_gauss(rng) for _ in range(3))
+        assert riccati_vs_moyal(a, b, c, N).passed
 
 
 def test_expand_closed_form_identity_case():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from math import factorial, lcm, perm
 
@@ -23,7 +24,7 @@ from starquant.star import (
     star_k_ordered,
     star_terms,
 )
-from starquant.verify import pairing_product, rand_antisym, rand_poly
+from starquant.verify import _so3_context, pairing_product, rand_antisym, rand_poly
 
 
 def simple_ctx() -> StarContext:
@@ -670,6 +671,58 @@ def test_ode_star_exponential_agrees_with_products_on_polynomial_lambda():
         for h, N in ode_hamiltonians(rng, 3)[:3]:
             N = min(N, 4)
             assert ode_star_exponential(ctx, h, N) == ode_by_products(ctx, h, N)
+
+
+def so3_context(coupling) -> StarContext:
+    """The rotation algebra {z_i, z_(i+1)} = z_(i+2), indices mod 3."""
+    return StarContext(3, _so3_context().lam, coupling)
+
+
+@pytest.mark.parametrize("coupling", [HALF_MU, I_HBAR_HALF], ids=["mu/2", "i*hbar/2"])
+def test_ode_star_exponential_agrees_with_products_on_so3(coupling):
+    # the fully contracted product of a linear lambda is not associative,
+    # so F_k need not commute with H and the odd orders of H (*) F_k stay
+    ctx = so3_context(coupling)
+    rng = random.Random(733)
+    for degree in (2, 3):
+        for _ in range(6):
+            h = rand_poly(rng, 3, degree, 4).scale(MU_INV)
+            assert ode_star_exponential(ctx, h, 4) == ode_by_products(ctx, h, 4)
+
+
+def beta_weights(monkeypatch, ctx, h, N) -> set:
+    """The weights of the betas of the left operator that
+    ``ode_star_exponential(ctx, h, N)`` builds, with its result checked
+    against one product per order."""
+    star_module = importlib.import_module("starquant.star")
+    built = []
+    build = star_module._left_operator
+
+    def spy(kernel, poly, w, *args):
+        operator = build(kernel, poly, w, *args)
+        mask = (1 << w) - 1
+        built.append({
+            sum(beta >> (w * i) & mask for i in range(ctx.n))
+            for part in operator[:2] for beta, _ in part
+        })
+        return operator
+
+    monkeypatch.setattr(star_module, "_left_operator", spy)
+    assert ode_star_exponential(ctx, h, N) == ode_by_products(ctx, h, N)
+    assert len(built) == 1
+    return built[0]
+
+
+def test_left_operator_keeps_the_odd_orders_only_on_a_polynomial_lambda(monkeypatch):
+    # on a constant lambda B_k(g, f) = (-1)^k B_k(f, g) and every F_k
+    # commutes with H, so the odd orders of H (*) F_k cancel and L_H keeps
+    # beta of even weight only; so(3) keeps both parities
+    rng = random.Random(741)
+    h = rand_poly(rng, 3, 3, 6).scale(MU_INV) + term(3, (1, 1, 1), coef=gr(1, 2))
+    for coupling in (HALF_MU, I_HBAR_HALF):
+        constant = StarContext.constant(complex_antisym(rng, 3), coupling)
+        assert beta_weights(monkeypatch, constant, h, 5) == {0, 2}
+        assert beta_weights(monkeypatch, so3_context(coupling), h, 4) == {0, 1, 2, 3}
 
 
 def test_ode_star_exponential_with_wide_z_fields():
