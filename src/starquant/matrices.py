@@ -424,16 +424,6 @@ class MatSeries(Series):
             return NotImplemented
         return self._map(other.__mul__)
 
-    def dt(self) -> "MatSeries":
-        """Derivative d/dt (known through order N-1)."""
-        if self.order == 0:
-            raise PreconditionError("cannot differentiate an order-0 series")
-        return self._raw(
-            self.dim,
-            self.order - 1,
-            tuple(self.coeffs[k + 1]._scaled(k + 1, 0, 1) for k in range(self.order)),
-        )
-
     def trace(self) -> TruncSeries:
         """Trace as a scalar (0-variable) series."""
         return TruncSeries(

@@ -270,6 +270,10 @@ class MultiPoly:
         re, im = _complex(_add_key_products, products)
         return MultiPoly._raw(self.n, *_lowest(re, im, self.den * other.den))
 
+    def _scaled(self, cre: int, cim: int, cden: int) -> "MultiPoly":
+        """self * (cre + cim*i) / cden for ints, cden > 0."""
+        return self * MultiPoly.number(self.n, cre, cim, cden)
+
     def scale(self, coef: "MultiPoly") -> "MultiPoly":
         """Multiply by a scalar (a 0-variable MultiPoly)."""
         return self * MultiPoly.const(self.n, coef)

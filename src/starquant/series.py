@@ -8,9 +8,9 @@ same order and variable count; re-truncation is always explicit via
 
 :class:`Series` is the shell that ``TruncSeries`` shares with
 ``matrices.MatSeries``: immutability, the size and order check, ``==``,
-``hash``, ``is_zero``, ``truncate``, ``+``, ``-`` and ``_map``, the one
-per-coefficient map.  A subclass names its coefficient ring and size and
-keeps its products, solvers and constructors.
+``hash``, ``is_zero``, ``truncate``, ``+``, ``-``, ``dt`` and ``_map``,
+the one per-coefficient map.  A subclass names its coefficient ring and
+size and keeps its products, solvers and constructors.
 
 The solvers compute coefficient k from the coefficients below k, by the
 O(N^2) recurrence of a defining equation (Brent & Kung, J. ACM 25(4), 1978;
@@ -94,7 +94,8 @@ class Series:
     A subclass names its coefficient ring ``_RING`` and ``_SIZE``, the
     (slot, name) of the size that the series shares with its coefficients
     (a ``MultiPoly`` in ``n`` variables, a ``SqMatrix`` of dimension
-    ``dim``); the ring gives the zero coefficient of a size, ``zero(size)``.
+    ``dim``); the ring gives the zero coefficient of a size, ``zero(size)``,
+    and a coefficient times (cre + cim*i)/cden, ``_scaled(cre, cim, cden)``.
     """
 
     __slots__ = ("order", "coeffs")
@@ -188,6 +189,13 @@ class Series:
         a GaussianRational for a MatSeries."""
         return self._map(lambda c: c.scale(coef))
 
+    def dt(self):
+        """Derivative d/dt; the result is only known through order N-1."""
+        if self.order == 0:
+            raise PreconditionError("cannot differentiate an order-0 series")
+        coeffs = tuple(self.coeffs[k]._scaled(k, 0, 1) for k in range(1, self.order + 1))
+        return self._raw(self._size(), self.order - 1, coeffs)
+
 
 class TruncSeries(Series):
     """A series in t whose coefficients are MultiPoly in ``n`` variables."""
@@ -240,15 +248,6 @@ class TruncSeries(Series):
 
     def scale_rat(self, r) -> "TruncSeries":
         return self._map(lambda c: c.scale_rat(r))
-
-    def dt(self) -> "TruncSeries":
-        """Derivative d/dt; the result is only known through order N-1."""
-        if self.order == 0:
-            raise PreconditionError("cannot differentiate an order-0 series")
-        coeffs = tuple(
-            self.coeffs[k + 1] * MultiPoly.number(self.n, k + 1) for k in range(self.order)
-        )
-        return TruncSeries._raw(self.n, self.order - 1, coeffs)
 
     # -- the three series solvers ----------------------------------------
 

@@ -73,9 +73,11 @@ packed y block it is read as, n fields at the state's width.  Each order
 builds the derivative map d^beta F of its state on first use, once per
 beta of the operator: the keys e >= beta, scaled by the falling factorials
 prod_i e_i!/(e_i - beta_i)!, each map from the one with a count less in
-beta's top field (:class:`_Derivatives`).  A term of P_beta then adds one
-packed shift to every key of that map (:func:`_apply_step`).  One
-generator runs F_k = L F_(k-1) / k in lowest terms (:func:`_exponential`).
+beta's top field (:class:`_Derivatives`).  P_beta is a pair of numerator
+maps keyed by packed shift, so applying it is one product of maps, as in
+a ``MultiPoly`` product (:func:`starquant.poly._add_products`): a term
+adds its shift to every key of d^beta F.  One generator runs F_k =
+L F_(k-1) / k in lowest terms (:func:`_exponential`).
 The ODE oracle (:func:`ode_star_exponential`) takes orders 0..N of it for
 L = L_H.  On a constant lambda it keeps only the even contraction orders
 of H in L_H: the k-th order is odd in its two factors, B_k(g, f) =
@@ -87,6 +89,7 @@ constant coefficients, beta = e_i + e_j, whose orders are summed once.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
 from itertools import combinations_with_replacement, count, islice
 from math import lcm
@@ -464,15 +467,15 @@ def intertwine(
     K-ordered product.
 
     The exponent is a left operator with constant coefficients (see
-    :func:`_left_operator`): for i <= j, the packed beta = e_i + e_j
-    carries K_ij + K_ji (K_ii once) times each term of the coupling, whose
-    shift -beta lowers z_i and z_j and adds the term's parameter exponents;
-    the coefficients are K's integer numerators times the coupling's, over
-    the product of their denominators.  Its orders (:func:`_exponential`)
-    are summed once.  Width: at most deg f // 2 orders follow f, each
-    adding at most the coupling's largest exponent to the hbar and tau
-    fields, while the z fields only fall; and beta = 2 e_i needs a field
-    that holds 2.
+    :func:`_left_operator`): for i <= j, P_beta at the packed beta =
+    e_i + e_j is K_ij + K_ji (K_ii once) at shift -beta, which lowers z_i
+    and z_j, times the coupling, whose terms add their parameter
+    exponents: one product of K's integer numerators and the coupling's,
+    over the product of their denominators.  A zero entry of K gives no
+    beta.  Its orders (:func:`_exponential`) are summed once.  Width: at
+    most deg f // 2 orders follow f, each adding at most the coupling's
+    largest exponent to the hbar and tau fields, while the z fields only
+    fall; and beta = 2 e_i needs a field that holds 2.
     """
     if coupling is None:
         coupling = I_HBAR_QUARTER
@@ -481,15 +484,16 @@ def intertwine(
         raise ValueError("variable count mismatch with ordering matrix")
     w = key_width(max(f.max_exponent() + max(f.degree(), 0) // 2 * coupling.max_exponent(), 2))
     cparts = coupling.numerators(w, n)
-    operator = ([], [], K.den * cparts[2])
+    operator = []
     for i, j in combinations_with_replacement(range(n), 2):
         m = 1 if i == j else 2
         beta = (1 << w * i) + (1 << w * j)
         entry = ({-beta: m * K.re[i][j]}, {-beta: m * K.im[i][j]})
-        for part, terms in zip(operator, _complex(_add_products, [(entry, cparts, 1)])):
-            if terms:
-                part.append((beta, list(terms.items())))
-    re, im, den = _order_sum(list(_exponential(operator, w, *f.numerators(w))))
+        p = _complex(_add_products, [(entry, cparts, 1)])
+        if any(p):
+            operator.append((beta, p))
+    orders = _exponential((operator, K.den * cparts[2]), w, *f.numerators(w))
+    re, im, den = _order_sum(list(orders))
     return MultiPoly.from_numerators(n, re, im, den, w)
 
 
@@ -558,46 +562,43 @@ def _raise_step(out: dict, state: dict, rows: list, sign: int, mask: int) -> Non
 
 
 def _left_operator(kernel: _Kernel, h: MultiPoly, w: int, even: bool) -> tuple:
-    """(re, im, den): the left star operator F -> h (*) F of the kernel, as
-    integer numerators over one denominator, for keys of n z fields packed
-    at field width w.
+    """(operator, den): the left star operator F -> h (*) F of the kernel,
+    for keys of n z fields packed at field width w, as a list of (beta,
+    (re, im)) over the one denominator ``den``: beta is the packed y block
+    of derivative counts, and re and im are the integer numerator maps of
+    P_beta, keyed by packed shift.
 
     The orders of h are contracted by :func:`_states` with the right
-    factor left symbolic (:func:`_raise_step`) and summed, only the even
-    ones when ``even``; then x and w collapse into one n-variable key, and
-    the terms are grouped by beta, whose weight is the order.  ``even``
-    needs a constant matrix and an F that commutes with h: the k-th order
-    is odd in its factors, B_k(F, h) = (-1)^k B_k(h, F), as swapping a_i
-    and b_i in its k entries negates each, so h (*) F - F (*) h is twice
-    the odd orders of h (*) F.
-    Each part is a list of (beta, terms) with beta the packed y block of
-    derivative counts and terms as [(shift, numerator), ...], each shift
-    the packed x + w + tail - beta.  w must hold every field of every key
-    built (see :func:`ode_star_exponential`).
+    factor left symbolic (:func:`_raise_step`) and summed in lowest terms,
+    only the even ones when ``even``; then the keys are grouped by beta,
+    whose weight is the order, and each group's x, y and w collapse into
+    one n-variable key (:func:`_collapse`): the shift plus 2 beta, since y
+    holds beta.  A beta whose terms all cancel is left out.  ``even`` needs a constant matrix
+    and an F that commutes with h: the k-th order is odd in its factors,
+    B_k(F, h) = (-1)^k B_k(h, F), as swapping a_i and b_i in its k entries
+    negates each, so h (*) F - F (*) h is twice the odd orders of h (*) F.
+    w must hold every field of every key built (see
+    :func:`ode_star_exponential`).
     """
     n = h.n
     block = n * w
     mask = (1 << block) - 1
-    top = kernel.width * w
     orders = _states(kernel, w, *h.numerators(w, kernel.width), step=_raise_step)
-    re, im, den = _order_sum(list(islice(orders, 0, None, 2) if even else orders))
-    parts: tuple = ({}, {})
-    for out, part in zip(parts, (re, im)):
+    re, im, den = _lowest(*_order_sum(list(islice(orders, 0, None, 2) if even else orders)))
+    groups: dict = defaultdict(lambda: ({}, {}))
+    for i, part in enumerate((re, im)):
         for key, v in part.items():
-            beta = key >> block & mask
-            shift = (key >> top << block) + (key & mask) - beta
-            for s in range(2 * block, top, block):
-                shift += key >> s & mask
-            out[beta, shift] = out.get((beta, shift), 0) + v
-    *parts, den = _lowest(*parts, den)
+            groups[key >> block & mask][i][key] = v
     operator = []
-    for part in parts:
-        groups: dict = {}
-        for (beta, shift), v in part.items():
-            if v:
-                groups.setdefault(beta, []).append((shift, v))
-        operator.append(list(groups.items()))
-    return (*operator, den)
+    for beta, parts in groups.items():
+        p = tuple(
+            {key - 2 * beta: v for key, v in _collapse(n, kernel.width, w, part).items() if v}
+            if part else {}
+            for part in parts
+        )
+        if any(p):
+            operator.append((beta, p))
+    return operator, den
 
 
 class _Derivatives(dict):
@@ -626,33 +627,19 @@ class _Derivatives(dict):
         return out
 
 
-def _apply_step(out: dict, operator: list, derivatives: dict, sign: int) -> None:
-    """out += sign * L(state) for one part of a left operator (see
-    :func:`_left_operator`), given the derivative maps of the state
-    (:class:`_Derivatives`): each term of P_beta adds its shift to every key
-    of the map of beta, and its coefficient multiplies the value."""
-    for beta, terms in operator:
-        derivative = derivatives[beta]
-        if derivative:
-            for shift, c in terms:
-                c *= sign
-                for key, v in derivative.items():
-                    k = key + shift
-                    out[k] = out.get(k, 0) + v * c
-
-
 def _exponential(operator: tuple, w: int, re: dict, im: dict, den: int):
     """Yield F_0 = (re, im, den), then F_k = L F_(k-1) / k for the left
     operator L = ``operator`` (see :func:`_left_operator`) on keys packed at
     field width w, each as (re, im, den) in lowest terms, until F_k is
-    empty.  Each order builds the derivative maps of F_(k-1) that L needs
-    on first use, once per part (:class:`_Derivatives`), and every term of
-    L runs over one of them (:func:`_apply_step`)."""
-    lre, lim, lden = operator
+    empty.  Each order builds the derivative maps d^beta F_(k-1) that L
+    needs on first use (:class:`_Derivatives`), none of an empty part, and
+    multiplies each P_beta into its map: a term's shift adds to every key
+    of the map, and its coefficient multiplies the value."""
+    terms, lden = operator
     for k in count(1):
         yield re, im, den
-        derivatives = [_Derivatives(part, w) if part else {} for part in (re, im)]
-        re, im = _complex(_apply_step, [((lre, lim), derivatives, 1)])
+        dre, dim = (_Derivatives(part, w) if part else defaultdict(dict) for part in (re, im))
+        re, im = _complex(_add_products, [(p, (dre[beta], dim[beta]), 1) for beta, p in terms])
         if not re and not im:
             return
         re, im, den = _lowest(re, im, den * lden * k)
@@ -669,11 +656,11 @@ def ode_star_exponential(ctx: StarContext, H: MultiPoly, N: int) -> TruncSeries:
     kernel (:func:`_left_operator`) and applied at every order, on integer
     numerators in lowest terms: each order forms every derivative map
     d^beta F_k that L_H needs once, on first use, for beta packed like a
-    key (:class:`_Derivatives`), and each term of each P_beta is one pass
-    over its map.  It has at most deg H + 1 orders, for a constant or a
-    polynomial lambda alike, because the fully contracted kernel never
-    differentiates the entries.  The orders are returned unpacked, as
-    polynomials.
+    key (:class:`_Derivatives`), and each P_beta multiplies into its map
+    as one product of numerator maps.  It has at most deg H + 1 orders,
+    for a constant or a polynomial lambda alike, because the fully
+    contracted kernel never differentiates the entries.  The orders are
+    returned unpacked, as polynomials.
 
     On a constant lambda L_H keeps only the even orders of H.  The k-th
     order is odd in its factors, B_k(F, H) = (-1)^k B_k(H, F), since

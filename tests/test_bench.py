@@ -1,14 +1,20 @@
 """Smoke test of the per-layer bench harness at tiny sizes."""
 
 import importlib.util
+import inspect
 import json
+import sys
 from pathlib import Path
+
+import pytest
+
+from starquant.star import ode_star_exponential
 
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH)
+def load_bench(path=BENCH):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -159,3 +165,24 @@ def test_each_side_takes_each_position_equally_often(monkeypatch):
     turns.clear()
     bench.measure({"after": "after"}, tiny=False)
     assert turns == ["after"] * len(rounds)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="bench/traffic.py reads co_qualname")
+def test_traffic_counts_the_calls_of_the_seed_2_starexp_jobs():
+    # every star-exp job checks three closed forms against one oracle run,
+    # which applies its left operator without a per-term loop of its own
+    traffic = load_bench(BENCH.parent / "traffic.py")
+    before = sys.gettrace()
+    report, failures = traffic.traffic(["starexp"], seed=2)
+    assert sys.gettrace() is before
+    assert failures == []
+    jobs = len(traffic.check_digests._perfbench_run().jobgen.job_list("starexp", 2))
+    calls = report["calls"]["starexp"]
+    assert calls["matrices.closed_star_exponential"] == 3 * jobs
+    assert calls["star.ode_star_exponential"] == jobs
+    # a generator counts once, not per resume nor at its close
+    assert calls["star._exponential"] == jobs
+    assert "star._apply_step" not in calls
+    assert set(report["unreached"]) == {p.stem for p in traffic.PACKAGE.glob("*.py")}
+    _, first = inspect.getsourcelines(ode_star_exponential)
+    assert first not in report["unreached"]["star"]

@@ -1,5 +1,6 @@
 import importlib
 import random
+from itertools import islice
 from math import factorial, lcm, perm
 
 import pytest
@@ -703,7 +704,7 @@ def beta_weights(monkeypatch, ctx, h, N) -> set:
         mask = (1 << w) - 1
         built.append({
             sum(beta >> (w * i) & mask for i in range(ctx.n))
-            for part in operator[:2] for beta, _ in part
+            for beta, _ in operator[0]
         })
         return operator
 
@@ -723,6 +724,42 @@ def test_left_operator_keeps_the_odd_orders_only_on_a_polynomial_lambda(monkeypa
         constant = StarContext.constant(complex_antisym(rng, 3), coupling)
         assert beta_weights(monkeypatch, constant, h, 5) == {0, 2}
         assert beta_weights(monkeypatch, so3_context(coupling), h, 4) == {0, 1, 2, 3}
+
+
+def apply_left_operator(ctx, h, f, even) -> MultiPoly:
+    """The left operator of h, as ``ode_star_exponential`` builds it,
+    applied once to f through the exponential's first step."""
+    star_module = importlib.import_module("starquant.star")
+    kernel = star_module._full_entries(ctx, ctx.coupling)
+    steps = max(h.degree(), 0)
+    w = star_module.key_width(f.max_exponent() + h.max_exponent() + steps * max(kernel.reach, 1))
+    operator = star_module._left_operator(kernel, h, w, even)
+    orders = star_module._exponential(operator, w, *f.numerators(w))
+    re, im, den = next(islice(orders, 1, None), ({}, {}, 1))
+    return MultiPoly.from_numerators(ctx.n, re, im, den, w)
+
+
+@pytest.mark.parametrize("coupling", [HALF_MU, I_HBAR_HALF], ids=["mu/2", "i*hbar/2"])
+def test_left_operator_on_an_f_that_does_not_commute_with_h(coupling):
+    # the oracle applies L_H only to F_k that commute with H, so this
+    # applies it to random F: every order gives H (*) F, the even ones
+    # alone its symmetric part, since F (*) H = sum_k (-1)^k B_k(H, F)
+    rng = random.Random(757)
+    constant = StarContext.constant(complex_antisym(rng, 3), coupling)
+    half = MultiPoly.from_rat(1, 2)
+    for ctx in (constant, so3_context(coupling)):
+        checked = 0
+        while checked < 4:
+            h = rand_poly(rng, 3, 3, 4).scale(MU_INV) + rand_poly(rng, 3, 2, 2)
+            f = rand_poly(rng, 3, 3, 4)
+            product = star(ctx, h, f)
+            if product == star(ctx, f, h):
+                continue
+            checked += 1
+            assert apply_left_operator(ctx, h, f, False) == product
+            if ctx is constant:
+                symmetric = (product + star(ctx, f, h)).scale(half)
+                assert apply_left_operator(ctx, h, f, True) == symmetric
 
 
 def test_ode_star_exponential_with_wide_z_fields():
